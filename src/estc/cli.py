@@ -84,7 +84,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     report.notes.append(
         f"window radius {cfg.radius} around {cfg.n_ref}: "
         f"{len(window.points())} sites, {acc.stages_done} stages, "
-        f"{len(acc.couplings)} stored couplings"
+        f"{acc.coupling_count} stored couplings"
     )
     (out / "report.txt").write_text(report.to_text())
     sys.stdout.write(report.to_text())

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .field import (
     v_coupling,
     validate,
 )
-from .lattice import SHIFTS_S13, Site, Window, couples, make_schedule, site_add
+from .lattice import SHIFTS_S13, Site, Window, coupled_sites, make_schedule, site_add
 from .multispinor import Multispinor
 
 
@@ -118,48 +119,53 @@ class FieldTables:
 class OperatorBlock:
     """One rank-4 Hermitian term of the accumulated projector.
 
-    core_dset holds the 16 real basis coefficients of the stage core; phi
-    maps each support site n' to its 4x4 row-coefficient matrix.
+    core_dset holds the 16 real basis coefficients of the stage core;
+    stack[i] is the 4x4 row-coefficient matrix Phi(sites[i]), with the
+    support sites in lexicographic order.
     """
 
     site: Site
     core_dset: np.ndarray
-    phi: dict[Site, np.ndarray]
+    sites: list[Site]
+    stack: np.ndarray
     stage: int | None = None
 
-    def __post_init__(self):
-        self._core = None
-        self._stack = None
+    @classmethod
+    def from_phi(
+        cls,
+        site: Site,
+        core_dset: np.ndarray,
+        phi: dict[Site, np.ndarray],
+        stage: int | None = None,
+    ) -> "OperatorBlock":
+        """Block from a site -> Phi(site) mapping."""
+        sites = sorted(phi)
+        return cls(site, core_dset, sites, np.stack([phi[s] for s in sites]), stage)
 
-    @property
+    @cached_property
     def core(self) -> np.ndarray:
-        if self._core is None:
-            self._core = matrix_from_dset(self.core_dset)
-        return self._core
+        return matrix_from_dset(self.core_dset)
+
+    @cached_property
+    def phi(self) -> dict[Site, np.ndarray]:
+        """Each support site mapped to its row of the stack (views, not copies)."""
+        return dict(zip(self.sites, self.stack))
 
     def support(self) -> list[Site]:
-        return sorted(self.phi)
-
-    def _stacks(self) -> tuple[list[Site], np.ndarray]:
-        if self._stack is None:
-            sites = list(self.phi)
-            self._stack = (sites, np.stack([self.phi[s] for s in sites]))
-        return self._stack
+        return list(self.sites)
 
     def row_contraction(self, c: Multispinor) -> np.ndarray:
         """sum_n' Phi(n') c(n'), the 4-vector this block sees in c."""
-        sites, stack = self._stacks()
-        gathered = np.stack([c[s] for s in sites])
-        return np.einsum("sij,sj->i", stack, gathered)
+        gathered = np.stack([c[s] for s in self.sites])
+        return np.einsum("sij,sj->i", self.stack, gathered)
 
     def apply(self, c: Multispinor, out: Multispinor | None = None) -> Multispinor:
         """Accumulate (this block) @ c into out."""
         if out is None:
             out = Multispinor()
         y = self.core @ self.row_contraction(c)
-        sites, stack = self._stacks()
-        scattered = np.einsum("sij,i->sj", stack.conj(), y)
-        for site, value in zip(sites, scattered):
+        scattered = np.einsum("sij,i->sj", self.stack.conj(), y)
+        for site, value in zip(self.sites, scattered):
             out.add_to(site, value)
         return out
 
@@ -172,8 +178,7 @@ class OperatorBlock:
         return left.conj().T @ self.core @ right
 
     def trace(self) -> float:
-        _, stack = self._stacks()
-        gram = np.einsum("sij,skj->ik", stack, stack.conj())
+        gram = np.einsum("sij,skj->ik", self.stack, self.stack.conj())
         return float(np.trace(self.core @ gram).real)
 
 
@@ -188,28 +193,45 @@ def bare_block(
         raise NotInterior(f"site {n} has stencil neighbors outside the window")
     stack = tables.v_stack(n)
     phi = {site_add(n, s): stack[i] for i, s in enumerate(SHIFTS_S13)}
-    return OperatorBlock(site=n, core_dset=tables.a_dset(n), phi=phi, stage=stage)
+    return OperatorBlock.from_phi(n, tables.a_dset(n), phi, stage)
 
 
 @dataclass
 class StageDiagnostics:
+    """Conditioning, support and wall time of one stage.
+
+    elapsed is the stage total; the four phase times split it into the
+    overlap gather, the D/C coupling products, the Gram deflation with the
+    core inversion, and the Phi assembly.
+    """
+
     stage: int
     site: Site
     rcond: float
     gram_asymmetry: float
     support_size: int
     elapsed: float
+    gather_s: float
+    coupling_s: float
+    inversion_s: float
+    assembly_s: float
 
 
 class ProjectorAccumulator:
     """Stage-by-stage builder of the projector onto the processed rows.
 
-    Stage k orthogonalizes the row block of schedule[k] against all
-    previous blocks through the coupling recurrences, keeping every
-    pseudoinversion a single 4x4 inverse.  Couplings to all earlier stages
-    are retained (quadratic memory in the stage count, capped by
-    max_couplings); overlap factors that vanish beyond coupling distance 2
-    are skipped only where a zero factor makes the term identically zero.
+    The stages form a block LDL^dag factorization of the row Gram matrix
+    G = V V^dag in schedule order: L G L^dag = blockdiag(A_k^-1), where
+    row k of the block-lower-triangular factor L = I - C holds the
+    couplings of stage k to every earlier stage and A_k is the stage core.
+    The row coefficients of stage k are Phi_k = sum_j L_kj V_j.
+
+    factor holds L as one (4K, 4K) array and cores the A_k as one (K, 4, 4)
+    array, both preallocated for the K scheduled stages.  Every stage is a
+    few dense products over them, and its only inversion is a single 4x4
+    matrix.  Couplings to all earlier stages are kept (quadratic memory in
+    the stage count, capped by max_couplings); overlaps are gathered only
+    for earlier sites within coupling distance 2, the others vanish.
     """
 
     def __init__(
@@ -239,12 +261,35 @@ class ProjectorAccumulator:
         self.rcond_min = rcond_min
         self.max_couplings = max_couplings
         self.blocks: list[OperatorBlock] = []
-        self.couplings: dict[tuple[int, int], np.ndarray] = {}
         self.diagnostics: list[StageDiagnostics] = []
+
+        stages = len(schedule)
+        self.factor = np.zeros((4 * stages, 4 * stages), dtype=complex)
+        self.cores = np.zeros((stages, 4, 4), dtype=complex)
+        self._stage_of = {site: k for k, site in enumerate(schedule)}
+        # Phi_k is scattered over the window sites in lexicographic order:
+        # entry (j, a, s, c, re/im) of the products L_kj V_j(s) lands on
+        # float 32 w + 8 a + 2 c + re/im, where w is the index of m_j + s
+        self._sites = sorted(window.points())
+        index = {site: i for i, site in enumerate(self._sites)}
+        stencil = np.array(
+            [[index[site_add(m, s)] for s in SHIFTS_S13] for m in schedule], dtype=np.intp
+        )
+        self._stencil = stencil
+        offsets = (8 * np.arange(4))[:, None] + np.arange(8)
+        self._scatter = (32 * stencil)[:, None, :, None] + offsets[None, :, None, :]
+        self._site_rows = np.zeros((stages, 4, 4), dtype=complex)
+        self._covered = np.zeros(len(self._sites), dtype=bool)
 
     @property
     def stages_done(self) -> int:
         return len(self.blocks)
+
+    @property
+    def coupling_count(self) -> int:
+        """Stored coupling matrices C_kj, one per pair of processed stages."""
+        k = self.stages_done
+        return k * (k - 1) // 2
 
     def processed_sites(self) -> list[Site]:
         return self.schedule[: self.stages_done]
@@ -254,54 +299,33 @@ class ProjectorAccumulator:
         k = self.stages_done
         if k >= len(self.schedule):
             raise IndexError("schedule exhausted")
+        if self.coupling_count + k > self.max_couplings:
+            raise CouplingLimitExceeded(
+                f"stage {k} needs {self.coupling_count + k} coupling matrices, "
+                f"cap is {self.max_couplings}"
+            )
         started = time.perf_counter()
         m = self.schedule[k]
         tables = self.tables
-        n_to = {}  # j -> N(m, m_j) for coupled earlier sites
-        for j, site in enumerate(self.schedule[:k]):
-            if couples(m, site):
-                n_to[j] = tables.overlap(m, site)
+        factor = self.factor
 
-        # row coefficients of stage j projected onto stage j's core, seen
-        # from the new row: D_kj = [N(m,m_j) - sum_i N(m,m_i) C_ij] A_j
-        d_mats: dict[int, np.ndarray] = {}
-        for j in range(k - 1, 0, -1):
-            acc = n_to[j].copy() if j in n_to else np.zeros((4, 4), dtype=complex)
-            for i in range(j):
-                if i in n_to:
-                    # C_ij(m_i, m_j) is the dagger of the stored C_ji
-                    acc -= n_to[i] @ self.couplings[(j, i)].conj().T
-            d_mats[j] = acc @ self.blocks[j].core
+        # overlaps N(m, m_i) with the coupled earlier stages i
+        stages = (self._stage_of.get(site) for site in coupled_sites(m))
+        coupled = sorted(i for i in stages if i is not None and i < k)
+        cols = (4 * np.array(coupled, dtype=np.intp)[:, None] + np.arange(4)).ravel()
+        overlaps = [tables.overlap(m, self.schedule[i]) for i in coupled]
+        n_c = np.concatenate(overlaps, axis=1) if overlaps else np.zeros((4, 0), dtype=complex)
+        gathered = time.perf_counter()
 
-        # expansion of the projected row over the bare rows of earlier sites
-        c_new: dict[int, np.ndarray] = {}
-        for i in range(k - 1, 0, -1):
-            acc = d_mats[i].copy()
-            for j in range(i + 1, k):
-                acc -= d_mats[j] @ self.couplings[(j, i)]
-            c_new[i] = acc
-        if k >= 1:
-            acc = (
-                n_to[0] @ self.blocks[0].core
-                if 0 in n_to
-                else np.zeros((4, 4), dtype=complex)
-            )
-            for j in range(1, k):
-                acc -= d_mats[j] @ self.couplings[(j, 0)]
-            c_new[0] = acc
-
-        if len(self.couplings) + len(c_new) > self.max_couplings:
-            raise CouplingLimitExceeded(
-                f"stage {k} needs {len(self.couplings) + len(c_new)} coupling matrices, "
-                f"cap is {self.max_couplings}"
-            )
+        # <V_k, Phi_j> = sum_i N(m, m_i) L_ji^dag; D_kj = <V_k, Phi_j> A_j;
+        # C_k = D L, the expansion of the projected row over the bare rows
+        g = n_c @ factor[: 4 * k, cols].conj().T
+        d = (g.reshape(4, k, 4).transpose(1, 0, 2) @ self.cores[:k]).transpose(1, 0, 2)
+        c_row = d.reshape(4, 4 * k) @ factor[: 4 * k, : 4 * k]
+        coupled_at = time.perf_counter()
 
         # deflated Gram matrix and its inverse, both with real coefficients
-        gram_deflation = np.zeros((4, 4), dtype=complex)
-        for j, c_mat in c_new.items():
-            site = self.schedule[j]
-            if couples(site, m):
-                gram_deflation += c_mat @ tables.overlap(site, m)
+        gram_deflation = c_row[:, cols] @ n_c.conj().T
         deflation_dset = dset_from_matrix(gram_deflation)
         asymmetry = float(np.max(np.abs(deflation_dset.imag))) if k else 0.0
         gram_dset = tables.l_dset(m) - deflation_dset.real
@@ -317,33 +341,45 @@ class ProjectorAccumulator:
                 core_dset = dset_inverse(gram_dset).real
             except SingularMatrix:
                 raise StageSingular(k, m, rcond) from None
+        inverted = time.perf_counter()
 
-        phi: dict[Site, np.ndarray] = {}
-        stack_m = tables.v_stack(m)
-        for i, s in enumerate(SHIFTS_S13):
-            phi[site_add(m, s)] = stack_m[i].copy()
-        for j, c_mat in c_new.items():
-            site = self.schedule[j]
-            stack_j = tables.v_stack(site)
-            for i, s in enumerate(SHIFTS_S13):
-                target = site_add(site, s)
-                contribution = c_mat @ stack_j[i]
-                if target in phi:
-                    phi[target] = phi[target] - contribution
-                else:
-                    phi[target] = -contribution
+        factor[4 * k : 4 * k + 4, : 4 * k] = -c_row
+        factor[4 * k : 4 * k + 4, 4 * k : 4 * k + 4] = np.eye(4)
+        self.cores[k] = matrix_from_dset(core_dset)
 
-        self.couplings.update({(k, j): mat for j, mat in c_new.items()})
-        block = OperatorBlock(site=m, core_dset=core_dset, phi=phi, stage=k)
+        # Phi_k = sum_j L_kj V_j: the zero-shift rows are per site, the
+        # twelve field-shift rows are the same for every site
+        l_row = factor[4 * k : 4 * k + 4, : 4 * k + 4].reshape(4, k + 1, 4).transpose(1, 0, 2)
+        self._site_rows[k] = tables.v_stack(m)[0]
+        products = np.empty((k + 1, 4, len(SHIFTS_S13), 4), dtype=complex)
+        products[:, :, 0] = l_row @ self._site_rows[: k + 1]
+        field_rows = tables._field_v.transpose(1, 0, 2).reshape(4, -1)
+        products[:, :, 1:] = (l_row.reshape(-1, 4) @ field_rows).reshape(k + 1, 4, -1, 4)
+        phi_window = np.bincount(
+            self._scatter[: k + 1].ravel(),
+            weights=products.view(float).ravel(),
+            minlength=32 * len(self._sites),
+        )
+        self._covered[self._stencil[k]] = True
+        support = np.flatnonzero(self._covered)
+        phi = phi_window.view(complex).reshape(-1, 4, 4)[support]
+        sites = [self._sites[i] for i in support]
+
+        block = OperatorBlock(site=m, core_dset=core_dset, sites=sites, stack=phi, stage=k)
         self.blocks.append(block)
+        done = time.perf_counter()
         self.diagnostics.append(
             StageDiagnostics(
                 stage=k,
                 site=m,
                 rcond=rcond,
                 gram_asymmetry=asymmetry,
-                support_size=len(phi),
-                elapsed=time.perf_counter() - started,
+                support_size=len(sites),
+                elapsed=done - started,
+                gather_s=gathered - started,
+                coupling_s=coupled_at - gathered,
+                inversion_s=inverted - coupled_at,
+                assembly_s=done - inverted,
             )
         )
         return block

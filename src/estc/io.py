@@ -43,8 +43,8 @@ def operator_payload(acc: ProjectorAccumulator, cfg: RunConfig) -> dict:
     stages = []
     for block, diag in zip(acc.blocks, acc.diagnostics):
         support = [
-            {"site": list(site), "phi": _matrix_pairs(block.phi[site])}
-            for site in sorted(block.phi)
+            {"site": list(site), "phi": _matrix_pairs(phi)}
+            for site, phi in zip(block.sites, block.stack)
         ]
         stages.append(
             {
@@ -88,15 +88,15 @@ def read_operator(path: str | Path, cfg: RunConfig | None = None) -> list[Operat
     payload = read_operator_payload(path, cfg)
     blocks = []
     for stage in payload["stages"]:
-        phi = {
-            tuple(entry["site"]): _matrix_from_pairs(entry["phi"])
-            for entry in stage["support"]
-        }
+        support = stage["support"]
+        # each [re, im] pair is the two halves of one complex entry
+        pairs = np.array([entry["phi"] for entry in support], dtype=float)
         blocks.append(
             OperatorBlock(
                 site=tuple(stage["site"]),
                 core_dset=np.array(stage["core_dset"], dtype=float),
-                phi=phi,
+                sites=[tuple(entry["site"]) for entry in support],
+                stack=pairs.view(complex)[..., 0],
                 stage=int(stage["stage"]),
             )
         )
@@ -211,9 +211,7 @@ def read_exported_operator(path: str | Path, cfg: RunConfig | None = None) -> li
             dset = np.array([complex(re, im) for re, im in entry["phi_dset"]])
             phi[tuple(entry["site"])] = matrix_from_dset(dset)
         core = np.array([re for re, _ in stage["core_dset"]], dtype=float)
-        blocks.append(
-            OperatorBlock(site=tuple(stage["site"]), core_dset=core, phi=phi, stage=int(stage["stage"]))
-        )
+        blocks.append(OperatorBlock.from_phi(tuple(stage["site"]), core, phi, int(stage["stage"])))
     return blocks
 
 
@@ -233,7 +231,6 @@ class CheckResult:
 class RunReport:
     title: str
     checks: list[CheckResult] = dataclass_field(default_factory=list)
-    stage_lines: list[str] = dataclass_field(default_factory=list)
     notes: list[str] = dataclass_field(default_factory=list)
 
     def add(self, name: str, observed: float, threshold: float) -> bool:
@@ -249,8 +246,5 @@ class RunReport:
         lines = [self.title]
         lines += [f"  {check.line()}" for check in self.checks]
         lines += [f"  {note}" for note in self.notes]
-        if self.stage_lines:
-            lines.append("  stages:")
-            lines += [f"    {line}" for line in self.stage_lines]
         lines.append(f"result: {'ok' if self.ok else 'FAILED'}")
         return "\n".join(lines) + "\n"

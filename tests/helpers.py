@@ -2,14 +2,17 @@
 
 Everything here avoids the package's fast paths on purpose: the basis
 matrices are frozen literals, the adjugate is built from cofactors, the
-characteristic coefficients come from numpy's polynomial routine, and the
-pair-combination reference sums the alternating series directly.
+characteristic coefficients come from numpy's polynomial routine, the
+pair-combination reference sums the alternating series directly, and the
+row Gram matrix is assembled from the coupling coefficients without the
+engine's cached tables.
 """
 
 import numpy as np
 
 from estc import DimensionlessParams, FieldConfig
-from estc.field import FREE_COMPONENTS
+from estc.field import FREE_COMPONENTS, v_coupling
+from estc.lattice import SHIFTS_S13
 
 # frozen 4x4 basis, index nu = 8M + 4N + 2m + n
 GAMMA_LITERALS = (
@@ -133,3 +136,22 @@ def random_dsets(rng, count, scale=1.0):
     return scale * (
         rng.standard_normal((count, 16)) + 1j * rng.standard_normal((count, 16))
     )
+
+
+def dense_row_gram(f, p, schedule):
+    """G = V V^dag for the row blocks of the scheduled sites, in schedule order.
+
+    Row block k of V holds the coupling matrices of row schedule[k] at the
+    columns of its 13 stencil neighbors, built straight from v_coupling.
+    """
+    columns = {}
+    entries = []
+    for k, n in enumerate(schedule):
+        for s in SHIFTS_S13:
+            target = tuple(a + b for a, b in zip(n, s))
+            j = columns.setdefault(target, len(columns))
+            entries.append((k, j, dense_from_dset(v_coupling(n, s, f, p))))
+    v = np.zeros((4 * len(schedule), 4 * len(columns)), dtype=complex)
+    for k, j, block in entries:
+        v[4 * k : 4 * k + 4, 4 * j : 4 * j + 4] = block
+    return v @ v.conj().T
