@@ -25,12 +25,8 @@ from .dirac_basis import (
 )
 from .engine import (
     FieldTables,
-    OperatorBlock,
     ProjectorAccumulator,
     StageDiagnostics,
-    bare_block,
-    dense_operator,
-    residual,
     residual_table,
 )
 from .errors import (
@@ -82,7 +78,6 @@ __all__ = [
     "FieldTables",
     "Multispinor",
     "NotInterior",
-    "OperatorBlock",
     "ProjectorAccumulator",
     "RunConfig",
     "SHIFTS_S13",
@@ -94,12 +89,10 @@ __all__ = [
     "Window",
     "ZeroField",
     "a_matrix",
-    "bare_block",
     "char_invariants",
     "combine_pair",
     "config_fingerprint",
     "couples",
-    "dense_operator",
     "det_l",
     "dset_adjoint",
     "dset_from_matrix",
@@ -119,7 +112,6 @@ __all__ = [
     "random_multispinor",
     "range_basis",
     "range_restricted_pseudoinverse",
-    "residual",
     "residual_table",
     "serialize_config",
     "shifts_s13",

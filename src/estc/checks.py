@@ -20,16 +20,10 @@ from .dirac_basis import (
     dset_square,
     gamma_matrix,
 )
-from .engine import (
-    FieldTables,
-    ProjectorAccumulator,
-    bare_block,
-    dense_operator,
-    residual_table,
-)
-from .field import det_l, field_intensity
+from .engine import FieldTables, ProjectorAccumulator, residual_table
+from .field import det_l, field_intensity, v_coupling
 from .io import RunReport
-from .lattice import Window, site_add
+from .lattice import SHIFTS_S13, Site, Window, site_add
 from .multispinor import random_multispinor
 
 
@@ -129,6 +123,20 @@ def check_field(cfg: RunConfig, report: RunReport) -> None:
     report.add("row overlaps are Hermitian pairs", worst, 1e-14)
 
 
+def _dense_rows(cfg: RunConfig, rows: list[Site], sites: list[Site]) -> np.ndarray:
+    """Coefficients V of the given rows over the given sites, from v_coupling."""
+    gammas = _fresh_gammas()
+    index = {site: i for i, site in enumerate(sites)}
+    v = np.zeros((4 * len(rows), 4 * len(sites)), dtype=complex)
+    for k, n in enumerate(rows):
+        for s in SHIFTS_S13:
+            j = index[site_add(n, s)]
+            v[4 * k : 4 * k + 4, 4 * j : 4 * j + 4] = _dense(
+                v_coupling(n, s, cfg.field, cfg.params), gammas
+            )
+    return v
+
+
 def check_projector(cfg: RunConfig, report: RunReport) -> None:
     radius = min(cfg.radius, 2)
     window = Window(radius, cfg.n_ref)
@@ -136,29 +144,29 @@ def check_projector(cfg: RunConfig, report: RunReport) -> None:
         cfg.field, cfg.params, window, rcond_min=cfg.rcond_min
     ).run()
     stages = acc.stages_done
+    sites = window.points()
 
+    # stage k of P = (L V)^dag A (L V) is rho_k = Phi_k^dag A_k Phi_k, Phi = L V
+    v = _dense_rows(cfg, acc.processed_sites(), sites)
+    phi = acc.factor[: 4 * stages, : 4 * stages] @ v
     worst_herm = 0.0
     worst_idem = 0.0
     worst_trace = 0.0
-    for block in acc.blocks:
-        dense = dense_operator([block], block.support())
-        worst_herm = max(worst_herm, float(np.abs(dense - dense.conj().T).max()))
-        worst_idem = max(worst_idem, float(np.abs(dense @ dense - dense).max()))
-        worst_trace = max(worst_trace, float(abs(np.trace(dense).real - 4.0)))
+    dense = np.zeros((phi.shape[1], phi.shape[1]), dtype=complex)
+    for k in range(stages):
+        row = phi[4 * k : 4 * k + 4]
+        block = row.conj().T @ acc.cores[k] @ row
+        worst_herm = max(worst_herm, float(np.abs(block - block.conj().T).max()))
+        worst_idem = max(worst_idem, float(np.abs(block @ block - block).max()))
+        worst_trace = max(worst_trace, float(abs(np.trace(block).real - 4.0)))
+        dense += block
     report.add("stage blocks are Hermitian", worst_herm, 1e-8)
     report.add("stage blocks are idempotent", worst_idem, 1e-8)
     report.add("stage blocks have trace 4", worst_trace, 1e-8)
 
-    worst = 0.0
-    for i in range(stages):
-        for j in range(i + 1, stages):
-            left, right = acc.blocks[i], acc.blocks[j]
-            shared = set(left.phi) & set(right.phi)
-            if not shared:
-                continue
-            cross = sum(left.phi[s] @ right.phi[s].conj().T for s in shared)
-            worst = max(worst, float(np.abs(cross).max()))
-    report.add("distinct stage blocks are mutually orthogonal", worst, 1e-8)
+    cross = (phi @ phi.conj().T).reshape(stages, 4, stages, 4)
+    cross[np.arange(stages), :, np.arange(stages)] = 0.0
+    report.add("distinct stage blocks are mutually orthogonal", float(np.abs(cross).max()), 1e-8)
 
     report.add(
         "projector trace equals 4 x stage count",
@@ -166,17 +174,27 @@ def check_projector(cfg: RunConfig, report: RunReport) -> None:
         1e-6,
     )
 
+    bare = v.conj().T
+    report.add(
+        "projector absorbs every processed row",
+        float(np.abs(dense @ bare - bare).max() / np.abs(bare).max()),
+        1e-8,
+    )
+
     c = random_multispinor(window.points(), cfg.seed)
     scale = c.norm()
-    for n in acc.processed_sites()[: min(3, stages)]:
-        bare = bare_block(n, acc.tables, window)
-        image = bare.apply(c)
-        absorbed = acc.apply_projector(image)
-        report.add(
-            f"projector absorbs the bare row block at {n}",
-            (absorbed - image).norm() / max(image.norm(), 1e-300),
-            1e-8,
-        )
+    x = np.concatenate([c[site] for site in sites])
+    # Gram-Cholesky reference V^dag G^-1 V, with G = V V^dag = chol chol^dag
+    chol = np.linalg.cholesky(v @ v.conj().T)
+    w = np.linalg.solve(chol, v)
+    reference = w.conj().T @ (w @ x)
+    projected = acc.apply_projector(c)
+    fast = np.concatenate([projected[site] for site in sites])
+    report.add(
+        "factored apply matches the Gram-Cholesky projector",
+        float(np.linalg.norm(fast - reference)) / max(scale, 1e-300),
+        1e-9,
+    )
 
     solution = acc.apply_fundamental(c)
     worst = max(

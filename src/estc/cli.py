@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .checks import run_verify
 from .config import RunConfig, config_fingerprint, parse_config
-from .engine import FieldTables, ProjectorAccumulator, residual_table
+from .engine import ProjectorAccumulator, residual_table
 from .errors import (
     ConfigError,
     CouplingLimitExceeded,
@@ -38,7 +38,7 @@ from .io import (
     write_solution,
 )
 from .lattice import Window
-from .multispinor import Multispinor, random_multispinor
+from .multispinor import random_multispinor
 
 _VALIDATION_ERRORS = (
     ConfigError,
@@ -93,8 +93,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_apply(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    blocks = read_operator(args.operator, cfg)
-    window = Window(cfg.radius, cfg.n_ref)
+    acc = read_operator(args.operator, cfg)
+    window = acc.window
 
     if args.input is not None:
         seed_c = read_solution(args.input, cfg)
@@ -104,19 +104,14 @@ def cmd_apply(args: argparse.Namespace) -> int:
         seed_c = random_multispinor(window.points(), seed)
         source = {"seed": seed}
 
-    projected = Multispinor()
-    for block in blocks:
-        block.apply(seed_c, projected)
-    solution = seed_c - projected
-
-    tables = FieldTables(cfg.field, cfg.params)
-    rows = residual_table(solution, tables, window.interior_points())
+    solution = acc.apply_fundamental(seed_c)
+    rows = residual_table(solution, acc.tables, window.interior_points())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_solution(out / "solution.json", solution, cfg, source)
     (out / "residual.csv").write_text(residual_csv(rows, cfg.n_ref))
 
-    processed = {block.site for block in blocks}
+    processed = set(acc.processed_sites())
     scale = max(seed_c.norm(), 1e-300)
     worst = max((value for site, value in rows if site in processed), default=0.0)
     report = RunReport(f"apply {config_fingerprint(cfg)[:12]}")

@@ -19,16 +19,17 @@ reduces to inverting one 4x4 matrix per stage; a singular one means the
 new row is linearly dependent on the processed subspace and aborts the
 stage with diagnostics.
 
-The complement U - P of the accumulated projector maps any seed
-multispinor onto the solution subspace of the processed rows; residuals of
-unprocessed rows measure the truncation error of the window.
+The projector is kept and applied in factored form only: with V the row
+coefficients and L = I - C, it is P = V^dag L^dag A L V, so Phi_k is never
+formed.  The complement U - P maps any seed multispinor onto the solution
+subspace of the processed rows; residuals of unprocessed rows measure the
+truncation error of the window.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +43,25 @@ from .field import (
     v_coupling,
     validate,
 )
-from .lattice import SHIFTS_S13, Site, Window, coupled_sites, make_schedule, site_add
+from .lattice import SHIFTS_S13, Site, Window, coupled_sites, make_schedule, site_add, site_sub
 from .multispinor import Multispinor
+
+
+def _matched_shift_pairs() -> dict[Site, tuple[np.ndarray, np.ndarray]]:
+    """Stencil index pairs (i, j) with d + s_i = s_j, for each difference d = m - n.
+
+    Rows m and n share the column m + s_i = n + s_j exactly for these pairs.
+    """
+    pairs: dict[Site, tuple[list[int], list[int]]] = {}
+    for i, s in enumerate(SHIFTS_S13):
+        for j, other in enumerate(SHIFTS_S13):
+            left, right = pairs.setdefault(site_sub(other, s), ([], []))
+            left.append(i)
+            right.append(j)
+    return {d: (np.array(i), np.array(j)) for d, (i, j) in pairs.items()}
+
+
+_SHIFT_PAIRS = _matched_shift_pairs()
 
 
 class FieldTables:
@@ -61,7 +79,6 @@ class FieldTables:
         self._field_v = np.stack(
             [matrix_from_dset(v_coupling((0, 0, 0, 0), s, f, p)) for s in SHIFTS_S13[1:]]
         )
-        self._shift_index = {s: i for i, s in enumerate(SHIFTS_S13)}
         self._v: dict[Site, np.ndarray] = {}
         self._l: dict[Site, np.ndarray] = {}
         self._a: dict[Site, np.ndarray] = {}
@@ -98,15 +115,12 @@ class FieldTables:
         key = (m, n)
         out = self._overlap.get(key)
         if out is None:
-            diff = tuple(a - b for a, b in zip(m, n))
-            out = np.zeros((4, 4), dtype=complex)
-            vm = self.v_stack(m)
-            vn = self.v_stack(n)
-            for i, s in enumerate(SHIFTS_S13):
-                other = (diff[0] + s[0], diff[1] + s[1], diff[2] + s[2], diff[3] + s[3])
-                j = self._shift_index.get(other)
-                if j is not None:
-                    out += vm[i] @ vn[j].conj().T
+            pairs = _SHIFT_PAIRS.get(site_sub(m, n))
+            if pairs is None:
+                out = np.zeros((4, 4), dtype=complex)
+            else:
+                i, j = pairs
+                out = np.einsum("kab,kcb->ac", self.v_stack(m)[i], self.v_stack(n)[j].conj())
             out.setflags(write=False)
             self._overlap[key] = out
             transposed = out.conj().T.copy()
@@ -116,93 +130,14 @@ class FieldTables:
 
 
 @dataclass
-class OperatorBlock:
-    """One rank-4 Hermitian term of the accumulated projector.
-
-    core_dset holds the 16 real basis coefficients of the stage core;
-    stack[i] is the 4x4 row-coefficient matrix Phi(sites[i]), with the
-    support sites in lexicographic order.
-    """
-
-    site: Site
-    core_dset: np.ndarray
-    sites: list[Site]
-    stack: np.ndarray
-    stage: int | None = None
-
-    @classmethod
-    def from_phi(
-        cls,
-        site: Site,
-        core_dset: np.ndarray,
-        phi: dict[Site, np.ndarray],
-        stage: int | None = None,
-    ) -> "OperatorBlock":
-        """Block from a site -> Phi(site) mapping."""
-        sites = sorted(phi)
-        return cls(site, core_dset, sites, np.stack([phi[s] for s in sites]), stage)
-
-    @cached_property
-    def core(self) -> np.ndarray:
-        return matrix_from_dset(self.core_dset)
-
-    @cached_property
-    def phi(self) -> dict[Site, np.ndarray]:
-        """Each support site mapped to its row of the stack (views, not copies)."""
-        return dict(zip(self.sites, self.stack))
-
-    def support(self) -> list[Site]:
-        return list(self.sites)
-
-    def row_contraction(self, c: Multispinor) -> np.ndarray:
-        """sum_n' Phi(n') c(n'), the 4-vector this block sees in c."""
-        gathered = np.stack([c[s] for s in self.sites])
-        return np.einsum("sij,sj->i", self.stack, gathered)
-
-    def apply(self, c: Multispinor, out: Multispinor | None = None) -> Multispinor:
-        """Accumulate (this block) @ c into out."""
-        if out is None:
-            out = Multispinor()
-        y = self.core @ self.row_contraction(c)
-        scattered = np.einsum("sij,i->sj", self.stack.conj(), y)
-        for site, value in zip(self.sites, scattered):
-            out.add_to(site, value)
-        return out
-
-    def component(self, m_prime: Site, n_prime: Site) -> np.ndarray:
-        """4x4 component block between two sites; zero outside support."""
-        left = self.phi.get(m_prime)
-        right = self.phi.get(n_prime)
-        if left is None or right is None:
-            return np.zeros((4, 4), dtype=complex)
-        return left.conj().T @ self.core @ right
-
-    def trace(self) -> float:
-        gram = np.einsum("sij,skj->ik", self.stack, self.stack.conj())
-        return float(np.trace(self.core @ gram).real)
-
-
-def bare_block(
-    n: Site,
-    tables: FieldTables,
-    window: Window | None = None,
-    stage: int | None = None,
-) -> OperatorBlock:
-    """The single-row projector P(n): core a(n), rows V(n,s) on the stencil."""
-    if window is not None and not window.interior(n):
-        raise NotInterior(f"site {n} has stencil neighbors outside the window")
-    stack = tables.v_stack(n)
-    phi = {site_add(n, s): stack[i] for i, s in enumerate(SHIFTS_S13)}
-    return OperatorBlock.from_phi(n, tables.a_dset(n), phi, stage)
-
-
-@dataclass
 class StageDiagnostics:
     """Conditioning, support and wall time of one stage.
 
-    elapsed is the stage total; the four phase times split it into the
-    overlap gather, the D/C coupling products, the Gram deflation with the
-    core inversion, and the Phi assembly.
+    support_size counts the window sites that the stencils of stages 0..k
+    reach, the support of Phi_k.  elapsed is the stage total; the four
+    phase times split it into the overlap gather, the D/C coupling
+    products, the Gram deflation with the core inversion, and the store of
+    the new factor row and core.
     """
 
     stage: int
@@ -224,14 +159,16 @@ class ProjectorAccumulator:
     G = V V^dag in schedule order: L G L^dag = blockdiag(A_k^-1), where
     row k of the block-lower-triangular factor L = I - C holds the
     couplings of stage k to every earlier stage and A_k is the stage core.
-    The row coefficients of stage k are Phi_k = sum_j L_kj V_j.
+    The row coefficients of stage k are Phi_k = sum_j L_kj V_j, and the
+    projector onto the processed rows is P = V^dag L^dag A L V.
 
-    factor holds L as one (4K, 4K) array and cores the A_k as one (K, 4, 4)
-    array, both preallocated for the K scheduled stages.  Every stage is a
-    few dense products over them, and its only inversion is a single 4x4
-    matrix.  Couplings to all earlier stages are kept (quadratic memory in
-    the stage count, capped by max_couplings); overlaps are gathered only
-    for earlier sites within coupling distance 2, the others vanish.
+    factor holds L as one (4K, 4K) array, cores the A_k as one (K, 4, 4)
+    array and core_dsets their real basis coefficients, all preallocated
+    for the K scheduled stages.  Every stage is a few dense products over
+    them, and its only inversion is a single 4x4 matrix.  Couplings to all
+    earlier stages are kept (quadratic memory in the stage count, capped by
+    max_couplings); overlaps are gathered only for earlier sites within
+    coupling distance 2, the others vanish.
     """
 
     def __init__(
@@ -260,30 +197,44 @@ class ProjectorAccumulator:
         self.schedule = schedule
         self.rcond_min = rcond_min
         self.max_couplings = max_couplings
-        self.blocks: list[OperatorBlock] = []
         self.diagnostics: list[StageDiagnostics] = []
+        self.stages_done = 0
 
         stages = len(schedule)
         self.factor = np.zeros((4 * stages, 4 * stages), dtype=complex)
         self.cores = np.zeros((stages, 4, 4), dtype=complex)
+        self.core_dsets = np.zeros((stages, 16))
+        self.rconds = np.zeros(stages)
         self._stage_of = {site: k for k, site in enumerate(schedule)}
-        # Phi_k is scattered over the window sites in lexicographic order:
-        # entry (j, a, s, c, re/im) of the products L_kj V_j(s) lands on
-        # float 32 w + 8 a + 2 c + re/im, where w is the index of m_j + s
+        # window sites in lexicographic order; row k of the stencil table
+        # holds the indices of m_k + s over the 13 shifts
         self._sites = sorted(window.points())
         index = {site: i for i, site in enumerate(self._sites)}
-        stencil = np.array(
+        self._stencil = np.array(
             [[index[site_add(m, s)] for s in SHIFTS_S13] for m in schedule], dtype=np.intp
         )
-        self._stencil = stencil
-        offsets = (8 * np.arange(4))[:, None] + np.arange(8)
-        self._scatter = (32 * stencil)[:, None, :, None] + offsets[None, :, None, :]
-        self._site_rows = np.zeros((stages, 4, 4), dtype=complex)
         self._covered = np.zeros(len(self._sites), dtype=bool)
 
-    @property
-    def stages_done(self) -> int:
-        return len(self.blocks)
+    @classmethod
+    def from_factors(
+        cls,
+        f: FieldConfig,
+        p: DimensionlessParams,
+        window: Window,
+        schedule: list[Site],
+        couplings: list[np.ndarray],
+        core_dsets: np.ndarray,
+        rconds: np.ndarray,
+    ) -> "ProjectorAccumulator":
+        """Accumulator whose first len(couplings) stages are restored from their factors.
+
+        couplings[k] is the (4, 4k) block row -C_k of L, core_dsets[k] the
+        real coefficients of A_k and rconds[k] the stage's recorded rcond.
+        """
+        acc = cls(f, p, window, schedule)
+        for k, (row, core_dset, rcond) in enumerate(zip(couplings, core_dsets, rconds)):
+            acc._store(k, row, core_dset, rcond)
+        return acc
 
     @property
     def coupling_count(self) -> int:
@@ -294,8 +245,18 @@ class ProjectorAccumulator:
     def processed_sites(self) -> list[Site]:
         return self.schedule[: self.stages_done]
 
-    def stage_step(self) -> OperatorBlock:
-        """Process the next scheduled site and append its block."""
+    def _store(self, k: int, l_row: np.ndarray, core_dset: np.ndarray, rcond: float) -> None:
+        """Record stage k: block row k of L, its core, and its rcond."""
+        self.factor[4 * k : 4 * k + 4, : 4 * k] = l_row
+        self.factor[4 * k : 4 * k + 4, 4 * k : 4 * k + 4] = np.eye(4)
+        self.core_dsets[k] = core_dset
+        self.cores[k] = matrix_from_dset(core_dset)
+        self.rconds[k] = rcond
+        self._covered[self._stencil[k]] = True
+        self.stages_done = k + 1
+
+    def stage_step(self) -> StageDiagnostics:
+        """Process the next scheduled site and record its factor row and core."""
         k = self.stages_done
         if k >= len(self.schedule):
             raise IndexError("schedule exhausted")
@@ -343,46 +304,22 @@ class ProjectorAccumulator:
                 raise StageSingular(k, m, rcond) from None
         inverted = time.perf_counter()
 
-        factor[4 * k : 4 * k + 4, : 4 * k] = -c_row
-        factor[4 * k : 4 * k + 4, 4 * k : 4 * k + 4] = np.eye(4)
-        self.cores[k] = matrix_from_dset(core_dset)
-
-        # Phi_k = sum_j L_kj V_j: the zero-shift rows are per site, the
-        # twelve field-shift rows are the same for every site
-        l_row = factor[4 * k : 4 * k + 4, : 4 * k + 4].reshape(4, k + 1, 4).transpose(1, 0, 2)
-        self._site_rows[k] = tables.v_stack(m)[0]
-        products = np.empty((k + 1, 4, len(SHIFTS_S13), 4), dtype=complex)
-        products[:, :, 0] = l_row @ self._site_rows[: k + 1]
-        field_rows = tables._field_v.transpose(1, 0, 2).reshape(4, -1)
-        products[:, :, 1:] = (l_row.reshape(-1, 4) @ field_rows).reshape(k + 1, 4, -1, 4)
-        phi_window = np.bincount(
-            self._scatter[: k + 1].ravel(),
-            weights=products.view(float).ravel(),
-            minlength=32 * len(self._sites),
-        )
-        self._covered[self._stencil[k]] = True
-        support = np.flatnonzero(self._covered)
-        phi = phi_window.view(complex).reshape(-1, 4, 4)[support]
-        sites = [self._sites[i] for i in support]
-
-        block = OperatorBlock(site=m, core_dset=core_dset, sites=sites, stack=phi, stage=k)
-        self.blocks.append(block)
+        self._store(k, -c_row, core_dset, rcond)
         done = time.perf_counter()
-        self.diagnostics.append(
-            StageDiagnostics(
-                stage=k,
-                site=m,
-                rcond=rcond,
-                gram_asymmetry=asymmetry,
-                support_size=len(sites),
-                elapsed=done - started,
-                gather_s=gathered - started,
-                coupling_s=coupled_at - gathered,
-                inversion_s=inverted - coupled_at,
-                assembly_s=done - inverted,
-            )
+        diag = StageDiagnostics(
+            stage=k,
+            site=m,
+            rcond=rcond,
+            gram_asymmetry=asymmetry,
+            support_size=int(np.count_nonzero(self._covered)),
+            elapsed=done - started,
+            gather_s=gathered - started,
+            coupling_s=coupled_at - gathered,
+            inversion_s=inverted - coupled_at,
+            assembly_s=done - inverted,
         )
-        return block
+        self.diagnostics.append(diag)
+        return diag
 
     def run(self, stages: int | None = None) -> "ProjectorAccumulator":
         """Process the whole schedule (or its first `stages` entries)."""
@@ -391,42 +328,49 @@ class ProjectorAccumulator:
             self.stage_step()
         return self
 
+    def _row_gram(self) -> np.ndarray:
+        """G = V V^dag over the processed rows, assembled from the row overlaps."""
+        k = self.stages_done
+        gram = np.zeros((4 * k, 4 * k), dtype=complex)
+        for j, m in enumerate(self.processed_sites()):
+            for site in coupled_sites(m):
+                i = self._stage_of.get(site)
+                if i is not None and i < k:
+                    gram[4 * j : 4 * j + 4, 4 * i : 4 * i + 4] = self.tables.overlap(m, site)
+        return gram
+
     def trace(self) -> float:
-        return sum(block.trace() for block in self.blocks)
+        """tr P = sum_k tr(A_k (L G L^dag)_kk), computed from the factors."""
+        k = self.stages_done
+        lower = self.factor[: 4 * k, : 4 * k]
+        left = (lower @ self._row_gram()).reshape(k, 4, 4 * k)
+        diagonal = np.einsum("kai,kbi->kab", left, lower.conj().reshape(k, 4, 4 * k))
+        return float(np.einsum("kab,kba->", self.cores[:k], diagonal).real)
 
     def apply_projector(self, c: Multispinor) -> Multispinor:
-        """Accumulated projector applied to c: the processed-row component."""
-        out = Multispinor()
-        for block in self.blocks:
-            block.apply(c, out)
-        return out
+        """Accumulated projector applied to c: the processed-row component.
+
+        P c = V^dag L^dag A L V c, returned on the sites the processed
+        stencils reach; entries of c outside the window do not enter.
+        """
+        k = self.stages_done
+        if k == 0:
+            return Multispinor()
+        stencil = self._stencil[:k]
+        x = np.array([c[site] for site in self._sites])
+        rows = np.stack([self.tables.v_stack(m) for m in self.processed_sites()])
+        lower = self.factor[: 4 * k, : 4 * k]
+        y = np.einsum("ksab,ksb->ka", rows, x[stencil])
+        z = (lower @ y.ravel()).reshape(k, 4)
+        w = np.einsum("kab,kb->ka", self.cores[:k], z)
+        u = (lower.conj().T @ w.ravel()).reshape(k, 4)
+        out = np.zeros_like(x)
+        np.add.at(out, stencil, np.einsum("ksba,kb->ksa", rows.conj(), u))
+        return Multispinor({self._sites[i]: out[i] for i in np.flatnonzero(self._covered)})
 
     def apply_fundamental(self, c: Multispinor) -> Multispinor:
         """c minus its processed-row component: a solution of processed rows."""
         return c - self.apply_projector(c)
-
-
-def residual(
-    c: Multispinor,
-    n: Site,
-    f: FieldConfig,
-    p: DimensionlessParams,
-    window: Window | None = None,
-) -> float:
-    """Norm of row n of the coupled system evaluated on c.
-
-    When a window is given, n must be interior so the row involves only
-    in-window amplitudes.  Without one, c's finite support defines the
-    zero extension and any row can be evaluated.
-    """
-    if window is not None and not window.interior(n):
-        raise NotInterior(f"site {n} has stencil neighbors outside the window")
-    row = np.zeros(4, dtype=complex)
-    for s in SHIFTS_S13:
-        neighbor = site_add(n, s)
-        if neighbor in c:
-            row += matrix_from_dset(v_coupling(n, s, f, p)) @ c[neighbor]
-    return float(np.linalg.norm(row))
 
 
 def residual_table(
@@ -442,22 +386,4 @@ def residual_table(
             if neighbor in c:
                 row += stack[i] @ c[neighbor]
         out.append((n, float(np.linalg.norm(row))))
-    return out
-
-
-def dense_operator(blocks: list[OperatorBlock], sites: list[Site]) -> np.ndarray:
-    """Dense matrix of a block sum on the space spanned by the given sites."""
-    index = {site: i for i, site in enumerate(sites)}
-    dim = 4 * len(sites)
-    out = np.zeros((dim, dim), dtype=complex)
-    for block in blocks:
-        for m_prime, left in block.phi.items():
-            i = index.get(m_prime)
-            if i is None:
-                continue
-            left_core = left.conj().T @ block.core
-            for n_prime, right in block.phi.items():
-                j = index.get(n_prime)
-                if j is not None:
-                    out[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] += left_core @ right
     return out

@@ -1,14 +1,18 @@
 """Dumps, reports, and exports.  All writers are byte-deterministic.
 
-Operator dumps carry a fingerprint of the generating configuration and the
-per-stage data (site, core coefficients, support matrices) in schedule
-order with lexicographically sorted support.  Timings never enter written
-artifacts so identical runs produce identical bytes.
+Operator dumps carry a fingerprint of the generating configuration, the
+window and the schedule, and per stage the factors of the projector in
+schedule order: the core coefficients and block row k of L = I - C, the
+(4, 4k) couplings -C_k as base64 of little-endian complex128 bytes.
+Timings never enter written artifacts so identical runs produce identical
+bytes.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -16,12 +20,13 @@ import numpy as np
 
 from .config import RunConfig, config_fingerprint
 from .dirac_basis import dset_from_matrix, matrix_from_dset
-from .engine import OperatorBlock, ProjectorAccumulator, StageDiagnostics
+from .engine import ProjectorAccumulator, StageDiagnostics
 from .errors import ConfigError
-from .lattice import Site, g4d, site_sub
+from .lattice import Site, Window, g4d, site_sub
 from .multispinor import Multispinor
 
-OPERATOR_FORMAT = "estc-operator-v1"
+OPERATOR_FORMAT = "estc-operator-v2"
+EXPORT_FORMAT = "estc-operator-dsets-v2"
 SOLUTION_FORMAT = "estc-solution-v1"
 
 
@@ -29,30 +34,17 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_pair(m[i, j]) for j in range(4)] for i in range(4)]
-
-
-def _matrix_from_pairs(rows) -> np.ndarray:
-    return np.array(
-        [[complex(entry[0], entry[1]) for entry in row] for row in rows], dtype=complex
-    )
-
-
 def operator_payload(acc: ProjectorAccumulator, cfg: RunConfig) -> dict:
     stages = []
-    for block, diag in zip(acc.blocks, acc.diagnostics):
-        support = [
-            {"site": list(site), "phi": _matrix_pairs(phi)}
-            for site, phi in zip(block.sites, block.stack)
-        ]
+    for k in range(acc.stages_done):
+        row = np.ascontiguousarray(acc.factor[4 * k : 4 * k + 4, : 4 * k], dtype="<c16")
         stages.append(
             {
-                "stage": block.stage,
-                "site": list(block.site),
-                "rcond": float(diag.rcond),
-                "core_dset": [float(x) for x in np.real(block.core_dset)],
-                "support": support,
+                "stage": k,
+                "site": list(acc.schedule[k]),
+                "rcond": float(acc.rconds[k]),
+                "core_dset": [float(x) for x in acc.core_dsets[k]],
+                "coupling": base64.b64encode(row.tobytes()).decode("ascii"),
             }
         )
     return {
@@ -76,31 +68,94 @@ def read_operator_payload(
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise ConfigError(f"malformed operator dump {path}: {err}") from None
-    if payload.get("format") != expected_format:
+    if not isinstance(payload, dict) or payload.get("format") != expected_format:
         raise ConfigError(f"not a {expected_format} file: {path}")
-    if cfg is not None and payload["fingerprint"] != config_fingerprint(cfg):
+    if cfg is not None and payload.get("fingerprint") != config_fingerprint(cfg):
         raise ConfigError("operator dump fingerprint does not match the configuration")
     return payload
 
 
-def read_operator(path: str | Path, cfg: RunConfig | None = None) -> list[OperatorBlock]:
-    """Reconstruct blocks from a dump, refusing fingerprint mismatches."""
-    payload = read_operator_payload(path, cfg)
-    blocks = []
-    for stage in payload["stages"]:
-        support = stage["support"]
-        # each [re, im] pair is the two halves of one complex entry
-        pairs = np.array([entry["phi"] for entry in support], dtype=float)
-        blocks.append(
-            OperatorBlock(
-                site=tuple(stage["site"]),
-                core_dset=np.array(stage["core_dset"], dtype=float),
-                sites=[tuple(entry["site"]) for entry in support],
-                stack=pairs.view(complex)[..., 0],
-                stage=int(stage["stage"]),
-            )
+def _site(value) -> Site:
+    site = tuple(int(x) for x in value)
+    if len(site) != 4:
+        raise ValueError(f"site {value!r} does not have four coordinates")
+    return site
+
+
+@dataclass
+class _Factors:
+    """Validated content of a dump or export, ready for from_factors."""
+
+    fingerprint: str
+    window: Window
+    schedule: list[Site]
+    couplings: list[np.ndarray]
+    core_dsets: np.ndarray
+    rconds: np.ndarray
+
+
+def _dump_stage(stage: dict, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(-C_k, core coefficients) of one estc-operator-v2 stage entry."""
+    raw = base64.b64decode(stage["coupling"], validate=True)
+    if len(raw) != 16 * 16 * k:
+        raise ConfigError(
+            f"stage {k} coupling decodes to {len(raw)} bytes, "
+            f"expected {256 * k} ({16 * k} complex numbers)"
         )
-    return blocks
+    row = np.frombuffer(raw, dtype="<c16").reshape(4, 4 * k)
+    return row, np.array(stage["core_dset"], dtype=float).reshape(16)
+
+
+def _export_stage(stage: dict, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(-C_k, core coefficients) of one estc-operator-dsets-v2 stage entry."""
+    pairs = np.array(stage["couplings"], dtype=float).reshape(k, 16, 2)
+    blocks = matrix_from_dset(pairs[..., 0] + 1j * pairs[..., 1])
+    row = -blocks.transpose(1, 0, 2).reshape(4, 4 * k)
+    return row, np.array(stage["core_dset"], dtype=float).reshape(16, 2)[:, 0]
+
+
+def _decode(payload: dict, decode_stage: Callable[[dict, int], tuple]) -> _Factors:
+    """Window, schedule and stage factors of a payload, checked for consistency."""
+    try:
+        fingerprint = str(payload["fingerprint"])
+        window = Window(int(payload["radius"]), _site(payload["center"]))
+        schedule = [_site(site) for site in payload["schedule"]]
+        for site in schedule:
+            if not window.interior(site):
+                raise ConfigError(f"scheduled site {site} is outside the window interior")
+        stages = payload["stages"]
+        if len(stages) > len(schedule):
+            raise ConfigError(f"{len(stages)} stages for a schedule of {len(schedule)} sites")
+        couplings, cores, rconds = [], [], []
+        for k, stage in enumerate(stages):
+            if stage["stage"] != k or _site(stage["site"]) != schedule[k]:
+                raise ConfigError(f"stage entry {k} is out of schedule order")
+            row, core = decode_stage(stage, k)
+            couplings.append(row)
+            cores.append(core)
+            rconds.append(float(stage["rcond"]))
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"malformed operator dump: {err!r}") from None
+    cores = np.array(cores).reshape(-1, 16)
+    return _Factors(fingerprint, window, schedule, couplings, cores, np.array(rconds))
+
+
+def _restore(payload: dict, cfg: RunConfig, decode_stage: Callable) -> ProjectorAccumulator:
+    factors = _decode(payload, decode_stage)
+    return ProjectorAccumulator.from_factors(
+        cfg.field,
+        cfg.params,
+        factors.window,
+        factors.schedule,
+        factors.couplings,
+        factors.core_dsets,
+        factors.rconds,
+    )
+
+
+def read_operator(path: str | Path, cfg: RunConfig) -> ProjectorAccumulator:
+    """Restore the accumulator from a dump, refusing fingerprint mismatches."""
+    return _restore(read_operator_payload(path, cfg), cfg, _dump_stage)
 
 
 def solution_payload(c: Multispinor, cfg: RunConfig, source: dict) -> dict:
@@ -156,32 +211,40 @@ def stages_csv(diagnostics: list[StageDiagnostics], center: Site) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _coupling_dsets(row: np.ndarray) -> np.ndarray:
+    """(k, 16) coefficients of C_kj, j < k, from the block row -C_k."""
+    k = row.shape[1] // 4
+    return dset_from_matrix(-row.reshape(4, k, 4).transpose(1, 0, 2))
+
+
 def export_operator_json(payload: dict) -> str:
-    """Re-serialize a dump with every matrix as 16 [re, im] basis pairs."""
+    """Re-serialize a dump with every core and coupling as 16 [re, im] basis pairs."""
+    factors = _decode(payload, _dump_stage)
     stages = []
-    for stage in payload["stages"]:
-        support = []
-        for entry in stage["support"]:
-            phi_dset = dset_from_matrix(_matrix_from_pairs(entry["phi"]))
-            support.append({"site": entry["site"], "phi_dset": [_pair(z) for z in phi_dset]})
+    for k, row in enumerate(factors.couplings):
         stages.append(
             {
-                "stage": stage["stage"],
-                "site": stage["site"],
-                "core_dset": [[x, 0.0] for x in stage["core_dset"]],
-                "support": support,
+                "stage": k,
+                "site": list(factors.schedule[k]),
+                "rcond": float(factors.rconds[k]),
+                "core_dset": [[float(x), 0.0] for x in factors.core_dsets[k]],
+                "couplings": [[_pair(z) for z in dset] for dset in _coupling_dsets(row)],
             }
         )
     out = {
-        "format": "estc-operator-dsets-v1",
-        "fingerprint": payload["fingerprint"],
+        "format": EXPORT_FORMAT,
+        "fingerprint": factors.fingerprint,
+        "radius": factors.window.radius,
+        "center": list(factors.window.center),
+        "schedule": [list(site) for site in factors.schedule],
         "stages": stages,
     }
     return json.dumps(out, separators=(",", ":")) + "\n"
 
 
 def export_operator_csv(payload: dict) -> str:
-    """Flat table: one row per stored matrix, as 16 [re, im] basis pairs."""
+    """Flat table: one row per stored matrix (core A_k or coupling C_kj), as 16 [re, im] pairs."""
+    factors = _decode(payload, _dump_stage)
     header = ["stage", "m1", "m2", "m3", "m4", "entry", "n1", "n2", "n3", "n4"]
     header += [f"c{i}_{part}" for i in range(16) for part in ("re", "im")]
     lines = [",".join(header)]
@@ -191,28 +254,18 @@ def export_operator_csv(payload: dict) -> str:
         cells += [repr(float(x)) for z in dset for x in (z.real, z.imag)]
         return ",".join(cells)
 
-    for stage in payload["stages"]:
-        site = stage["site"]
-        core = np.array(stage["core_dset"], dtype=complex)
-        lines.append(row(stage["stage"], site, "core", site, core))
-        for entry in stage["support"]:
-            phi_dset = dset_from_matrix(_matrix_from_pairs(entry["phi"]))
-            lines.append(row(stage["stage"], site, "phi", entry["site"], phi_dset))
+    for k, coupling in enumerate(factors.couplings):
+        site = factors.schedule[k]
+        lines.append(row(k, site, "core", site, factors.core_dsets[k].astype(complex)))
+        for j, dset in enumerate(_coupling_dsets(coupling)):
+            lines.append(row(k, site, "coupling", factors.schedule[j], dset))
     return "\n".join(lines) + "\n"
 
 
-def read_exported_operator(path: str | Path, cfg: RunConfig | None = None) -> list[OperatorBlock]:
-    """Rebuild blocks from the 16-pair basis-coefficient exchange format."""
-    payload = read_operator_payload(path, cfg, expected_format="estc-operator-dsets-v1")
-    blocks = []
-    for stage in payload["stages"]:
-        phi = {}
-        for entry in stage["support"]:
-            dset = np.array([complex(re, im) for re, im in entry["phi_dset"]])
-            phi[tuple(entry["site"])] = matrix_from_dset(dset)
-        core = np.array([re for re, _ in stage["core_dset"]], dtype=float)
-        blocks.append(OperatorBlock.from_phi(tuple(stage["site"]), core, phi, int(stage["stage"])))
-    return blocks
+def read_exported_operator(path: str | Path, cfg: RunConfig) -> ProjectorAccumulator:
+    """Restore the accumulator from the 16-pair basis-coefficient exchange format."""
+    payload = read_operator_payload(path, cfg, expected_format=EXPORT_FORMAT)
+    return _restore(payload, cfg, _export_stage)
 
 
 @dataclass

@@ -4,13 +4,14 @@ Everything here avoids the package's fast paths on purpose: the basis
 matrices are frozen literals, the adjugate is built from cofactors, the
 characteristic coefficients come from numpy's polynomial routine, the
 pair-combination reference sums the alternating series directly, and the
-row Gram matrix is assembled from the coupling coefficients without the
-engine's cached tables.
+row coefficients, their Gram matrix and the Gram-Cholesky projector are
+assembled from the coupling coefficients without the engine's cached
+tables.
 """
 
 import numpy as np
 
-from estc import DimensionlessParams, FieldConfig
+from estc import DimensionlessParams, FieldConfig, Multispinor
 from estc.field import FREE_COMPONENTS, v_coupling
 from estc.lattice import SHIFTS_S13
 
@@ -138,20 +139,46 @@ def random_dsets(rng, count, scale=1.0):
     )
 
 
-def dense_row_gram(f, p, schedule):
-    """G = V V^dag for the row blocks of the scheduled sites, in schedule order.
+def dense_rows(f, p, schedule, sites):
+    """V: row block k holds the coupling matrices of row schedule[k] at its 13 stencil columns.
 
-    Row block k of V holds the coupling matrices of row schedule[k] at the
-    columns of its 13 stencil neighbors, built straight from v_coupling.
+    Column block j belongs to sites[j]; built straight from v_coupling and
+    the frozen basis literals.
     """
-    columns = {}
-    entries = []
+    index = {site: j for j, site in enumerate(sites)}
+    v = np.zeros((4 * len(schedule), 4 * len(sites)), dtype=complex)
     for k, n in enumerate(schedule):
         for s in SHIFTS_S13:
-            target = tuple(a + b for a, b in zip(n, s))
-            j = columns.setdefault(target, len(columns))
-            entries.append((k, j, dense_from_dset(v_coupling(n, s, f, p))))
-    v = np.zeros((4 * len(schedule), 4 * len(columns)), dtype=complex)
-    for k, j, block in entries:
-        v[4 * k : 4 * k + 4, 4 * j : 4 * j + 4] = block
+            j = index[tuple(a + b for a, b in zip(n, s))]
+            v[4 * k : 4 * k + 4, 4 * j : 4 * j + 4] = dense_from_dset(v_coupling(n, s, f, p))
+    return v
+
+
+def dense_row_gram(f, p, schedule):
+    """G = V V^dag for the row blocks of the scheduled sites, in schedule order."""
+    sites = sorted({tuple(a + b for a, b in zip(n, s)) for n in schedule for s in SHIFTS_S13})
+    v = dense_rows(f, p, schedule, sites)
     return v @ v.conj().T
+
+
+def gram_cholesky_projector(v):
+    """P_ref = V^dag G^-1 V, with G = V V^dag = chol chol^dag by Cholesky."""
+    chol = np.linalg.cholesky(v @ v.conj().T)
+    w = np.linalg.solve(chol, v)
+    return w.conj().T @ w
+
+
+def factored_projector(acc, v):
+    """(L V)^dag A (L V) from the accumulator's factors and a dense V of its processed rows."""
+    k = acc.stages_done
+    phi = acc.factor[: 4 * k, : 4 * k] @ v
+    weighted = np.einsum("kab,kbq->kaq", acc.cores[:k], phi.reshape(k, 4, -1))
+    return phi.conj().T @ weighted.reshape(4 * k, -1)
+
+
+def to_vector(c, sites):
+    return np.concatenate([c[site] for site in sites])
+
+
+def to_multispinor(x, sites):
+    return Multispinor({site: x[4 * j : 4 * j + 4] for j, site in enumerate(sites)})

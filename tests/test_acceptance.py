@@ -12,7 +12,6 @@ import numpy as np
 
 from estc import (
     DegenerateOverlap,
-    Multispinor,
     ProjectorAccumulator,
     SHIFTS_S13,
     Window,
@@ -43,6 +42,7 @@ from estc.io import export_operator_json, operator_payload, read_exported_operat
 from helpers import (
     GAMMA_DENSE,
     dense_from_dset,
+    dense_rows,
     oracle_combine,
     random_field,
     random_params,
@@ -312,14 +312,16 @@ def test_criterion_5_generic_combiner():
 
 
 def _row_stack(acc):
-    """(stages, 4, 4 * window size) row-coefficient matrices Phi_k."""
+    """(stages, 4, 4 * window size) row-coefficient matrices Phi_k = (L V)_k.
+
+    V is rebuilt from v_coupling and the frozen basis literals; only the
+    factor L comes from the engine.
+    """
     sites = acc.window.points()
     index = {site: i for i, site in enumerate(sites)}
-    z = np.zeros((acc.stages_done, len(sites), 4, 4), dtype=complex)
-    for k, block in enumerate(acc.blocks):
-        for site, phi in block.phi.items():
-            z[k, index[site]] = phi
-    return sites, index, z.transpose(0, 2, 1, 3).reshape(acc.stages_done, 4, -1)
+    k = acc.stages_done
+    rows = dense_rows(acc.tables.field, acc.tables.params, acc.processed_sites(), sites)
+    return sites, index, (acc.factor[: 4 * k, : 4 * k] @ rows).reshape(k, 4, -1)
 
 
 def test_criterion_6_engine_invariants_at_desk_scale():
@@ -331,7 +333,7 @@ def test_criterion_6_engine_invariants_at_desk_scale():
     stages = acc.stages_done
 
     sites, index, phi = _row_stack(acc)
-    cores = np.stack([block.core for block in acc.blocks])
+    cores = acc.cores[:stages]
     gram = np.einsum("kap,kbp->kab", phi, phi.conj())
     sigma = np.linalg.svd(phi, compute_uv=False)[:, 0]
 
@@ -465,13 +467,10 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
 
     path = tmp_path / "operator_dsets.json"
     path.write_text(export_operator_json(operator_payload(acc, cfg)))
-    blocks = read_exported_operator(path, cfg)
+    restored = read_exported_operator(path, cfg)
     c0 = random_multispinor(window.points(), cfg.seed)
     solution = acc.apply_fundamental(c0)
-    projected = Multispinor()
-    for block in blocks:
-        block.apply(c0, projected)
-    drift = solution - (c0 - projected)
+    drift = solution - restored.apply_fundamental(c0)
     round_trip_err = max(
         (float(np.abs(drift[site]).max()) for site in drift.sites()), default=0.0
     )

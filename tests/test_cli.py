@@ -49,7 +49,7 @@ def built(tmp_path, config_path):
 def test_build_writes_all_artifacts(built):
     _, out = built
     payload = json.loads((out / "operator.json").read_text())
-    assert payload["format"] == "estc-operator-v1"
+    assert payload["format"] == "estc-operator-v2"
     assert len(payload["stages"]) == 13
     assert (out / "stages.csv").read_text().startswith("stage,")
     report = (out / "report.txt").read_text()
@@ -153,7 +153,7 @@ def test_export_formats(built, tmp_path):
          "--out", str(exported), "--config", str(config_path)]
     )
     assert code == 0
-    assert json.loads(exported.read_text())["format"] == "estc-operator-dsets-v1"
+    assert json.loads(exported.read_text())["format"] == "estc-operator-dsets-v2"
     table = tmp_path / "op.csv"
     assert cli.main(
         ["export", "--operator", str(out / "operator.json"), "--format", "csv",

@@ -1,5 +1,8 @@
 """Configuration parsing, fingerprints, dumps and exchange formats."""
 
+import base64
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -7,16 +10,17 @@ import pytest
 
 from estc import (
     ConfigError,
-    Multispinor,
     ProjectorAccumulator,
     TransversalityViolation,
     Window,
     ZeroField,
     config_fingerprint,
+    matrix_from_dset,
     parse_config,
     random_multispinor,
     serialize_config,
 )
+from estc import cli
 from estc.io import (
     RunReport,
     export_operator_csv,
@@ -127,15 +131,29 @@ def test_explicit_zero_for_constrained_amplitude_is_allowed():
 
 def test_operator_dump_round_trip(built):
     cfg, acc, path = built
-    blocks = read_operator(path, cfg)
-    assert len(blocks) == len(acc.blocks)
-    for loaded, original in zip(blocks, acc.blocks):
-        assert loaded.site == original.site
-        assert loaded.stage == original.stage
-        assert np.array_equal(loaded.core_dset, original.core_dset)
-        assert set(loaded.phi) == set(original.phi)
-        for site in original.phi:
-            assert np.array_equal(loaded.phi[site], original.phi[site])
+    loaded = read_operator(path, cfg)
+    assert loaded.stages_done == acc.stages_done
+    assert loaded.schedule == acc.schedule
+    assert loaded.window == acc.window
+    assert np.array_equal(loaded.factor, acc.factor)
+    assert np.array_equal(loaded.cores, acc.cores)
+    assert np.array_equal(loaded.core_dsets, acc.core_dsets)
+    assert np.array_equal(loaded.rconds, acc.rconds)
+    c = random_multispinor(acc.window.points(), 5)
+    assert (loaded.apply_projector(c) - acc.apply_projector(c)).norm() == 0.0
+
+
+def test_operator_dump_holds_the_factors_in_base64(built):
+    cfg, acc, path = built
+    payload = json.loads(path.read_text())
+    assert payload["format"] == "estc-operator-v2"
+    assert [tuple(site) for site in payload["schedule"]] == acc.schedule
+    for k, stage in enumerate(payload["stages"]):
+        assert set(stage) == {"stage", "site", "rcond", "core_dset", "coupling"}
+        raw = base64.b64decode(stage["coupling"])
+        row = np.frombuffer(raw, dtype="<c16").reshape(4, 4 * k)
+        assert np.array_equal(row, acc.factor[4 * k : 4 * k + 4, : 4 * k])
+        assert len(stage["core_dset"]) == 16
 
 
 def test_operator_dump_is_deterministic(built, tmp_path):
@@ -158,6 +176,76 @@ def test_dump_refuses_wrong_fingerprint(built, tmp_path):
     wrong.write_text(json.dumps({"format": "something-else"}))
     with pytest.raises(ConfigError):
         read_operator(wrong, cfg)
+
+
+def _stage_set(k, key, value):
+    def edit(payload):
+        payload["stages"][k][key] = value
+
+    return edit
+
+
+def _schedule_set(k, site):
+    def edit(payload):
+        payload["schedule"][k] = site
+        payload["stages"][k]["site"] = site
+
+    return edit
+
+
+def _swap_stages(payload):
+    stages = payload["stages"]
+    stages[1], stages[2] = stages[2], stages[1]
+
+
+def _as_v1(payload):
+    payload["format"] = "estc-operator-v1"
+    for stage in payload["stages"]:
+        stage["support"] = []
+        del stage["coupling"]
+
+
+def _short_coupling(payload):
+    stage = payload["stages"][3]
+    stage["coupling"] = stage["coupling"][:-8]
+
+
+def _next_stage_coupling(payload):
+    stages = payload["stages"]
+    stages[1]["coupling"] = stages[2]["coupling"]
+
+
+# edits of a valid dump, each of which the reader must refuse
+MALFORMED = {
+    "bad base64": _stage_set(2, "coupling", "not*base64!"),
+    "short coupling": _short_coupling,
+    "coupling of the next stage": _next_stage_coupling,
+    "v1 file": _as_v1,
+    "fingerprint mismatch": lambda payload: payload.update(fingerprint="0" * 64),
+    "out-of-order stages": _swap_stages,
+    "stage site off the schedule": _stage_set(1, "site", [0, 0, 0, 0]),
+    "schedule site outside the window": _schedule_set(0, [6, 0, 0, 0]),
+    "schedule site on the window edge": _schedule_set(0, [2, 0, 0, 0]),
+    "core of the wrong length": _stage_set(0, "core_dset", [1.0] * 15),
+    "missing stages": lambda payload: payload.pop("stages"),
+    "more stages than sites": lambda payload: payload["schedule"].pop(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_reader_refuses_malformed_v2_dumps(built, tmp_path, case):
+    cfg, acc, path = built
+    payload = json.loads(path.read_text())
+    MALFORMED[case](payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError):
+        read_operator(bad, cfg)
+    config = tmp_path / "run.cfg"
+    config.write_text(BASE_TEXT)
+    argv = ["apply", "--config", str(config), "--operator", str(bad), "--out", str(tmp_path / "y")]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 1
 
 
 def test_solution_dump_round_trip(built, tmp_path):
@@ -187,23 +275,23 @@ def test_residual_and_stage_csv_formats(built):
     assert len(lines) == 1 + len(acc.diagnostics)
     first = lines[1].split(",")
     assert first[0] == "0"
-    assert int(first[7]) == len(acc.blocks[0].phi)
+    assert int(first[7]) == 13  # the stencil of the first site
 
 
 def test_export_json_round_trip_preserves_the_operator(built, tmp_path):
     cfg, acc, path = built
     payload = read_operator_payload(path, cfg)
+    text = export_operator_json(payload)
+    assert json.loads(text)["format"] == "estc-operator-dsets-v2"
     exported = tmp_path / "exported.json"
-    exported.write_text(export_operator_json(payload))
-    blocks = read_exported_operator(exported, cfg)
+    exported.write_text(text)
+    restored = read_exported_operator(exported, cfg)
+    assert restored.schedule == acc.schedule
+    assert np.array_equal(restored.core_dsets, acc.core_dsets)
 
     c = random_multispinor(acc.window.points(), 17)
-    direct = Multispinor()
-    for block in acc.blocks:
-        block.apply(c, direct)
-    routed = Multispinor()
-    for block in blocks:
-        block.apply(c, routed)
+    direct = acc.apply_projector(c)
+    routed = restored.apply_projector(c)
     assert (routed - direct).norm() < 1e-12 * max(direct.norm(), 1.0)
 
 
@@ -214,10 +302,23 @@ def test_export_csv_shape(built):
     header = lines[0].split(",")
     assert header[:10] == ["stage", "m1", "m2", "m3", "m4", "entry", "n1", "n2", "n3", "n4"]
     assert len(header) == 10 + 32
-    expected_rows = sum(1 + len(stage["support"]) for stage in payload["stages"])
-    assert len(lines) == 1 + expected_rows
+    # one core row per stage and one coupling row per stored C_kj
+    assert len(lines) == 1 + acc.stages_done + acc.coupling_count
     core_rows = [line for line in lines[1:] if line.split(",")[5] == "core"]
-    assert len(core_rows) == len(acc.blocks)
+    assert len(core_rows) == acc.stages_done
+    k, j = 8, 0  # a coupled pair: C_80 is nonzero on this field
+    row = next(
+        line.split(",")
+        for line in lines[1:]
+        if line.split(",")[0] == str(k)
+        and line.split(",")[5] == "coupling"
+        and tuple(map(int, line.split(",")[6:10])) == acc.schedule[j]
+    )
+    values = np.array([float(x) for x in row[10:]])
+    coupling = matrix_from_dset(values[0::2] + 1j * values[1::2])
+    expected = -acc.factor[4 * k : 4 * k + 4, 4 * j : 4 * j + 4]
+    assert np.abs(expected).max() > 1e-2
+    assert np.abs(coupling - expected).max() < 1e-15
 
 
 def test_run_report_lines():

@@ -12,24 +12,31 @@ from estc import (
     DimensionlessParams,
     FieldConfig,
     FieldTables,
-    Multispinor,
     NotInterior,
     ProjectorAccumulator,
     SHIFTS_S13,
     StageSingular,
     Window,
-    bare_block,
     combine_pair,
-    dense_operator,
     matrix_from_dset,
     parse_config,
     random_multispinor,
-    residual,
     residual_table,
     site_add,
+    v_coupling,
 )
 
-from helpers import dense_row_gram, random_field, random_params
+from helpers import (
+    dense_from_dset,
+    dense_row_gram,
+    dense_rows,
+    factored_projector,
+    gram_cholesky_projector,
+    random_field,
+    random_params,
+    to_multispinor,
+    to_vector,
+)
 
 SAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "sample_config.txt"
 
@@ -50,37 +57,47 @@ def eigenprojector(matrix, tol=1e-6):
     return q @ q.conj().T
 
 
+def bare_projector(n, f, p, sites):
+    """Single-row projector P(n) = V_n^dag a(n) V_n, dense over the given sites."""
+    v = dense_rows(f, p, [n], sites)
+    a = np.linalg.inv(v @ v.conj().T)
+    return v.conj().T @ a @ v
+
+
+def applied_matrix(acc, sites):
+    """Dense matrix of acc.apply_projector, one unit vector at a time."""
+    eye = np.eye(4 * len(sites), dtype=complex)
+    columns = [to_vector(acc.apply_projector(to_multispinor(e, sites)), sites) for e in eye]
+    return np.stack(columns, axis=1)
+
+
 def test_bare_block_structure():
     tables = FieldTables(FIELD, PARAMS)
     n = (0, 0, 0, 0)
-    block = bare_block(n, tables)
-    assert block.support() == sorted(site_add(n, s) for s in SHIFTS_S13)
-    stack = tables.v_stack(n)
+    support = sorted(site_add(n, s) for s in SHIFTS_S13)
+    v = np.zeros((4, 4 * len(support)), dtype=complex)
     for i, s in enumerate(SHIFTS_S13):
-        assert np.array_equal(block.phi[site_add(n, s)], stack[i])
-    assert np.array_equal(block.core, matrix_from_dset(tables.a_dset(n)))
-    dense = dense_operator([block], block.support())
+        j = support.index(site_add(n, s))
+        v[:, 4 * j : 4 * j + 4] = tables.v_stack(n)[i]
+    dense = v.conj().T @ matrix_from_dset(tables.a_dset(n)) @ v
+    assert np.abs(dense - bare_projector(n, FIELD, PARAMS, support)).max() < 1e-12
     assert np.abs(dense - dense.conj().T).max() < 1e-12
     assert np.abs(dense @ dense - dense).max() < 1e-12
-    assert block.trace() == pytest.approx(4.0, abs=1e-12)
-
-
-def test_bare_block_requires_interior_site():
-    tables = FieldTables(FIELD, PARAMS)
-    with pytest.raises(NotInterior):
-        bare_block((0, 0, 1, 1), tables, window=Window(1))
-    assert bare_block((0, 0, 0, 0), tables, window=Window(1)).site == (0, 0, 0, 0)
+    assert np.trace(dense).real == pytest.approx(4.0, abs=1e-12)
 
 
 def test_first_stage_is_the_bare_block():
     acc = fresh_accumulator()
     acc.run(stages=1)
-    block = acc.blocks[0]
-    bare = bare_block(acc.schedule[0], acc.tables)
-    assert set(block.phi) == set(bare.phi)
-    for site in bare.phi:
-        assert np.abs(block.phi[site] - bare.phi[site]).max() == 0.0
-    assert np.abs(block.core_dset - bare.core_dset).max() == 0.0
+    m0 = acc.schedule[0]
+    assert np.array_equal(acc.factor[:4, :4], np.eye(4))
+    assert np.array_equal(acc.core_dsets[0], acc.tables.a_dset(m0))
+    assert np.array_equal(acc.cores[0], matrix_from_dset(acc.tables.a_dset(m0)))
+    sites = acc.window.points()
+    expected = bare_projector(m0, FIELD, PARAMS, sites)
+    assert np.abs(applied_matrix(acc, sites) - expected).max() < 1e-12
+    support = {site_add(m0, s) for s in SHIFTS_S13}
+    assert set(acc.apply_projector(random_multispinor(sites, 1)).sites()) == support
 
 
 def test_first_coupling_matches_its_closed_form():
@@ -94,52 +111,49 @@ def test_first_coupling_matches_its_closed_form():
 
 def test_two_stages_match_the_pair_combination():
     acc = fresh_accumulator()
-    acc.run(stages=2)
     sites = acc.window.points()
-    alpha = dense_operator(acc.blocks[:1], sites)
-    bare1 = bare_block(acc.schedule[1], acc.tables)
-    beta = dense_operator([bare1], sites)
-    assert np.abs(dense_operator(acc.blocks, sites) - combine_pair(alpha, beta)).max() < 1e-9
+    acc.run(stages=1)
+    alpha = applied_matrix(acc, sites)
+    acc.run(stages=2)
+    beta = bare_projector(acc.schedule[1], FIELD, PARAMS, sites)
+    assert np.abs(applied_matrix(acc, sites) - combine_pair(alpha, beta)).max() < 1e-9
 
 
 def test_accumulated_projector_matches_the_dense_span_oracle():
     acc = fresh_accumulator().run()
     sites = acc.window.points()
-    stacked = np.zeros((4 * len(sites), 4 * len(sites)), dtype=complex)
-    for n in acc.schedule:
-        stacked += dense_operator([bare_block(n, acc.tables)], sites)
+    stacked = sum(bare_projector(n, FIELD, PARAMS, sites) for n in acc.schedule)
     expected = eigenprojector(stacked)
-    got = dense_operator(acc.blocks, sites)
-    assert np.abs(got - expected).max() < 1e-8
+    assert np.abs(applied_matrix(acc, sites) - expected).max() < 1e-8
 
 
 def test_stage_blocks_satisfy_the_projector_identities():
     acc = fresh_accumulator().run()
     assert acc.stages_done == 13
-    for block in acc.blocks:
-        assert block.core_dset.dtype == np.float64
-        dense = dense_operator([block], block.support())
+    assert acc.core_dsets.dtype == np.float64
+    sites = acc.window.points()
+    k = acc.stages_done
+    phi = (acc.factor @ dense_rows(FIELD, PARAMS, acc.schedule, sites)).reshape(k, 4, -1)
+    for row, core in zip(phi, acc.cores):
+        dense = row.conj().T @ core @ row
         assert np.abs(dense - dense.conj().T).max() < 1e-10
         assert np.abs(dense @ dense - dense).max() < 1e-9
         assert np.trace(dense).real == pytest.approx(4.0, abs=1e-9)
-    for i in range(acc.stages_done):
-        for j in range(i + 1, acc.stages_done):
-            left, right = acc.blocks[i], acc.blocks[j]
-            shared = set(left.phi) & set(right.phi)
-            if not shared:
-                continue
-            cross = sum(left.phi[s] @ right.phi[s].conj().T for s in shared)
+    for i in range(k):
+        for j in range(i + 1, k):
+            cross = phi[i] @ phi[j].conj().T
             assert np.abs(cross).max() < 1e-9, (i, j)
-    assert acc.trace() == pytest.approx(4.0 * acc.stages_done, abs=1e-9)
+    assert acc.trace() == pytest.approx(4.0 * k, abs=1e-9)
 
 
 def test_projector_absorbs_every_processed_bare_block():
     acc = fresh_accumulator().run()
-    c = random_multispinor(acc.window.points(), 11)
+    sites = acc.window.points()
+    x = to_vector(random_multispinor(sites, 11), sites)
     for n in acc.processed_sites():
-        image = bare_block(n, acc.tables).apply(c)
-        absorbed = acc.apply_projector(image)
-        assert (absorbed - image).norm() < 1e-9 * max(image.norm(), 1.0)
+        image = bare_projector(n, FIELD, PARAMS, sites) @ x
+        absorbed = to_vector(acc.apply_projector(to_multispinor(image, sites)), sites)
+        assert np.linalg.norm(absorbed - image) < 1e-9 * max(np.linalg.norm(image), 1.0)
 
 
 def test_fundamental_map_solves_processed_rows_and_is_complementary():
@@ -160,37 +174,33 @@ def test_block_apply_matches_its_dense_matrix():
     acc = fresh_accumulator().run(stages=5)
     sites = acc.window.points()
     c = random_multispinor(sites, 13)
-    vec = np.concatenate([c[n] for n in sites])
-    dense = dense_operator(acc.blocks, sites)
+    dense = factored_projector(acc, dense_rows(FIELD, PARAMS, acc.processed_sites(), sites))
     applied = acc.apply_projector(c)
-    stacked = np.concatenate([applied[n] for n in sites])
-    assert np.abs(dense @ vec - stacked).max() < 1e-10
+    assert np.abs(dense @ to_vector(c, sites) - to_vector(applied, sites)).max() < 1e-10
 
 
-def test_component_blocks_tile_the_dense_matrix():
-    acc = fresh_accumulator().run(stages=4)
+@pytest.mark.parametrize("radius", [2, 3])
+def test_factored_apply_matches_the_gram_cholesky_projector(radius):
+    cfg = parse_config(SAMPLE_CONFIG.read_text())
+    acc = ProjectorAccumulator(cfg.field, cfg.params, Window(radius, cfg.n_ref)).run()
     sites = acc.window.points()
-    dense = dense_operator(acc.blocks, sites)
-    rng = np.random.default_rng(0)
-    for _ in range(40):
-        i, j = rng.integers(0, len(sites), size=2)
-        tile = sum(block.component(sites[i], sites[j]) for block in acc.blocks)
-        assert np.abs(dense[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] - tile).max() < 1e-12
+    v = dense_rows(cfg.field, cfg.params, acc.schedule, sites)
+    c = random_multispinor(sites, 21)
+    x = to_vector(c, sites)
+    got = to_vector(acc.apply_projector(c), sites)
+    assert np.linalg.norm(got - gram_cholesky_projector(v) @ x) <= 1e-9 * np.linalg.norm(x)
 
 
-def test_residual_is_the_row_norm_and_guards_the_window():
+def test_residual_table_is_the_row_norm():
     tables = FieldTables(FIELD, PARAMS)
     c = random_multispinor(Window(2).points(), 14)
     n = (0, 0, 0, 0)
     row = np.zeros(4, dtype=complex)
-    for i, s in enumerate(SHIFTS_S13):
-        row += tables.v_stack(n)[i] @ c[site_add(n, s)]
-    assert residual(c, n, FIELD, PARAMS) == pytest.approx(np.linalg.norm(row), rel=1e-12)
+    for s in SHIFTS_S13:
+        row += dense_from_dset(v_coupling(n, s, FIELD, PARAMS)) @ c[site_add(n, s)]
     assert residual_table(c, tables, [n])[0][1] == pytest.approx(
         np.linalg.norm(row), rel=1e-12
     )
-    with pytest.raises(NotInterior):
-        residual(c, (0, 0, 1, 1), FIELD, PARAMS, window=Window(1))
 
 
 def test_schedule_validation():
@@ -228,10 +238,12 @@ def test_resonant_site_trips_the_stage_guard():
 def test_stage_diagnostics_are_recorded():
     acc = fresh_accumulator().run(stages=3)
     assert [d.stage for d in acc.diagnostics] == [0, 1, 2]
-    for diag, block in zip(acc.diagnostics, acc.blocks):
-        assert diag.site == block.site
+    for k, diag in enumerate(acc.diagnostics):
+        assert diag.site == acc.schedule[k]
         assert 0.0 < diag.rcond <= 1.0
-        assert diag.support_size == len(block.phi)
+        assert diag.rcond == acc.rconds[k]
+        support = {site_add(m, s) for m in acc.schedule[: k + 1] for s in SHIFTS_S13}
+        assert diag.support_size == len(support)
         assert diag.gram_asymmetry < 1e-10
         phases = (diag.gather_s, diag.coupling_s, diag.inversion_s, diag.assembly_s)
         assert min(phases) >= 0.0

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from estc import (
     DimensionlessParams,
     FieldConfig,
+    FieldTables,
     ShiftNotInS13,
     SHIFTS_S13,
     TransversalityViolation,
     ZeroField,
     a_matrix,
     char_invariants,
+    couples,
     det_l,
     field_intensity,
     l_matrix,
@@ -25,6 +27,7 @@ from estc import (
     w_vector,
 )
 from estc.field import CONSTRAINED_COMPONENTS, FREE_COMPONENTS
+from estc.lattice import coupled_sites
 
 from helpers import random_field, random_params
 
@@ -186,6 +189,27 @@ def test_overlaps_match_the_brute_column_scan(seed):
     fast = n_overlap(m, n, f, p)
     assert np.abs(fast - oracle_overlap(m, n, f, p)).max() < 1e-13
     assert np.abs(n_overlap(n, m, f, p) - fast.conj().T).max() == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_table_overlaps_match_the_brute_column_scan(seed):
+    rng = np.random.default_rng(seed)
+    f = random_field(rng)
+    p = random_params(rng)
+    tables = FieldTables(f, p)
+    m = tuple(int(x) for x in rng.integers(-2, 3, size=4))
+    near = coupled_sites(m)
+    # differences up to 3 per axis reach well beyond coupling distance 2
+    far = [site_add(m, tuple(int(x) for x in rng.integers(-3, 4, size=4))) for _ in range(6)]
+    for n in [near[i] for i in rng.integers(0, len(near), size=6)] + far:
+        fast = tables.overlap(m, n)
+        if couples(m, n):
+            assert np.abs(fast - oracle_overlap(m, n, f, p)).max() < 1e-13
+        else:
+            assert not oracle_overlap(m, n, f, p).any()
+            assert not fast.any()
+        assert np.array_equal(tables.overlap(n, m), fast.conj().T)
 
 
 def test_overlap_diagonal_is_the_gram_matrix():
