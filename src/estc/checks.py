@@ -21,7 +21,7 @@ from .dirac_basis import (
     gamma_matrix,
 )
 from .engine import FieldTables, ProjectorAccumulator, residual_table
-from .field import det_l, field_intensity, v_coupling
+from .field import det_l, field_intensity, n_overlap, v_coupling
 from .io import RunReport
 from .lattice import SHIFTS_S13, Site, Window, site_add
 from .multispinor import random_multispinor
@@ -112,12 +112,13 @@ def check_field(cfg: RunConfig, report: RunReport) -> None:
     report.add("reduced determinant squares to the dense determinant", worst_det, 1e-12)
 
     center = cfg.n_ref
+    f, p = cfg.field, cfg.params
     far = [site_add(center, s) for s in ((3, 0, 0, 1), (0, 0, 0, 4), (2, 1, 0, 3))]
-    worst = max(float(np.abs(tables.overlap(center, n)).max()) for n in far)
+    worst = max(float(np.abs(n_overlap(center, n, f, p)).max()) for n in far)
     report.add("row overlaps vanish beyond coupling distance 2", worst, 0.0)
     near = [site_add(center, s) for s in ((1, 1, 0, 0), (0, 0, 2, 0), (1, 0, 1, 2))]
     worst = max(
-        float(np.abs(tables.overlap(center, n) - tables.overlap(n, center).conj().T).max())
+        float(np.abs(n_overlap(center, n, f, p) - n_overlap(n, center, f, p).conj().T).max())
         for n in near
     )
     report.add("row overlaps are Hermitian pairs", worst, 1e-14)

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac_basis import dset_from_matrix, dset_inverse, matrix_from_dset
-from .errors import CouplingLimitExceeded, NotInterior, SingularMatrix, StageSingular
+from .dirac_basis import dset_from_matrix, matrix_from_dset
+from .errors import CouplingLimitExceeded, NotInterior, StageSingular
 from .field import (
     DimensionlessParams,
     FieldConfig,
@@ -43,29 +43,16 @@ from .field import (
     v_coupling,
     validate,
 )
-from .lattice import SHIFTS_S13, Site, Window, coupled_sites, make_schedule, site_add, site_sub
+from .lattice import SHIFTS_S13, Site, Window, make_schedule, site_add
 from .multispinor import Multispinor
 
-
-def _matched_shift_pairs() -> dict[Site, tuple[np.ndarray, np.ndarray]]:
-    """Stencil index pairs (i, j) with d + s_i = s_j, for each difference d = m - n.
-
-    Rows m and n share the column m + s_i = n + s_j exactly for these pairs.
-    """
-    pairs: dict[Site, tuple[list[int], list[int]]] = {}
-    for i, s in enumerate(SHIFTS_S13):
-        for j, other in enumerate(SHIFTS_S13):
-            left, right = pairs.setdefault(site_sub(other, s), ([], []))
-            left.append(i)
-            right.append(j)
-    return {d: (np.array(i), np.array(j)) for d, (i, j) in pairs.items()}
-
-
-_SHIFT_PAIRS = _matched_shift_pairs()
+# s - t for every ordered pair (s, t) of stencil shifts: row m at shift s
+# and row m + s - t at shift t share the column m + s
+_SHIFT_DIFFS = np.array(SHIFTS_S13)[:, None, :] - np.array(SHIFTS_S13)[None, :, :]
 
 
 class FieldTables:
-    """Per-site caches of coupling stacks, Gram rows, and overlaps.
+    """Per-site caches of coupling stacks and Gram rows.
 
     The twelve field-shift coupling matrices are site-independent, so only
     the zero-shift matrix is rebuilt per site.  All entries behave as pure
@@ -82,7 +69,6 @@ class FieldTables:
         self._v: dict[Site, np.ndarray] = {}
         self._l: dict[Site, np.ndarray] = {}
         self._a: dict[Site, np.ndarray] = {}
-        self._overlap: dict[tuple[Site, Site], np.ndarray] = {}
 
     def v_stack(self, n: Site) -> np.ndarray:
         """(13, 4, 4) coupling matrices of row n, in stencil shift order."""
@@ -110,23 +96,60 @@ class FieldTables:
             self._a[n] = out
         return out
 
-    def overlap(self, m: Site, n: Site) -> np.ndarray:
-        """Dense N(m,n), cached together with its conjugate transpose."""
-        key = (m, n)
-        out = self._overlap.get(key)
-        if out is None:
-            pairs = _SHIFT_PAIRS.get(site_sub(m, n))
-            if pairs is None:
-                out = np.zeros((4, 4), dtype=complex)
-            else:
-                i, j = pairs
-                out = np.einsum("kab,kcb->ac", self.v_stack(m)[i], self.v_stack(n)[j].conj())
-            out.setflags(write=False)
-            self._overlap[key] = out
-            transposed = out.conj().T.copy()
-            transposed.setflags(write=False)
-            self._overlap[(n, m)] = transposed
-        return out
+
+@dataclass
+class RowGram:
+    """Lower block-sparse row Gram matrix G = V V^dag in schedule order.
+
+    Block p is the row overlap N(m_k, m_i) of one coupled pair of stages
+    i <= k.  The blocks of stage k are stage_ptr[k]:stage_ptr[k + 1], with
+    their partners i ascending, so the last one is the diagonal block
+    N(m_k, m_k) = L(m_k).  Pairs that share no column have no block: their
+    overlap vanishes identically.
+    """
+
+    stage_ptr: np.ndarray
+    partner: np.ndarray
+    blocks: np.ndarray
+
+    def dense(self, k: int) -> np.ndarray:
+        """G over the first k stages, the upper half mirrored from the lower."""
+        end = self.stage_ptr[k]
+        rows = np.repeat(np.arange(k), np.diff(self.stage_ptr[: k + 1]))
+        cols = self.partner[:end]
+        gram = np.zeros((k, 4, k, 4), dtype=complex)
+        gram[cols, :, rows, :] = self.blocks[:end].conj().transpose(0, 2, 1)
+        gram[rows, :, cols, :] = self.blocks[:end]
+        return gram.reshape(4 * k, 4 * k)
+
+
+def build_row_gram(tables: FieldTables, schedule: list[Site]) -> RowGram:
+    """All lower row Gram blocks of a schedule, in one vectorized pass.
+
+    Row k at shift s and row i at shift t share a column exactly when
+    m_i = m_k + s - t.  A site-to-stage lookup over the 13 x 13 shift pairs
+    finds every such match with i <= k, one einsum forms V_k[s] V_i[t]^dag
+    for all of them, and a sum over each run of equal (k, i) gives the
+    blocks.
+    """
+    stages = len(schedule)
+    sites = np.array(schedule, dtype=np.intp)
+    low = sites.min(axis=0) - 2
+    lookup = np.full(sites.max(axis=0) + 3 - low, -1, dtype=np.intp)
+    lookup[tuple((sites - low).T)] = np.arange(stages)
+    partners = sites[:, None, None, :] + _SHIFT_DIFFS - low
+    partner = lookup[tuple(np.moveaxis(partners, -1, 0))]
+    k, s, t = np.nonzero((partner >= 0) & (partner <= np.arange(stages)[:, None, None]))
+    i = partner[k, s, t]
+    rows = np.stack([tables.v_stack(m) for m in schedule])
+    products = np.einsum("pab,pcb->pac", rows[k, s], rows[i, t].conj())
+    key = k * stages + i
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    blocks = np.add.reduceat(products[order], first, axis=0)
+    stage_ptr = np.searchsorted(key[first] // stages, np.arange(stages + 1))
+    return RowGram(stage_ptr, key[first] % stages, blocks)
 
 
 @dataclass
@@ -135,9 +158,10 @@ class StageDiagnostics:
 
     support_size counts the window sites that the stencils of stages 0..k
     reach, the support of Phi_k.  elapsed is the stage total; the four
-    phase times split it into the overlap gather, the D/C coupling
-    products, the Gram deflation with the core inversion, and the store of
-    the new factor row and core.
+    phase times split it into the overlap gather (for stage 0 also the
+    build of the row Gram blocks), the D/C coupling products, the Gram
+    deflation with the core inversion, and the store of the new factor row
+    and core.
     """
 
     stage: int
@@ -165,10 +189,11 @@ class ProjectorAccumulator:
     factor holds L as one (4K, 4K) array, cores the A_k as one (K, 4, 4)
     array and core_dsets their real basis coefficients, all preallocated
     for the K scheduled stages.  Every stage is a few dense products over
-    them, and its only inversion is a single 4x4 matrix.  Couplings to all
-    earlier stages are kept (quadratic memory in the stage count, capped by
-    max_couplings); overlaps are gathered only for earlier sites within
-    coupling distance 2, the others vanish.
+    them, and its only inversion is the Hermitian eigendecomposition of a
+    single 4x4 matrix.  Couplings to all earlier stages are kept (quadratic
+    memory in the stage count, capped by max_couplings).  The overlaps come
+    from the block-sparse row Gram (gram), built once on first use, so a
+    restored accumulator that only applies the projector never builds it.
     """
 
     def __init__(
@@ -205,7 +230,7 @@ class ProjectorAccumulator:
         self.cores = np.zeros((stages, 4, 4), dtype=complex)
         self.core_dsets = np.zeros((stages, 16))
         self.rconds = np.zeros(stages)
-        self._stage_of = {site: k for k, site in enumerate(schedule)}
+        self._gram: RowGram | None = None
         # window sites in lexicographic order; row k of the stencil table
         # holds the indices of m_k + s over the 13 shifts
         self._sites = sorted(window.points())
@@ -242,6 +267,13 @@ class ProjectorAccumulator:
         k = self.stages_done
         return k * (k - 1) // 2
 
+    @property
+    def gram(self) -> RowGram:
+        """Row Gram blocks of the whole schedule, built on first use."""
+        if self._gram is None:
+            self._gram = build_row_gram(self.tables, self.schedule)
+        return self._gram
+
     def processed_sites(self) -> list[Site]:
         return self.schedule[: self.stages_done]
 
@@ -270,12 +302,13 @@ class ProjectorAccumulator:
         tables = self.tables
         factor = self.factor
 
-        # overlaps N(m, m_i) with the coupled earlier stages i
-        stages = (self._stage_of.get(site) for site in coupled_sites(m))
-        coupled = sorted(i for i in stages if i is not None and i < k)
-        cols = (4 * np.array(coupled, dtype=np.intp)[:, None] + np.arange(4)).ravel()
-        overlaps = [tables.overlap(m, self.schedule[i]) for i in coupled]
-        n_c = np.concatenate(overlaps, axis=1) if overlaps else np.zeros((4, 0), dtype=complex)
+        # overlaps N(m, m_i) with the coupled earlier stages i: the row
+        # Gram blocks of stage k without its last, diagonal one
+        gram = self.gram
+        first, diagonal = gram.stage_ptr[k], gram.stage_ptr[k + 1] - 1
+        coupled = gram.partner[first:diagonal]
+        cols = (4 * coupled[:, None] + np.arange(4)).ravel()
+        n_c = gram.blocks[first:diagonal].transpose(1, 0, 2).reshape(4, -1)
         gathered = time.perf_counter()
 
         # <V_k, Phi_j> = sum_i N(m, m_i) L_ji^dag; D_kj = <V_k, Phi_j> A_j;
@@ -285,23 +318,25 @@ class ProjectorAccumulator:
         c_row = d.reshape(4, 4 * k) @ factor[: 4 * k, : 4 * k]
         coupled_at = time.perf_counter()
 
-        # deflated Gram matrix and its inverse, both with real coefficients
+        # deflated Gram matrix and its inverse, both with real coefficients;
+        # every basis matrix is Hermitian, so real coefficients make the
+        # Gram Hermitian and one eigendecomposition gives rcond and A_k
         gram_deflation = c_row[:, cols] @ n_c.conj().T
         deflation_dset = dset_from_matrix(gram_deflation)
         asymmetry = float(np.max(np.abs(deflation_dset.imag))) if k else 0.0
         gram_dset = tables.l_dset(m) - deflation_dset.real
-        gram_dense = matrix_from_dset(gram_dset)
-        singular_values = np.linalg.svd(gram_dense, compute_uv=False)
-        rcond = float(singular_values[-1] / singular_values[0])
-        if rcond < self.rcond_min:
+        try:
+            values, vectors = np.linalg.eigh(matrix_from_dset(gram_dset))
+        except np.linalg.LinAlgError:  # a non-finite Gram may not converge
+            raise StageSingular(k, m, float("nan")) from None
+        magnitudes = np.abs(values)
+        rcond = float(magnitudes.min() / magnitudes.max())
+        if not rcond >= self.rcond_min:  # NaN eigenvalues fail too
             raise StageSingular(k, m, rcond)
         if k == 0:
             core_dset = tables.a_dset(m)
         else:
-            try:
-                core_dset = dset_inverse(gram_dset).real
-            except SingularMatrix:
-                raise StageSingular(k, m, rcond) from None
+            core_dset = dset_from_matrix((vectors / values) @ vectors.conj().T).real
         inverted = time.perf_counter()
 
         self._store(k, -c_row, core_dset, rcond)
@@ -328,22 +363,13 @@ class ProjectorAccumulator:
             self.stage_step()
         return self
 
-    def _row_gram(self) -> np.ndarray:
-        """G = V V^dag over the processed rows, assembled from the row overlaps."""
-        k = self.stages_done
-        gram = np.zeros((4 * k, 4 * k), dtype=complex)
-        for j, m in enumerate(self.processed_sites()):
-            for site in coupled_sites(m):
-                i = self._stage_of.get(site)
-                if i is not None and i < k:
-                    gram[4 * j : 4 * j + 4, 4 * i : 4 * i + 4] = self.tables.overlap(m, site)
-        return gram
-
     def trace(self) -> float:
         """tr P = sum_k tr(A_k (L G L^dag)_kk), computed from the factors."""
         k = self.stages_done
+        if k == 0:
+            return 0.0
         lower = self.factor[: 4 * k, : 4 * k]
-        left = (lower @ self._row_gram()).reshape(k, 4, 4 * k)
+        left = (lower @ self.gram.dense(k)).reshape(k, 4, 4 * k)
         diagonal = np.einsum("kai,kbi->kab", left, lower.conj().reshape(k, 4, 4 * k))
         return float(np.einsum("kab,kba->", self.cores[:k], diagonal).real)
 

@@ -175,17 +175,40 @@ def write_solution(path: str | Path, c: Multispinor, cfg: RunConfig, source: dic
     Path(path).write_text(json.dumps(solution_payload(c, cfg, source), separators=(",", ":")) + "\n")
 
 
+def _numbers(value, count: int, kinds) -> bool:
+    """value is a list of count JSON numbers of the given kinds (never booleans)."""
+    return (
+        isinstance(value, list)
+        and len(value) == count
+        and all(isinstance(x, kinds) and not isinstance(x, bool) for x in value)
+    )
+
+
 def read_solution(path: str | Path, cfg: RunConfig | None = None) -> Multispinor:
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise ConfigError(f"malformed solution dump {path}: {err}") from None
-    if payload.get("format") != SOLUTION_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != SOLUTION_FORMAT:
         raise ConfigError(f"not a solution dump: {path}")
+    missing = [key for key in ("fingerprint", "sites", "amplitudes") if key not in payload]
+    if missing:
+        raise ConfigError(f"solution dump {path} lacks {', '.join(missing)}")
     if cfg is not None and payload["fingerprint"] != config_fingerprint(cfg):
         raise ConfigError("solution dump fingerprint does not match the configuration")
+    sites, amplitudes = payload["sites"], payload["amplitudes"]
+    if not isinstance(sites, list) or not isinstance(amplitudes, list):
+        raise ConfigError(f"solution dump {path}: sites and amplitudes must be lists")
+    if len(sites) != len(amplitudes):
+        raise ConfigError(
+            f"solution dump {path} has {len(sites)} sites but {len(amplitudes)} amplitude rows"
+        )
     out = Multispinor()
-    for site, flat in zip(payload["sites"], payload["amplitudes"]):
+    for site, flat in zip(sites, amplitudes):
+        if not _numbers(site, 4, int):
+            raise ConfigError(f"solution site {site!r} is not four integers")
+        if not _numbers(flat, 8, (int, float)):
+            raise ConfigError(f"amplitudes at solution site {site} are not eight numbers")
         out[tuple(site)] = [complex(flat[2 * i], flat[2 * i + 1]) for i in range(4)]
     return out
 

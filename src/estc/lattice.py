@@ -36,7 +36,6 @@ _SHIFT_SET = frozenset(SHIFTS_S13)
 _COUPLING_DIFFS = frozenset(
     tuple(a - b for a, b in zip(s, s2)) for s in SHIFTS_S13 for s2 in SHIFTS_S13
 )
-_SORTED_DIFFS = tuple(sorted(_COUPLING_DIFFS))
 
 
 def g4d(s: Site) -> int:
@@ -70,11 +69,6 @@ def couples(m: Site, n: Site) -> bool:
     """
     d = site_sub(n, m)
     return g4d(d) <= 2 and d in _COUPLING_DIFFS
-
-
-def coupled_sites(m: Site) -> list[Site]:
-    """Every site n with couples(m, n), m itself included, in sorted order."""
-    return [site_add(m, d) for d in _SORTED_DIFFS]
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from estc import cli
-from estc import dirac_basis
+from estc import Window, cli, dirac_basis, engine, make_schedule
 
 GOOD = """\
 q1 = 0.1
@@ -187,6 +186,23 @@ def test_degeneracy_exits_2(tmp_path):
     cfg = tmp_path / "resonant.cfg"
     cfg.write_text(RESONANT)
     assert cli.main(["build", "--config", str(cfg), "--out", str(tmp_path / "op")]) == 2
+
+
+def test_non_finite_gram_exits_2(tmp_path, config_path, monkeypatch, capsys):
+    target = make_schedule(Window(2))[3]
+    real = engine.l_matrix
+
+    def poisoned(n, f, p):
+        out = real(n, f, p)
+        if n == target:
+            out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(engine, "l_matrix", poisoned)
+    out = tmp_path / "op"
+    assert cli.main(["build", "--config", str(config_path), "--out", str(out)]) == 2
+    assert f"stage 3 at site {target}" in capsys.readouterr().err
+    assert not (out / "operator.json").exists()
 
 
 def test_io_failures_exit_3(tmp_path, config_path):

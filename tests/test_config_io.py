@@ -20,7 +20,7 @@ from estc import (
     random_multispinor,
     serialize_config,
 )
-from estc import cli
+from estc import cli, engine
 from estc.io import (
     RunReport,
     export_operator_csv,
@@ -257,6 +257,64 @@ def test_solution_dump_round_trip(built, tmp_path):
     assert (loaded - c).norm() == 0.0
     with pytest.raises(ConfigError):
         read_solution(path, parse_config(BASE_TEXT.replace("0.05", "0.06")))
+
+
+def _solution_row(key, value):
+    def edit(payload):
+        payload[key][1] = value
+        return payload
+
+    return edit
+
+
+# edits of a valid solution dump, each of which the reader must refuse
+MALFORMED_SOLUTIONS = {
+    "format only": lambda payload: {"format": payload["format"]},
+    "a list": lambda payload: [1],
+    "missing sites": lambda payload: {k: v for k, v in payload.items() if k != "sites"},
+    "sites not a list": lambda payload: {**payload, "sites": 5},
+    "one amplitude row short": lambda p: {**p, "amplitudes": p["amplitudes"][1:]},
+    "site of three coordinates": _solution_row("sites", [0, 0, 0]),
+    "site with a fraction": _solution_row("sites", [0, 0, 0.5, 0]),
+    "site with a string": _solution_row("sites", [0, 0, "1", 1]),
+    "seven amplitude numbers": _solution_row("amplitudes", [0.0] * 7),
+    "amplitude with a string": _solution_row("amplitudes", [0.0] * 7 + ["x"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SOLUTIONS))
+def test_reader_refuses_malformed_solution_dumps(built, tmp_path, case):
+    cfg, acc, path = built
+    good = tmp_path / "good.json"
+    write_solution(good, random_multispinor(acc.window.points(), 4), cfg, {"seed": 4})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(MALFORMED_SOLUTIONS[case](json.loads(good.read_text()))))
+    with pytest.raises(ConfigError):
+        read_solution(bad, cfg)
+    config = tmp_path / "run.cfg"
+    config.write_text(BASE_TEXT)
+    argv = ["apply", "--config", str(config), "--operator", str(path), "--input", str(bad),
+            "--out", str(tmp_path / "y")]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 1
+
+
+def test_restored_operator_applies_without_the_row_gram(built, tmp_path, monkeypatch):
+    cfg, acc, path = built
+
+    def refuse(*args):
+        raise AssertionError("the apply path built the row Gram")
+
+    monkeypatch.setattr(engine, "build_row_gram", refuse)
+    restored = read_operator(path, cfg)
+    c = random_multispinor(acc.window.points(), 6)
+    assert (restored.apply_fundamental(c) - acc.apply_fundamental(c)).norm() == 0.0
+    config = tmp_path / "run.cfg"
+    config.write_text(BASE_TEXT)
+    argv = ["apply", "--config", str(config), "--operator", str(path),
+            "--out", str(tmp_path / "y")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
 
 
 def test_residual_and_stage_csv_formats(built):

@@ -22,12 +22,13 @@ from estc import (
     matrix_from_dset,
     n_overlap,
     site_add,
+    site_sub,
     v_coupling,
     validate,
     w_vector,
 )
+from estc.engine import build_row_gram
 from estc.field import CONSTRAINED_COMPONENTS, FREE_COMPONENTS
-from estc.lattice import coupled_sites
 
 from helpers import random_field, random_params
 
@@ -197,19 +198,24 @@ def test_table_overlaps_match_the_brute_column_scan(seed):
     rng = np.random.default_rng(seed)
     f = random_field(rng)
     p = random_params(rng)
-    tables = FieldTables(f, p)
     m = tuple(int(x) for x in rng.integers(-2, 3, size=4))
-    near = coupled_sites(m)
+    near = sorted({site_add(m, site_sub(s, t)) for s in SHIFTS_S13 for t in SHIFTS_S13})
     # differences up to 3 per axis reach well beyond coupling distance 2
     far = [site_add(m, tuple(int(x) for x in rng.integers(-3, 4, size=4))) for _ in range(6)]
-    for n in [near[i] for i in rng.integers(0, len(near), size=6)] + far:
-        fast = tables.overlap(m, n)
-        if couples(m, n):
-            assert np.abs(fast - oracle_overlap(m, n, f, p)).max() < 1e-13
-        else:
-            assert not oracle_overlap(m, n, f, p).any()
-            assert not fast.any()
-        assert np.array_equal(tables.overlap(n, m), fast.conj().T)
+    picked = [m] + [near[i] for i in rng.integers(0, len(near), size=6)] + far
+    schedule = list(dict.fromkeys(picked))
+    k = len(schedule)
+    gram = build_row_gram(FieldTables(f, p), schedule).dense(k).reshape(k, 4, k, 4)
+    for a, x in enumerate(schedule):
+        for b, y in enumerate(schedule):
+            block = gram[a, :, b, :]
+            if couples(x, y):
+                assert np.abs(block - oracle_overlap(x, y, f, p)).max() < 1e-13
+            else:
+                assert not oracle_overlap(x, y, f, p).any()
+                assert not block.any()
+            if a != b:
+                assert np.array_equal(gram[b, :, a, :], block.conj().T)
 
 
 def test_overlap_diagonal_is_the_gram_matrix():
