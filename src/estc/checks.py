@@ -21,7 +21,7 @@ from .dirac_basis import (
     gamma_matrix,
 )
 from .engine import FieldTables, ProjectorAccumulator, residual_table
-from .field import det_l, field_intensity, n_overlap, v_coupling
+from .field import a_matrix, det_l, field_intensity, l_matrix, n_overlap, v_coupling
 from .io import RunReport
 from .lattice import SHIFTS_S13, Site, Window, site_add
 from .multispinor import random_multispinor
@@ -90,29 +90,28 @@ def check_basis(report: RunReport) -> None:
 
 
 def check_field(cfg: RunConfig, report: RunReport) -> None:
-    tables = FieldTables(cfg.field, cfg.params)
-    window = Window(2, cfg.n_ref)
-    sites = window.points()
+    f, p = cfg.field, cfg.params
+    sites = Window(2, cfg.n_ref).points()
+    rows = FieldTables(f, p).rows(sites)
 
     worst_gram = 0.0
     worst_inverse = 0.0
     worst_det = 0.0
-    for n in sites:
-        stack = tables.v_stack(n)
+    for n, stack in zip(sites, rows):
         gram = np.einsum("sij,skj->ik", stack, stack.conj())
-        l_dense = dirac_basis.matrix_from_dset(tables.l_dset(n))
+        gram_dset = l_matrix(n, f, p)
+        l_dense = dirac_basis.matrix_from_dset(gram_dset)
         worst_gram = max(worst_gram, float(np.abs(gram - l_dense).max()))
-        a_dense = dirac_basis.matrix_from_dset(tables.a_dset(n))
+        a_dense = dirac_basis.matrix_from_dset(a_matrix(n, f, p))
         worst_inverse = max(worst_inverse, float(np.abs(a_dense @ l_dense - np.eye(4)).max()))
-        det = det_l(n, cfg.field, cfg.params)
-        i4 = char_invariants(tables.l_dset(n)).i4
+        det = det_l(n, f, p)
+        i4 = char_invariants(gram_dset).i4
         worst_det = max(worst_det, float(abs(i4 - det * det) / max(abs(i4), 1.0)))
     report.add("gram row matrix equals the coupling sum on 69 sites", worst_gram, 1e-12)
     report.add("closed-form gram inverse solves to identity", worst_inverse, 1e-12)
     report.add("reduced determinant squares to the dense determinant", worst_det, 1e-12)
 
     center = cfg.n_ref
-    f, p = cfg.field, cfg.params
     far = [site_add(center, s) for s in ((3, 0, 0, 1), (0, 0, 0, 4), (2, 1, 0, 3))]
     worst = max(float(np.abs(n_overlap(center, n, f, p)).max()) for n in far)
     report.add("row overlaps vanish beyond coupling distance 2", worst, 0.0)

@@ -3,13 +3,14 @@
 Grammar: one `key = value` per line, `#` comments, blank lines ignored.
 Keys are the dimensionless parameters (q1..q4, Omega), the window (R,
 n_ref), the seed, tolerances, and the free wave amplitudes a_jk / b_jk.
-Unknown and duplicate keys are rejected with their line number; amplitude
-keys violating transversality are rejected by name.
+Unknown and duplicate keys and non-finite numbers are rejected with their
+line number; amplitude keys violating transversality are rejected by name.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import ConfigError, TransversalityViolation
@@ -57,7 +58,7 @@ def parse_config(text: str) -> RunConfig:
         seen.add(key)
         try:
             if key in _FLOAT_KEYS:
-                scalars[key] = float(value)
+                scalars[key] = _finite(value)
             elif key in _INT_KEYS:
                 scalars[key] = int(value)
             elif key == "n_ref":
@@ -66,8 +67,8 @@ def parse_config(text: str) -> RunConfig:
                     raise ValueError("need 4 integers")
                 n_ref = tuple(int(part) for part in parts)  # type: ignore[assignment]
             elif len(key) == 4 and key[0] in "ab" and key[1] == "_":
-                _check_amplitude_key(key, float(value), lineno)
-                amplitudes[key] = float(value)
+                amplitudes[key] = _finite(value)
+                _check_amplitude_key(key, amplitudes[key], lineno)
             else:
                 raise ConfigError(f"unknown key {key!r}", line=lineno, key=key)
         except (ValueError, OverflowError) as err:
@@ -96,6 +97,13 @@ def parse_config(text: str) -> RunConfig:
         residual_tol=float(scalars["residual_tol"]),
         rcond_min=float(scalars["rcond_min"]),
     )
+
+
+def _finite(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
 
 
 def _check_amplitude_key(key: str, value: float, lineno: int) -> None:

@@ -46,17 +46,16 @@ from .field import (
 from .lattice import SHIFTS_S13, Site, Window, make_schedule, site_add
 from .multispinor import Multispinor
 
-# s - t for every ordered pair (s, t) of stencil shifts: row m at shift s
-# and row m + s - t at shift t share the column m + s
-_SHIFT_DIFFS = np.array(SHIFTS_S13)[:, None, :] - np.array(SHIFTS_S13)[None, :, :]
+# stored couplings C_kj allowed before a stage aborts the run: the factor
+# grows quadratically with the stage count
+MAX_COUPLINGS = 500_000
 
 
 class FieldTables:
-    """Per-site caches of coupling stacks and Gram rows.
+    """Row coefficients V(n, s) of a field, for any sites.
 
     The twelve field-shift coupling matrices are site-independent, so only
-    the zero-shift matrix is rebuilt per site.  All entries behave as pure
-    functions of (field, params, site).
+    the zero-shift matrix depends on the site.
     """
 
     def __init__(self, f: FieldConfig, p: DimensionlessParams):
@@ -66,34 +65,13 @@ class FieldTables:
         self._field_v = np.stack(
             [matrix_from_dset(v_coupling((0, 0, 0, 0), s, f, p)) for s in SHIFTS_S13[1:]]
         )
-        self._v: dict[Site, np.ndarray] = {}
-        self._l: dict[Site, np.ndarray] = {}
-        self._a: dict[Site, np.ndarray] = {}
 
-    def v_stack(self, n: Site) -> np.ndarray:
-        """(13, 4, 4) coupling matrices of row n, in stencil shift order."""
-        out = self._v.get(n)
-        if out is None:
-            v0 = matrix_from_dset(v_coupling(n, (0, 0, 0, 0), self.field, self.params))
-            out = np.concatenate([v0[None], self._field_v])
-            out.setflags(write=False)
-            self._v[n] = out
-        return out
-
-    def l_dset(self, n: Site) -> np.ndarray:
-        out = self._l.get(n)
-        if out is None:
-            out = l_matrix(n, self.field, self.params)
-            out.setflags(write=False)
-            self._l[n] = out
-        return out
-
-    def a_dset(self, n: Site) -> np.ndarray:
-        out = self._a.get(n)
-        if out is None:
-            out = a_matrix(n, self.field, self.params)
-            out.setflags(write=False)
-            self._a[n] = out
+    def rows(self, sites: list[Site]) -> np.ndarray:
+        """(len(sites), 13, 4, 4) coupling matrices of each row, in stencil shift order."""
+        zero = [v_coupling(n, (0, 0, 0, 0), self.field, self.params) for n in sites]
+        out = np.empty((len(sites), 13, 4, 4), dtype=complex)
+        out[:, 0] = matrix_from_dset(np.array(zero).reshape(-1, 16))
+        out[:, 1:] = self._field_v
         return out
 
 
@@ -123,25 +101,22 @@ class RowGram:
         return gram.reshape(4 * k, 4 * k)
 
 
-def build_row_gram(tables: FieldTables, schedule: list[Site]) -> RowGram:
+def build_row_gram(rows: np.ndarray, stencil: np.ndarray) -> RowGram:
     """All lower row Gram blocks of a schedule, in one vectorized pass.
 
-    Row k at shift s and row i at shift t share a column exactly when
-    m_i = m_k + s - t.  A site-to-stage lookup over the 13 x 13 shift pairs
-    finds every such match with i <= k, one einsum forms V_k[s] V_i[t]^dag
-    for all of them, and a sum over each run of equal (k, i) gives the
-    blocks.
+    rows[k] holds the 13 coupling matrices of row k and stencil[k] the
+    columns they multiply.  Row k at shift s and row i at shift t share a
+    column exactly when stencil[k, s] == stencil[i, t], so a column-to-stage
+    table over the 13 shifts finds every such match with i <= k, one einsum
+    forms V_k[s] V_i[t]^dag for all of them, and a sum over each run of
+    equal (k, i) gives the blocks.
     """
-    stages = len(schedule)
-    sites = np.array(schedule, dtype=np.intp)
-    low = sites.min(axis=0) - 2
-    lookup = np.full(sites.max(axis=0) + 3 - low, -1, dtype=np.intp)
-    lookup[tuple((sites - low).T)] = np.arange(stages)
-    partners = sites[:, None, None, :] + _SHIFT_DIFFS - low
-    partner = lookup[tuple(np.moveaxis(partners, -1, 0))]
+    stages = len(stencil)
+    owner = np.full((stencil.max() + 1, 13), -1, dtype=np.intp)
+    owner[stencil, np.arange(13)] = np.arange(stages)[:, None]
+    partner = owner[stencil]
     k, s, t = np.nonzero((partner >= 0) & (partner <= np.arange(stages)[:, None, None]))
     i = partner[k, s, t]
-    rows = np.stack([tables.v_stack(m) for m in schedule])
     products = np.einsum("pab,pcb->pac", rows[k, s], rows[i, t].conj())
     key = k * stages + i
     order = np.argsort(key, kind="stable")
@@ -191,9 +166,11 @@ class ProjectorAccumulator:
     for the K scheduled stages.  Every stage is a few dense products over
     them, and its only inversion is the Hermitian eigendecomposition of a
     single 4x4 matrix.  Couplings to all earlier stages are kept (quadratic
-    memory in the stage count, capped by max_couplings).  The overlaps come
-    from the block-sparse row Gram (gram), built once on first use, so a
-    restored accumulator that only applies the projector never builds it.
+    memory in the stage count, capped by MAX_COUPLINGS).  The row
+    coefficients of the whole schedule are built once, as one (K, 13, 4, 4)
+    stack.  The overlaps come from the block-sparse row Gram (gram), built
+    from that stack on first use, so a restored accumulator that only
+    applies the projector never builds it.
     """
 
     def __init__(
@@ -204,7 +181,6 @@ class ProjectorAccumulator:
         schedule: list[Site] | None = None,
         *,
         rcond_min: float = 1e-10,
-        max_couplings: int = 500_000,
     ):
         self.tables = FieldTables(f, p)
         self.window = window
@@ -221,7 +197,6 @@ class ProjectorAccumulator:
                 seen.add(site)
         self.schedule = schedule
         self.rcond_min = rcond_min
-        self.max_couplings = max_couplings
         self.diagnostics: list[StageDiagnostics] = []
         self.stages_done = 0
 
@@ -238,6 +213,7 @@ class ProjectorAccumulator:
         self._stencil = np.array(
             [[index[site_add(m, s)] for s in SHIFTS_S13] for m in schedule], dtype=np.intp
         )
+        self._rows = self.tables.rows(schedule)
         self._covered = np.zeros(len(self._sites), dtype=bool)
 
     @classmethod
@@ -271,7 +247,7 @@ class ProjectorAccumulator:
     def gram(self) -> RowGram:
         """Row Gram blocks of the whole schedule, built on first use."""
         if self._gram is None:
-            self._gram = build_row_gram(self.tables, self.schedule)
+            self._gram = build_row_gram(self._rows, self._stencil)
         return self._gram
 
     def processed_sites(self) -> list[Site]:
@@ -292,14 +268,14 @@ class ProjectorAccumulator:
         k = self.stages_done
         if k >= len(self.schedule):
             raise IndexError("schedule exhausted")
-        if self.coupling_count + k > self.max_couplings:
+        if self.coupling_count + k > MAX_COUPLINGS:
             raise CouplingLimitExceeded(
                 f"stage {k} needs {self.coupling_count + k} coupling matrices, "
-                f"cap is {self.max_couplings}"
+                f"cap is {MAX_COUPLINGS}"
             )
         started = time.perf_counter()
         m = self.schedule[k]
-        tables = self.tables
+        f, p = self.tables.field, self.tables.params
         factor = self.factor
 
         # overlaps N(m, m_i) with the coupled earlier stages i: the row
@@ -324,7 +300,7 @@ class ProjectorAccumulator:
         gram_deflation = c_row[:, cols] @ n_c.conj().T
         deflation_dset = dset_from_matrix(gram_deflation)
         asymmetry = float(np.max(np.abs(deflation_dset.imag))) if k else 0.0
-        gram_dset = tables.l_dset(m) - deflation_dset.real
+        gram_dset = l_matrix(m, f, p) - deflation_dset.real
         try:
             values, vectors = np.linalg.eigh(matrix_from_dset(gram_dset))
         except np.linalg.LinAlgError:  # a non-finite Gram may not converge
@@ -334,7 +310,7 @@ class ProjectorAccumulator:
         if not rcond >= self.rcond_min:  # NaN eigenvalues fail too
             raise StageSingular(k, m, rcond)
         if k == 0:
-            core_dset = tables.a_dset(m)
+            core_dset = a_matrix(m, f, p)
         else:
             core_dset = dset_from_matrix((vectors / values) @ vectors.conj().T).real
         inverted = time.perf_counter()
@@ -384,7 +360,7 @@ class ProjectorAccumulator:
             return Multispinor()
         stencil = self._stencil[:k]
         x = np.array([c[site] for site in self._sites])
-        rows = np.stack([self.tables.v_stack(m) for m in self.processed_sites()])
+        rows = self._rows[:k]
         lower = self.factor[: 4 * k, : 4 * k]
         y = np.einsum("ksab,ksb->ka", rows, x[stencil])
         z = (lower @ y.ravel()).reshape(k, 4)
@@ -403,13 +379,6 @@ def residual_table(
     c: Multispinor, tables: FieldTables, sites: list[Site]
 ) -> list[tuple[Site, float]]:
     """Row residuals over the given sites, with c extended by zero."""
-    out = []
-    for n in sites:
-        stack = tables.v_stack(n)
-        row = np.zeros(4, dtype=complex)
-        for i, s in enumerate(SHIFTS_S13):
-            neighbor = site_add(n, s)
-            if neighbor in c:
-                row += stack[i] @ c[neighbor]
-        out.append((n, float(np.linalg.norm(row))))
-    return out
+    x = np.array([[c[site_add(n, s)] for s in SHIFTS_S13] for n in sites], dtype=complex)
+    rows = np.einsum("nsab,nsb->na", tables.rows(sites), x.reshape(len(sites), 13, 4))
+    return list(zip(sites, np.linalg.norm(rows, axis=1).tolist()))

@@ -119,19 +119,30 @@ class DimensionlessParams:
 def validate(f: FieldConfig, p: DimensionlessParams | None = None) -> None:
     """Reject configurations the construction cannot handle.
 
-    Components along propagation axes must vanish, the field must carry
-    nonzero intensity, and the crystal frequency must be positive.
+    Every number must be finite, components along propagation axes must
+    vanish, the field must carry nonzero, finite intensity, and the crystal
+    frequency must be positive.
     """
     for grid_name, grid in (("a", f.a), ("b", f.b)):
         if grid.shape != (6, 3):
             raise ValueError(f"{grid_name} grid must be 6x3, got {grid.shape}")
+        if not np.isfinite(grid).all():
+            raise ValueError(f"{grid_name} grid has a non-finite amplitude")
         for j, k in CONSTRAINED_COMPONENTS:
             if grid[j - 1, k - 1] != 0.0:
                 raise TransversalityViolation(grid_name, j, k)
-    if field_intensity(f) == 0.0:
+    with np.errstate(over="ignore"):
+        intensity = field_intensity(f)
+    if intensity == 0.0:
         raise ZeroField("all wave amplitudes are zero")
-    if p is not None and not p.omega > 0.0:
-        raise ValueError(f"crystal frequency Omega must be positive, got {p.omega}")
+    if not np.isfinite(intensity):
+        raise ValueError("field intensity overflows")
+    if p is not None:
+        values = (p.q1, p.q2, p.q3, p.q4, p.omega)
+        if not np.isfinite(values).all():
+            raise ValueError(f"quasimomenta and Omega must be finite, got {values}")
+        if not p.omega > 0.0:
+            raise ValueError(f"crystal frequency Omega must be positive, got {p.omega}")
 
 
 def field_intensity(f: FieldConfig) -> float:

@@ -70,8 +70,14 @@ def read_operator_payload(
         raise ConfigError(f"malformed operator dump {path}: {err}") from None
     if not isinstance(payload, dict) or payload.get("format") != expected_format:
         raise ConfigError(f"not a {expected_format} file: {path}")
-    if cfg is not None and payload.get("fingerprint") != config_fingerprint(cfg):
-        raise ConfigError("operator dump fingerprint does not match the configuration")
+    if cfg is not None:
+        if payload.get("fingerprint") != config_fingerprint(cfg):
+            raise ConfigError("operator dump fingerprint does not match the configuration")
+        if payload.get("radius") != cfg.radius or payload.get("center") != list(cfg.n_ref):
+            raise ConfigError(
+                f"operator dump radius {payload.get('radius')!r} and center "
+                f"{payload.get('center')!r} do not match R and n_ref of the configuration"
+            )
     return payload
 
 
@@ -123,6 +129,8 @@ def _decode(payload: dict, decode_stage: Callable[[dict, int], tuple]) -> _Facto
         for site in schedule:
             if not window.interior(site):
                 raise ConfigError(f"scheduled site {site} is outside the window interior")
+        if len(set(schedule)) != len(schedule):
+            raise ConfigError("the schedule lists a site twice")
         stages = payload["stages"]
         if len(stages) > len(schedule):
             raise ConfigError(f"{len(stages)} stages for a schedule of {len(schedule)} sites")
@@ -134,7 +142,7 @@ def _decode(payload: dict, decode_stage: Callable[[dict, int], tuple]) -> _Facto
             couplings.append(row)
             cores.append(core)
             rconds.append(float(stage["rcond"]))
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"malformed operator dump: {err!r}") from None
     cores = np.array(cores).reshape(-1, 16)
     return _Factors(fingerprint, window, schedule, couplings, cores, np.array(rconds))

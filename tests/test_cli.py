@@ -182,6 +182,20 @@ def test_validation_failures_exit_1(tmp_path, built):
     assert cli.main(["build", "--config", str(config_path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [("q1 = 0.1", "q1 = nan"), ("Omega = 0.5", "Omega = inf"), ("a_12 = 0.05", "a_12 = nan"),
+     ("seed = 3", "seed = 3\nrcond_min = inf"), ("seed = 3", "seed = 3\nresidual_tol = inf"),
+     ("a_12 = 0.05", "a_12 = 1e308")],
+)
+def test_non_finite_config_exits_1(tmp_path, edit):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(GOOD.replace(*edit))
+    out = tmp_path / "op"
+    assert cli.main(["build", "--config", str(bad), "--out", str(out)]) == 1
+    assert not (out / "operator.json").exists()
+
+
 def test_degeneracy_exits_2(tmp_path):
     cfg = tmp_path / "resonant.cfg"
     cfg.write_text(RESONANT)

@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from estc import (
     ConfigError,
@@ -15,6 +17,7 @@ from estc import (
     Window,
     ZeroField,
     config_fingerprint,
+    field_intensity,
     matrix_from_dset,
     parse_config,
     random_multispinor,
@@ -110,6 +113,15 @@ def test_fingerprint_ignores_formatting_but_not_values():
         ("a_11 = 0.1", TransversalityViolation),
         ("q1 = 0.1", ZeroField),
         ("Omega = -0.5\na_12 = 0.1", ValueError),
+        ("q1 = nan\na_12 = 0.1", ConfigError),
+        ("q4 = -inf\na_12 = 0.1", ConfigError),
+        ("Omega = inf\na_12 = 0.1", ConfigError),
+        ("residual_tol = inf\na_12 = 0.1", ConfigError),
+        ("rcond_min = inf\na_12 = 0.1", ConfigError),
+        ("a_12 = nan", ConfigError),
+        ("a_12 = 0.1\nb_31 = -inf", ConfigError),
+        ("a_11 = nan\na_12 = 0.1", ConfigError),
+        ("a_12 = 1e308", ValueError),
     ],
 )
 def test_parse_rejects_bad_input(text, error):
@@ -122,6 +134,37 @@ def test_error_reports_offending_line():
         parse_config("a_12 = 0.1\nmystery = 1")
     assert err.value.line == 2
     assert err.value.key == "mystery"
+    with pytest.raises(ConfigError) as err:
+        parse_config("a_12 = 0.1\n\nOmega = nan")
+    assert (err.value.line, err.value.key) == (3, "Omega")
+
+
+_GRAMMAR_KEYS = (
+    "q1", "q2", "q3", "q4", "Omega", "R", "n_ref", "seed", "residual_tol", "rcond_min",
+    "a_12", "a_13", "b_21", "b_31", "a_62", "b_43", "a_11", "b_79", "mystery",
+)
+_VALUES = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e308", "-1e308", "0",
+                     "0.1", "-0.5", "2", "1e-300", "0 0 0 0", "1 1 0 0", "1 0 0 0", "fast", ""]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10, 10).map(str),
+    st.text("0123456789.e+-nainf ", max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_GRAMMAR_KEYS), _VALUES), max_size=6))
+def test_parse_yields_finite_configs_or_documented_errors(lines):
+    text = "\n".join(f"{key} = {value}" for key, value in lines)
+    try:
+        cfg = parse_config(text)
+    except (ConfigError, TransversalityViolation, ZeroField, ValueError):
+        return
+    p = cfg.params
+    numbers = [p.q1, p.q2, p.q3, p.q4, p.omega, cfg.residual_tol, cfg.rcond_min]
+    assert np.isfinite(numbers).all()
+    assert np.isfinite(cfg.field.a).all() and np.isfinite(cfg.field.b).all()
+    assert np.isfinite(field_intensity(cfg.field))
 
 
 def test_explicit_zero_for_constrained_amplitude_is_allowed():
@@ -229,6 +272,12 @@ MALFORMED = {
     "core of the wrong length": _stage_set(0, "core_dset", [1.0] * 15),
     "missing stages": lambda payload: payload.pop("stages"),
     "more stages than sites": lambda payload: payload["schedule"].pop(),
+    "radius off the configuration": lambda payload: payload.update(radius=payload["radius"] + 1),
+    "center off the configuration": lambda payload: payload.update(
+        center=[x + d for x, d in zip(payload["center"], (1, 1, 0, 0))],
+        radius=payload["radius"] + 2,
+    ),
+    "schedule lists a site twice": _schedule_set(1, [0, 0, 0, 0]),
 }
 
 
@@ -246,6 +295,49 @@ def test_reader_refuses_malformed_v2_dumps(built, tmp_path, case):
     argv = ["apply", "--config", str(config), "--operator", str(bad), "--out", str(tmp_path / "y")]
     with contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == 1
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**40), 2**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 3), max_size=5),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _containers(value):
+    """value and every non-empty dict or list nested in it."""
+    children = value.values() if isinstance(value, dict) else value
+    out = [value] if value else []
+    for child in children:
+        if isinstance(child, (dict, list)):
+            out += _containers(child)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reader_raises_only_config_errors_on_mutated_dumps(built, data):
+    cfg, _, path = built
+    payload = json.loads(path.read_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        # delete or overwrite one entry of the payload or of any nested part
+        parent = data.draw(st.sampled_from(_containers(payload)))
+        keys = sorted(parent) if isinstance(parent, dict) else range(len(parent))
+        key = data.draw(st.sampled_from(keys))
+        if data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = data.draw(_JUNK)
+    bad = path.with_name("mutated.json")
+    bad.write_text(json.dumps(payload))
+    try:
+        read_operator(bad, cfg)
+    except ConfigError:
+        pass
 
 
 def test_solution_dump_round_trip(built, tmp_path):

@@ -26,6 +26,8 @@ from estc import (
     site_add,
     v_coupling,
 )
+from estc import engine
+from estc.field import a_matrix
 
 from helpers import (
     dense_from_dset,
@@ -79,8 +81,8 @@ def test_bare_block_structure():
     v = np.zeros((4, 4 * len(support)), dtype=complex)
     for i, s in enumerate(SHIFTS_S13):
         j = support.index(site_add(n, s))
-        v[:, 4 * j : 4 * j + 4] = tables.v_stack(n)[i]
-    dense = v.conj().T @ matrix_from_dset(tables.a_dset(n)) @ v
+        v[:, 4 * j : 4 * j + 4] = tables.rows([n])[0][i]
+    dense = v.conj().T @ matrix_from_dset(a_matrix(n, FIELD, PARAMS)) @ v
     assert np.abs(dense - bare_projector(n, FIELD, PARAMS, support)).max() < 1e-12
     assert np.abs(dense - dense.conj().T).max() < 1e-12
     assert np.abs(dense @ dense - dense).max() < 1e-12
@@ -92,8 +94,8 @@ def test_first_stage_is_the_bare_block():
     acc.run(stages=1)
     m0 = acc.schedule[0]
     assert np.array_equal(acc.factor[:4, :4], np.eye(4))
-    assert np.array_equal(acc.core_dsets[0], acc.tables.a_dset(m0))
-    assert np.array_equal(acc.cores[0], matrix_from_dset(acc.tables.a_dset(m0)))
+    assert np.array_equal(acc.core_dsets[0], a_matrix(m0, FIELD, PARAMS))
+    assert np.array_equal(acc.cores[0], matrix_from_dset(a_matrix(m0, FIELD, PARAMS)))
     sites = acc.window.points()
     expected = bare_projector(m0, FIELD, PARAMS, sites)
     assert np.abs(applied_matrix(acc, sites) - expected).max() < 1e-12
@@ -105,7 +107,7 @@ def test_first_coupling_matches_its_closed_form():
     acc = fresh_accumulator()
     acc.run(stages=2)
     m0, m1 = acc.schedule[:2]
-    expected = n_overlap(m1, m0, FIELD, PARAMS) @ matrix_from_dset(acc.tables.a_dset(m0))
+    expected = n_overlap(m1, m0, FIELD, PARAMS) @ matrix_from_dset(a_matrix(m0, FIELD, PARAMS))
     # the factor stores L = I - C, so C_10 is minus its (1, 0) block
     assert np.abs(-acc.factor[4:8, 0:4] - expected).max() < 1e-12
 
@@ -204,6 +206,22 @@ def test_residual_table_is_the_row_norm():
     )
 
 
+def test_residual_table_matches_the_dense_rows():
+    sites = Window(3).points()
+    c = random_multispinor(Window(2).points(), 15)
+    # rows on the rim of the R=3 window reach past it, and the R=2 rows
+    # past the R=2 support of c: both read zeros there
+    rows = [n for n in sites if not Window(3).interior(n)][:40] + Window(2).points()
+    assert any(site_add(n, s) not in Window(3) for n in rows for s in SHIFTS_S13)
+    columns = sorted({site_add(n, s) for n in rows for s in SHIFTS_S13})
+    dense = dense_rows(FIELD, PARAMS, rows, columns) @ to_vector(c, columns)
+    expected = np.linalg.norm(dense.reshape(-1, 4), axis=1)
+    got = residual_table(c, FieldTables(FIELD, PARAMS), rows)
+    assert [n for n, _ in got] == rows
+    assert np.array([value for _, value in got]) == pytest.approx(expected, rel=1e-12)
+    assert residual_table(c, FieldTables(FIELD, PARAMS), []) == []
+
+
 def test_schedule_validation():
     with pytest.raises(NotInterior):
         ProjectorAccumulator(FIELD, PARAMS, Window(2), schedule=[(0, 0, 0, 2)])
@@ -213,8 +231,9 @@ def test_schedule_validation():
         )
 
 
-def test_coupling_cap_aborts_the_run():
-    acc = fresh_accumulator(max_couplings=5)
+def test_coupling_cap_aborts_the_run(monkeypatch):
+    monkeypatch.setattr(engine, "MAX_COUPLINGS", 5)
+    acc = fresh_accumulator()
     with pytest.raises(CouplingLimitExceeded):
         acc.run()
 
@@ -237,13 +256,18 @@ def test_resonant_site_trips_the_stage_guard():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_gram_trips_the_stage_guard(bad):
+def test_non_finite_gram_trips_the_stage_guard(bad, monkeypatch):
     acc = fresh_accumulator()
     target = acc.schedule[3]
-    poisoned = acc.tables.l_dset(target).copy()
-    poisoned[0] = bad
-    poisoned.setflags(write=False)
-    acc.tables._l[target] = poisoned
+    real = engine.l_matrix
+
+    def poisoned(n, f, p):
+        out = real(n, f, p)
+        if n == target:
+            out[0] = bad
+        return out
+
+    monkeypatch.setattr(engine, "l_matrix", poisoned)
     with pytest.raises(StageSingular) as err:
         acc.run()
     assert (err.value.stage, err.value.site) == (3, target)

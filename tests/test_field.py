@@ -117,6 +117,20 @@ def test_validation_rejects_longitudinal_components():
         validate(FIELD, DimensionlessParams(omega=0.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validation_rejects_non_finite_numbers(bad):
+    with pytest.raises(ValueError):
+        validate(FieldConfig.from_amplitudes({"a_12": 0.1, "b_43": bad}))
+    for name in ("q1", "q2", "q3", "q4", "omega"):
+        with pytest.raises(ValueError):
+            validate(FIELD, DimensionlessParams(**{name: bad}))
+
+
+def test_validation_rejects_an_overflowing_intensity():
+    with pytest.raises(ValueError):
+        validate(FieldConfig.from_amplitudes({"a_12": 1e308}))
+
+
 def test_intensity_counts_every_free_amplitude_twice():
     f = FieldConfig.from_amplitudes({"b_62": 0.2})
     assert field_intensity(f) == pytest.approx(2 * 0.2**2, abs=1e-15)
@@ -205,7 +219,11 @@ def test_table_overlaps_match_the_brute_column_scan(seed):
     picked = [m] + [near[i] for i in rng.integers(0, len(near), size=6)] + far
     schedule = list(dict.fromkeys(picked))
     k = len(schedule)
-    gram = build_row_gram(FieldTables(f, p), schedule).dense(k).reshape(k, 4, k, 4)
+    columns = sorted({site_add(n, s) for n in schedule for s in SHIFTS_S13})
+    index = {site: j for j, site in enumerate(columns)}
+    stencil = np.array([[index[site_add(n, s)] for s in SHIFTS_S13] for n in schedule])
+    rows = FieldTables(f, p).rows(schedule)
+    gram = build_row_gram(rows, stencil).dense(k).reshape(k, 4, k, 4)
     for a, x in enumerate(schedule):
         for b, y in enumerate(schedule):
             block = gram[a, :, b, :]
