@@ -31,10 +31,8 @@ from .engine import (
 )
 from .errors import (
     ConfigError,
-    CouplingLimitExceeded,
     DegenerateOverlap,
     EstcError,
-    NotInterior,
     ShiftNotInS13,
     SingularMatrix,
     StageSingular,
@@ -64,20 +62,19 @@ from .lattice import (
     site_add,
     site_sub,
     window_points,
+    window_size,
 )
 from .multispinor import Multispinor, random_multispinor
 
 __all__ = [
     "CharInvariants",
     "ConfigError",
-    "CouplingLimitExceeded",
     "DegenerateOverlap",
     "DimensionlessParams",
     "EstcError",
     "FieldConfig",
     "FieldTables",
     "Multispinor",
-    "NotInterior",
     "ProjectorAccumulator",
     "RunConfig",
     "SHIFTS_S13",
@@ -122,6 +119,7 @@ __all__ = [
     "validate",
     "w_vector",
     "window_points",
+    "window_size",
 ]
 
 __version__ = "0.1.0"

@@ -16,9 +16,7 @@ from .config import RunConfig, config_fingerprint, parse_config
 from .engine import ProjectorAccumulator, residual_table
 from .errors import (
     ConfigError,
-    CouplingLimitExceeded,
     DegenerateOverlap,
-    NotInterior,
     ShiftNotInS13,
     SingularMatrix,
     StageSingular,
@@ -37,7 +35,7 @@ from .io import (
     write_operator,
     write_solution,
 )
-from .lattice import Window
+from .lattice import Window, window_size
 from .multispinor import random_multispinor
 
 _VALIDATION_ERRORS = (
@@ -45,10 +43,9 @@ _VALIDATION_ERRORS = (
     TransversalityViolation,
     ZeroField,
     ShiftNotInS13,
-    NotInterior,
     ValueError,
 )
-_DEGENERACY_ERRORS = (StageSingular, DegenerateOverlap, SingularMatrix, CouplingLimitExceeded)
+_DEGENERACY_ERRORS = (StageSingular, DegenerateOverlap, SingularMatrix)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,7 +80,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     )
     report.notes.append(
         f"window radius {cfg.radius} around {cfg.n_ref}: "
-        f"{len(window.points())} sites, {acc.stages_done} stages, "
+        f"{window_size(cfg.radius)} sites, {acc.stages_done} stages, "
         f"{acc.coupling_count} stored couplings"
     )
     (out / "report.txt").write_text(report.to_text())

@@ -4,7 +4,8 @@ Grammar: one `key = value` per line, `#` comments, blank lines ignored.
 Keys are the dimensionless parameters (q1..q4, Omega), the window (R,
 n_ref), the seed, tolerances, and the free wave amplitudes a_jk / b_jk.
 Unknown and duplicate keys and non-finite numbers are rejected with their
-line number; amplitude keys violating transversality are rejected by name.
+line number; amplitude keys violating transversality, and q_j or Omega
+that overflow the row Gram matrix in the window, are rejected by name.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .field import (
     CONSTRAINED_COMPONENTS,
     DimensionlessParams,
     FieldConfig,
+    field_intensity,
     validate,
 )
 from .lattice import Site, in_lattice
@@ -84,6 +86,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"window radius R must be >= 1, got {radius}", key="R")
     if not in_lattice(n_ref):
         raise ConfigError(f"n_ref {n_ref} has odd coordinate sum", key="n_ref")
+    _check_gram_range(field, params, radius, n_ref)
     if not scalars["residual_tol"] > 0 or not scalars["rcond_min"] > 0:
         raise ConfigError("tolerances must be positive")
     if scalars["seed"] < 0:
@@ -104,6 +107,30 @@ def _finite(value: str) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{value!r} is not a finite number")
     return number
+
+
+def _check_gram_range(f: FieldConfig, p: DimensionlessParams, radius: int, n_ref: Site) -> None:
+    """Refuse q_j and Omega for which l_matrix or det_l overflows in the window.
+
+    There |w_j| <= b_j = |q_j| + Omega (|n_ref_j| + R), the l_matrix
+    coefficients are at most B = 1 + I + sum_j b_j^2 and det_l is at most B^2.
+    """
+    q = (p.q1, p.q2, p.q3, p.q4)
+    try:
+        reach = [p.omega * (abs(n) + radius) for n in n_ref]
+    except OverflowError:
+        raise ConfigError(
+            f"window radius {radius} around n_ref {n_ref} reaches past the float range"
+        ) from None
+    b = [abs(q_j) + r_j for q_j, r_j in zip(q, reach)]
+    total = 1.0 + float(field_intensity(f)) + sum(b_j * b_j for b_j in b)
+    if not math.isfinite(total * total):
+        j = b.index(max(b))
+        key = f"q{j + 1}" if abs(q[j]) >= reach[j] else "Omega"
+        raise ConfigError(
+            f"bad value for {key!r}: |w_{j + 1}| reaches {b[j]:.3e} in the window, "
+            "so the row Gram matrix overflows", key=key,
+        )
 
 
 def _check_amplitude_key(key: str, value: float, lineno: int) -> None:

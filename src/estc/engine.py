@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac_basis import dset_from_matrix, matrix_from_dset
-from .errors import CouplingLimitExceeded, NotInterior, StageSingular
+from .errors import StageSingular
 from .field import (
     DimensionlessParams,
     FieldConfig,
@@ -45,10 +45,6 @@ from .field import (
 )
 from .lattice import SHIFTS_S13, Site, Window, make_schedule, site_add
 from .multispinor import Multispinor
-
-# stored couplings C_kj allowed before a stage aborts the run: the factor
-# grows quadratically with the stage count
-MAX_COUPLINGS = 500_000
 
 
 class FieldTables:
@@ -166,7 +162,7 @@ class ProjectorAccumulator:
     for the K scheduled stages.  Every stage is a few dense products over
     them, and its only inversion is the Hermitian eigendecomposition of a
     single 4x4 matrix.  Couplings to all earlier stages are kept (quadratic
-    memory in the stage count, capped by MAX_COUPLINGS).  The row
+    memory in the stage count, capped by lattice.MAX_STAGES).  The row
     coefficients of the whole schedule are built once, as one (K, 13, 4, 4)
     stack.  The overlaps come from the block-sparse row Gram (gram), built
     from that stack on first use, so a restored accumulator that only
@@ -178,42 +174,29 @@ class ProjectorAccumulator:
         f: FieldConfig,
         p: DimensionlessParams,
         window: Window,
-        schedule: list[Site] | None = None,
         *,
         rcond_min: float = 1e-10,
     ):
         self.tables = FieldTables(f, p)
         self.window = window
-        if schedule is None:
-            schedule = make_schedule(window)
-        else:
-            schedule = list(schedule)
-            seen = set()
-            for site in schedule:
-                if not window.interior(site):
-                    raise NotInterior(f"scheduled site {site} is not interior to the window")
-                if site in seen:
-                    raise ValueError(f"site {site} appears twice in the schedule")
-                seen.add(site)
-        self.schedule = schedule
+        self.schedule = make_schedule(window)
         self.rcond_min = rcond_min
         self.diagnostics: list[StageDiagnostics] = []
         self.stages_done = 0
 
-        stages = len(schedule)
+        stages = len(self.schedule)
         self.factor = np.zeros((4 * stages, 4 * stages), dtype=complex)
         self.cores = np.zeros((stages, 4, 4), dtype=complex)
         self.core_dsets = np.zeros((stages, 16))
         self.rconds = np.zeros(stages)
         self._gram: RowGram | None = None
-        # window sites in lexicographic order; row k of the stencil table
-        # holds the indices of m_k + s over the 13 shifts
-        self._sites = sorted(window.points())
+        # row k of the stencil table holds the window indices of m_k + s over the 13 shifts
+        self._sites = window.points()
         index = {site: i for i, site in enumerate(self._sites)}
         self._stencil = np.array(
-            [[index[site_add(m, s)] for s in SHIFTS_S13] for m in schedule], dtype=np.intp
+            [[index[site_add(m, s)] for s in SHIFTS_S13] for m in self.schedule], dtype=np.intp
         )
-        self._rows = self.tables.rows(schedule)
+        self._rows = self.tables.rows(self.schedule)
         self._covered = np.zeros(len(self._sites), dtype=bool)
 
     @classmethod
@@ -222,7 +205,6 @@ class ProjectorAccumulator:
         f: FieldConfig,
         p: DimensionlessParams,
         window: Window,
-        schedule: list[Site],
         couplings: list[np.ndarray],
         core_dsets: np.ndarray,
         rconds: np.ndarray,
@@ -232,7 +214,7 @@ class ProjectorAccumulator:
         couplings[k] is the (4, 4k) block row -C_k of L, core_dsets[k] the
         real coefficients of A_k and rconds[k] the stage's recorded rcond.
         """
-        acc = cls(f, p, window, schedule)
+        acc = cls(f, p, window)
         for k, (row, core_dset, rcond) in enumerate(zip(couplings, core_dsets, rconds)):
             acc._store(k, row, core_dset, rcond)
         return acc
@@ -268,11 +250,6 @@ class ProjectorAccumulator:
         k = self.stages_done
         if k >= len(self.schedule):
             raise IndexError("schedule exhausted")
-        if self.coupling_count + k > MAX_COUPLINGS:
-            raise CouplingLimitExceeded(
-                f"stage {k} needs {self.coupling_count + k} coupling matrices, "
-                f"cap is {MAX_COUPLINGS}"
-            )
         started = time.perf_counter()
         m = self.schedule[k]
         f, p = self.tables.field, self.tables.params

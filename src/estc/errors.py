@@ -43,10 +43,6 @@ class StageSingular(EstcError):
         )
 
 
-class NotInterior(EstcError):
-    """Site has stencil neighbors outside the window."""
-
-
 class ConfigError(EstcError):
     """Malformed or inconsistent run configuration."""
 
@@ -55,7 +51,3 @@ class ConfigError(EstcError):
         self.key = key
         where = f" (line {line})" if line is not None else ""
         super().__init__(f"{message}{where}")
-
-
-class CouplingLimitExceeded(EstcError):
-    """Stage coupling store grew past the configured cap."""

@@ -133,9 +133,10 @@ def validate(f: FieldConfig, p: DimensionlessParams | None = None) -> None:
                 raise TransversalityViolation(grid_name, j, k)
     with np.errstate(over="ignore"):
         intensity = field_intensity(f)
+        squared = intensity * intensity  # det_l holds the square
     if intensity == 0.0:
         raise ZeroField("all wave amplitudes are zero")
-    if not np.isfinite(intensity):
+    if not np.isfinite(squared):
         raise ValueError("field intensity overflows")
     if p is not None:
         values = (p.q1, p.q2, p.q3, p.q4, p.omega)

@@ -1,9 +1,10 @@
 """Dumps, reports, and exports.  All writers are byte-deterministic.
 
 Operator dumps carry a fingerprint of the generating configuration, the
-window and the schedule, and per stage the factors of the projector in
+window and its schedule, and per stage the factors of the projector in
 schedule order: the core coefficients and block row k of L = I - C, the
-(4, 4k) couplings -C_k as base64 of little-endian complex128 bytes.
+(4, 4k) couplings -C_k as base64 of little-endian complex128 bytes.  The
+readers accept only the schedule that make_schedule gives the window.
 Timings never enter written artifacts so identical runs produce identical
 bytes.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import base64
 import json
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
@@ -22,7 +24,7 @@ from .config import RunConfig, config_fingerprint
 from .dirac_basis import dset_from_matrix, matrix_from_dset
 from .engine import ProjectorAccumulator, StageDiagnostics
 from .errors import ConfigError
-from .lattice import Site, Window, g4d, site_sub
+from .lattice import Site, Window, g4d, make_schedule, site_sub
 from .multispinor import Multispinor
 
 OPERATOR_FORMAT = "estc-operator-v2"
@@ -125,12 +127,9 @@ def _decode(payload: dict, decode_stage: Callable[[dict, int], tuple]) -> _Facto
     try:
         fingerprint = str(payload["fingerprint"])
         window = Window(int(payload["radius"]), _site(payload["center"]))
-        schedule = [_site(site) for site in payload["schedule"]]
-        for site in schedule:
-            if not window.interior(site):
-                raise ConfigError(f"scheduled site {site} is outside the window interior")
-        if len(set(schedule)) != len(schedule):
-            raise ConfigError("the schedule lists a site twice")
+        schedule = make_schedule(window)
+        if [_site(site) for site in payload["schedule"]] != schedule:
+            raise ConfigError("the schedule is not the window's own schedule")
         stages = payload["stages"]
         if len(stages) > len(schedule):
             raise ConfigError(f"{len(stages)} stages for a schedule of {len(schedule)} sites")
@@ -151,13 +150,7 @@ def _decode(payload: dict, decode_stage: Callable[[dict, int], tuple]) -> _Facto
 def _restore(payload: dict, cfg: RunConfig, decode_stage: Callable) -> ProjectorAccumulator:
     factors = _decode(payload, decode_stage)
     return ProjectorAccumulator.from_factors(
-        cfg.field,
-        cfg.params,
-        factors.window,
-        factors.schedule,
-        factors.couplings,
-        factors.core_dsets,
-        factors.rconds,
+        cfg.field, cfg.params, factors.window, factors.couplings, factors.core_dsets, factors.rconds
     )
 
 
@@ -184,11 +177,12 @@ def write_solution(path: str | Path, c: Multispinor, cfg: RunConfig, source: dic
 
 
 def _numbers(value, count: int, kinds) -> bool:
-    """value is a list of count JSON numbers of the given kinds (never booleans)."""
+    """value is a list of count finite JSON numbers of the given kinds (never booleans)."""
     return (
         isinstance(value, list)
         and len(value) == count
         and all(isinstance(x, kinds) and not isinstance(x, bool) for x in value)
+        and all(abs(x) <= sys.float_info.max for x in value)  # not inf, NaN or 10**400
     )
 
 
@@ -215,8 +209,10 @@ def read_solution(path: str | Path, cfg: RunConfig | None = None) -> Multispinor
     for site, flat in zip(sites, amplitudes):
         if not _numbers(site, 4, int):
             raise ConfigError(f"solution site {site!r} is not four integers")
+        if tuple(site) in out:
+            raise ConfigError(f"solution site {site} is listed twice")
         if not _numbers(flat, 8, (int, float)):
-            raise ConfigError(f"amplitudes at solution site {site} are not eight numbers")
+            raise ConfigError(f"amplitudes at solution site {site} are not eight finite numbers")
         out[tuple(site)] = [complex(flat[2 * i], flat[2 * i + 1]) for i in range(4)]
     return out
 

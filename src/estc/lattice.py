@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 
 Site = tuple[int, int, int, int]
 
+# stages one schedule may hold: K stages store K(K - 1)/2 couplings, 499,500 here
+MAX_STAGES = 1000
+
 # zero shift first, then the twelve field shifts in fixed table order
 SHIFTS_S13: tuple[Site, ...] = (
     (0, 0, 0, 0),
@@ -29,8 +32,6 @@ SHIFTS_S13: tuple[Site, ...] = (
     (0, 1, 0, 1),
     (0, 0, 1, 1),
 )
-
-_SHIFT_SET = frozenset(SHIFTS_S13)
 
 # all differences s - s2 of stencil shifts: support of the row overlaps
 _COUPLING_DIFFS = frozenset(
@@ -96,11 +97,17 @@ class Window:
         return window_points(self.radius, self.center)
 
     def interior(self, n: Site) -> bool:
-        """True when every stencil neighbor of n stays in the window."""
-        return n in self and all(site_add(n, s) in self for s in SHIFTS_S13)
+        """True when every stencil neighbor of n, each one g4d step away, stays in the window."""
+        return in_lattice(n) and g4d(site_sub(n, self.center)) < self.radius
 
     def interior_points(self) -> list[Site]:
-        return [n for n in self.points() if self.interior(n)]
+        """The interior sites: the first window_size(radius - 1) points."""
+        return self.points()[: window_size(self.radius - 1)]
+
+
+def window_size(r: int) -> int:
+    """Sites in a window of radius r, in closed form: (4r^4 + 8r^3 + 14r^2 + 10r + 3) / 3."""
+    return ((((4 * r + 8) * r + 14) * r + 10) * r + 3) // 3 if r >= 0 else 0
 
 
 def window_points(radius: int, center: Site = (0, 0, 0, 0)) -> list[Site]:
@@ -123,11 +130,15 @@ def window_points(radius: int, center: Site = (0, 0, 0, 0)) -> list[Site]:
 def make_schedule(window: Window) -> list[Site]:
     """Processing order for the window: its interior sites, g4d then lex.
 
-    Each schedule entry becomes one stage of the projector recurrence.
+    Each schedule entry becomes one stage of the projector recurrence; a
+    window of more than MAX_STAGES is refused before any site is enumerated.
     """
     if window.radius < 1:
         raise ValueError("schedule needs radius >= 1 so the interior is nonempty")
-    sched = window.interior_points()
-    if not sched:
-        raise ValueError("window has no interior sites")
-    return sched
+    stages = window_size(window.radius - 1)
+    if stages > MAX_STAGES:
+        raise ValueError(
+            f"window radius {window.radius} needs {stages} stages, "
+            f"more than the limit of {MAX_STAGES}"
+        )
+    return window.interior_points()

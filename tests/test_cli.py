@@ -186,7 +186,8 @@ def test_validation_failures_exit_1(tmp_path, built):
     "edit",
     [("q1 = 0.1", "q1 = nan"), ("Omega = 0.5", "Omega = inf"), ("a_12 = 0.05", "a_12 = nan"),
      ("seed = 3", "seed = 3\nrcond_min = inf"), ("seed = 3", "seed = 3\nresidual_tol = inf"),
-     ("a_12 = 0.05", "a_12 = 1e308")],
+     ("a_12 = 0.05", "a_12 = 1e308"), ("q1 = 0.1", "q1 = 1e200"),
+     ("Omega = 0.5", "Omega = 1e160")],
 )
 def test_non_finite_config_exits_1(tmp_path, edit):
     bad = tmp_path / "bad.cfg"
@@ -194,6 +195,21 @@ def test_non_finite_config_exits_1(tmp_path, edit):
     out = tmp_path / "op"
     assert cli.main(["build", "--config", str(bad), "--out", str(out)]) == 1
     assert not (out / "operator.json").exists()
+
+
+def test_oversized_windows_exit_1(built, tmp_path, capsys):
+    config_path, out = built
+    bad = tmp_path / "big.cfg"
+    for radius, stages in ((6, 1301), (100000, 133330666713333000001)):
+        bad.write_text(GOOD.replace("R = 2", f"R = {radius}"))
+        assert cli.main(["build", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+        assert f"needs {stages} stages, more than the limit of 1000" in capsys.readouterr().err
+    payload = json.loads((out / "operator.json").read_text())
+    payload["radius"] = 2**40
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(payload))
+    assert cli.main(["export", "--operator", str(edited), "--out", str(tmp_path / "e.json")]) == 1
+    assert "more than the limit of 1000" in capsys.readouterr().err
 
 
 def test_degeneracy_exits_2(tmp_path):

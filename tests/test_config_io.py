@@ -122,6 +122,9 @@ def test_fingerprint_ignores_formatting_but_not_values():
         ("a_12 = 0.1\nb_31 = -inf", ConfigError),
         ("a_11 = nan\na_12 = 0.1", ConfigError),
         ("a_12 = 1e308", ValueError),
+        ("q1 = 1e200\na_12 = 0.1", ConfigError),
+        ("Omega = 1e160\na_12 = 0.1", ConfigError),
+        ("a_12 = 1e150", ValueError),
     ],
 )
 def test_parse_rejects_bad_input(text, error):
@@ -137,6 +140,14 @@ def test_error_reports_offending_line():
     with pytest.raises(ConfigError) as err:
         parse_config("a_12 = 0.1\n\nOmega = nan")
     assert (err.value.line, err.value.key) == (3, "Omega")
+    # out of range for the window: named by key, the window has no line
+    for key, value in (("q1", "1e200"), ("q3", "-1e100"), ("Omega", "1e160")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"a_12 = 0.1\n{key} = {value}")
+        assert err.value.key == key
+    assert parse_config("a_12 = 0.1\nq3 = 1e76").params.q3 == 1e76
+    with pytest.raises(ConfigError, match="float range"):
+        parse_config(f"a_12 = 0.1\nn_ref = {10**400} 0 0 0")
 
 
 _GRAMMAR_KEYS = (
@@ -236,6 +247,12 @@ def _schedule_set(k, site):
     return edit
 
 
+def _reorder_schedule(payload):
+    schedule, stages = payload["schedule"], payload["stages"]
+    schedule[1], schedule[2] = schedule[2], schedule[1]
+    stages[1]["site"], stages[2]["site"] = stages[2]["site"], stages[1]["site"]
+
+
 def _swap_stages(payload):
     stages = payload["stages"]
     stages[1], stages[2] = stages[2], stages[1]
@@ -278,6 +295,7 @@ MALFORMED = {
         radius=payload["radius"] + 2,
     ),
     "schedule lists a site twice": _schedule_set(1, [0, 0, 0, 0]),
+    "schedule in another order": _reorder_schedule,
 }
 
 
@@ -371,6 +389,9 @@ MALFORMED_SOLUTIONS = {
     "site with a string": _solution_row("sites", [0, 0, "1", 1]),
     "seven amplitude numbers": _solution_row("amplitudes", [0.0] * 7),
     "amplitude with a string": _solution_row("amplitudes", [0.0] * 7 + ["x"]),
+    "amplitude past the float range": _solution_row("amplitudes", [0.0] * 7 + [10**400]),
+    "infinite amplitude": _solution_row("amplitudes", [0.0] * 7 + [float("inf")]),
+    "site listed twice": _solution_row("sites", [0, 0, 0, 0]),
 }
 
 
@@ -389,6 +410,29 @@ def test_reader_refuses_malformed_solution_dumps(built, tmp_path, case):
             "--out", str(tmp_path / "y")]
     with contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_solution_reader_raises_only_config_errors_on_mutated_dumps(built, data):
+    cfg, acc, path = built
+    good = path.with_name("solution.json")
+    write_solution(good, random_multispinor(acc.window.points(), 4), cfg, {"seed": 4})
+    payload = json.loads(good.read_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        parent = data.draw(st.sampled_from(_containers(payload)))
+        keys = sorted(parent) if isinstance(parent, dict) else range(len(parent))
+        key = data.draw(st.sampled_from(keys))
+        if data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = data.draw(_JUNK)
+    bad = good.with_name("mutated_solution.json")
+    bad.write_text(json.dumps(payload))
+    try:
+        read_solution(bad, cfg)
+    except ConfigError:
+        pass
 
 
 def test_restored_operator_applies_without_the_row_gram(built, tmp_path, monkeypatch):

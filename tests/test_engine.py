@@ -8,11 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from estc import (
-    CouplingLimitExceeded,
     DimensionlessParams,
     FieldConfig,
     FieldTables,
-    NotInterior,
     ProjectorAccumulator,
     SHIFTS_S13,
     StageSingular,
@@ -26,7 +24,7 @@ from estc import (
     site_add,
     v_coupling,
 )
-from estc import engine
+from estc import cli, engine, lattice
 from estc.field import a_matrix
 
 from helpers import (
@@ -222,20 +220,29 @@ def test_residual_table_matches_the_dense_rows():
     assert residual_table(c, FieldTables(FIELD, PARAMS), []) == []
 
 
-def test_schedule_validation():
-    with pytest.raises(NotInterior):
-        ProjectorAccumulator(FIELD, PARAMS, Window(2), schedule=[(0, 0, 0, 2)])
-    with pytest.raises(ValueError):
-        ProjectorAccumulator(
-            FIELD, PARAMS, Window(2), schedule=[(0, 0, 0, 0), (0, 0, 0, 0)]
-        )
+def test_oversized_window_is_refused_before_enumeration(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("R = 2\na_12 = 0.05\nb_31 = 0.04\n")
+    assert cli.main(["build", "--config", str(config), "--out", str(tmp_path / "op")]) == 0
+    operator = str(tmp_path / "op" / "operator.json")
+    capsys.readouterr()
 
+    def refuse(*args):
+        raise AssertionError("the window was enumerated")
 
-def test_coupling_cap_aborts_the_run(monkeypatch):
-    monkeypatch.setattr(engine, "MAX_COUPLINGS", 5)
-    acc = fresh_accumulator()
-    with pytest.raises(CouplingLimitExceeded):
-        acc.run()
+    # R = 2 schedules 13 stages, one more than the lowered limit
+    monkeypatch.setattr(lattice, "MAX_STAGES", 12)
+    monkeypatch.setattr(lattice, "window_points", refuse)
+    refusal = "13 stages, more than the limit of 12"
+    with pytest.raises(ValueError, match=refusal):
+        fresh_accumulator()
+    for argv in (
+        ["build", "--config", str(config), "--out", str(tmp_path / "x")],
+        ["apply", "--config", str(config), "--operator", operator, "--out", str(tmp_path / "y")],
+        ["export", "--operator", operator, "--out", str(tmp_path / "z.json")],
+    ):
+        assert cli.main(argv) == 1
+        assert refusal in capsys.readouterr().err
 
 
 def test_resonant_site_trips_the_stage_guard():

@@ -16,6 +16,7 @@ from estc import (
     site_add,
     site_sub,
     window_points,
+    window_size,
 )
 
 FROZEN_SHIFTS = (
@@ -35,7 +36,9 @@ FROZEN_SHIFTS = (
 )
 
 # (radius, window size, interior size); sizes counted by the brute scan below
-FROZEN_SIZES = ((0, 1, 0), (1, 13, 1), (2, 69, 13), (3, 233, 69))
+FROZEN_SIZES = (
+    (0, 1, 0), (1, 13, 1), (2, 69, 13), (3, 233, 69), (4, 601, 233), (5, 1301, 601),
+)
 
 
 def brute_window(radius, center=(0, 0, 0, 0)):
@@ -136,8 +139,15 @@ def test_window_order_is_g4d_then_lexicographic():
 def test_frozen_window_and_interior_sizes():
     for radius, total, interior in FROZEN_SIZES:
         w = Window(radius)
-        assert len(w.points()) == total
-        assert len(w.interior_points()) == interior
+        assert len(w.points()) == total == window_size(radius)
+        assert len(w.interior_points()) == interior == window_size(radius - 1)
+
+
+def test_window_size_matches_the_brute_scan():
+    assert window_size(-1) == 0
+    for radius in range(5):
+        for center in ((0, 0, 0, 0), (1, 0, -1, 2)):
+            assert window_size(radius) == len(brute_window(radius, center))
 
 
 def test_window_membership_and_validation():
@@ -155,10 +165,10 @@ def test_window_membership_and_validation():
 
 
 def test_interior_means_all_neighbors_inside():
-    w = Window(2)
-    for n in w.points():
-        assert w.interior(n) == all(site_add(n, s) in w for s in SHIFTS_S13)
-    assert set(w.interior_points()) == {s for s in brute_window(1)}
+    for w in (Window(2), Window(3, (1, 1, 0, 0))):
+        for n in w.points():
+            assert w.interior(n) == all(site_add(n, s) in w for s in SHIFTS_S13)
+        assert set(w.interior_points()) == brute_window(w.radius - 1, w.center)
 
 
 def test_schedule_is_the_interior_in_window_order():
@@ -174,3 +184,11 @@ def test_schedule_is_the_interior_in_window_order():
 def test_schedule_rejects_windows_without_interior():
     with pytest.raises(ValueError):
         make_schedule(Window(0))
+
+
+def test_schedule_refuses_windows_past_the_stage_limit():
+    assert len(make_schedule(Window(5))) == 601
+    with pytest.raises(ValueError, match="1301 stages, more than the limit of 1000"):
+        make_schedule(Window(6))
+    with pytest.raises(ValueError, match="limit of 1000"):
+        make_schedule(Window(2**40))
