@@ -34,7 +34,6 @@ acc = ProjectorAccumulator(cfg.field, cfg.params, Window(cfg.radius, cfg.n_ref))
 print("stages processed:", acc.stages_done)
 worst = min(acc.diagnostics, key=lambda diag: diag.rcond)
 print(f"worst stage rcond {worst.rcond:.3e} at site {worst.site}")
-print("accumulated trace (4 per stage):", round(acc.trace(), 6))
 
 # The complement of the accumulated projector maps a random seed onto the
 # solution subspace: every processed row evaluates to (numerical) zero.

@@ -170,7 +170,7 @@ def check_projector(cfg: RunConfig, report: RunReport) -> None:
 
     report.add(
         "projector trace equals 4 x stage count",
-        float(abs(acc.trace() - 4.0 * stages)),
+        float(abs(np.trace(dense).real - 4.0 * stages)),
         1e-6,
     )
 

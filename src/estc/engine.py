@@ -86,16 +86,6 @@ class RowGram:
     partner: np.ndarray
     blocks: np.ndarray
 
-    def dense(self, k: int) -> np.ndarray:
-        """G over the first k stages, the upper half mirrored from the lower."""
-        end = self.stage_ptr[k]
-        rows = np.repeat(np.arange(k), np.diff(self.stage_ptr[: k + 1]))
-        cols = self.partner[:end]
-        gram = np.zeros((k, 4, k, 4), dtype=complex)
-        gram[cols, :, rows, :] = self.blocks[:end].conj().transpose(0, 2, 1)
-        gram[rows, :, cols, :] = self.blocks[:end]
-        return gram.reshape(4 * k, 4 * k)
-
 
 def build_row_gram(rows: np.ndarray, stencil: np.ndarray) -> RowGram:
     """All lower row Gram blocks of a schedule, in one vectorized pass.
@@ -316,16 +306,6 @@ class ProjectorAccumulator:
             self.stage_step()
         return self
 
-    def trace(self) -> float:
-        """tr P = sum_k tr(A_k (L G L^dag)_kk), computed from the factors."""
-        k = self.stages_done
-        if k == 0:
-            return 0.0
-        lower = self.factor[: 4 * k, : 4 * k]
-        left = (lower @ self.gram.dense(k)).reshape(k, 4, 4 * k)
-        diagonal = np.einsum("kai,kbi->kab", left, lower.conj().reshape(k, 4, 4 * k))
-        return float(np.einsum("kab,kba->", self.cores[:k], diagonal).real)
-
     def apply_projector(self, c: Multispinor) -> Multispinor:
         """Accumulated projector applied to c: the processed-row component.
 
@@ -342,7 +322,7 @@ class ProjectorAccumulator:
         y = np.einsum("ksab,ksb->ka", rows, x[stencil])
         z = (lower @ y.ravel()).reshape(k, 4)
         w = np.einsum("kab,kb->ka", self.cores[:k], z)
-        u = (lower.conj().T @ w.ravel()).reshape(k, 4)
+        u = (w.ravel().conj() @ lower).conj().reshape(k, 4)  # L^dag w, no copy of L
         out = np.zeros_like(x)
         np.add.at(out, stencil, np.einsum("ksba,kb->ksa", rows.conj(), u))
         return Multispinor({self._sites[i]: out[i] for i in np.flatnonzero(self._covered)})

@@ -52,7 +52,8 @@ def test_build_writes_all_artifacts(built):
     assert len(payload["stages"]) == 13
     assert (out / "stages.csv").read_text().startswith("stage,")
     report = (out / "report.txt").read_text()
-    assert "PASS" in report and "FAIL" not in report
+    assert "PASS processed rows are solved relative to the seed norm" in report
+    assert "FAIL" not in report and "smallest stage rconds" not in report
     assert report.endswith("result: ok\n")
 
 
@@ -233,6 +234,35 @@ def test_non_finite_gram_exits_2(tmp_path, config_path, monkeypatch, capsys):
     assert cli.main(["build", "--config", str(config_path), "--out", str(out)]) == 2
     assert f"stage 3 at site {target}" in capsys.readouterr().err
     assert not (out / "operator.json").exists()
+
+
+def test_corrupted_coupling_fails_the_build(tmp_path, monkeypatch):
+    real = engine.ProjectorAccumulator.run
+
+    def corrupted(self, stages=None):
+        real(self, stages)
+        # a relative error of 1e-6 in the largest stored coupling: tr P
+        # moves only at second order in it, the processed rows at first
+        lower = np.abs(np.tril(self.factor, -1))
+        self.factor[np.unravel_index(lower.argmax(), lower.shape)] *= 1 + 1e-6
+        return self
+
+    monkeypatch.setattr(engine.ProjectorAccumulator, "run", corrupted)
+    config = tmp_path / "r4.cfg"
+    config.write_text(GOOD.replace("R = 2", "R = 4"))
+    out = tmp_path / "op"
+    assert cli.main(["build", "--config", str(config), "--out", str(out)]) == 2
+    report = (out / "report.txt").read_text()
+    assert "FAIL processed rows are solved relative to the seed norm" in report
+    assert "PASS every stage condition stays above rcond_min" in report
+    assert report.endswith("result: FAILED\n")
+    rows = [line.split(",") for line in (out / "stages.csv").read_text().split("\n")[1:-1]]
+    worst = sorted(rows, key=lambda row: float(row[6]))[:3]
+    named = "; ".join(
+        f"stage {row[0]} at {tuple(int(x) for x in row[1:5])} {float(row[6]):.3e}"
+        for row in worst
+    )
+    assert f"  smallest stage rconds: {named}\n" in report
 
 
 def test_io_failures_exit_3(tmp_path, config_path):

@@ -110,13 +110,16 @@ def test_first_coupling_matches_its_closed_form():
     assert np.abs(-acc.factor[4:8, 0:4] - expected).max() < 1e-12
 
 
-def test_two_stages_match_the_pair_combination():
+@pytest.mark.parametrize("k", range(1, 13))
+def test_each_stage_matches_the_pair_combination(k):
+    # the paper's pair formula: P_{<=k} combines P_{<k} with the bare block of m_k
     acc = fresh_accumulator()
+    assert len(acc.schedule) == 13
     sites = acc.window.points()
-    acc.run(stages=1)
+    acc.run(stages=k)
     alpha = applied_matrix(acc, sites)
-    acc.run(stages=2)
-    beta = bare_projector(acc.schedule[1], FIELD, PARAMS, sites)
+    acc.run(stages=k + 1)
+    beta = bare_projector(acc.schedule[k], FIELD, PARAMS, sites)
     assert np.abs(applied_matrix(acc, sites) - combine_pair(alpha, beta)).max() < 1e-9
 
 
@@ -135,16 +138,18 @@ def test_stage_blocks_satisfy_the_projector_identities():
     sites = acc.window.points()
     k = acc.stages_done
     phi = (acc.factor @ dense_rows(FIELD, PARAMS, acc.schedule, sites)).reshape(k, 4, -1)
+    total = 0.0
     for row, core in zip(phi, acc.cores):
         dense = row.conj().T @ core @ row
         assert np.abs(dense - dense.conj().T).max() < 1e-10
         assert np.abs(dense @ dense - dense).max() < 1e-9
         assert np.trace(dense).real == pytest.approx(4.0, abs=1e-9)
+        total += np.trace(dense).real
     for i in range(k):
         for j in range(i + 1, k):
             cross = phi[i] @ phi[j].conj().T
             assert np.abs(cross).max() < 1e-9, (i, j)
-    assert acc.trace() == pytest.approx(4.0 * k, abs=1e-9)
+    assert total == pytest.approx(4.0 * k, abs=1e-9)
 
 
 def test_projector_absorbs_every_processed_bare_block():
@@ -304,8 +309,10 @@ def test_random_configurations_keep_the_invariants():
         f = random_field(rng, intensity=float(rng.uniform(0.02, 0.3)))
         p = random_params(rng)
         acc = ProjectorAccumulator(f, p, Window(2)).run()
-        assert acc.trace() == pytest.approx(4.0 * acc.stages_done, abs=1e-8)
-        c = random_multispinor(acc.window.points(), int(rng.integers(0, 1000)))
+        sites = acc.window.points()
+        dense = factored_projector(acc, dense_rows(f, p, acc.schedule, sites))
+        assert np.trace(dense).real == pytest.approx(4.0 * acc.stages_done, abs=1e-8)
+        c = random_multispinor(sites, int(rng.integers(0, 1000)))
         solution = acc.apply_fundamental(c)
         worst = max(v for _, v in residual_table(solution, acc.tables, acc.processed_sites()))
         assert worst < 1e-9 * c.norm()

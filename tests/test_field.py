@@ -222,18 +222,18 @@ def test_table_overlaps_match_the_brute_column_scan(seed):
     columns = sorted({site_add(n, s) for n in schedule for s in SHIFTS_S13})
     index = {site: j for j, site in enumerate(columns)}
     stencil = np.array([[index[site_add(n, s)] for s in SHIFTS_S13] for n in schedule])
-    rows = FieldTables(f, p).rows(schedule)
-    gram = build_row_gram(rows, stencil).dense(k).reshape(k, 4, k, 4)
+    gram = build_row_gram(FieldTables(f, p).rows(schedule), stencil)
+    assert gram.stage_ptr[0] == 0 and gram.stage_ptr[k] == len(gram.blocks)
     for a, x in enumerate(schedule):
-        for b, y in enumerate(schedule):
-            block = gram[a, :, b, :]
-            if couples(x, y):
-                assert np.abs(block - oracle_overlap(x, y, f, p)).max() < 1e-13
-            else:
-                assert not oracle_overlap(x, y, f, p).any()
-                assert not block.any()
-            if a != b:
-                assert np.array_equal(gram[b, :, a, :], block.conj().T)
+        span = slice(gram.stage_ptr[a], gram.stage_ptr[a + 1])
+        partners = gram.partner[span].tolist()
+        # one block per coupled partner b <= a, ascending, none for the others
+        assert partners == [b for b in range(a + 1) if couples(x, schedule[b])]
+        for b, block in zip(partners, gram.blocks[span]):
+            assert np.abs(block - oracle_overlap(x, schedule[b], f, p)).max() < 1e-13
+        for b in range(a + 1):
+            if b not in partners:
+                assert not oracle_overlap(x, schedule[b], f, p).any()
 
 
 def test_overlap_diagonal_is_the_gram_matrix():
