@@ -4,7 +4,7 @@ Building the projection onto the solution subspace
 
 The solver truncates the lattice to a window, schedules every interior
 site, and accumulates the projector onto the processed equation rows one
-rank-4 stage at a time.  Subtracting that projector from any seed
+time slice of rank-4 stages at a time.  Subtracting that projector from any seed
 amplitude set solves all processed rows at once; rows near the window
 edge keep a residual that shrinks as the window grows.
 """
@@ -27,9 +27,9 @@ config_text = (Path(__file__).parent / "sample_config.txt").read_text()
 cfg = parse_config(config_text)
 print("window radius:", cfg.radius)
 
-# Stage by stage, each scheduled site is orthogonalized against all
-# earlier ones through 4x4 coupling recurrences; the only inversion per
-# stage is one 4x4 matrix, and its conditioning is recorded.
+# Time slice by time slice, the row Gram matrix of the scheduled sites is
+# factored by one Cholesky of the slice's Schur complement; each site is
+# one stage, and the conditioning of its 4x4 pivot is recorded.
 acc = ProjectorAccumulator(cfg.field, cfg.params, Window(cfg.radius, cfg.n_ref)).run()
 print("stages processed:", acc.stages_done)
 worst = min(acc.diagnostics, key=lambda diag: diag.rcond)

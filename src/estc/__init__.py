@@ -3,8 +3,8 @@
 The package represents every 4x4 operator through its 16 coefficients in a
 fixed unitary matrix basis, builds the coupled-row system of a
 three-dimensional polychromatic field on a truncated frequency-momentum
-window, and accumulates the projector onto the processed rows one rank-4
-stage at a time.  The complement of that projector maps any seed amplitude
+window, and accumulates the projector onto the processed rows one time
+slice of rank-4 stages at a time.  The complement of that projector maps any seed amplitude
 set onto the solution subspace.
 """
 

@@ -35,7 +35,7 @@ class RunConfig:
     radius: int = 2
     n_ref: Site = (0, 0, 0, 0)
     seed: int = 1
-    residual_tol: float = 1e-8
+    residual_tol: float = 1e-11
     rcond_min: float = 1e-10
 
 
@@ -43,7 +43,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a configuration."""
     scalars: dict[str, float | int] = {
         "q1": 0.0, "q2": 0.0, "q3": 0.0, "q4": 0.0, "Omega": 0.5,
-        "residual_tol": 1e-8, "rcond_min": 1e-10, "R": 2, "seed": 1,
+        "residual_tol": 1e-11, "rcond_min": 1e-10, "R": 2, "seed": 1,
     }
     n_ref: Site = (0, 0, 0, 0)
     amplitudes: dict[str, float] = {}

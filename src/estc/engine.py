@@ -1,27 +1,28 @@
-"""Recurrent construction of the system projector on a truncated window.
+"""Slice-by-slice construction of the system projector on a truncated window.
 
 Row n of the coupled system reads sum_s V(n,s) c(n+s) = 0.  Packing the
 four scalar rows at site n into the rank-4 Hermitian block
 
     P(n): c'(m') = V(n, m'-n)^dag a(n) sum_s V(n,s) c(n+s),
 
-the full system becomes P(n)C = 0 for all n.  The accumulator processes
-one scheduled site per stage and maintains the projector onto the span of
-all processed rows as a sum of mutually orthogonal rank-4 blocks
+the full system becomes P(n)C = 0 for all n.  The projector onto the span
+of all processed rows is P = V^dag G^-1 V, with V the row coefficients of
+the scheduled sites and G = V V^dag their row Gram matrix.
 
-    rho_k: c'(m') = Phi_k(m')^dag A_k sum_n' Phi_k(n') c(n'),
+Every field shift changes the time harmonic n4 by one, so two rows overlap
+only when their n4 differ by at most 2.  The schedule is time-major, which
+makes G block pentadiagonal over the time slices of fixed n4, and its
+Cholesky factor G = R R^dag keeps that band: slice t couples only to
+slices t - 1 and t - 2.  The accumulator factors one slice at a time, with
+one dense Cholesky of the slice's Schur complement, and keeps only the
+band.  Stage k, one scheduled site, has the pivot D_k = R_kk R_kk^dag, the
+deflated Gram matrix of its row; a numerically singular pivot means the
+row is linearly dependent on the processed rows and aborts the stage with
+diagnostics.
 
-where Phi_k are the row coefficients of stage k after subtracting its
-projection onto all earlier stages, expressed through stage-to-stage
-coupling matrices C_kj, and A_k is the inverse of the deflated Gram matrix
-L(m) - G_k(m).  The pseudoinversion behind the orthogonalization thus
-reduces to inverting one 4x4 matrix per stage; a singular one means the
-new row is linearly dependent on the processed subspace and aborts the
-stage with diagnostics.
-
-The projector is kept and applied in factored form only: with V the row
-coefficients and L = I - C, it is P = V^dag L^dag A L V, so Phi_k is never
-formed.  The complement U - P maps any seed multispinor onto the solution
+The projector is kept and applied in factored form only, as
+P = (R^-1 V)^dag (R^-1 V): a block forward and back substitution over the
+slices.  The complement U - P maps any seed multispinor onto the solution
 subspace of the processed rows; residuals of unprocessed rows measure the
 truncation error of the window.
 """
@@ -35,14 +36,7 @@ import numpy as np
 
 from .dirac_basis import dset_from_matrix, matrix_from_dset
 from .errors import StageSingular
-from .field import (
-    DimensionlessParams,
-    FieldConfig,
-    a_matrix,
-    l_matrix,
-    v_coupling,
-    validate,
-)
+from .field import DimensionlessParams, FieldConfig, v_coupling, validate
 from .lattice import SHIFTS_S13, Site, Window, make_schedule, site_add
 from .multispinor import Multispinor
 
@@ -117,12 +111,13 @@ def build_row_gram(rows: np.ndarray, stencil: np.ndarray) -> RowGram:
 class StageDiagnostics:
     """Conditioning, support and wall time of one stage.
 
+    rcond is the eigenvalue ratio of the stage's pivot D_k = R_kk R_kk^dag.
+    gram_asymmetry is the largest imaginary part of the real-basis
+    coefficients of the stage's diagonal block of its slice's Schur
+    complement, before the Cholesky: every basis matrix is Hermitian, so
+    it measures how far rounding left that block from Hermitian.
     support_size counts the window sites that the stencils of stages 0..k
-    reach, the support of Phi_k.  elapsed is the stage total; the four
-    phase times split it into the overlap gather (for stage 0 also the
-    build of the row Gram blocks), the D/C coupling products, the Gram
-    deflation with the core inversion, and the store of the new factor row
-    and core.
+    reach.  elapsed is the stage's equal share of its slice's time.
     """
 
     stage: int
@@ -131,32 +126,50 @@ class StageDiagnostics:
     gram_asymmetry: float
     support_size: int
     elapsed: float
-    gather_s: float
-    coupling_s: float
-    inversion_s: float
-    assembly_s: float
+
+
+def _adjoint_times(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a^dag v without a conjugated copy of a."""
+    return (v.conj().T @ a).conj().T
+
+
+def _pivot_rconds(diagonal: np.ndarray) -> np.ndarray:
+    """Eigenvalue ratio of each pivot D = R_kk R_kk^dag, NaN where R_kk is not finite."""
+    finite = np.isfinite(diagonal).all(axis=(1, 2))
+    blocks = np.where(finite[:, None, None], diagonal, np.eye(4))
+    values = np.linalg.eigvalsh(blocks @ blocks.conj().transpose(0, 2, 1))
+    return np.where(finite, values[:, 0] / values[:, -1], np.nan)
+
+
+def _blocks(a: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) diagonal 4x4 blocks of a (4n, 4n) matrix."""
+    n = a.shape[0] // 4
+    return a.reshape(n, 4, n, 4)[np.arange(n), :, np.arange(n)]
 
 
 class ProjectorAccumulator:
-    """Stage-by-stage builder of the projector onto the processed rows.
+    """Slice-by-slice builder of the projector onto the processed rows.
 
-    The stages form a block LDL^dag factorization of the row Gram matrix
-    G = V V^dag in schedule order: L G L^dag = blockdiag(A_k^-1), where
-    row k of the block-lower-triangular factor L = I - C holds the
-    couplings of stage k to every earlier stage and A_k is the stage core.
-    The row coefficients of stage k are Phi_k = sum_j L_kj V_j, and the
-    projector onto the processed rows is P = V^dag L^dag A L V.
+    The slices are the runs of equal n4 in the time-major schedule, slice t
+    holding stages slice_ptr[t]:slice_ptr[t + 1].  Slice t is factored in
+    one step: its row Gram blocks are scattered into dense G_tt and the
+    band G_t,t-1, G_t,t-2; the band blocks of the factor are
+    R_tj = (G_tj - sum_{i<j} R_ti R_ji^dag) W_j^dag with W_j = R_jj^-1;
+    the Schur complement S_t = G_tt - sum_j R_tj R_tj^dag is factored by one
+    Cholesky, S_t = R_tt R_tt^dag.  Blocks further than two slices away
+    stay zero, so the band never fills.  Per slice, inverses[t] holds the
+    lower-triangular W_t and bands[t] the band blocks [R_t,t-2 | R_t,t-1]
+    as one (4n_t, 4(n_t-2 + n_t-1)) panel.
 
-    factor holds L as one (4K, 4K) array, cores the A_k as one (K, 4, 4)
-    array and core_dsets their real basis coefficients, all preallocated
-    for the K scheduled stages.  Every stage is a few dense products over
-    them, and its only inversion is the Hermitian eigendecomposition of a
-    single 4x4 matrix.  Couplings to all earlier stages are kept (quadratic
-    memory in the stage count, capped by lattice.MAX_STAGES).  The row
-    coefficients of the whole schedule are built once, as one (K, 13, 4, 4)
-    stack.  The overlaps come from the block-sparse row Gram (gram), built
-    from that stack on first use, so a restored accumulator that only
-    applies the projector never builds it.
+    In terms of the block LDL^dag factorization G = U D U^dag with U block
+    unit-lower, U = R blockdiag(R_kk)^-1 and D_k = R_kk R_kk^dag, so the
+    stage cores are A_k = (R_kk R_kk^dag)^-1.  The leading stages of a
+    Cholesky factor are the Cholesky factor of the leading block, so
+    run(stages=k) factors only the leading part of the slice it stops in.
+    The row coefficients of the whole schedule are built once, as one
+    (K, 13, 4, 4) stack.  The overlaps come from the block-sparse row Gram
+    (gram), built from that stack on first use, so a restored accumulator
+    that only applies the projector never builds it.
     """
 
     def __init__(
@@ -175,9 +188,9 @@ class ProjectorAccumulator:
         self.stages_done = 0
 
         stages = len(self.schedule)
-        self.factor = np.zeros((4 * stages, 4 * stages), dtype=complex)
-        self.cores = np.zeros((stages, 4, 4), dtype=complex)
-        self.core_dsets = np.zeros((stages, 16))
+        self.slice_ptr = self.slice_bounds(self.schedule)
+        self.inverses: list[np.ndarray] = []
+        self.bands: list[np.ndarray] = []
         self.rconds = np.zeros(stages)
         self._gram: RowGram | None = None
         # row k of the stencil table holds the window indices of m_k + s over the 13 shifts
@@ -187,7 +200,10 @@ class ProjectorAccumulator:
             [[index[site_add(m, s)] for s in SHIFTS_S13] for m in self.schedule], dtype=np.intp
         )
         self._rows = self.tables.rows(self.schedule)
-        self._covered = np.zeros(len(self._sites), dtype=bool)
+        # the first stage whose stencil reaches each window site (stages if none does)
+        self._first_cover = np.full(len(self._sites), stages)
+        np.minimum.at(self._first_cover, self._stencil, np.arange(stages)[:, None])
+        self._support = np.cumsum(np.bincount(self._first_cover, minlength=stages + 1))[:stages]
 
     @classmethod
     def from_factors(
@@ -195,25 +211,37 @@ class ProjectorAccumulator:
         f: FieldConfig,
         p: DimensionlessParams,
         window: Window,
-        couplings: list[np.ndarray],
-        core_dsets: np.ndarray,
+        inverses: list[np.ndarray],
+        bands: list[np.ndarray],
         rconds: np.ndarray,
     ) -> "ProjectorAccumulator":
-        """Accumulator whose first len(couplings) stages are restored from their factors.
+        """Accumulator whose first len(rconds) stages are restored from their slice factors.
 
-        couplings[k] is the (4, 4k) block row -C_k of L, core_dsets[k] the
-        real coefficients of A_k and rconds[k] the stage's recorded rcond.
+        inverses[t] and bands[t] are W_t and the band panel of slice t, the
+        last one cut to the restored stages, and rconds[k] the recorded
+        rcond of stage k.
         """
         acc = cls(f, p, window)
-        for k, (row, core_dset, rcond) in enumerate(zip(couplings, core_dsets, rconds)):
-            acc._store(k, row, core_dset, rcond)
+        acc.inverses = list(inverses)
+        acc.bands = list(bands)
+        acc.stages_done = len(rconds)
+        acc.rconds[: len(rconds)] = rconds
         return acc
+
+    @staticmethod
+    def slice_bounds(schedule: list[Site]) -> np.ndarray:
+        """slice_ptr of a time-major schedule: slice t is stages slice_ptr[t]:slice_ptr[t + 1]."""
+        n4 = np.array([m[3] for m in schedule])
+        return np.flatnonzero(np.diff(n4, prepend=n4[0] - 1, append=n4[-1] + 1))
 
     @property
     def coupling_count(self) -> int:
-        """Stored coupling matrices C_kj, one per pair of processed stages."""
-        k = self.stages_done
-        return k * (k - 1) // 2
+        """Stored off-diagonal 4x4 blocks: the strictly lower W_t blocks and the band blocks."""
+        total = 0
+        for inverse, band in zip(self.inverses, self.bands):
+            n = inverse.shape[0] // 4
+            total += n * (n - 1) // 2 + n * band.shape[1] // 4
+        return total
 
     @property
     def gram(self) -> RowGram:
@@ -225,91 +253,140 @@ class ProjectorAccumulator:
     def processed_sites(self) -> list[Site]:
         return self.schedule[: self.stages_done]
 
-    def _store(self, k: int, l_row: np.ndarray, core_dset: np.ndarray, rcond: float) -> None:
-        """Record stage k: block row k of L, its core, and its rcond."""
-        self.factor[4 * k : 4 * k + 4, : 4 * k] = l_row
-        self.factor[4 * k : 4 * k + 4, 4 * k : 4 * k + 4] = np.eye(4)
-        self.core_dsets[k] = core_dset
-        self.cores[k] = matrix_from_dset(core_dset)
-        self.rconds[k] = rcond
-        self._covered[self._stencil[k]] = True
-        self.stages_done = k + 1
+    def _gram_panel(self, low: int, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of G over columns low:stop, dense, as (4(stop - start), 4(stop - low)).
 
-    def stage_step(self) -> StageDiagnostics:
-        """Process the next scheduled site and record its factor row and core."""
-        k = self.stages_done
-        if k >= len(self.schedule):
-            raise IndexError("schedule exhausted")
-        started = time.perf_counter()
-        m = self.schedule[k]
-        f, p = self.tables.field, self.tables.params
-        factor = self.factor
-
-        # overlaps N(m, m_i) with the coupled earlier stages i: the row
-        # Gram blocks of stage k without its last, diagonal one
+        The diagonal part G[start:stop, start:stop] is filled in full: its
+        strictly lower blocks are mirrored to the upper half.
+        """
         gram = self.gram
-        first, diagonal = gram.stage_ptr[k], gram.stage_ptr[k + 1] - 1
-        coupled = gram.partner[first:diagonal]
-        cols = (4 * coupled[:, None] + np.arange(4)).ravel()
-        n_c = gram.blocks[first:diagonal].transpose(1, 0, 2).reshape(4, -1)
-        gathered = time.perf_counter()
+        span = slice(gram.stage_ptr[start], gram.stage_ptr[stop])
+        rows = np.repeat(np.arange(stop - start), np.diff(gram.stage_ptr[start : stop + 1]))
+        cols = gram.partner[span] - low
+        blocks = gram.blocks[span]
+        offset = start - low
+        panel = np.zeros((stop - start, stop - low, 4, 4), dtype=complex)
+        panel[rows, cols] = blocks
+        mirror = (cols >= offset) & (cols - offset < rows)
+        panel[cols[mirror] - offset, rows[mirror] + offset] = blocks[mirror].conj().transpose(0, 2, 1)
+        return panel.transpose(0, 2, 1, 3).reshape(4 * (stop - start), 4 * (stop - low))
 
-        # <V_k, Phi_j> = sum_i N(m, m_i) L_ji^dag; D_kj = <V_k, Phi_j> A_j;
-        # C_k = D L, the expansion of the projected row over the bare rows
-        g = n_c @ factor[: 4 * k, cols].conj().T
-        d = (g.reshape(4, k, 4).transpose(1, 0, 2) @ self.cores[:k]).transpose(1, 0, 2)
-        c_row = d.reshape(4, 4 * k) @ factor[: 4 * k, : 4 * k]
-        coupled_at = time.perf_counter()
+    def _factor_slice(self, t: int, stop: int) -> None:
+        """Factor stages slice_ptr[t]:stop of slice t and record them.
 
-        # deflated Gram matrix and its inverse, both with real coefficients;
-        # every basis matrix is Hermitian, so real coefficients make the
-        # Gram Hermitian and one eigendecomposition gives rcond and A_k
-        gram_deflation = c_row[:, cols] @ n_c.conj().T
-        deflation_dset = dset_from_matrix(gram_deflation)
-        asymmetry = float(np.max(np.abs(deflation_dset.imag))) if k else 0.0
-        gram_dset = l_matrix(m, f, p) - deflation_dset.real
+        Raises StageSingular at the first stage whose pivot is not
+        positive definite or has rcond below rcond_min, after recording the
+        stages before it.
+        """
+        started = time.perf_counter()
+        ptr = self.slice_ptr
+        start, low = ptr[t], ptr[max(t - 2, 0)]
+        panel = self._gram_panel(low, start, stop)
+        width = 4 * (start - low)
+        band = panel[:, :width].copy()
+        second = 4 * (ptr[t - 1] - low) if t else 0  # columns of slice t - 2
+        if t >= 2:
+            band[:, :second] = band[:, :second] @ self.inverses[t - 2].conj().T
+            band[:, second:] -= band[:, :second] @ self.bands[t - 1][:, -second:].conj().T
+        if t >= 1:
+            band[:, second:] = band[:, second:] @ self.inverses[t - 1].conj().T
+        schur = panel[:, width:] - band @ band.conj().T
+        asymmetry = np.abs(dset_from_matrix(_blocks(schur)).imag).max(axis=1)
+
         try:
-            values, vectors = np.linalg.eigh(matrix_from_dset(gram_dset))
-        except np.linalg.LinAlgError:  # a non-finite Gram may not converge
-            raise StageSingular(k, m, float("nan")) from None
-        magnitudes = np.abs(values)
-        rcond = float(magnitudes.min() / magnitudes.max())
-        if not rcond >= self.rcond_min:  # NaN eigenvalues fail too
-            raise StageSingular(k, m, rcond)
-        if k == 0:
-            core_dset = a_matrix(m, f, p)
-        else:
-            core_dset = dset_from_matrix((vectors / values) @ vectors.conj().T).real
-        inverted = time.perf_counter()
+            factor = np.linalg.cholesky(schur)
+            failed = None
+        except np.linalg.LinAlgError:
+            factor, failed = self._leading_factor(schur)
+        rconds = _pivot_rconds(_blocks(factor))
+        bad = np.flatnonzero(~(rconds >= self.rcond_min))
+        if bad.size:
+            failed = (int(bad[0]), float(rconds[bad[0]]))
+        keep = factor.shape[0] // 4 if failed is None else failed[0]
 
-        self._store(k, -c_row, core_dset, rcond)
-        done = time.perf_counter()
-        diag = StageDiagnostics(
-            stage=k,
-            site=m,
-            rcond=rcond,
-            gram_asymmetry=asymmetry,
-            support_size=int(np.count_nonzero(self._covered)),
-            elapsed=done - started,
-            gather_s=gathered - started,
-            coupling_s=coupled_at - gathered,
-            inversion_s=inverted - coupled_at,
-            assembly_s=done - inverted,
-        )
-        self.diagnostics.append(diag)
-        return diag
+        done = self.stages_done
+        if keep:
+            self.inverses[t:] = [np.tril(np.linalg.inv(factor[: 4 * keep, : 4 * keep]))]
+            self.bands[t:] = [band[: 4 * keep]]
+        self.rconds[done : start + keep] = rconds[done - start : keep]
+        self.stages_done = start + keep
+        share = (time.perf_counter() - started) / (stop - start)
+        for k in range(done, start + keep):
+            self.diagnostics.append(
+                StageDiagnostics(
+                    stage=k,
+                    site=self.schedule[k],
+                    rcond=float(self.rconds[k]),
+                    gram_asymmetry=float(asymmetry[k - start]),
+                    support_size=int(self._support[k]),
+                    elapsed=share,
+                )
+            )
+        if failed is not None:
+            k = start + failed[0]
+            raise StageSingular(k, self.schedule[k], failed[1])
+
+    @staticmethod
+    def _leading_factor(schur: np.ndarray) -> tuple[np.ndarray, tuple[int, float]]:
+        """Cholesky factor of the longest leading block of schur that has one.
+
+        Bisects over the leading stage blocks; returns that factor and
+        (stage, rcond) of the first stage past it, whose pivot, the Schur
+        complement of the leading block, is not positive definite.
+        """
+        good, bad = 0, schur.shape[0] // 4
+        factor = np.zeros((0, 0), dtype=complex)
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                factor = np.linalg.cholesky(schur[: 4 * mid, : 4 * mid])
+                good = mid
+            except np.linalg.LinAlgError:
+                bad = mid
+        edge = slice(4 * good, 4 * good + 4)
+        coupling = schur[edge, : 4 * good] @ np.linalg.inv(factor).conj().T
+        pivot = schur[edge, edge] - coupling @ coupling.conj().T
+        try:
+            values = np.linalg.eigvalsh(pivot)
+        except np.linalg.LinAlgError:  # a non-finite pivot may not converge
+            return factor, (good, float("nan"))
+        # zero or negative for a pivot that is not positive definite
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return factor, (good, float(values[0] / np.abs(values).max()))
 
     def run(self, stages: int | None = None) -> "ProjectorAccumulator":
         """Process the whole schedule (or its first `stages` entries)."""
         target = len(self.schedule) if stages is None else stages
         while self.stages_done < target:
-            self.stage_step()
+            t = int(np.searchsorted(self.slice_ptr, self.stages_done, side="right")) - 1
+            self._factor_slice(t, min(self.slice_ptr[t + 1], target))
         return self
+
+    def solve_lower(self, y: np.ndarray) -> np.ndarray:
+        """R^-1 y for y over the rows of the processed stages: forward substitution by slices."""
+        z = np.empty_like(y, dtype=complex)
+        for t, (inverse, band) in enumerate(zip(self.inverses, self.bands)):
+            start, low = 4 * self.slice_ptr[t], 4 * self.slice_ptr[max(t - 2, 0)]
+            stop = start + inverse.shape[0]
+            z[start:stop] = inverse @ (y[start:stop] - band @ z[low:start])
+        return z
+
+    def solve_upper(self, z: np.ndarray) -> np.ndarray:
+        """R^-dag z for z over the rows of the processed stages: back substitution by slices."""
+        rhs = np.array(z, dtype=complex)
+        u = np.empty_like(rhs)
+        for t in reversed(range(len(self.inverses))):
+            inverse, band = self.inverses[t], self.bands[t]
+            start, low = 4 * self.slice_ptr[t], 4 * self.slice_ptr[max(t - 2, 0)]
+            stop = start + inverse.shape[0]
+            u[start:stop] = _adjoint_times(inverse, rhs[start:stop])
+            rhs[low:start] -= _adjoint_times(band, u[start:stop])
+        return u
 
     def apply_projector(self, c: Multispinor) -> Multispinor:
         """Accumulated projector applied to c: the processed-row component.
 
-        P c = V^dag L^dag A L V c, returned on the sites the processed
+        P c = V^dag R^-dag R^-1 V c, returned on the sites the processed
         stencils reach; entries of c outside the window do not enter.
         """
         k = self.stages_done
@@ -318,14 +395,12 @@ class ProjectorAccumulator:
         stencil = self._stencil[:k]
         x = np.array([c[site] for site in self._sites])
         rows = self._rows[:k]
-        lower = self.factor[: 4 * k, : 4 * k]
         y = np.einsum("ksab,ksb->ka", rows, x[stencil])
-        z = (lower @ y.ravel()).reshape(k, 4)
-        w = np.einsum("kab,kb->ka", self.cores[:k], z)
-        u = (w.ravel().conj() @ lower).conj().reshape(k, 4)  # L^dag w, no copy of L
+        u = self.solve_upper(self.solve_lower(y.ravel())).reshape(k, 4)
         out = np.zeros_like(x)
         np.add.at(out, stencil, np.einsum("ksba,kb->ksa", rows.conj(), u))
-        return Multispinor({self._sites[i]: out[i] for i in np.flatnonzero(self._covered)})
+        covered = np.flatnonzero(self._first_cover < k)
+        return Multispinor({self._sites[i]: out[i] for i in covered})
 
     def apply_fundamental(self, c: Multispinor) -> Multispinor:
         """c minus its processed-row component: a solution of processed rows."""

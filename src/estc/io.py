@@ -1,12 +1,12 @@
 """Dumps, reports, and exports.  All writers are byte-deterministic.
 
 Operator dumps carry a fingerprint of the generating configuration, the
-window and its schedule, and per stage the factors of the projector in
-schedule order: the core coefficients and block row k of L = I - C, the
-(4, 4k) couplings -C_k as base64 of little-endian complex128 bytes.  The
-readers accept only the schedule that make_schedule gives the window.
-Timings never enter written artifacts so identical runs produce identical
-bytes.
+window and its schedule, per stage its site and rcond, and per time slice
+the factors of the projector: the lower triangle of W_t = R_tt^-1 ("core")
+and the band blocks [R_t,t-2 | R_t,t-1] ("coupling"), as base64 of
+little-endian complex128 bytes.  The readers accept only the schedule that
+make_schedule gives the window.  Timings never enter written artifacts so
+identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import base64
 import json
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -27,8 +27,8 @@ from .errors import ConfigError
 from .lattice import Site, Window, g4d, make_schedule, site_sub
 from .multispinor import Multispinor
 
-OPERATOR_FORMAT = "estc-operator-v2"
-EXPORT_FORMAT = "estc-operator-dsets-v2"
+OPERATOR_FORMAT = "estc-operator-v3"
+EXPORT_FORMAT = "estc-operator-dsets-v3"
 SOLUTION_FORMAT = "estc-solution-v1"
 
 
@@ -36,31 +36,53 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def operator_payload(acc: ProjectorAccumulator, cfg: RunConfig) -> dict:
-    stages = []
-    for k in range(acc.stages_done):
-        row = np.ascontiguousarray(acc.factor[4 * k : 4 * k + 4, : 4 * k], dtype="<c16")
-        stages.append(
-            {
-                "stage": k,
-                "site": list(acc.schedule[k]),
-                "rcond": float(acc.rconds[k]),
-                "core_dset": [float(x) for x in acc.core_dsets[k]],
-                "coupling": base64.b64encode(row.tobytes()).decode("ascii"),
-            }
-        )
+def _b64(a: np.ndarray) -> str:
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<c16").tobytes()).decode("ascii")
+
+
+def _operator_head(acc: ProjectorAccumulator, cfg: RunConfig) -> dict:
     return {
         "format": OPERATOR_FORMAT,
         "fingerprint": config_fingerprint(cfg),
         "radius": cfg.radius,
         "center": list(cfg.n_ref),
         "schedule": [list(site) for site in acc.schedule],
-        "stages": stages,
+    }
+
+
+def _stage_entries(acc: ProjectorAccumulator) -> Iterator[dict]:
+    for k in range(acc.stages_done):
+        yield {"stage": k, "site": list(acc.schedule[k]), "rcond": float(acc.rconds[k])}
+
+
+def _slice_entries(acc: ProjectorAccumulator) -> Iterator[dict]:
+    for t, (inverse, band) in enumerate(zip(acc.inverses, acc.bands)):
+        lower = inverse[np.tril_indices(inverse.shape[0])]
+        yield {"slice": t, "core": _b64(lower), "coupling": _b64(band)}
+
+
+def operator_payload(acc: ProjectorAccumulator, cfg: RunConfig) -> dict:
+    return {
+        **_operator_head(acc, cfg),
+        "stages": list(_stage_entries(acc)),
+        "slices": list(_slice_entries(acc)),
     }
 
 
 def write_operator(path: str | Path, acc: ProjectorAccumulator, cfg: RunConfig) -> None:
-    Path(path).write_text(json.dumps(operator_payload(acc, cfg), separators=(",", ":")) + "\n")
+    """Write json.dumps(operator_payload(acc, cfg)) compactly, one entry at a time."""
+
+    def dumps(value) -> str:
+        return json.dumps(value, separators=(",", ":"))
+
+    with open(path, "w", encoding="ascii") as out:
+        out.write(dumps(_operator_head(acc, cfg))[:-1])
+        for key, entries in (("stages", _stage_entries(acc)), ("slices", _slice_entries(acc))):
+            out.write(f',"{key}":[')
+            for i, entry in enumerate(entries):
+                out.write("," + dumps(entry) if i else dumps(entry))
+            out.write("]")
+        out.write("}\n")
 
 
 def read_operator_payload(
@@ -97,33 +119,54 @@ class _Factors:
     fingerprint: str
     window: Window
     schedule: list[Site]
-    couplings: list[np.ndarray]
-    core_dsets: np.ndarray
+    slice_ptr: np.ndarray
     rconds: np.ndarray
+    inverses: list[np.ndarray]
+    bands: list[np.ndarray]
 
 
-def _dump_stage(stage: dict, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(-C_k, core coefficients) of one estc-operator-v2 stage entry."""
-    raw = base64.b64decode(stage["coupling"], validate=True)
-    if len(raw) != 16 * 16 * k:
+def _decoded(raw: bytes, count: int, what: str) -> np.ndarray:
+    if len(raw) != 16 * count:
         raise ConfigError(
-            f"stage {k} coupling decodes to {len(raw)} bytes, "
-            f"expected {256 * k} ({16 * k} complex numbers)"
+            f"{what} decodes to {len(raw)} bytes, expected {16 * count} ({count} complex numbers)"
         )
-    row = np.frombuffer(raw, dtype="<c16").reshape(4, 4 * k)
-    return row, np.array(stage["core_dset"], dtype=float).reshape(16)
+    return np.frombuffer(raw, dtype="<c16")
 
 
-def _export_stage(stage: dict, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(-C_k, core coefficients) of one estc-operator-dsets-v2 stage entry."""
-    pairs = np.array(stage["couplings"], dtype=float).reshape(k, 16, 2)
-    blocks = matrix_from_dset(pairs[..., 0] + 1j * pairs[..., 1])
-    row = -blocks.transpose(1, 0, 2).reshape(4, 4 * k)
-    return row, np.array(stage["core_dset"], dtype=float).reshape(16, 2)[:, 0]
+def _dump_slice(entry: dict, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """(W_t, band panel) of one estc-operator-v3 slice entry of rows stages."""
+    n = 4 * rows
+    lower = _decoded(base64.b64decode(entry["core"], validate=True), n * (n + 1) // 2, "core")
+    inverse = np.zeros((n, n), dtype=complex)
+    inverse[np.tril_indices(n)] = lower
+    raw = base64.b64decode(entry["coupling"], validate=True)
+    band = _decoded(raw, 16 * rows * cols, "coupling").reshape(n, 4 * cols)
+    return inverse, band
 
 
-def _decode(payload: dict, decode_stage: Callable[[dict, int], tuple]) -> _Factors:
-    """Window, schedule and stage factors of a payload, checked for consistency."""
+def _block_dsets(a: np.ndarray) -> np.ndarray:
+    """(rows, cols, 16) coefficients of the 4x4 blocks of a (4 rows, 4 cols) matrix."""
+    rows, cols = a.shape[0] // 4, a.shape[1] // 4
+    return dset_from_matrix(a.reshape(rows, 4, cols, 4).transpose(0, 2, 1, 3))
+
+
+def _from_blocks(dsets: np.ndarray) -> np.ndarray:
+    """Inverse of _block_dsets."""
+    rows, cols = dsets.shape[:2]
+    return matrix_from_dset(dsets).transpose(0, 2, 1, 3).reshape(4 * rows, 4 * cols)
+
+
+def _export_slice(entry: dict, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """(W_t, band panel) of one estc-operator-dsets-v3 slice entry of rows stages."""
+    pairs = np.array(entry["core"], dtype=float).reshape(rows * (rows + 1) // 2, 16, 2)
+    dsets = np.zeros((rows, rows, 16), dtype=complex)
+    dsets[np.tril_indices(rows)] = pairs[..., 0] + 1j * pairs[..., 1]
+    pairs = np.array(entry["coupling"], dtype=float).reshape(rows, cols, 16, 2)
+    return np.tril(_from_blocks(dsets)), _from_blocks(pairs[..., 0] + 1j * pairs[..., 1])
+
+
+def _decode(payload: dict, decode_slice: Callable[[dict, int, int], tuple]) -> _Factors:
+    """Window, schedule and slice factors of a payload, checked for consistency."""
     try:
         fingerprint = str(payload["fingerprint"])
         window = Window(int(payload["radius"]), _site(payload["center"]))
@@ -133,30 +176,41 @@ def _decode(payload: dict, decode_stage: Callable[[dict, int], tuple]) -> _Facto
         stages = payload["stages"]
         if len(stages) > len(schedule):
             raise ConfigError(f"{len(stages)} stages for a schedule of {len(schedule)} sites")
-        couplings, cores, rconds = [], [], []
+        rconds = []
         for k, stage in enumerate(stages):
             if stage["stage"] != k or _site(stage["site"]) != schedule[k]:
                 raise ConfigError(f"stage entry {k} is out of schedule order")
-            row, core = decode_stage(stage, k)
-            couplings.append(row)
-            cores.append(core)
             rconds.append(float(stage["rcond"]))
+        ptr = ProjectorAccumulator.slice_bounds(schedule)
+        slices = payload["slices"]
+        expected = int(np.searchsorted(ptr, len(stages), side="left"))
+        if len(slices) != expected:
+            raise ConfigError(
+                f"{len(slices)} slice entries for {len(stages)} stages, expected {expected}"
+            )
+        inverses, bands = [], []
+        for t, entry in enumerate(slices):
+            if entry["slice"] != t:
+                raise ConfigError(f"slice entry {t} is out of order")
+            rows = min(ptr[t + 1], len(stages)) - ptr[t]
+            inverse, band = decode_slice(entry, rows, ptr[t] - ptr[max(t - 2, 0)])
+            inverses.append(inverse)
+            bands.append(band)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"malformed operator dump: {err!r}") from None
-    cores = np.array(cores).reshape(-1, 16)
-    return _Factors(fingerprint, window, schedule, couplings, cores, np.array(rconds))
+    return _Factors(fingerprint, window, schedule, ptr, np.array(rconds), inverses, bands)
 
 
-def _restore(payload: dict, cfg: RunConfig, decode_stage: Callable) -> ProjectorAccumulator:
-    factors = _decode(payload, decode_stage)
+def _restore(payload: dict, cfg: RunConfig, decode_slice: Callable) -> ProjectorAccumulator:
+    factors = _decode(payload, decode_slice)
     return ProjectorAccumulator.from_factors(
-        cfg.field, cfg.params, factors.window, factors.couplings, factors.core_dsets, factors.rconds
+        cfg.field, cfg.params, factors.window, factors.inverses, factors.bands, factors.rconds
     )
 
 
 def read_operator(path: str | Path, cfg: RunConfig) -> ProjectorAccumulator:
     """Restore the accumulator from a dump, refusing fingerprint mismatches."""
-    return _restore(read_operator_payload(path, cfg), cfg, _dump_stage)
+    return _restore(read_operator_payload(path, cfg), cfg, _dump_slice)
 
 
 def solution_payload(c: Multispinor, cfg: RunConfig, source: dict) -> dict:
@@ -238,24 +292,35 @@ def stages_csv(diagnostics: list[StageDiagnostics], center: Site) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _coupling_dsets(row: np.ndarray) -> np.ndarray:
-    """(k, 16) coefficients of C_kj, j < k, from the block row -C_k."""
-    k = row.shape[1] // 4
-    return dset_from_matrix(-row.reshape(4, k, 4).transpose(1, 0, 2))
+def _stored_blocks(factors: _Factors) -> Iterator[tuple[int, int, str, np.ndarray]]:
+    """(stage k, stage j, entry, dset) of every stored 4x4 block, slice by slice.
+
+    The core blocks are the lower triangle of W_t, j <= k in slice t, and
+    the coupling blocks the band blocks of R, j in slices t - 2 and t - 1.
+    """
+    ptr = factors.slice_ptr
+    for t, (inverse, band) in enumerate(zip(factors.inverses, factors.bands)):
+        start, low = ptr[t], ptr[max(t - 2, 0)]
+        core, coupling = _block_dsets(inverse), _block_dsets(band)
+        for a in range(core.shape[0]):
+            for b in range(a + 1):
+                yield start + a, start + b, "core", core[a, b]
+            for b in range(coupling.shape[1]):
+                yield start + a, low + b, "coupling", coupling[a, b]
 
 
 def export_operator_json(payload: dict) -> str:
-    """Re-serialize a dump with every core and coupling as 16 [re, im] basis pairs."""
-    factors = _decode(payload, _dump_stage)
-    stages = []
-    for k, row in enumerate(factors.couplings):
-        stages.append(
+    """Re-serialize a dump with every stored 4x4 block as 16 [re, im] basis pairs."""
+    factors = _decode(payload, _dump_slice)
+    slices = []
+    for t, (inverse, band) in enumerate(zip(factors.inverses, factors.bands)):
+        core = _block_dsets(inverse)[np.tril_indices(inverse.shape[0] // 4)]
+        coupling = _block_dsets(band).reshape(-1, 16)
+        slices.append(
             {
-                "stage": k,
-                "site": list(factors.schedule[k]),
-                "rcond": float(factors.rconds[k]),
-                "core_dset": [[float(x), 0.0] for x in factors.core_dsets[k]],
-                "couplings": [[_pair(z) for z in dset] for dset in _coupling_dsets(row)],
+                "slice": t,
+                "core": [[_pair(z) for z in dset] for dset in core],
+                "coupling": [[_pair(z) for z in dset] for dset in coupling],
             }
         )
     out = {
@@ -264,35 +329,35 @@ def export_operator_json(payload: dict) -> str:
         "radius": factors.window.radius,
         "center": list(factors.window.center),
         "schedule": [list(site) for site in factors.schedule],
-        "stages": stages,
+        "stages": [
+            {"stage": k, "site": list(factors.schedule[k]), "rcond": float(rcond)}
+            for k, rcond in enumerate(factors.rconds)
+        ],
+        "slices": slices,
     }
     return json.dumps(out, separators=(",", ":")) + "\n"
 
 
 def export_operator_csv(payload: dict) -> str:
-    """Flat table: one row per stored matrix (core A_k or coupling C_kj), as 16 [re, im] pairs."""
-    factors = _decode(payload, _dump_stage)
+    """Flat table: one row per stored 4x4 block (core or coupling), as 16 [re, im] pairs.
+
+    Row stage k at site m couples to stage j at site n.
+    """
+    factors = _decode(payload, _dump_slice)
     header = ["stage", "m1", "m2", "m3", "m4", "entry", "n1", "n2", "n3", "n4"]
     header += [f"c{i}_{part}" for i in range(16) for part in ("re", "im")]
     lines = [",".join(header)]
-
-    def row(stage: int, site, entry: str, target, dset) -> str:
-        cells = [str(stage), *map(str, site), entry, *map(str, target)]
+    for k, j, entry, dset in _stored_blocks(factors):
+        cells = [str(k), *map(str, factors.schedule[k]), entry, *map(str, factors.schedule[j])]
         cells += [repr(float(x)) for z in dset for x in (z.real, z.imag)]
-        return ",".join(cells)
-
-    for k, coupling in enumerate(factors.couplings):
-        site = factors.schedule[k]
-        lines.append(row(k, site, "core", site, factors.core_dsets[k].astype(complex)))
-        for j, dset in enumerate(_coupling_dsets(coupling)):
-            lines.append(row(k, site, "coupling", factors.schedule[j], dset))
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def read_exported_operator(path: str | Path, cfg: RunConfig) -> ProjectorAccumulator:
     """Restore the accumulator from the 16-pair basis-coefficient exchange format."""
     payload = read_operator_payload(path, cfg, expected_format=EXPORT_FORMAT)
-    return _restore(payload, cfg, _export_stage)
+    return _restore(payload, cfg, _export_slice)
 
 
 @dataclass

@@ -9,12 +9,14 @@ twelve unit shifts mixing one spatial axis with the time axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 Site = tuple[int, int, int, int]
 
-# stages one schedule may hold: K stages store K(K - 1)/2 couplings, 499,500 here
-MAX_STAGES = 1000
+# bytes the band factor of one schedule may take: the 499,500 complex 4x4
+# blocks that a dense block factor of 1000 stages holds
+MAX_FACTOR_BYTES = 499_500 * 256
 
 # zero shift first, then the twelve field shifts in fixed table order
 SHIFTS_S13: tuple[Site, ...] = (
@@ -111,9 +113,17 @@ def window_size(r: int) -> int:
 
 
 def window_points(radius: int, center: Site = (0, 0, 0, 0)) -> list[Site]:
-    """Enumerate the window in deterministic order (g4d ascending, then lex)."""
+    """Enumerate the window in deterministic order (g4d ascending, then lex).
+
+    Each window is enumerated once per process; every call returns a new list.
+    """
     if not in_lattice(center):
         raise ValueError(f"window center {center} has odd coordinate sum")
+    return list(_enumerate_window(radius, center))
+
+
+@lru_cache(maxsize=8)
+def _enumerate_window(radius: int, center: Site) -> tuple[Site, ...]:
     out = []
     r = radius
     for n1 in range(-r, r + 1):
@@ -124,21 +134,60 @@ def window_points(radius: int, center: Site = (0, 0, 0, 0)) -> list[Site]:
                     if in_lattice(n):
                         out.append(n)
     out.sort(key=lambda n: (g4d(site_sub(n, center)), n))
-    return out
+    return tuple(out)
+
+
+def slice_sizes(radius: int) -> tuple[int, int]:
+    """Stages in one time slice of the schedule, (even, odd): by the parity of n4 - center n4.
+
+    The interior sites with a fixed time offset t are the spatial offsets of
+    1-norm at most r = radius - 1 whose parity is that of t; the shell of
+    1-norm j holds 4j^2 + 2 of them (one for j = 0).  Summed in closed form.
+    """
+    r = radius - 1
+    a, b = r // 2, (r + 1) // 2  # even shells 2..2a, odd shells 1..2b-1
+    even = 1 + 2 * a + 8 * a * (a + 1) * (2 * a + 1) // 3
+    odd = 2 * b + 4 * b * (2 * b - 1) * (2 * b + 1) // 3
+    return even, odd
+
+
+def factor_bytes(radius: int) -> int:
+    """Bytes of the band factor of a window's schedule, in closed form.
+
+    The schedule runs over the 2r + 1 time slices t = -r..r, r = radius - 1,
+    whose sizes alternate with the parity of t.  Each slice t of n stages
+    stores the lower triangle of the inverse of its (4n, 4n) diagonal
+    factor block and its band blocks to slices t - 1 and t - 2, all as
+    16-byte complex numbers.
+    """
+    r = radius - 1
+    even, odd = slice_sizes(radius)
+    evens = r + 1 - r % 2  # slices with t even among t = -r..r
+    odds = 2 * r + 1 - evens
+    entries = (
+        evens * 2 * even * (4 * even + 1)
+        + odds * 2 * odd * (4 * odd + 1)
+        + 2 * r * 16 * even * odd
+        + 16 * (max(evens - 1, 0) * even * even + max(odds - 1, 0) * odd * odd)
+    )
+    return 16 * entries
 
 
 def make_schedule(window: Window) -> list[Site]:
-    """Processing order for the window: its interior sites, g4d then lex.
+    """Processing order for the window: its interior sites, time-major.
 
-    Each schedule entry becomes one stage of the projector recurrence; a
-    window of more than MAX_STAGES is refused before any site is enumerated.
+    Sites are ordered by n4, then by g4d and lexicographically inside each
+    time slice, so the row Gram matrix is block pentadiagonal over the
+    slices.  Each schedule entry becomes one stage of the projector; a
+    window whose band factor would exceed MAX_FACTOR_BYTES is refused
+    before any site is enumerated.
     """
     if window.radius < 1:
         raise ValueError("schedule needs radius >= 1 so the interior is nonempty")
-    stages = window_size(window.radius - 1)
-    if stages > MAX_STAGES:
+    size = factor_bytes(window.radius)
+    if size > MAX_FACTOR_BYTES:
         raise ValueError(
-            f"window radius {window.radius} needs {stages} stages, "
-            f"more than the limit of {MAX_STAGES}"
+            f"window radius {window.radius} needs {window_size(window.radius - 1)} stages "
+            f"and a band factor of {size} bytes, more than the limit of {MAX_FACTOR_BYTES} bytes"
         )
-    return window.interior_points()
+    return sorted(window.interior_points(), key=lambda n: n[3])

@@ -161,19 +161,32 @@ def dense_row_gram(f, p, schedule):
     return v @ v.conj().T
 
 
-def gram_cholesky_projector(v):
-    """P_ref = V^dag G^-1 V, with G = V V^dag = chol chol^dag by Cholesky."""
-    chol = np.linalg.cholesky(v @ v.conj().T)
-    w = np.linalg.solve(chol, v)
-    return w.conj().T @ w
+def svd_projector(v):
+    """P_ref = Q^dag Q, with the rows of Q the right singular vectors of a full-row-rank V."""
+    right = np.linalg.svd(v, full_matrices=False)[2]
+    return right.conj().T @ right
+
+
+def dense_factor(acc):
+    """Dense Cholesky factor R of the processed rows' Gram matrix, from the stored slice blocks.
+
+    Slice t contributes its diagonal block R_tt = W_t^-1 and its band
+    panel [R_t,t-2 | R_t,t-1]; every other block is zero.
+    """
+    k = acc.stages_done
+    r = np.zeros((4 * k, 4 * k), dtype=complex)
+    for t, (inverse, band) in enumerate(zip(acc.inverses, acc.bands)):
+        start, low = 4 * acc.slice_ptr[t], 4 * acc.slice_ptr[max(t - 2, 0)]
+        stop = start + inverse.shape[0]
+        r[start:stop, start:stop] = np.tril(np.linalg.inv(inverse))
+        r[start:stop, low:start] = band
+    return r
 
 
 def factored_projector(acc, v):
-    """(L V)^dag A (L V) from the accumulator's factors and a dense V of its processed rows."""
-    k = acc.stages_done
-    phi = acc.factor[: 4 * k, : 4 * k] @ v
-    weighted = np.einsum("kab,kbq->kaq", acc.cores[:k], phi.reshape(k, 4, -1))
-    return phi.conj().T @ weighted.reshape(4 * k, -1)
+    """(R^-1 V)^dag (R^-1 V) from the accumulator's factor and a dense V of its processed rows."""
+    phi = np.linalg.solve(dense_factor(acc), v)
+    return phi.conj().T @ phi
 
 
 def to_vector(c, sites):

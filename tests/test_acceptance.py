@@ -41,6 +41,7 @@ from estc.io import export_operator_json, operator_payload, read_exported_operat
 
 from helpers import (
     GAMMA_DENSE,
+    dense_factor,
     dense_from_dset,
     dense_rows,
     oracle_combine,
@@ -312,16 +313,20 @@ def test_criterion_5_generic_combiner():
 
 
 def _row_stack(acc):
-    """(stages, 4, 4 * window size) row-coefficient matrices Phi_k = (L V)_k.
+    """(stages, 4, 4 * window size) row coefficients Phi_k = (L V)_k and the cores A_k.
 
-    V is rebuilt from v_coupling and the frozen basis literals; only the
-    factor L comes from the engine.
+    L = blockdiag(R_kk) R^-1 and A_k = (R_kk R_kk^dag)^-1 are the block
+    LDL^dag factors of the engine's band Cholesky factor R; V is rebuilt
+    from v_coupling and the frozen basis literals.
     """
     sites = acc.window.points()
     index = {site: i for i, site in enumerate(sites)}
     k = acc.stages_done
     rows = dense_rows(acc.tables.field, acc.tables.params, acc.processed_sites(), sites)
-    return sites, index, (acc.factor[: 4 * k, : 4 * k] @ rows).reshape(k, 4, -1)
+    r = dense_factor(acc)
+    pivots = r.reshape(k, 4, k, 4)[np.arange(k), :, np.arange(k)]
+    phi = pivots @ np.linalg.solve(r, rows).reshape(k, 4, -1)
+    return sites, index, phi, np.linalg.inv(pivots @ pivots.conj().transpose(0, 2, 1))
 
 
 def test_criterion_6_engine_invariants_at_desk_scale():
@@ -332,8 +337,7 @@ def test_criterion_6_engine_invariants_at_desk_scale():
     acc = ProjectorAccumulator(f, p, Window(3)).run()
     stages = acc.stages_done
 
-    sites, index, phi = _row_stack(acc)
-    cores = acc.cores[:stages]
+    sites, index, phi, cores = _row_stack(acc)
     gram = np.einsum("kap,kbp->kab", phi, phi.conj())
     sigma = np.linalg.svd(phi, compute_uv=False)[:, 0]
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from estc import Window, cli, dirac_basis, engine, make_schedule
+from estc import Window, cli, dirac_basis, engine, lattice, make_schedule
 
 GOOD = """\
 q1 = 0.1
@@ -48,7 +48,7 @@ def built(tmp_path, config_path):
 def test_build_writes_all_artifacts(built):
     _, out = built
     payload = json.loads((out / "operator.json").read_text())
-    assert payload["format"] == "estc-operator-v2"
+    assert payload["format"] == "estc-operator-v3"
     assert len(payload["stages"]) == 13
     assert (out / "stages.csv").read_text().startswith("stage,")
     report = (out / "report.txt").read_text()
@@ -153,7 +153,7 @@ def test_export_formats(built, tmp_path):
          "--out", str(exported), "--config", str(config_path)]
     )
     assert code == 0
-    assert json.loads(exported.read_text())["format"] == "estc-operator-dsets-v2"
+    assert json.loads(exported.read_text())["format"] == "estc-operator-dsets-v3"
     table = tmp_path / "op.csv"
     assert cli.main(
         ["export", "--operator", str(out / "operator.json"), "--format", "csv",
@@ -201,16 +201,19 @@ def test_non_finite_config_exits_1(tmp_path, edit):
 def test_oversized_windows_exit_1(built, tmp_path, capsys):
     config_path, out = built
     bad = tmp_path / "big.cfg"
-    for radius, stages in ((6, 1301), (100000, 133330666713333000001)):
+    for radius, stages in ((7, 2493), (100000, 133330666713333000001)):
         bad.write_text(GOOD.replace("R = 2", f"R = {radius}"))
         assert cli.main(["build", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
-        assert f"needs {stages} stages, more than the limit of 1000" in capsys.readouterr().err
+        assert (
+            f"needs {stages} stages and a band factor of {lattice.factor_bytes(radius)} bytes, "
+            "more than the limit of 127872000 bytes"
+        ) in capsys.readouterr().err
     payload = json.loads((out / "operator.json").read_text())
     payload["radius"] = 2**40
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(payload))
     assert cli.main(["export", "--operator", str(edited), "--out", str(tmp_path / "e.json")]) == 1
-    assert "more than the limit of 1000" in capsys.readouterr().err
+    assert "more than the limit of 127872000 bytes" in capsys.readouterr().err
 
 
 def test_degeneracy_exits_2(tmp_path):
@@ -221,15 +224,14 @@ def test_degeneracy_exits_2(tmp_path):
 
 def test_non_finite_gram_exits_2(tmp_path, config_path, monkeypatch, capsys):
     target = make_schedule(Window(2))[3]
-    real = engine.l_matrix
+    real = engine.FieldTables.rows
 
-    def poisoned(n, f, p):
-        out = real(n, f, p)
-        if n == target:
-            out[0] = np.nan
+    def poisoned(self, sites):
+        out = real(self, sites)
+        out[[i for i, n in enumerate(sites) if n == target], 0, 0, 0] = np.nan
         return out
 
-    monkeypatch.setattr(engine, "l_matrix", poisoned)
+    monkeypatch.setattr(engine.FieldTables, "rows", poisoned)
     out = tmp_path / "op"
     assert cli.main(["build", "--config", str(config_path), "--out", str(out)]) == 2
     assert f"stage 3 at site {target}" in capsys.readouterr().err
@@ -241,28 +243,28 @@ def test_corrupted_coupling_fails_the_build(tmp_path, monkeypatch):
 
     def corrupted(self, stages=None):
         real(self, stages)
-        # a relative error of 1e-6 in the largest stored coupling: tr P
-        # moves only at second order in it, the processed rows at first
-        lower = np.abs(np.tril(self.factor, -1))
-        self.factor[np.unravel_index(lower.argmax(), lower.shape)] *= 1 + 1e-6
+        # a relative error of 1e-6 in the largest stored band entry
+        band = max(self.bands, key=lambda band: np.abs(band).max(initial=0.0))
+        band[np.unravel_index(np.abs(band).argmax(), band.shape)] *= 1 + 1e-6
         return self
 
     monkeypatch.setattr(engine.ProjectorAccumulator, "run", corrupted)
-    config = tmp_path / "r4.cfg"
-    config.write_text(GOOD.replace("R = 2", "R = 4"))
-    out = tmp_path / "op"
-    assert cli.main(["build", "--config", str(config), "--out", str(out)]) == 2
-    report = (out / "report.txt").read_text()
-    assert "FAIL processed rows are solved relative to the seed norm" in report
-    assert "PASS every stage condition stays above rcond_min" in report
-    assert report.endswith("result: FAILED\n")
-    rows = [line.split(",") for line in (out / "stages.csv").read_text().split("\n")[1:-1]]
-    worst = sorted(rows, key=lambda row: float(row[6]))[:3]
-    named = "; ".join(
-        f"stage {row[0]} at {tuple(int(x) for x in row[1:5])} {float(row[6]):.3e}"
-        for row in worst
-    )
-    assert f"  smallest stage rconds: {named}\n" in report
+    for radius in (2, 4):
+        config = tmp_path / f"r{radius}.cfg"
+        config.write_text(GOOD.replace("R = 2", f"R = {radius}"))
+        out = tmp_path / f"op{radius}"
+        assert cli.main(["build", "--config", str(config), "--out", str(out)]) == 2
+        report = (out / "report.txt").read_text()
+        assert "FAIL processed rows are solved relative to the seed norm" in report
+        assert "PASS every stage condition stays above rcond_min" in report
+        assert report.endswith("result: FAILED\n")
+        rows = [line.split(",") for line in (out / "stages.csv").read_text().split("\n")[1:-1]]
+        worst = sorted(rows, key=lambda row: float(row[6]))[:3]
+        named = "; ".join(
+            f"stage {row[0]} at {tuple(int(x) for x in row[1:5])} {float(row[6]):.3e}"
+            for row in worst
+        )
+        assert f"  smallest stage rconds: {named}\n" in report
 
 
 def test_io_failures_exit_3(tmp_path, config_path):

@@ -23,7 +23,9 @@ from estc import (
     random_multispinor,
     serialize_config,
 )
-from estc import cli, engine
+from estc import cli, engine, lattice
+from helpers import dense_factor
+
 from estc.io import (
     RunReport,
     export_operator_csv,
@@ -72,7 +74,7 @@ def test_parse_reads_values_comments_and_defaults():
     assert cfg.radius == 2
     assert cfg.n_ref == (0, 0, 0, 0)
     assert cfg.seed == 3
-    assert cfg.residual_tol == 1e-8  # default
+    assert cfg.residual_tol == 1e-11  # default
     assert cfg.field.a[0, 1] == 0.05
     assert cfg.field.b[2, 0] == 0.04
     defaults = parse_config("a_12 = 0.1")
@@ -189,9 +191,9 @@ def test_operator_dump_round_trip(built):
     assert loaded.stages_done == acc.stages_done
     assert loaded.schedule == acc.schedule
     assert loaded.window == acc.window
-    assert np.array_equal(loaded.factor, acc.factor)
-    assert np.array_equal(loaded.cores, acc.cores)
-    assert np.array_equal(loaded.core_dsets, acc.core_dsets)
+    assert len(loaded.inverses) == len(acc.inverses) == 3
+    for ours, theirs in zip(loaded.inverses + loaded.bands, acc.inverses + acc.bands):
+        assert np.array_equal(ours, theirs)
     assert np.array_equal(loaded.rconds, acc.rconds)
     c = random_multispinor(acc.window.points(), 5)
     assert (loaded.apply_projector(c) - acc.apply_projector(c)).norm() == 0.0
@@ -199,15 +201,33 @@ def test_operator_dump_round_trip(built):
 
 def test_operator_dump_holds_the_factors_in_base64(built):
     cfg, acc, path = built
+    assert path.read_text() == json.dumps(operator_payload(acc, cfg), separators=(",", ":")) + "\n"
     payload = json.loads(path.read_text())
-    assert payload["format"] == "estc-operator-v2"
+    assert payload["format"] == "estc-operator-v3"
     assert [tuple(site) for site in payload["schedule"]] == acc.schedule
     for k, stage in enumerate(payload["stages"]):
-        assert set(stage) == {"stage", "site", "rcond", "core_dset", "coupling"}
-        raw = base64.b64decode(stage["coupling"])
-        row = np.frombuffer(raw, dtype="<c16").reshape(4, 4 * k)
-        assert np.array_equal(row, acc.factor[4 * k : 4 * k + 4, : 4 * k])
-        assert len(stage["core_dset"]) == 16
+        assert stage == {"stage": k, "site": list(acc.schedule[k]), "rcond": acc.rconds[k]}
+    # slices of 6, 1 and 6 stages; the band reaches back two slices
+    shapes = [((24, 24), (24, 0)), ((4, 4), (4, 24)), ((24, 24), (24, 28))]
+    for t, (entry, (core, band)) in enumerate(zip(payload["slices"], shapes, strict=True)):
+        assert set(entry) == {"slice", "core", "coupling"} and entry["slice"] == t
+        assert (acc.inverses[t].shape, acc.bands[t].shape) == (core, band)
+        lower = np.frombuffer(base64.b64decode(entry["core"]), dtype="<c16")
+        assert np.array_equal(lower, acc.inverses[t][np.tril_indices(core[0])])
+        raw = base64.b64decode(entry["coupling"])
+        assert np.array_equal(np.frombuffer(raw, dtype="<c16").reshape(band), acc.bands[t])
+
+
+@pytest.mark.parametrize("radius", [2, 3, 4, 5])
+def test_stored_factor_bytes_match_the_closed_form(radius):
+    cfg = parse_config(BASE_TEXT.replace("R = 2", f"R = {radius}"))
+    acc = ProjectorAccumulator(cfg.field, cfg.params, Window(radius)).run()
+    stored = sum(
+        len(base64.b64decode(entry[key]))
+        for entry in operator_payload(acc, cfg)["slices"]
+        for key in ("core", "coupling")
+    )
+    assert stored == lattice.factor_bytes(radius)
 
 
 def test_operator_dump_is_deterministic(built, tmp_path):
@@ -239,6 +259,13 @@ def _stage_set(k, key, value):
     return edit
 
 
+def _slice_set(t, key, value):
+    def edit(payload):
+        payload["slices"][t][key] = value
+
+    return edit
+
+
 def _schedule_set(k, site):
     def edit(payload):
         payload["schedule"][k] = site
@@ -262,31 +289,38 @@ def _as_v1(payload):
     payload["format"] = "estc-operator-v1"
     for stage in payload["stages"]:
         stage["support"] = []
-        del stage["coupling"]
+
+
+def _as_v2(payload):
+    payload["format"] = "estc-operator-v2"
+    del payload["slices"]
 
 
 def _short_coupling(payload):
-    stage = payload["stages"][3]
-    stage["coupling"] = stage["coupling"][:-8]
+    entry = payload["slices"][2]
+    entry["coupling"] = entry["coupling"][:-8]
 
 
 def _next_stage_coupling(payload):
-    stages = payload["stages"]
-    stages[1]["coupling"] = stages[2]["coupling"]
+    slices = payload["slices"]
+    slices[1]["coupling"] = slices[2]["coupling"]
 
 
 # edits of a valid dump, each of which the reader must refuse
 MALFORMED = {
-    "bad base64": _stage_set(2, "coupling", "not*base64!"),
+    "bad base64": _slice_set(2, "coupling", "not*base64!"),
     "short coupling": _short_coupling,
     "coupling of the next stage": _next_stage_coupling,
     "v1 file": _as_v1,
+    "v2 file": _as_v2,
+    "missing slice": lambda payload: payload["slices"].pop(),
+    "out-of-order slices": lambda payload: payload["slices"].reverse(),
     "fingerprint mismatch": lambda payload: payload.update(fingerprint="0" * 64),
     "out-of-order stages": _swap_stages,
     "stage site off the schedule": _stage_set(1, "site", [0, 0, 0, 0]),
     "schedule site outside the window": _schedule_set(0, [6, 0, 0, 0]),
     "schedule site on the window edge": _schedule_set(0, [2, 0, 0, 0]),
-    "core of the wrong length": _stage_set(0, "core_dset", [1.0] * 15),
+    "core of the wrong length": _slice_set(0, "core", base64.b64encode(bytes(16 * 15)).decode()),
     "missing stages": lambda payload: payload.pop("stages"),
     "more stages than sites": lambda payload: payload["schedule"].pop(),
     "radius off the configuration": lambda payload: payload.update(radius=payload["radius"] + 1),
@@ -476,12 +510,15 @@ def test_export_json_round_trip_preserves_the_operator(built, tmp_path):
     cfg, acc, path = built
     payload = read_operator_payload(path, cfg)
     text = export_operator_json(payload)
-    assert json.loads(text)["format"] == "estc-operator-dsets-v2"
+    assert json.loads(text)["format"] == "estc-operator-dsets-v3"
     exported = tmp_path / "exported.json"
     exported.write_text(text)
     restored = read_exported_operator(exported, cfg)
     assert restored.schedule == acc.schedule
-    assert np.array_equal(restored.core_dsets, acc.core_dsets)
+    assert np.array_equal(restored.rconds, acc.rconds)
+    for ours, theirs in zip(restored.inverses + restored.bands, acc.inverses + acc.bands):
+        assert ours.shape == theirs.shape
+        assert np.abs(ours - theirs).max(initial=0.0) <= 1e-14 * np.abs(theirs).max(initial=0.0)
 
     c = random_multispinor(acc.window.points(), 17)
     direct = acc.apply_projector(c)
@@ -496,23 +533,25 @@ def test_export_csv_shape(built):
     header = lines[0].split(",")
     assert header[:10] == ["stage", "m1", "m2", "m3", "m4", "entry", "n1", "n2", "n3", "n4"]
     assert len(header) == 10 + 32
-    # one core row per stage and one coupling row per stored C_kj
+    # one row per stored 4x4 block: K diagonal blocks and the stored couplings
     assert len(lines) == 1 + acc.stages_done + acc.coupling_count
-    core_rows = [line for line in lines[1:] if line.split(",")[5] == "core"]
-    assert len(core_rows) == acc.stages_done
-    k, j = 8, 0  # a coupled pair: C_80 is nonzero on this field
-    row = next(
-        line.split(",")
-        for line in lines[1:]
-        if line.split(",")[0] == str(k)
-        and line.split(",")[5] == "coupling"
-        and tuple(map(int, line.split(",")[6:10])) == acc.schedule[j]
-    )
-    values = np.array([float(x) for x in row[10:]])
-    coupling = matrix_from_dset(values[0::2] + 1j * values[1::2])
-    expected = -acc.factor[4 * k : 4 * k + 4, 4 * j : 4 * j + 4]
-    assert np.abs(expected).max() > 1e-2
-    assert np.abs(coupling - expected).max() < 1e-15
+    rows = [line.split(",") for line in lines[1:]]
+    stage = {site: k for k, site in enumerate(acc.schedule)}
+    pairs = [(int(row[0]), stage[tuple(map(int, row[6:10]))], row[5]) for row in rows]
+    assert sum(entry == "core" and k == j for k, j, entry in pairs) == acc.stages_done
+    # the core blocks are the lower triangle of W_t in each slice, the couplings reach back
+    # to the two slices before
+    ptr = acc.slice_ptr
+    for k, j, entry in pairs:
+        t = int(np.searchsorted(ptr, k, side="right")) - 1
+        assert (ptr[t] <= j <= k) if entry == "core" else (ptr[max(t - 2, 0)] <= j < ptr[t])
+    r = dense_factor(acc)
+    for row, (k, j, entry) in zip(rows, pairs):
+        values = np.array([float(x) for x in row[10:]])
+        block = matrix_from_dset(values[0::2] + 1j * values[1::2])
+        if entry == "coupling":
+            assert np.abs(block - r[4 * k : 4 * k + 4, 4 * j : 4 * j + 4]).max() < 1e-15
+    assert np.abs(r[28:, :24]).max() > 1e-3  # the band of slice 2 to slice 0
 
 
 def test_run_report_lines():

@@ -1,4 +1,4 @@
-"""Stage recurrences and the accumulated projector against dense oracles."""
+"""The slice band factor and the accumulated projector against dense oracles."""
 
 from pathlib import Path
 
@@ -28,13 +28,14 @@ from estc import cli, engine, lattice
 from estc.field import a_matrix
 
 from helpers import (
+    dense_factor,
     dense_from_dset,
     dense_row_gram,
     dense_rows,
     factored_projector,
-    gram_cholesky_projector,
     random_field,
     random_params,
+    svd_projector,
     to_multispinor,
     to_vector,
 )
@@ -91,9 +92,11 @@ def test_first_stage_is_the_bare_block():
     acc = fresh_accumulator()
     acc.run(stages=1)
     m0 = acc.schedule[0]
-    assert np.array_equal(acc.factor[:4, :4], np.eye(4))
-    assert np.array_equal(acc.core_dsets[0], a_matrix(m0, FIELD, PARAMS))
-    assert np.array_equal(acc.cores[0], matrix_from_dset(a_matrix(m0, FIELD, PARAMS)))
+    # the first pivot R_00 R_00^dag is the row Gram matrix L(m0), its core a(m0)
+    r = dense_factor(acc)
+    assert r.shape == (4, 4)
+    core = np.linalg.inv(r @ r.conj().T)
+    assert np.abs(core - matrix_from_dset(a_matrix(m0, FIELD, PARAMS))).max() < 1e-12
     sites = acc.window.points()
     expected = bare_projector(m0, FIELD, PARAMS, sites)
     assert np.abs(applied_matrix(acc, sites) - expected).max() < 1e-12
@@ -103,11 +106,21 @@ def test_first_stage_is_the_bare_block():
 
 def test_first_coupling_matches_its_closed_form():
     acc = fresh_accumulator()
-    acc.run(stages=2)
-    m0, m1 = acc.schedule[:2]
-    expected = n_overlap(m1, m0, FIELD, PARAMS) @ matrix_from_dset(a_matrix(m0, FIELD, PARAMS))
-    # the factor stores L = I - C, so C_10 is minus its (1, 0) block
-    assert np.abs(-acc.factor[4:8, 0:4] - expected).max() < 1e-12
+    m0 = acc.schedule[0]
+    # the first stage whose row overlaps the row of m0 on this field
+    k = next(
+        k
+        for k, m in enumerate(acc.schedule)
+        if np.abs(n_overlap(m, m0, FIELD, PARAMS)).max() > 1e-3
+    )
+    acc.run(stages=k + 1)
+    expected = n_overlap(acc.schedule[k], m0, FIELD, PARAMS) @ matrix_from_dset(
+        a_matrix(m0, FIELD, PARAMS)
+    )
+    # the block LDL^dag factor U = R blockdiag(R_kk)^-1 holds C_k0 = N(m_k, m0) A_0 at (k, 0)
+    r = dense_factor(acc)
+    coupling = r[4 * k : 4 * k + 4, 0:4] @ np.linalg.inv(r[0:4, 0:4])
+    assert np.abs(coupling - expected).max() < 1e-12
 
 
 @pytest.mark.parametrize("k", range(1, 13))
@@ -134,13 +147,13 @@ def test_accumulated_projector_matches_the_dense_span_oracle():
 def test_stage_blocks_satisfy_the_projector_identities():
     acc = fresh_accumulator().run()
     assert acc.stages_done == 13
-    assert acc.core_dsets.dtype == np.float64
     sites = acc.window.points()
     k = acc.stages_done
-    phi = (acc.factor @ dense_rows(FIELD, PARAMS, acc.schedule, sites)).reshape(k, 4, -1)
+    v = dense_rows(FIELD, PARAMS, acc.schedule, sites)
+    phi = np.linalg.solve(dense_factor(acc), v).reshape(k, 4, -1)
     total = 0.0
-    for row, core in zip(phi, acc.cores):
-        dense = row.conj().T @ core @ row
+    for row in phi:
+        dense = row.conj().T @ row
         assert np.abs(dense - dense.conj().T).max() < 1e-10
         assert np.abs(dense @ dense - dense).max() < 1e-9
         assert np.trace(dense).real == pytest.approx(4.0, abs=1e-9)
@@ -186,7 +199,7 @@ def test_block_apply_matches_its_dense_matrix():
 
 
 @pytest.mark.parametrize("radius", [2, 3])
-def test_factored_apply_matches_the_gram_cholesky_projector(radius):
+def test_factored_apply_matches_the_svd_projector(radius):
     cfg = parse_config(SAMPLE_CONFIG.read_text())
     acc = ProjectorAccumulator(cfg.field, cfg.params, Window(radius, cfg.n_ref)).run()
     sites = acc.window.points()
@@ -194,7 +207,7 @@ def test_factored_apply_matches_the_gram_cholesky_projector(radius):
     c = random_multispinor(sites, 21)
     x = to_vector(c, sites)
     got = to_vector(acc.apply_projector(c), sites)
-    assert np.linalg.norm(got - gram_cholesky_projector(v) @ x) <= 1e-9 * np.linalg.norm(x)
+    assert np.linalg.norm(got - svd_projector(v) @ x) <= 1e-9 * np.linalg.norm(x)
 
 
 def test_residual_table_is_the_row_norm():
@@ -235,10 +248,10 @@ def test_oversized_window_is_refused_before_enumeration(tmp_path, monkeypatch, c
     def refuse(*args):
         raise AssertionError("the window was enumerated")
 
-    # R = 2 schedules 13 stages, one more than the lowered limit
-    monkeypatch.setattr(lattice, "MAX_STAGES", 12)
+    # the band factor of R = 2 takes one byte more than the lowered limit
+    monkeypatch.setattr(lattice, "MAX_FACTOR_BYTES", lattice.factor_bytes(2) - 1)
     monkeypatch.setattr(lattice, "window_points", refuse)
-    refusal = "13 stages, more than the limit of 12"
+    refusal = "13 stages and a band factor of 22048 bytes, more than the limit of 22047 bytes"
     with pytest.raises(ValueError, match=refusal):
         fresh_accumulator()
     for argv in (
@@ -269,23 +282,52 @@ def test_resonant_site_trips_the_stage_guard():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_gram_trips_the_stage_guard(bad, monkeypatch):
-    acc = fresh_accumulator()
-    target = acc.schedule[3]
-    real = engine.l_matrix
+    target = lattice.make_schedule(Window(2))[3]
+    real = engine.FieldTables.rows
 
-    def poisoned(n, f, p):
-        out = real(n, f, p)
-        if n == target:
-            out[0] = bad
+    def poisoned(self, sites):
+        out = real(self, sites)
+        out[[i for i, n in enumerate(sites) if n == target], 0, 0, 0] = bad
         return out
 
-    monkeypatch.setattr(engine, "l_matrix", poisoned)
+    monkeypatch.setattr(engine.FieldTables, "rows", poisoned)
+    acc = fresh_accumulator()
     with pytest.raises(StageSingular) as err:
         acc.run()
     assert (err.value.stage, err.value.site) == (3, target)
     assert not err.value.rcond >= acc.rcond_min
     assert acc.stages_done == 3
-    assert np.isfinite(acc.cores).all()
+    assert all(np.isfinite(block).all() for block in acc.inverses + acc.bands)
+
+
+def test_dependent_mid_slice_row_trips_the_stage_guard(monkeypatch):
+    # scalar row 3 of one site becomes the sum of its rows 0 and 1, so the
+    # row block adds rank 3, not 4: its pivot is singular
+    schedule = lattice.make_schedule(Window(3))
+    start = engine.ProjectorAccumulator.slice_bounds(schedule)[2]
+    stage = start + 9
+    assert schedule[stage][3] == schedule[start][3] == schedule[stage + 1][3]
+    real = engine.FieldTables.rows
+
+    def dependent(self, sites):
+        out = real(self, sites)
+        for i in [i for i, n in enumerate(sites) if n == schedule[stage]]:
+            out[i, :, 3] = out[i, :, 0] + out[i, :, 1]
+        return out
+
+    monkeypatch.setattr(engine.FieldTables, "rows", dependent)
+    acc = ProjectorAccumulator(FIELD, PARAMS, Window(3))
+    with pytest.raises(StageSingular) as err:
+        acc.run()
+    assert (err.value.stage, err.value.site) == (stage, schedule[stage])
+    assert not err.value.rcond >= acc.rcond_min
+    assert acc.stages_done == stage
+    assert [d.stage for d in acc.diagnostics] == list(range(stage))
+    # the stages before it still give the projector onto their rows
+    c = random_multispinor(acc.window.points(), 8)
+    solution = acc.apply_fundamental(c)
+    worst = max(v for _, v in residual_table(solution, acc.tables, acc.processed_sites()))
+    assert worst < 1e-13 * c.norm()
 
 
 def test_stage_diagnostics_are_recorded():
@@ -298,9 +340,8 @@ def test_stage_diagnostics_are_recorded():
         support = {site_add(m, s) for m in acc.schedule[: k + 1] for s in SHIFTS_S13}
         assert diag.support_size == len(support)
         assert diag.gram_asymmetry < 1e-10
-        phases = (diag.gather_s, diag.coupling_s, diag.inversion_s, diag.assembly_s)
-        assert min(phases) >= 0.0
-        assert sum(phases) == pytest.approx(diag.elapsed, rel=1e-9, abs=1e-12)
+        # the three stages share the time of their one slice step equally
+        assert diag.elapsed == acc.diagnostics[0].elapsed > 0.0
 
 
 def test_random_configurations_keep_the_invariants():
@@ -319,31 +360,33 @@ def test_random_configurations_keep_the_invariants():
 
 
 def factor_identity_error(acc, gram):
-    """max |L G L^dag - blockdiag(A_k^-1)| relative to max |G|, times the worst rcond.
+    """max |R - chol(G)| relative to max |G|^(1/2), times the worst stage rcond.
 
-    The 4x4 pivot inversions lose digits in proportion to the condition of
-    the deflated Gram matrices, so the error is scaled by the worst stage
-    rcond; 400 random R=2 fields gave at most 8e-14 for the scaled error.
+    The Cholesky factor is unique, so the stored band factor must be the
+    dense one of numpy, zero beyond two slices included.  The error grows
+    with the conditioning of the pivots, so it is scaled by the worst
+    stage rcond.
     """
-    lower = acc.factor
-    pivots = np.linalg.inv(acc.cores)
-    expected = np.zeros_like(gram)
-    for k, pivot in enumerate(pivots):
-        expected[4 * k : 4 * k + 4, 4 * k : 4 * k + 4] = pivot
-    got = lower @ gram @ lower.conj().T
+    r = dense_factor(acc)
+    reference = np.linalg.cholesky(gram)
     worst_rcond = min(diag.rcond for diag in acc.diagnostics)
-    return float(np.abs(got - expected).max() / np.abs(gram).max()) * worst_rcond
+    return float(np.abs(r - reference).max() / np.sqrt(np.abs(gram).max())) * worst_rcond
 
 
 def test_factor_diagonalizes_the_dense_row_gram_on_the_sample_field():
     cfg = parse_config(SAMPLE_CONFIG.read_text())
     acc = ProjectorAccumulator(cfg.field, cfg.params, Window(3, cfg.n_ref)).run()
     assert acc.stages_done == 69
-    lower = acc.factor
-    assert np.array_equal(np.triu(lower, 1), np.zeros_like(lower))
-    assert np.array_equal(np.diag(lower), np.ones(lower.shape[0]))
+    for inverse in acc.inverses:
+        assert np.array_equal(inverse, np.tril(inverse))
+        assert (np.diag(inverse).real > 0).all()
+        assert np.abs(np.diag(inverse).imag).max() < 1e-15 * np.abs(np.diag(inverse)).max()
+    r = dense_factor(acc)
     gram = dense_row_gram(cfg.field, cfg.params, acc.schedule)
     assert factor_identity_error(acc, gram) < 1e-12
+    # R^-1 G R^-dag = I: the factor diagonalizes the row Gram matrix
+    phi = np.linalg.solve(r, np.linalg.solve(r, gram).conj().T)
+    assert np.abs(phi - np.eye(len(phi))).max() < 1e-12
 
 
 @settings(max_examples=15, deadline=None)
@@ -389,7 +432,7 @@ def test_processed_rows_are_solved_to_rounding_on_random_fields(seed):
     assert processed_row_residual(acc, v, c) <= 1e-13
     x = to_vector(c, sites)
     got = to_vector(acc.apply_projector(c), sites)
-    assert np.linalg.norm(got - gram_cholesky_projector(v) @ x) <= 1e-12 * np.linalg.norm(x)
+    assert np.linalg.norm(got - svd_projector(v) @ x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_processed_rows_are_solved_to_rounding_at_radius_4():

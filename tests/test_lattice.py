@@ -7,6 +7,7 @@ import pytest
 
 from estc import (
     SHIFTS_S13,
+    lattice,
     Window,
     couples,
     g4d,
@@ -171,14 +172,29 @@ def test_interior_means_all_neighbors_inside():
         assert set(w.interior_points()) == brute_window(w.radius - 1, w.center)
 
 
-def test_schedule_is_the_interior_in_window_order():
-    w = Window(2)
-    sched = make_schedule(w)
-    assert sched == w.interior_points()
-    assert sched[0] == (0, 0, 0, 0)
-    assert len(sched) == 13
-    keys = [(g4d(n), n) for n in sched]
-    assert keys == sorted(keys)
+def test_schedule_is_the_interior_in_time_major_order():
+    for w in (Window(2), Window(3, (1, 1, 0, 0))):
+        sched = make_schedule(w)
+        assert sorted(sched) == sorted(w.interior_points())
+        keys = [(n[3], g4d(site_sub(n, w.center)), n) for n in sched]
+        assert keys == sorted(keys)
+    assert make_schedule(Window(2))[6] == (0, 0, 0, 0)
+
+
+# slice sizes (t = -r..r, r = R - 1) counted by the brute scan
+FROZEN_SLICES = {
+    1: [1], 2: [6, 1, 6], 3: [19, 6, 19, 6, 19], 4: [44, 19, 44, 19, 44, 19, 44],
+    5: [85, 44] * 4 + [85], 6: [146, 85] * 5 + [146],
+}
+
+
+def test_slice_sizes_match_the_brute_scan():
+    for radius, sizes in FROZEN_SLICES.items():
+        interior = brute_window(radius - 1)
+        counted = [sum(n[3] == t for n in interior) for t in range(1 - radius, radius)]
+        assert counted == sizes
+        even, odd = lattice.slice_sizes(radius)
+        assert sizes == [even if t % 2 == 0 else odd for t in range(1 - radius, radius)]
 
 
 def test_schedule_rejects_windows_without_interior():
@@ -186,9 +202,24 @@ def test_schedule_rejects_windows_without_interior():
         make_schedule(Window(0))
 
 
-def test_schedule_refuses_windows_past_the_stage_limit():
-    assert len(make_schedule(Window(5))) == 601
-    with pytest.raises(ValueError, match="1301 stages, more than the limit of 1000"):
-        make_schedule(Window(6))
-    with pytest.raises(ValueError, match="limit of 1000"):
+def test_schedule_refuses_windows_past_the_byte_budget():
+    assert lattice.MAX_FACTOR_BYTES == 499_500 * 256
+    assert lattice.factor_bytes(6) == 87_488_800 <= lattice.MAX_FACTOR_BYTES
+    assert len(make_schedule(Window(6))) == 1301
+    refusal = "2493 stages and a band factor of 277115168 bytes, more than the limit of 127872000"
+    with pytest.raises(ValueError, match=refusal):
+        make_schedule(Window(7))
+    with pytest.raises(ValueError, match="limit of 127872000 bytes"):
         make_schedule(Window(2**40))
+
+
+def test_window_points_are_enumerated_once_and_copied(monkeypatch):
+    first = window_points(3, (1, 0, -1, 2))
+    first.append((9, 9, 9, 9))
+
+    def refuse(*args):
+        raise AssertionError("the window was enumerated again")
+
+    monkeypatch.setattr(lattice, "g4d", refuse)
+    again = window_points(3, (1, 0, -1, 2))
+    assert again == first[:-1] and again is not first
