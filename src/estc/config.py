@@ -22,7 +22,7 @@ from .field import (
     field_intensity,
     validate,
 )
-from .lattice import Site, in_lattice
+from .lattice import MAX_COORDINATE, Site, in_lattice
 
 _FLOAT_KEYS = ("q1", "q2", "q3", "q4", "Omega", "residual_tol", "rcond_min")
 _INT_KEYS = ("R", "seed")
@@ -87,6 +87,8 @@ def parse_config(text: str) -> RunConfig:
     if not in_lattice(n_ref):
         raise ConfigError(f"n_ref {n_ref} has odd coordinate sum", key="n_ref")
     _check_gram_range(field, params, radius, n_ref)
+    if max(abs(n) for n in n_ref) > MAX_COORDINATE:
+        raise ConfigError(f"n_ref {n_ref} lies past the site range of +-2**62", key="n_ref")
     if not scalars["residual_tol"] > 0 or not scalars["rcond_min"] > 0:
         raise ConfigError("tolerances must be positive")
     if scalars["seed"] < 0:

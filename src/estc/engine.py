@@ -25,27 +25,41 @@ P = (R^-1 V)^dag (R^-1 V): a block forward and back substitution over the
 slices.  The complement U - P maps any seed multispinor onto the solution
 subspace of the processed rows; residuals of unprocessed rows measure the
 truncation error of the window.
+
+Only the zero-shift block V(n, 0) depends on q, through w = q + Omega n,
+so a point at new q pays only for it.  Per window (radius, center), built
+once per process and shared read-only: the layout of lattice.window_layout
+(sites, the (N, 13) neighbor table, the schedule) and the Gram pattern,
+which lists every matched product of the row Gram matrix and the run of
+each block.  Per FieldTables, so per field and parameters: the twelve
+field-shift matrices F_s and their 144 products F_s F_t^dag.  A point
+forms the rows' zero-shift matrices, the products that involve them, and
+the factor; the seed, the projection and the residuals work on window
+arrays, without site tuples built one at a time.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .dirac_basis import dset_from_matrix, matrix_from_dset
 from .errors import StageSingular
-from .field import DimensionlessParams, FieldConfig, v_coupling, validate
-from .lattice import SHIFTS_S13, Site, Window, make_schedule, site_add
+from .field import DimensionlessParams, FieldConfig, v_coupling, validate, zero_shift_dsets
+from .lattice import SHIFT_ARRAY, SHIFTS_S13, Site, Window, locate, make_schedule, window_layout
 from .multispinor import Multispinor
 
 
 class FieldTables:
     """Row coefficients V(n, s) of a field, for any sites.
 
-    The twelve field-shift coupling matrices are site-independent, so only
-    the zero-shift matrix depends on the site.
+    The twelve field-shift coupling matrices F_s are site-independent, so
+    only the zero-shift matrix depends on the site (and on q).  The
+    products F_s F_t^dag of every pair of field shifts are formed once, as
+    field_pairs[s - 1, t - 1].
     """
 
     def __init__(self, f: FieldConfig, p: DimensionlessParams):
@@ -55,14 +69,21 @@ class FieldTables:
         self._field_v = np.stack(
             [matrix_from_dset(v_coupling((0, 0, 0, 0), s, f, p)) for s in SHIFTS_S13[1:]]
         )
+        s, t = np.indices((12, 12)).reshape(2, -1)
+        self.field_pairs = _products(self._field_v[s], self._field_v[t]).reshape(12, 12, 4, 4)
+        self.field_pairs.setflags(write=False)
 
     def rows(self, sites: list[Site]) -> np.ndarray:
         """(len(sites), 13, 4, 4) coupling matrices of each row, in stencil shift order."""
-        zero = [v_coupling(n, (0, 0, 0, 0), self.field, self.params) for n in sites]
         out = np.empty((len(sites), 13, 4, 4), dtype=complex)
-        out[:, 0] = matrix_from_dset(np.array(zero).reshape(-1, 16))
+        out[:, 0] = matrix_from_dset(zero_shift_dsets(sites, self.params))
         out[:, 1:] = self._field_v
         return out
+
+
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[p] b[p]^dag for each p: the one formula every row Gram product goes through."""
+    return np.einsum("pab,pcb->pac", a, b.conj())
 
 
 @dataclass
@@ -81,15 +102,36 @@ class RowGram:
     blocks: np.ndarray
 
 
-def build_row_gram(rows: np.ndarray, stencil: np.ndarray) -> RowGram:
-    """All lower row Gram blocks of a schedule, in one vectorized pass.
+@dataclass(frozen=True)
+class GramPattern:
+    """Where the row Gram blocks of a schedule come from: everything but the rows.
 
-    rows[k] holds the 13 coupling matrices of row k and stencil[k] the
-    columns they multiply.  Row k at shift s and row i at shift t share a
-    column exactly when stencil[k, s] == stencil[i, t], so a column-to-stage
-    table over the 13 shifts finds every such match with i <= k, one einsum
-    forms V_k[s] V_i[t]^dag for all of them, and a sum over each run of
-    equal (k, i) gives the blocks.
+    Row k at shift s and row i at shift t share a column exactly when
+    stencil[k, s] == stencil[i, t].  Each such matched product
+    V_k[s] V_i[t]^dag with i <= k is listed in the order of the block it
+    sums into, and block j sums products first[j]:first[j + 1].  A product
+    of two field shifts is the site-independent F_s F_t^dag, entry
+    (s - 1) * 12 + t - 1 of the field-pair table; one that involves the
+    zero shift is formed per point from the rows (k, s) and (i, t) in the
+    zero_* arrays, and is entry 144 + j, j its place in those arrays.
+    """
+
+    source: np.ndarray
+    first: np.ndarray
+    zero_k: np.ndarray
+    zero_s: np.ndarray
+    zero_i: np.ndarray
+    zero_t: np.ndarray
+    stage_ptr: np.ndarray
+    partner: np.ndarray
+
+
+def gram_pattern(stencil: np.ndarray) -> GramPattern:
+    """The matched products of a schedule, from its (K, 13) stencil of column indices.
+
+    A column-to-stage table over the 13 shifts finds every match with
+    i <= k; sorting by (k, i), stably, puts each block's products in one
+    run.
     """
     stages = len(stencil)
     owner = np.full((stencil.max() + 1, 13), -1, dtype=np.intp)
@@ -97,14 +139,47 @@ def build_row_gram(rows: np.ndarray, stencil: np.ndarray) -> RowGram:
     partner = owner[stencil]
     k, s, t = np.nonzero((partner >= 0) & (partner <= np.arange(stages)[:, None, None]))
     i = partner[k, s, t]
-    products = np.einsum("pab,pcb->pac", rows[k, s], rows[i, t].conj())
     key = k * stages + i
     order = np.argsort(key, kind="stable")
-    key = key[order]
+    k, s, t, i, key = k[order], s[order], t[order], i[order], key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
-    blocks = np.add.reduceat(products[order], first, axis=0)
-    stage_ptr = np.searchsorted(key[first] // stages, np.arange(stages + 1))
-    return RowGram(stage_ptr, key[first] % stages, blocks)
+    zero = (s == 0) | (t == 0)
+    source = np.where(zero, 144 + np.cumsum(zero) - 1, (s - 1) * 12 + t - 1)
+    pattern = GramPattern(
+        source=source,
+        first=first,
+        zero_k=k[zero],
+        zero_s=s[zero],
+        zero_i=i[zero],
+        zero_t=t[zero],
+        stage_ptr=np.searchsorted(key[first] // stages, np.arange(stages + 1)),
+        partner=key[first] % stages,
+    )
+    for array in vars(pattern).values():
+        array.setflags(write=False)
+    return pattern
+
+
+@lru_cache(maxsize=8)
+def _window_pattern(radius: int, center: Site) -> GramPattern:
+    layout = window_layout(Window(radius, center))
+    return gram_pattern(layout.neighbors[layout.schedule])
+
+
+def build_row_gram(rows: np.ndarray, field_pairs: np.ndarray, pattern: GramPattern) -> RowGram:
+    """All lower row Gram blocks of a schedule, in one vectorized pass.
+
+    rows[k] holds the 13 coupling matrices of row k and field_pairs the
+    products of the field shifts.  Only the products that involve a zero
+    shift are formed here; with the field-pair products they are summed
+    over each block's run of the pattern.
+    """
+    zero = _products(
+        rows[pattern.zero_k, pattern.zero_s], rows[pattern.zero_i, pattern.zero_t]
+    )
+    products = np.concatenate([field_pairs.reshape(144, 4, 4), zero])[pattern.source]
+    blocks = np.add.reduceat(products, pattern.first, axis=0)
+    return RowGram(pattern.stage_ptr, pattern.partner, blocks)
 
 
 @dataclass
@@ -168,8 +243,9 @@ class ProjectorAccumulator:
     run(stages=k) factors only the leading part of the slice it stops in.
     The row coefficients of the whole schedule are built once, as one
     (K, 13, 4, 4) stack.  The overlaps come from the block-sparse row Gram
-    (gram), built from that stack on first use, so a restored accumulator
-    that only applies the projector never builds it.
+    (gram), built from that stack and the window's Gram pattern on first
+    use, so a restored accumulator that only applies the projector never
+    builds either.
     """
 
     def __init__(
@@ -193,15 +269,12 @@ class ProjectorAccumulator:
         self.bands: list[np.ndarray] = []
         self.rconds = np.zeros(stages)
         self._gram: RowGram | None = None
+        self._layout = window_layout(window)
         # row k of the stencil table holds the window indices of m_k + s over the 13 shifts
-        self._sites = window.points()
-        index = {site: i for i, site in enumerate(self._sites)}
-        self._stencil = np.array(
-            [[index[site_add(m, s)] for s in SHIFTS_S13] for m in self.schedule], dtype=np.intp
-        )
+        self._stencil = self._layout.neighbors[self._layout.schedule]
         self._rows = self.tables.rows(self.schedule)
         # the first stage whose stencil reaches each window site (stages if none does)
-        self._first_cover = np.full(len(self._sites), stages)
+        self._first_cover = np.full(len(self._layout.sites), stages)
         np.minimum.at(self._first_cover, self._stencil, np.arange(stages)[:, None])
         self._support = np.cumsum(np.bincount(self._first_cover, minlength=stages + 1))[:stages]
 
@@ -247,7 +320,8 @@ class ProjectorAccumulator:
     def gram(self) -> RowGram:
         """Row Gram blocks of the whole schedule, built on first use."""
         if self._gram is None:
-            self._gram = build_row_gram(self._rows, self._stencil)
+            pattern = _window_pattern(self.window.radius, self.window.center)
+            self._gram = build_row_gram(self._rows, self.tables.field_pairs, pattern)
         return self._gram
 
     def processed_sites(self) -> list[Site]:
@@ -383,34 +457,62 @@ class ProjectorAccumulator:
             rhs[low:start] -= _adjoint_times(band, u[start:stop])
         return u
 
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        """P x for x the (N, 4) amplitudes on the window sites, as the same array form."""
+        k = self.stages_done
+        out = np.zeros_like(x)
+        if k == 0:
+            return out
+        stencil = self._stencil[:k]
+        rows = self._rows[:k]
+        y = np.einsum("ksab,ksb->ka", rows, x[stencil])
+        u = self.solve_upper(self.solve_lower(y.ravel())).reshape(k, 4)
+        np.add.at(out, stencil, np.einsum("ksba,kb->ksa", rows.conj(), u))
+        return out
+
+    def _window_amplitudes(self, c: Multispinor) -> np.ndarray:
+        """(N, 4) amplitudes of c on the window sites, zero where c has none."""
+        return np.array([c[site] for site in self._layout.sites])
+
+    def _covered(self) -> np.ndarray:
+        """Window indices of the sites the processed stencils reach."""
+        return np.flatnonzero(self._first_cover < self.stages_done)
+
     def apply_projector(self, c: Multispinor) -> Multispinor:
         """Accumulated projector applied to c: the processed-row component.
 
         P c = V^dag R^-dag R^-1 V c, returned on the sites the processed
         stencils reach; entries of c outside the window do not enter.
         """
-        k = self.stages_done
-        if k == 0:
-            return Multispinor()
-        stencil = self._stencil[:k]
-        x = np.array([c[site] for site in self._sites])
-        rows = self._rows[:k]
-        y = np.einsum("ksab,ksb->ka", rows, x[stencil])
-        u = self.solve_upper(self.solve_lower(y.ravel())).reshape(k, 4)
-        out = np.zeros_like(x)
-        np.add.at(out, stencil, np.einsum("ksba,kb->ksa", rows.conj(), u))
-        covered = np.flatnonzero(self._first_cover < k)
-        return Multispinor({self._sites[i]: out[i] for i in covered})
+        out = self._project(self._window_amplitudes(c))
+        covered = self._covered()
+        return Multispinor.from_rows([self._layout.sites[i] for i in covered], out[covered])
 
     def apply_fundamental(self, c: Multispinor) -> Multispinor:
-        """c minus its processed-row component: a solution of processed rows."""
-        return c - self.apply_projector(c)
+        """c minus its processed-row component: a solution of processed rows.
+
+        Holds the sites of c, in its order, then the covered sites c lacks.
+        No amplitude shares a buffer with c.
+        """
+        x = self._window_amplitudes(c)
+        y = x - self._project(x)
+        index, sites = self._layout.index, self._layout.sites
+        data = {}
+        for site, value in c.data.items():
+            i = index.get(site)
+            data[site] = value.copy() if i is None else y[i]
+        for i in self._covered():
+            data.setdefault(sites[i], y[i])
+        return Multispinor.from_rows(data.keys(), data.values())
 
 
 def residual_table(
     c: Multispinor, tables: FieldTables, sites: list[Site]
 ) -> list[tuple[Site, float]]:
     """Row residuals over the given sites, with c extended by zero."""
-    x = np.array([[c[site_add(n, s)] for s in SHIFTS_S13] for n in sites], dtype=complex)
-    rows = np.einsum("nsab,nsb->na", tables.rows(sites), x.reshape(len(sites), 13, 4))
+    points = np.array(list(c), dtype=np.int64).reshape(-1, 4)
+    # the row past the last amplitude is the zero that sites c lacks read
+    values = np.array([*c.data.values(), np.zeros(4, dtype=complex)])
+    neighbors = locate(points, np.array(sites, dtype=np.int64).reshape(-1, 1, 4) + SHIFT_ARRAY)
+    rows = np.einsum("nsab,nsb->na", tables.rows(sites), values[neighbors])
     return list(zip(sites, np.linalg.norm(rows, axis=1).tolist()))

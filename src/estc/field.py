@@ -154,10 +154,26 @@ def field_intensity(f: FieldConfig) -> float:
     return 2.0 * total
 
 
-def w_vector(n: Site, p: DimensionlessParams) -> np.ndarray:
-    """Site-shifted quasimomentum w_j = q_j + n_j * Omega, j = 1..4."""
+def w_vector(n: Site | np.ndarray, p: DimensionlessParams) -> np.ndarray:
+    """Site-shifted quasimomentum w_j = q_j + n_j * Omega, j = 1..4 (last axis of n)."""
     q = np.array([p.q1, p.q2, p.q3, p.q4])
     return q + p.omega * np.asarray(n, dtype=float)
+
+
+def zero_shift_dsets(sites, p: DimensionlessParams) -> np.ndarray:
+    """(N, 16) dsets of the zero-shift coefficients V(n, 0) of N sites (a list or (N, 4) array).
+
+    The free-particle part of row n: the identity, the time component
+    -w4 and the spatial currents i w of w = q + Omega n.
+    """
+    w = w_vector(np.reshape(sites, (-1, 4)), p)
+    d = np.zeros((len(w), 16), dtype=complex)
+    d[:, 0] = 1.0
+    d[:, 4] = -w[:, 3]
+    d[:, 13] = 1j * w[:, 2]
+    d[:, 14] = 1j * w[:, 0]
+    d[:, 15] = 1j * w[:, 1]
+    return d
 
 
 def v_coupling(n: Site, s: Site, f: FieldConfig, p: DimensionlessParams) -> np.ndarray:
@@ -168,15 +184,9 @@ def v_coupling(n: Site, s: Site, f: FieldConfig, p: DimensionlessParams) -> np.n
     components of one wave, at the dset positions of the matching spatial
     currents.  Backward-time shifts enter as -i*a + b, forward as -i*a - b.
     """
-    d = np.zeros(16, dtype=complex)
     if s == (0, 0, 0, 0):
-        w = w_vector(n, p)
-        d[0] = 1.0
-        d[4] = -w[3]
-        d[13] = 1j * w[2]
-        d[14] = 1j * w[0]
-        d[15] = 1j * w[1]
-        return d
+        return zero_shift_dsets([n], p)[0]
+    d = np.zeros(16, dtype=complex)
     slots = _COUPLING_SLOTS.get(s)
     if slots is None:
         raise ShiftNotInS13(f"shift {s} is not one of the 13 stencil shifts")

@@ -24,7 +24,7 @@ from .config import RunConfig, config_fingerprint
 from .dirac_basis import dset_from_matrix, matrix_from_dset
 from .engine import ProjectorAccumulator, StageDiagnostics
 from .errors import ConfigError
-from .lattice import Site, Window, g4d, make_schedule, site_sub
+from .lattice import MAX_COORDINATE, Site, Window, g4d, make_schedule, site_sub
 from .multispinor import Multispinor
 
 OPERATOR_FORMAT = "estc-operator-v3"
@@ -214,15 +214,15 @@ def read_operator(path: str | Path, cfg: RunConfig) -> ProjectorAccumulator:
 
 
 def solution_payload(c: Multispinor, cfg: RunConfig, source: dict) -> dict:
+    """Sites in sorted order, each with its amplitudes as [re0, im0, ..., re3, im3]."""
     sites = c.sites()
+    amplitudes = np.array([c[site] for site in sites], dtype=complex).reshape(-1, 4)
     return {
         "format": SOLUTION_FORMAT,
         "fingerprint": config_fingerprint(cfg),
         "source": source,
         "sites": [list(site) for site in sites],
-        "amplitudes": [
-            [x for component in c[site] for x in _pair(component)] for site in sites
-        ],
+        "amplitudes": amplitudes.view(float).reshape(-1, 8).tolist(),
     }
 
 
@@ -263,6 +263,8 @@ def read_solution(path: str | Path, cfg: RunConfig | None = None) -> Multispinor
     for site, flat in zip(sites, amplitudes):
         if not _numbers(site, 4, int):
             raise ConfigError(f"solution site {site!r} is not four integers")
+        if max(abs(n) for n in site) > MAX_COORDINATE:
+            raise ConfigError(f"solution site {site} lies past the site range of +-2**62")
         if tuple(site) in out:
             raise ConfigError(f"solution site {site} is listed twice")
         if not _numbers(flat, 8, (int, float)):

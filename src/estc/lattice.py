@@ -9,14 +9,22 @@ twelve unit shifts mixing one spatial axis with the time axis.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+
+import numpy as np
 
 Site = tuple[int, int, int, int]
 
 # bytes the band factor of one schedule may take: the 499,500 complex 4x4
 # blocks that a dense block factor of 1000 stages holds
 MAX_FACTOR_BYTES = 499_500 * 256
+
+# largest |coordinate| of a site: sites are held as int64 arrays, and a
+# window's sites and their neighbors stay inside that range
+MAX_COORDINATE = 2**62
 
 # zero shift first, then the twelve field shifts in fixed table order
 SHIFTS_S13: tuple[Site, ...] = (
@@ -34,6 +42,9 @@ SHIFTS_S13: tuple[Site, ...] = (
     (0, 1, 0, 1),
     (0, 0, 1, 1),
 )
+
+SHIFT_ARRAY = np.array(SHIFTS_S13, dtype=np.int64)
+SHIFT_ARRAY.setflags(write=False)
 
 # all differences s - s2 of stencil shifts: support of the row overlaps
 _COUPLING_DIFFS = frozenset(
@@ -137,6 +148,65 @@ def _enumerate_window(radius: int, center: Site) -> tuple[Site, ...]:
     return tuple(out)
 
 
+def locate(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Row of each query site in the (M, 4) site array points, -1 where it is absent.
+
+    Sites are compared as integer keys over the bounding box of the
+    queries; points outside that box cannot match and are dropped first.
+    """
+    flat = queries.reshape(-1, 4)
+    out = np.full(len(flat), -1, dtype=np.intp)
+    if len(flat):
+        low, high = flat.min(axis=0), flat.max(axis=0)
+        inside = np.flatnonzero(((points >= low) & (points <= high)).all(axis=1))
+        dims = tuple(high - low + 1)
+        keys = np.ravel_multi_index(tuple((points[inside] - low).T), dims)
+        wanted = np.ravel_multi_index(tuple((flat - low).T), dims)
+        # keys are unique; the stable sort is the one the schedule and the Gram
+        # pattern use, so no second sort routine's code is paged in
+        order = np.argsort(keys, kind="stable")
+        at = np.searchsorted(keys, wanted, sorter=order)
+        hit = at < len(keys)
+        hit[hit] = keys[order[at[hit]]] == wanted[hit]
+        out[hit] = inside[order[at[hit]]]
+    return out.reshape(queries.shape[:-1])
+
+
+@dataclass(frozen=True)
+class WindowLayout:
+    """Array form of a window, built once per (radius, center).
+
+    sites are the window points in window order and index their inverse;
+    neighbors[i, s] is the window index of sites[i] + SHIFTS_S13[s], -1
+    outside the window; schedule lists the window indices of
+    make_schedule's sites in its order.  The arrays are read-only: every
+    caller shares them.
+    """
+
+    sites: tuple[Site, ...]
+    index: Mapping[Site, int]
+    neighbors: np.ndarray
+    schedule: np.ndarray
+
+
+def window_layout(window: Window) -> WindowLayout:
+    """The cached layout of a window."""
+    return _layout(window.radius, window.center)
+
+
+@lru_cache(maxsize=8)
+def _layout(radius: int, center: Site) -> WindowLayout:
+    sites = _enumerate_window(radius, center)
+    coords = np.array(sites, dtype=np.int64).reshape(-1, 4)
+    neighbors = locate(coords, coords[:, None, :] + SHIFT_ARRAY)
+    # the interior is the leading window_size(radius - 1) points; the schedule is time-major
+    schedule = np.argsort(coords[: window_size(radius - 1), 3], kind="stable")
+    for array in (neighbors, schedule):
+        array.setflags(write=False)
+    index = MappingProxyType({site: i for i, site in enumerate(sites)})
+    return WindowLayout(sites, index, neighbors, schedule)
+
+
 def slice_sizes(radius: int) -> tuple[int, int]:
     """Stages in one time slice of the schedule, (even, odd): by the parity of n4 - center n4.
 
@@ -190,4 +260,5 @@ def make_schedule(window: Window) -> list[Site]:
             f"window radius {window.radius} needs {window_size(window.radius - 1)} stages "
             f"and a band factor of {size} bytes, more than the limit of {MAX_FACTOR_BYTES} bytes"
         )
-    return sorted(window.interior_points(), key=lambda n: n[3])
+    layout = window_layout(window)
+    return [layout.sites[i] for i in layout.schedule]

@@ -22,6 +22,16 @@ class Multispinor:
             for site, value in data.items():
                 self[site] = value
 
+    @classmethod
+    def from_rows(cls, sites: Iterable[Site], rows: Iterable[np.ndarray]) -> "Multispinor":
+        """rows[i] at sites[i], taken as they are: each must be a complex 4-vector.
+
+        Rows that are views of one (N, 4) array keep sharing its buffer.
+        """
+        out = cls()
+        out.data = dict(zip(sites, rows))
+        return out
+
     def __getitem__(self, site: Site) -> np.ndarray:
         return self.data.get(site, _ZERO)
 
@@ -59,15 +69,15 @@ class Multispinor:
         return Multispinor({site: scalar * value for site, value in self.data.items()})
 
     def norm(self) -> float:
-        if not self.data:
-            return 0.0
-        return float(np.sqrt(sum(np.sum(np.abs(v) ** 2) for v in self.data.values())))
+        return float(np.sqrt(np.sum(np.abs(np.array(list(self.data.values()))) ** 2)))
 
 
 def random_multispinor(sites: Iterable[Site], seed: int) -> Multispinor:
-    """Standard normal complex amplitudes on the given sites, in their order."""
-    rng = np.random.default_rng(seed)
-    out = Multispinor()
-    for site in sites:
-        out[site] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return out
+    """Standard normal complex amplitudes on the given sites, in their order.
+
+    One draw of shape (N, 2, 4): per site the four real parts, then the
+    four imaginary parts.
+    """
+    sites = list(sites)
+    draws = np.random.default_rng(seed).standard_normal((len(sites), 2, 4))
+    return Multispinor.from_rows(sites, draws[:, 0] + 1j * draws[:, 1])

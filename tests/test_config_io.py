@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from estc import (
     ConfigError,
+    Multispinor,
     ProjectorAccumulator,
     TransversalityViolation,
     Window,
@@ -150,6 +151,11 @@ def test_error_reports_offending_line():
     assert parse_config("a_12 = 0.1\nq3 = 1e76").params.q3 == 1e76
     with pytest.raises(ConfigError, match="float range"):
         parse_config(f"a_12 = 0.1\nn_ref = {10**400} 0 0 0")
+    # sites are held as int64: a center whose window leaves that range is refused
+    with pytest.raises(ConfigError, match="site range") as err:
+        parse_config(f"a_12 = 0.1\nn_ref = {2**62 + 2} 0 0 0")
+    assert err.value.key == "n_ref"
+    assert parse_config(f"a_12 = 0.1\nn_ref = {2**62} 0 0 0").n_ref[0] == 2**62
 
 
 _GRAMMAR_KEYS = (
@@ -403,6 +409,28 @@ def test_solution_dump_round_trip(built, tmp_path):
         read_solution(path, parse_config(BASE_TEXT.replace("0.05", "0.06")))
 
 
+def test_solution_writer_matches_the_per_site_writer(built, tmp_path):
+    cfg, acc, _ = built
+    seed = random_multispinor(acc.window.points(), 5)
+    c = acc.apply_fundamental(seed)
+    c[(9, 9, 0, 0)] = [0.0, -0.0, 1e-300j, -2.5 - 0j]  # signed zeros and a tiny part
+    for value in (c, Multispinor()):
+        sites = value.sites()
+        expected = {
+            "format": "estc-solution-v1",
+            "fingerprint": config_fingerprint(cfg),
+            "source": {"seed": 5},
+            "sites": [list(site) for site in sites],
+            "amplitudes": [
+                [x for z in value[site] for x in (float(z.real), float(z.imag))]
+                for site in sites
+            ],
+        }
+        path = tmp_path / "solution.json"
+        write_solution(path, value, cfg, {"seed": 5})
+        assert path.read_text() == json.dumps(expected, separators=(",", ":")) + "\n"
+
+
 def _solution_row(key, value):
     def edit(payload):
         payload[key][1] = value
@@ -426,6 +454,7 @@ MALFORMED_SOLUTIONS = {
     "amplitude past the float range": _solution_row("amplitudes", [0.0] * 7 + [10**400]),
     "infinite amplitude": _solution_row("amplitudes", [0.0] * 7 + [float("inf")]),
     "site listed twice": _solution_row("sites", [0, 0, 0, 0]),
+    "site past the int64 range": _solution_row("sites", [2**63, 0, 0, 0]),
 }
 
 

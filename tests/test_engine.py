@@ -11,6 +11,7 @@ from estc import (
     DimensionlessParams,
     FieldConfig,
     FieldTables,
+    Multispinor,
     ProjectorAccumulator,
     SHIFTS_S13,
     StageSingular,
@@ -238,6 +239,23 @@ def test_residual_table_matches_the_dense_rows():
     assert residual_table(c, FieldTables(FIELD, PARAMS), []) == []
 
 
+def test_residual_table_reads_sites_outside_the_window_and_missing_sites():
+    tables = FieldTables(FIELD, PARAMS)
+    rows = Window(2).points()
+    # every other site of a wider window, and one far from every row
+    c = random_multispinor(Window(3).points()[::2], 16)
+    c[(40, 0, 0, 0)] = [1, 1, 1, 1]
+    assert any(site_add(n, s) not in c for n in rows for s in SHIFTS_S13)
+    # the per-site gather, then the same einsum: equal to the last bit
+    x = np.array([[c[site_add(n, s)] for s in SHIFTS_S13] for n in rows])
+    expected = np.linalg.norm(np.einsum("nsab,nsb->na", tables.rows(rows), x), axis=1)
+    got = residual_table(c, tables, rows)
+    assert [n for n, _ in got] == rows
+    assert [value for _, value in got] == expected.tolist()
+    empty = residual_table(Multispinor(), tables, rows)
+    assert [value for _, value in empty] == [0.0] * len(rows)
+
+
 def test_oversized_window_is_refused_before_enumeration(tmp_path, monkeypatch, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("R = 2\na_12 = 0.05\nb_31 = 0.04\n")
@@ -302,23 +320,39 @@ def test_non_finite_gram_trips_the_stage_guard(bad, monkeypatch):
 
 def test_dependent_mid_slice_row_trips_the_stage_guard(monkeypatch):
     # scalar row 3 of one site becomes the sum of its rows 0 and 1, so the
-    # row block adds rank 3, not 4: its pivot is singular
+    # row block adds rank 3, not 4: its pivot is singular.  The row
+    # transform T enters the Gram blocks as G -> T G T^dag: block (k, i)
+    # is multiplied by T on the left where k is the stage and by T^dag on
+    # the right where i is.
     schedule = lattice.make_schedule(Window(3))
     start = engine.ProjectorAccumulator.slice_bounds(schedule)[2]
     stage = start + 9
     assert schedule[stage][3] == schedule[start][3] == schedule[stage + 1][3]
-    real = engine.FieldTables.rows
+    t = np.eye(4)
+    t[3] = [1, 1, 0, 0]
+    real_gram = engine.build_row_gram
+    real_leading = engine.ProjectorAccumulator._leading_factor
+    leading_calls = []
 
-    def dependent(self, sites):
-        out = real(self, sites)
-        for i in [i for i, n in enumerate(sites) if n == schedule[stage]]:
-            out[i, :, 3] = out[i, :, 0] + out[i, :, 1]
-        return out
+    def dependent(*args):
+        gram = real_gram(*args)
+        blocks = gram.blocks.copy()
+        owner = np.repeat(np.arange(len(schedule)), np.diff(gram.stage_ptr))
+        blocks[owner == stage] = t @ blocks[owner == stage]
+        blocks[gram.partner == stage] = blocks[gram.partner == stage] @ t.T
+        return engine.RowGram(gram.stage_ptr, gram.partner, blocks)
 
-    monkeypatch.setattr(engine.FieldTables, "rows", dependent)
+    def leading(schur):
+        leading_calls.append(schur.shape)
+        return real_leading(schur)
+
+    monkeypatch.setattr(engine, "build_row_gram", dependent)
+    monkeypatch.setattr(engine.ProjectorAccumulator, "_leading_factor", staticmethod(leading))
     acc = ProjectorAccumulator(FIELD, PARAMS, Window(3))
     with pytest.raises(StageSingular) as err:
         acc.run()
+    # the slice's Cholesky failed, not the rcond floor
+    assert len(leading_calls) == 1
     assert (err.value.stage, err.value.site) == (stage, schedule[stage])
     assert not err.value.rcond >= acc.rcond_min
     assert acc.stages_done == stage
@@ -328,6 +362,75 @@ def test_dependent_mid_slice_row_trips_the_stage_guard(monkeypatch):
     solution = acc.apply_fundamental(c)
     worst = max(v for _, v in residual_table(solution, acc.tables, acc.processed_sites()))
     assert worst < 1e-13 * c.norm()
+
+
+def test_apply_fundamental_shares_no_buffer_with_its_input():
+    acc = fresh_accumulator().run()
+    points = acc.window.points()
+    # a seed missing some window sites and holding one outside the window
+    c = random_multispinor(points[::3], 17)
+    c[(9, 9, 0, 0)] = [1, 2, 3, 4]
+    before = {site: value.copy() for site, value in c.data.items()}
+    solution = acc.apply_fundamental(c)
+    reference = c - acc.apply_projector(c)
+    assert list(solution) == list(reference)
+    for site in reference:
+        assert np.array_equal(solution[site], reference[site])
+    for site in solution:
+        solution[site][:] = 7.0
+    assert list(c) == list(before)
+    assert all(np.array_equal(c[site], before[site]) for site in before)
+
+
+def test_second_accumulator_reuses_the_window_tables():
+    window = Window(3, (1, 0, -1, 2))
+    first = ProjectorAccumulator(FIELD, PARAMS, window).run()
+    first.apply_fundamental(random_multispinor(window.points(), 3))
+    second = ProjectorAccumulator(FIELD, PARAMS, window)
+    points = window.points()
+    stencil = [[points.index(site_add(m, s)) for s in SHIFTS_S13] for m in second.schedule]
+    assert second._stencil.tolist() == stencil
+    pattern = engine.gram_pattern(np.array(stencil))
+    gram = second.gram
+    assert np.array_equal(gram.stage_ptr, pattern.stage_ptr)
+    assert np.array_equal(gram.partner, pattern.partner)
+    assert gram.blocks.tobytes() == first.gram.blocks.tobytes()
+    cached = engine._window_pattern(window.radius, window.center)
+    assert gram.stage_ptr is cached.stage_ptr
+    for array in (*vars(cached).values(), second.tables.field_pairs):
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
+
+
+def test_library_point_makes_no_per_site_calls(monkeypatch):
+    # one sweep point at R=3: v_coupling only for the twelve field shifts, site_add never
+    from estc import field, multispinor
+
+    shifts, adds = [], []
+    real_coupling, real_add = field.v_coupling, lattice.site_add
+
+    def coupling(n, s, f, p):
+        shifts.append(s)
+        return real_coupling(n, s, f, p)
+
+    def add(a, b):
+        adds.append(a)
+        return real_add(a, b)
+
+    for module in (engine, field, lattice, multispinor):
+        for name, wrapper in (("v_coupling", coupling), ("site_add", add)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    # cold window caches: building them calls neither
+    lattice._layout.cache_clear()
+    engine._window_pattern.cache_clear()
+    cfg = parse_config(SAMPLE_CONFIG.read_text())
+    params = DimensionlessParams(0.11, -0.07, 0.2, 0.05, omega=cfg.params.omega)
+    acc = ProjectorAccumulator(cfg.field, params, Window(3, cfg.n_ref)).run()
+    solution = acc.apply_fundamental(random_multispinor(acc.window.points(), 2))
+    residual_table(solution, acc.tables, acc.processed_sites())
+    assert sorted(shifts) == sorted(SHIFTS_S13[1:])
+    assert adds == []
 
 
 def test_stage_diagnostics_are_recorded():

@@ -27,8 +27,10 @@ from estc import (
     validate,
     w_vector,
 )
-from estc.engine import build_row_gram
-from estc.field import CONSTRAINED_COMPONENTS, FREE_COMPONENTS
+from estc import Window
+from estc.engine import build_row_gram, gram_pattern
+from estc.field import CONSTRAINED_COMPONENTS, FREE_COMPONENTS, zero_shift_dsets
+from estc.lattice import make_schedule
 
 from helpers import random_field, random_params
 
@@ -222,7 +224,8 @@ def test_table_overlaps_match_the_brute_column_scan(seed):
     columns = sorted({site_add(n, s) for n in schedule for s in SHIFTS_S13})
     index = {site: j for j, site in enumerate(columns)}
     stencil = np.array([[index[site_add(n, s)] for s in SHIFTS_S13] for n in schedule])
-    gram = build_row_gram(FieldTables(f, p).rows(schedule), stencil)
+    tables = FieldTables(f, p)
+    gram = build_row_gram(tables.rows(schedule), tables.field_pairs, gram_pattern(stencil))
     assert gram.stage_ptr[0] == 0 and gram.stage_ptr[k] == len(gram.blocks)
     for a, x in enumerate(schedule):
         span = slice(gram.stage_ptr[a], gram.stage_ptr[a + 1])
@@ -234,6 +237,69 @@ def test_table_overlaps_match_the_brute_column_scan(seed):
         for b in range(a + 1):
             if b not in partners:
                 assert not oracle_overlap(x, schedule[b], f, p).any()
+
+
+def all_pairs_row_gram(rows, stencil):
+    """The row Gram blocks with every matched product formed from the rows.
+
+    The reference for the field-pair table: one einsum over all matches
+    V_k[s] V_i[t]^dag with i <= k, in (k, s, t) order, then a stable sort
+    by (k, i) and a sum over each run.
+    """
+    stages = len(stencil)
+    owner = np.full((stencil.max() + 1, 13), -1, dtype=np.intp)
+    owner[stencil, np.arange(13)] = np.arange(stages)[:, None]
+    partner = owner[stencil]
+    k, s, t = np.nonzero((partner >= 0) & (partner <= np.arange(stages)[:, None, None]))
+    i = partner[k, s, t]
+    products = np.einsum("pab,pcb->pac", rows[k, s], rows[i, t].conj())
+    key = k * stages + i
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    blocks = np.add.reduceat(products[order], first, axis=0)
+    stage_ptr = np.searchsorted(key[first] // stages, np.arange(stages + 1))
+    return stage_ptr, key[first] % stages, blocks
+
+
+@pytest.mark.parametrize("radius, center", [(2, (0, 0, 0, 0)), (3, (1, 0, -1, 2))])
+def test_row_gram_from_the_field_pair_table_is_the_all_pairs_sum(radius, center):
+    rng = np.random.default_rng(radius)
+    window = Window(radius, center)
+    schedule = make_schedule(window)
+    points = window.points()
+    index = {site: j for j, site in enumerate(points)}
+    stencil = np.array([[index[site_add(n, s)] for s in SHIFTS_S13] for n in schedule])
+    for _ in range(3):
+        f, p = random_field(rng), random_params(rng)
+        tables = FieldTables(f, p)
+        rows = tables.rows(schedule)
+        gram = build_row_gram(rows, tables.field_pairs, gram_pattern(stencil))
+        stage_ptr, partner, blocks = all_pairs_row_gram(rows, stencil)
+        assert np.array_equal(gram.stage_ptr, stage_ptr)
+        assert np.array_equal(gram.partner, partner)
+        # the same products summed in the same order: equal to the last bit
+        assert gram.blocks.tobytes() == blocks.tobytes()
+        owner = np.repeat(np.arange(len(schedule)), np.diff(gram.stage_ptr))
+        for k, i, block in zip(owner, gram.partner, gram.blocks):
+            assert np.abs(block - n_overlap(schedule[k], schedule[i], f, p)).max() < 1e-13
+
+
+def test_table_rows_are_the_per_site_coupling_stack():
+    rng = np.random.default_rng(7)
+    sites = Window(3, (1, 0, -1, 2)).points()
+    for _ in range(4):
+        f, p = random_field(rng), random_params(rng)
+        expected = np.array(
+            [[matrix_from_dset(v_coupling(n, s, f, p)) for s in SHIFTS_S13] for n in sites]
+        )
+        assert np.array_equal(FieldTables(f, p).rows(sites), expected)
+        # one zero-shift formula: v_coupling reads its row of the vectorized dsets
+        assert np.array_equal(
+            zero_shift_dsets(sites, p),
+            np.array([v_coupling(n, (0, 0, 0, 0), f, p) for n in sites]),
+        )
+    assert FieldTables(f, p).rows([]).shape == (0, 13, 4, 4)
 
 
 def test_overlap_diagonal_is_the_gram_matrix():

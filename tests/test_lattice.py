@@ -223,3 +223,46 @@ def test_window_points_are_enumerated_once_and_copied(monkeypatch):
     monkeypatch.setattr(lattice, "g4d", refuse)
     again = window_points(3, (1, 0, -1, 2))
     assert again == first[:-1] and again is not first
+
+
+@pytest.mark.parametrize("radius, center", [(1, (0, 0, 0, 0)), (2, (0, 0, 0, 0)), (3, (1, 0, -1, 2))])
+def test_layout_neighbor_table_matches_the_brute_scan(radius, center):
+    window = Window(radius, center)
+    layout = lattice.window_layout(window)
+    points = window.points()
+    assert list(layout.sites) == points
+    for i, n in enumerate(points):
+        assert layout.index[n] == i
+        for s, shift in enumerate(SHIFTS_S13):
+            m = site_add(n, shift)
+            expected = points.index(m) if m in points else -1
+            assert layout.neighbors[i, s] == expected
+    assert (layout.neighbors == -1).any()
+    interior = window.interior_points()
+    assert [points[i] for i in layout.schedule] == sorted(interior, key=lambda n: n[3])
+    assert make_schedule(window) == sorted(interior, key=lambda n: n[3])
+
+
+def test_layout_is_cached_and_read_only():
+    layout = lattice.window_layout(Window(3, (1, 0, -1, 2)))
+    assert lattice.window_layout(Window(3, (1, 0, -1, 2))) is layout
+    for array in (layout.neighbors, layout.schedule, lattice.SHIFT_ARRAY):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(TypeError):
+        layout.index[(99, 1, 0, 0)] = 0
+
+
+def test_locate_matches_a_dict_lookup():
+    rng = np.random.default_rng(3)
+    points = np.unique(rng.integers(-3, 4, size=(60, 4)), axis=0)
+    rng.shuffle(points)
+    index = {tuple(p): i for i, p in enumerate(points.tolist())}
+    queries = rng.integers(-4, 5, size=(7, 9, 4))
+    got = lattice.locate(points, queries)
+    assert got.shape == (7, 9)
+    expected = [[index.get(tuple(q), -1) for q in row] for row in queries.tolist()]
+    assert got.tolist() == expected
+    assert (got >= 0).any() and (got == -1).any()
+    assert lattice.locate(points[:0], queries).tolist() == [[-1] * 9] * 7
+    assert lattice.locate(points, queries[:0]).shape == (0, 9)

@@ -55,3 +55,22 @@ def test_random_multispinor_is_seed_deterministic():
     assert (a - b).norm() == 0.0
     assert (a - other).norm() > 0.0
     assert set(a.sites()) == set(sites)
+
+
+def test_random_multispinor_is_the_sequential_per_site_draw():
+    sites = [(0, 0, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 0, 0, 0), (2, 0, 0, 0)]
+    rng = np.random.default_rng(31)
+    expected = {}
+    for site in sites:  # a repeated site keeps its place and takes the later draw
+        expected[site] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    c = random_multispinor(iter(sites), 31)
+    assert list(c) == list(expected)
+    for site, value in expected.items():
+        assert c[site].tobytes() == value.tobytes()
+    assert random_multispinor([], 31).norm() == 0.0
+
+
+def test_norm_sums_every_amplitude():
+    c = random_multispinor([(0, 0, 0, 0), (1, 1, 0, 0), (0, 0, 2, 0)], 4)
+    flat = np.concatenate([c[site] for site in c])
+    assert c.norm() == pytest.approx(np.linalg.norm(flat), rel=1e-15)
