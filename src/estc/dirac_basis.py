@@ -120,14 +120,25 @@ UNIT_DSET = np.zeros(16, dtype=complex)
 UNIT_DSET[0] = 1.0
 
 
+# both conversions as one matrix product over the flattened 4x4 entries:
+# m[i, j] = sum_n d[n] GAMMA[n, i, j] and d[n] = sum_ij m[i, j] GAMMA[n, j, i] / 4;
+# like einsum, they propagate a non-finite entry without a warning
+_TO_MATRIX = GAMMA.reshape(16, 16)
+_TO_DSET = GAMMA.transpose(0, 2, 1).reshape(16, 16).T / 4.0
+
+
 def dset_from_matrix(a: np.ndarray) -> np.ndarray:
     """Coefficient set of a 4x4 matrix (last two axes)."""
-    return np.einsum("...ij,nji->...n", np.asarray(a, dtype=complex), GAMMA) / 4.0
+    a = np.asarray(a, dtype=complex)
+    with np.errstate(all="ignore"):
+        return a.reshape(*a.shape[:-2], 16) @ _TO_DSET
 
 
 def matrix_from_dset(d: np.ndarray) -> np.ndarray:
     """Dense 4x4 matrix from a coefficient set (last axis)."""
-    return np.einsum("...n,nij->...ij", np.asarray(d, dtype=complex), GAMMA)
+    d = np.asarray(d, dtype=complex)
+    with np.errstate(all="ignore"):
+        return (d @ _TO_MATRIX).reshape(*d.shape[:-1], 4, 4)
 
 
 def dset_multiply(da: np.ndarray, db: np.ndarray) -> np.ndarray:

@@ -29,13 +29,14 @@ truncation error of the window.
 Only the zero-shift block V(n, 0) depends on q, through w = q + Omega n,
 so a point at new q pays only for it.  Per window (radius, center), built
 once per process and shared read-only: the layout of lattice.window_layout
-(sites, the (N, 13) neighbor table, the schedule) and the Gram pattern,
-which lists every matched product of the row Gram matrix and the run of
-each block.  Per FieldTables, so per field and parameters: the twelve
-field-shift matrices F_s and their 144 products F_s F_t^dag.  A point
-forms the rows' zero-shift matrices, the products that involve them, and
-the factor; the seed, the projection and the residuals work on window
-arrays, without site tuples built one at a time.
+(sites, the (N, 13) neighbor table, the schedule), the window plan
+(stencil, slices, coverage, the projection's scatter order) and the Gram
+pattern, which lists every matched product of the row Gram matrix and the
+run of each block.  Per field, likewise: the twelve field-shift matrices
+F_s and their 144 products F_s F_t^dag.  A point forms the rows'
+zero-shift matrices, the products that involve them, and the factor; the
+seed, the projection and the residuals work on the (N, 4) amplitude array
+of a Multispinor, without site tuples handled one at a time.
 """
 
 from __future__ import annotations
@@ -57,28 +58,60 @@ class FieldTables:
     """Row coefficients V(n, s) of a field, for any sites.
 
     The twelve field-shift coupling matrices F_s are site-independent, so
-    only the zero-shift matrix depends on the site (and on q).  The
-    products F_s F_t^dag of every pair of field shifts are formed once, as
-    field_pairs[s - 1, t - 1].
+    only the zero-shift matrix depends on the site (and on q).  Formed
+    once per field and shared read-only by every FieldTables of it: the
+    products F_s F_t^dag of every pair of field shifts, as
+    field_pairs[s - 1, t - 1], and field_row, the F_s side by side as one
+    (4, 48) matrix, so that the field part of a row acts on the 12
+    neighbors of its site as one matrix product.
     """
 
     def __init__(self, f: FieldConfig, p: DimensionlessParams):
         validate(f, p)
         self.field = f
         self.params = p
-        self._field_v = np.stack(
-            [matrix_from_dset(v_coupling((0, 0, 0, 0), s, f, p)) for s in SHIFTS_S13[1:]]
-        )
-        s, t = np.indices((12, 12)).reshape(2, -1)
-        self.field_pairs = _products(self._field_v[s], self._field_v[t]).reshape(12, 12, 4, 4)
-        self.field_pairs.setflags(write=False)
+        self._field_v, self.field_pairs, self.field_row = _field_tables(f)
+
+    def zero_shift(self, sites: list[Site] | np.ndarray) -> np.ndarray:
+        """(len(sites), 4, 4) zero-shift matrices V(n, 0) of a list or (N, 4) array of sites."""
+        return matrix_from_dset(zero_shift_dsets(sites, self.params))
 
     def rows(self, sites: list[Site]) -> np.ndarray:
         """(len(sites), 13, 4, 4) coupling matrices of each row, in stencil shift order."""
         out = np.empty((len(sites), 13, 4, 4), dtype=complex)
-        out[:, 0] = matrix_from_dset(zero_shift_dsets(sites, self.params))
+        out[:, 0] = self.zero_shift(sites)
         out[:, 1:] = self._field_v
         return out
+
+    def row_sums(self, zero: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """sum_s V(n, s) values[n, s] of each row n, given its V(n, 0) as zero[n].
+
+        values is (n, 13, 4) in stencil shift order; the result is (n, 4).
+        """
+        field = values[:, 1:].reshape(-1, 48) @ self.field_row.T
+        return np.einsum("nab,nb->na", zero, values[:, 0]) + field
+
+    def adjoint_terms(self, zero: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """(n, 13, 4) terms V(n, s)^dag u[n] of each row n, given its V(n, 0) as zero[n]."""
+        out = np.empty((len(u), 13, 4), dtype=complex)
+        out[:, 0] = np.einsum("nba,nb->na", zero.conj(), u)
+        out[:, 1:] = (u @ self.field_row.conj()).reshape(-1, 12, 4)
+        return out
+
+
+@lru_cache(maxsize=8)
+def _field_tables(f: FieldConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The field-shift matrices F_s of a field, their products F_s F_t^dag and F_s side by side."""
+    # a field shift's coefficient reads neither the site nor the parameters
+    p = DimensionlessParams()
+    dsets = np.stack([v_coupling((0, 0, 0, 0), s, f, p) for s in SHIFTS_S13[1:]])
+    field_v = matrix_from_dset(dsets)
+    s, t = np.indices((12, 12)).reshape(2, -1)
+    field_pairs = _products(field_v[s], field_v[t]).reshape(12, 12, 4, 4)
+    field_row = field_v.transpose(1, 0, 2).reshape(4, 48)
+    for array in (field_v, field_pairs, field_row):
+        array.setflags(write=False)
+    return field_v, field_pairs, field_row
 
 
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,10 +193,56 @@ def gram_pattern(stencil: np.ndarray) -> GramPattern:
     return pattern
 
 
+@dataclass(frozen=True)
+class WindowPlan:
+    """What an accumulator needs of its window besides the Gram pattern.
+
+    stencil[k, s] is the window index of m_k + SHIFTS_S13[s] and slice_ptr
+    the slice starts of the schedule (ProjectorAccumulator.slice_bounds).
+    first_cover[j] is the first stage whose stencil reaches window site j
+    (K where none does) and support[k] counts the sites that the stencils
+    of stages 0..k reach.  The projection sums its K * 13 stencil terms
+    into the window sites in one sorted reduction: scatter_order sorts the
+    flat stencil, stably, and the run starting at scatter_first[j] holds
+    the terms of window site scatter_sites[j].
+    """
+
+    stencil: np.ndarray
+    slice_ptr: np.ndarray
+    first_cover: np.ndarray
+    support: np.ndarray
+    scatter_order: np.ndarray
+    scatter_first: np.ndarray
+    scatter_sites: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _window_plan(radius: int, center: Site) -> WindowPlan:
+    layout = window_layout(Window(radius, center))
+    stencil = layout.neighbors[layout.schedule]
+    stages = len(stencil)
+    first_cover = np.full(len(layout.sites), stages)
+    np.minimum.at(first_cover, stencil, np.arange(stages)[:, None])
+    flat = stencil.ravel()
+    order = np.argsort(flat, kind="stable")
+    first = np.flatnonzero(np.diff(flat[order], prepend=-1))
+    plan = WindowPlan(
+        stencil=stencil,
+        slice_ptr=ProjectorAccumulator.slice_bounds(layout.coords[layout.schedule]),
+        first_cover=first_cover,
+        support=np.cumsum(np.bincount(first_cover, minlength=stages + 1))[:stages],
+        scatter_order=order,
+        scatter_first=first,
+        scatter_sites=flat[order][first],
+    )
+    for array in vars(plan).values():
+        array.setflags(write=False)
+    return plan
+
+
 @lru_cache(maxsize=8)
 def _window_pattern(radius: int, center: Site) -> GramPattern:
-    layout = window_layout(Window(radius, center))
-    return gram_pattern(layout.neighbors[layout.schedule])
+    return gram_pattern(_window_plan(radius, center).stencil)
 
 
 def build_row_gram(rows: np.ndarray, field_pairs: np.ndarray, pattern: GramPattern) -> RowGram:
@@ -216,6 +295,29 @@ def _pivot_rconds(diagonal: np.ndarray) -> np.ndarray:
     return np.where(finite, values[:, 0] / values[:, -1], np.nan)
 
 
+# diagonal blocks of at most this many rows are inverted directly by tril_inverse
+TRIL_BLOCK = 48
+
+
+def tril_inverse(r: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular (4n, 4n) matrix, exactly zero above the diagonal.
+
+    Blocked recursion on stage (4-row) boundaries: for
+    r = [[A, 0], [B, C]] the inverse is [[A^-1, 0], [-C^-1 B A^-1, C^-1]].
+    Only diagonal blocks of at most TRIL_BLOCK rows go through
+    np.linalg.inv, so most of the work is triangular products.
+    """
+    size = r.shape[0]
+    if size <= TRIL_BLOCK:
+        return np.tril(np.linalg.inv(r))
+    half = 4 * (size // 8)
+    out = np.zeros_like(r)
+    out[:half, :half] = first = tril_inverse(r[:half, :half])
+    out[half:, half:] = last = tril_inverse(r[half:, half:])
+    out[half:, :half] = -last @ (r[half:, :half] @ first)
+    return out
+
+
 def _blocks(a: np.ndarray) -> np.ndarray:
     """(n, 4, 4) diagonal 4x4 blocks of a (4n, 4n) matrix."""
     n = a.shape[0] // 4
@@ -263,20 +365,16 @@ class ProjectorAccumulator:
         self.diagnostics: list[StageDiagnostics] = []
         self.stages_done = 0
 
-        stages = len(self.schedule)
-        self.slice_ptr = self.slice_bounds(self.schedule)
+        self._layout = window_layout(window)
+        self._plan = _window_plan(window.radius, window.center)
+        self.slice_ptr = self._plan.slice_ptr
+        # row k of the stencil table holds the window indices of m_k + s over the 13 shifts
+        self._stencil = self._plan.stencil
         self.inverses: list[np.ndarray] = []
         self.bands: list[np.ndarray] = []
-        self.rconds = np.zeros(stages)
+        self.rconds = np.zeros(len(self.schedule))
         self._gram: RowGram | None = None
-        self._layout = window_layout(window)
-        # row k of the stencil table holds the window indices of m_k + s over the 13 shifts
-        self._stencil = self._layout.neighbors[self._layout.schedule]
         self._rows = self.tables.rows(self.schedule)
-        # the first stage whose stencil reaches each window site (stages if none does)
-        self._first_cover = np.full(len(self._layout.sites), stages)
-        np.minimum.at(self._first_cover, self._stencil, np.arange(stages)[:, None])
-        self._support = np.cumsum(np.bincount(self._first_cover, minlength=stages + 1))[:stages]
 
     @classmethod
     def from_factors(
@@ -302,9 +400,12 @@ class ProjectorAccumulator:
         return acc
 
     @staticmethod
-    def slice_bounds(schedule: list[Site]) -> np.ndarray:
-        """slice_ptr of a time-major schedule: slice t is stages slice_ptr[t]:slice_ptr[t + 1]."""
-        n4 = np.array([m[3] for m in schedule])
+    def slice_bounds(schedule) -> np.ndarray:
+        """slice_ptr of a time-major schedule: slice t is stages slice_ptr[t]:slice_ptr[t + 1].
+
+        schedule is a list of sites or a (K, 4) array of them.
+        """
+        n4 = np.reshape(schedule, (-1, 4))[:, 3]
         return np.flatnonzero(np.diff(n4, prepend=n4[0] - 1, append=n4[-1] + 1))
 
     @property
@@ -339,11 +440,13 @@ class ProjectorAccumulator:
         cols = gram.partner[span] - low
         blocks = gram.blocks[span]
         offset = start - low
-        panel = np.zeros((stop - start, stop - low, 4, 4), dtype=complex)
-        panel[rows, cols] = blocks
+        # laid out as (row stage, 4, column stage, 4), so the dense panel is a view
+        panel = np.zeros((stop - start, 4, stop - low, 4), dtype=complex)
+        panel[rows, :, cols] = blocks
         mirror = (cols >= offset) & (cols - offset < rows)
-        panel[cols[mirror] - offset, rows[mirror] + offset] = blocks[mirror].conj().transpose(0, 2, 1)
-        return panel.transpose(0, 2, 1, 3).reshape(4 * (stop - start), 4 * (stop - low))
+        mirrored = blocks[mirror].conj().transpose(0, 2, 1)
+        panel[cols[mirror] - offset, :, rows[mirror] + offset] = mirrored
+        return panel.reshape(4 * (stop - start), 4 * (stop - low))
 
     def _factor_slice(self, t: int, stop: int) -> None:
         """Factor stages slice_ptr[t]:stop of slice t and record them.
@@ -380,21 +483,21 @@ class ProjectorAccumulator:
 
         done = self.stages_done
         if keep:
-            self.inverses[t:] = [np.tril(np.linalg.inv(factor[: 4 * keep, : 4 * keep]))]
+            self.inverses[t:] = [tril_inverse(factor[: 4 * keep, : 4 * keep])]
             self.bands[t:] = [band[: 4 * keep]]
         self.rconds[done : start + keep] = rconds[done - start : keep]
         self.stages_done = start + keep
         share = (time.perf_counter() - started) / (stop - start)
-        for k in range(done, start + keep):
+        new = slice(done, start + keep)
+        for k, site, rcond, gram_asymmetry, support_size in zip(
+            range(done, start + keep),
+            self.schedule[new],
+            self.rconds[new].tolist(),
+            asymmetry[done - start : keep].tolist(),
+            self._plan.support[new].tolist(),
+        ):
             self.diagnostics.append(
-                StageDiagnostics(
-                    stage=k,
-                    site=self.schedule[k],
-                    rcond=float(self.rconds[k]),
-                    gram_asymmetry=float(asymmetry[k - start]),
-                    support_size=int(self._support[k]),
-                    elapsed=share,
-                )
+                StageDiagnostics(k, site, rcond, gram_asymmetry, support_size, share)
             )
         if failed is not None:
             k = start + failed[0]
@@ -418,7 +521,7 @@ class ProjectorAccumulator:
             except np.linalg.LinAlgError:
                 bad = mid
         edge = slice(4 * good, 4 * good + 4)
-        coupling = schur[edge, : 4 * good] @ np.linalg.inv(factor).conj().T
+        coupling = schur[edge, : 4 * good] @ tril_inverse(factor).conj().T
         pivot = schur[edge, edge] - coupling @ coupling.conj().T
         try:
             values = np.linalg.eigvalsh(pivot)
@@ -463,20 +566,31 @@ class ProjectorAccumulator:
         out = np.zeros_like(x)
         if k == 0:
             return out
-        stencil = self._stencil[:k]
-        rows = self._rows[:k]
-        y = np.einsum("ksab,ksb->ka", rows, x[stencil])
-        u = self.solve_upper(self.solve_lower(y.ravel())).reshape(k, 4)
-        np.add.at(out, stencil, np.einsum("ksba,kb->ksa", rows.conj(), u))
+        zero = self._rows[:, 0]
+        y = self.tables.row_sums(zero[:k], x[self._stencil[:k]])
+        # stages past k contribute zero terms, so the full-schedule scatter order holds
+        u = np.zeros((len(self.schedule), 4), dtype=complex)
+        u[:k] = self.solve_upper(self.solve_lower(y.ravel())).reshape(k, 4)
+        terms = self.tables.adjoint_terms(zero, u).reshape(-1, 4)
+        plan = self._plan
+        out[plan.scatter_sites] = np.add.reduceat(terms[plan.scatter_order], plan.scatter_first)
         return out
 
-    def _window_amplitudes(self, c: Multispinor) -> np.ndarray:
-        """(N, 4) amplitudes of c on the window sites, zero where c has none."""
-        return np.array([c[site] for site in self._layout.sites])
+    def _window_amplitudes(self, c: Multispinor) -> tuple[np.ndarray, np.ndarray | None]:
+        """(N, 4) amplitudes of c on the window sites, zero where c has none, and their rows.
+
+        rows[j] is the row of c at window site j, -1 where c has none; it
+        is None, and no site is looked up, when c lies on the window's own
+        sites in their order.
+        """
+        if c.support == self._layout.sites:
+            return c.amplitudes, None
+        rows = locate(c.coords(), self._layout.coords)
+        return np.concatenate([c.amplitudes, np.zeros((1, 4), dtype=complex)])[rows], rows
 
     def _covered(self) -> np.ndarray:
         """Window indices of the sites the processed stencils reach."""
-        return np.flatnonzero(self._first_cover < self.stages_done)
+        return np.flatnonzero(self._plan.first_cover < self.stages_done)
 
     def apply_projector(self, c: Multispinor) -> Multispinor:
         """Accumulated projector applied to c: the processed-row component.
@@ -484,7 +598,7 @@ class ProjectorAccumulator:
         P c = V^dag R^-dag R^-1 V c, returned on the sites the processed
         stencils reach; entries of c outside the window do not enter.
         """
-        out = self._project(self._window_amplitudes(c))
+        out = self._project(self._window_amplitudes(c)[0])
         covered = self._covered()
         return Multispinor.from_rows([self._layout.sites[i] for i in covered], out[covered])
 
@@ -494,25 +608,28 @@ class ProjectorAccumulator:
         Holds the sites of c, in its order, then the covered sites c lacks.
         No amplitude shares a buffer with c.
         """
-        x = self._window_amplitudes(c)
+        layout = self._layout
+        x, rows = self._window_amplitudes(c)
         y = x - self._project(x)
-        index, sites = self._layout.index, self._layout.sites
-        data = {}
-        for site, value in c.data.items():
-            i = index.get(site)
-            data[site] = value.copy() if i is None else y[i]
-        for i in self._covered():
-            data.setdefault(sites[i], y[i])
-        return Multispinor.from_rows(data.keys(), data.values())
+        if rows is None:
+            return Multispinor.from_rows(layout.sites, y, layout.coords)
+        present = rows >= 0
+        out = c.amplitudes.copy()
+        out[rows[present]] = y[present]
+        covered = self._covered()
+        lacking = covered[~present[covered]]
+        sites = c.support + tuple(layout.sites[i] for i in lacking)
+        coords = np.concatenate([c.coords(), layout.coords[lacking]])
+        return Multispinor.from_rows(sites, np.concatenate([out, y[lacking]]), coords)
 
 
 def residual_table(
     c: Multispinor, tables: FieldTables, sites: list[Site]
 ) -> list[tuple[Site, float]]:
     """Row residuals over the given sites, with c extended by zero."""
-    points = np.array(list(c), dtype=np.int64).reshape(-1, 4)
     # the row past the last amplitude is the zero that sites c lacks read
-    values = np.array([*c.data.values(), np.zeros(4, dtype=complex)])
-    neighbors = locate(points, np.array(sites, dtype=np.int64).reshape(-1, 1, 4) + SHIFT_ARRAY)
-    rows = np.einsum("nsab,nsb->na", tables.rows(sites), values[neighbors])
+    values = np.concatenate([c.amplitudes, np.zeros((1, 4), dtype=complex)])
+    coords = np.array(sites, dtype=np.int64).reshape(-1, 4)
+    neighbors = locate(c.coords(), coords[:, None, :] + SHIFT_ARRAY)
+    rows = tables.row_sums(tables.zero_shift(coords), values[neighbors])
     return list(zip(sites, np.linalg.norm(rows, axis=1).tolist()))

@@ -215,14 +215,14 @@ def read_operator(path: str | Path, cfg: RunConfig) -> ProjectorAccumulator:
 
 def solution_payload(c: Multispinor, cfg: RunConfig, source: dict) -> dict:
     """Sites in sorted order, each with its amplitudes as [re0, im0, ..., re3, im3]."""
-    sites = c.sites()
-    amplitudes = np.array([c[site] for site in sites], dtype=complex).reshape(-1, 4)
+    sites = c.coords()
+    order = np.lexsort(sites.T[::-1])
     return {
         "format": SOLUTION_FORMAT,
         "fingerprint": config_fingerprint(cfg),
         "source": source,
-        "sites": [list(site) for site in sites],
-        "amplitudes": amplitudes.view(float).reshape(-1, 8).tolist(),
+        "sites": sites[order].tolist(),
+        "amplitudes": c.amplitudes[order].view(float).reshape(-1, 8).tolist(),
     }
 
 
@@ -259,18 +259,19 @@ def read_solution(path: str | Path, cfg: RunConfig | None = None) -> Multispinor
         raise ConfigError(
             f"solution dump {path} has {len(sites)} sites but {len(amplitudes)} amplitude rows"
         )
-    out = Multispinor()
+    seen: dict[Site, None] = {}
     for site, flat in zip(sites, amplitudes):
         if not _numbers(site, 4, int):
             raise ConfigError(f"solution site {site!r} is not four integers")
         if max(abs(n) for n in site) > MAX_COORDINATE:
             raise ConfigError(f"solution site {site} lies past the site range of +-2**62")
-        if tuple(site) in out:
+        if tuple(site) in seen:
             raise ConfigError(f"solution site {site} is listed twice")
         if not _numbers(flat, 8, (int, float)):
             raise ConfigError(f"amplitudes at solution site {site} are not eight finite numbers")
-        out[tuple(site)] = [complex(flat[2 * i], flat[2 * i + 1]) for i in range(4)]
-    return out
+        seen[tuple(site)] = None
+    values = np.array(amplitudes, dtype=float).reshape(-1, 8).view(complex)
+    return Multispinor.from_rows(seen, values)
 
 
 def residual_csv(rows: list[tuple[Site, float]], center: Site) -> str:

@@ -9,10 +9,8 @@ twelve unit shifts mixing one spatial axis with the time axis.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -157,7 +155,8 @@ def locate(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     flat = queries.reshape(-1, 4)
     out = np.full(len(flat), -1, dtype=np.intp)
     if len(flat):
-        low, high = flat.min(axis=0), flat.max(axis=0)
+        axes = np.ascontiguousarray(flat.T)  # reduced far faster than flat along axis 0
+        low, high = axes.min(axis=1), axes.max(axis=1)
         inside = np.flatnonzero(((points >= low) & (points <= high)).all(axis=1))
         dims = tuple(high - low + 1)
         keys = np.ravel_multi_index(tuple((points[inside] - low).T), dims)
@@ -176,15 +175,15 @@ def locate(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
 class WindowLayout:
     """Array form of a window, built once per (radius, center).
 
-    sites are the window points in window order and index their inverse;
-    neighbors[i, s] is the window index of sites[i] + SHIFTS_S13[s], -1
-    outside the window; schedule lists the window indices of
-    make_schedule's sites in its order.  The arrays are read-only: every
-    caller shares them.
+    sites are the window points in window order and coords the same
+    points as an (N, 4) int64 array; neighbors[i, s] is the window index
+    of sites[i] + SHIFTS_S13[s], -1 outside the window; schedule lists the
+    window indices of make_schedule's sites in its order.  The arrays are
+    read-only: every caller shares them.
     """
 
     sites: tuple[Site, ...]
-    index: Mapping[Site, int]
+    coords: np.ndarray
     neighbors: np.ndarray
     schedule: np.ndarray
 
@@ -201,10 +200,9 @@ def _layout(radius: int, center: Site) -> WindowLayout:
     neighbors = locate(coords, coords[:, None, :] + SHIFT_ARRAY)
     # the interior is the leading window_size(radius - 1) points; the schedule is time-major
     schedule = np.argsort(coords[: window_size(radius - 1), 3], kind="stable")
-    for array in (neighbors, schedule):
+    for array in (coords, neighbors, schedule):
         array.setflags(write=False)
-    index = MappingProxyType({site: i for i, site in enumerate(sites)})
-    return WindowLayout(sites, index, neighbors, schedule)
+    return WindowLayout(sites, coords, neighbors, schedule)
 
 
 def slice_sizes(radius: int) -> tuple[int, int]:

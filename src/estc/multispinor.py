@@ -6,78 +6,134 @@ window act on it exactly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .lattice import Site
 
 _ZERO = np.zeros(4, dtype=complex)
+_ZERO.setflags(write=False)
 
 
 class Multispinor:
-    def __init__(self, data: dict[Site, np.ndarray] | None = None):
-        self.data: dict[Site, np.ndarray] = {}
-        if data:
-            for site, value in data.items():
-                self[site] = value
+    """N distinct sites, in insertion order, and their amplitudes as one (N, 4) complex array.
+
+    Row i of amplitudes is the bispinor at support[i].  The site-to-row
+    index is built on the first lookup by site and the (N, 4) int64 site
+    array on the first call of coords(), so code that works on the arrays
+    never builds the index.
+    """
+
+    def __init__(self, data: Mapping[Site, np.ndarray] | None = None):
+        data = data or {}
+        rows = [np.asarray(value, dtype=complex).reshape(4) for value in data.values()]
+        self._assign(tuple(data), np.array(rows, dtype=complex).reshape(-1, 4))
 
     @classmethod
-    def from_rows(cls, sites: Iterable[Site], rows: Iterable[np.ndarray]) -> "Multispinor":
-        """rows[i] at sites[i], taken as they are: each must be a complex 4-vector.
+    def from_rows(
+        cls, sites: Iterable[Site], rows: np.ndarray, coords: np.ndarray | None = None
+    ) -> "Multispinor":
+        """rows[i] at sites[i], with the sites distinct and rows an (N, 4) complex array.
 
-        Rows that are views of one (N, 4) array keep sharing its buffer.
+        The array is taken as it is, not copied: writes through either show
+        in both.  coords, if given, must be the sites as an (N, 4) int64 array.
         """
-        out = cls()
-        out.data = dict(zip(sites, rows))
+        out = cls.__new__(cls)
+        out._assign(tuple(sites), rows)
+        out._coords = coords
         return out
+
+    def _assign(self, support: tuple[Site, ...], amplitudes: np.ndarray) -> None:
+        if amplitudes.shape != (len(support), 4) or amplitudes.dtype != complex:
+            raise ValueError(
+                f"{len(support)} sites need a ({len(support)}, 4) complex array, "
+                f"got {amplitudes.dtype} {amplitudes.shape}"
+            )
+        self.support = support
+        self.amplitudes = amplitudes
+        self._index: dict[Site, int] | None = None
+        self._coords: np.ndarray | None = None
+
+    def coords(self) -> np.ndarray:
+        """The sites as an (N, 4) int64 array, in their order."""
+        if self._coords is None:
+            self._coords = np.array(self.support, dtype=np.int64).reshape(-1, 4)
+        return self._coords
+
+    def _lookup(self) -> dict[Site, int]:
+        """The site-to-row index, built on first use."""
+        if self._index is None:
+            self._index = {n: i for i, n in enumerate(self.support)}
+        return self._index
 
     def __getitem__(self, site: Site) -> np.ndarray:
-        return self.data.get(site, _ZERO)
+        i = self._lookup().get(site)
+        return _ZERO if i is None else self.amplitudes[i]
 
     def __setitem__(self, site: Site, value) -> None:
-        self.data[site] = np.asarray(value, dtype=complex).reshape(4)
+        value = np.asarray(value, dtype=complex).reshape(4)
+        index = self._lookup()
+        i = index.get(site)
+        if i is None:
+            index[site] = len(self.support)
+            self.support += (site,)
+            self.amplitudes = np.concatenate([self.amplitudes, value[None]])
+            self._coords = None
+        else:
+            self.amplitudes[i] = value
 
     def __contains__(self, site: Site) -> bool:
-        return site in self.data
+        return site in self._lookup()
 
     def __iter__(self) -> Iterator[Site]:
-        return iter(self.data)
+        return iter(self.support)
 
     def sites(self) -> list[Site]:
-        return sorted(self.data)
+        return sorted(self.support)
 
     def add_to(self, site: Site, value: np.ndarray) -> None:
-        if site in self.data:
-            self.data[site] = self.data[site] + value
-        else:
+        i = self._lookup().get(site)
+        if i is None:
             self[site] = value
+        else:
+            self.amplitudes[i] += np.asarray(value, dtype=complex).reshape(4)
 
     def copy(self) -> "Multispinor":
-        return Multispinor({site: value.copy() for site, value in self.data.items()})
+        return Multispinor.from_rows(self.support, self.amplitudes.copy(), self._coords)
 
     def __add__(self, other: "Multispinor") -> "Multispinor":
-        out = self.copy()
-        for site, value in other.data.items():
-            out.add_to(site, value)
-        return out
+        """Sum on the sites of self, in their order, then the sites of other that self lacks."""
+        index = self._lookup()
+        rows = np.array([index.get(site, -1) for site in other.support], dtype=np.intp)
+        extra = np.flatnonzero(rows < 0)
+        rows[extra] = len(self.support) + np.arange(len(extra))
+        out = np.concatenate([self.amplitudes, np.zeros((len(extra), 4), dtype=complex)])
+        out[rows] += other.amplitudes
+        support = self.support + tuple(other.support[i] for i in extra)
+        return Multispinor.from_rows(support, out)
 
     def __sub__(self, other: "Multispinor") -> "Multispinor":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "Multispinor":
-        return Multispinor({site: scalar * value for site, value in self.data.items()})
+        return Multispinor.from_rows(self.support, scalar * self.amplitudes, self._coords)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(np.array(list(self.data.values()))) ** 2)))
+        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
 
 def random_multispinor(sites: Iterable[Site], seed: int) -> Multispinor:
     """Standard normal complex amplitudes on the given sites, in their order.
 
     One draw of shape (N, 2, 4): per site the four real parts, then the
-    four imaginary parts.
+    four imaginary parts.  A repeated site keeps its first place and takes
+    its last draw.
     """
     sites = list(sites)
     draws = np.random.default_rng(seed).standard_normal((len(sites), 2, 4))
-    return Multispinor.from_rows(sites, draws[:, 0] + 1j * draws[:, 1])
+    amplitudes = draws[:, 0] + 1j * draws[:, 1]
+    last = dict(zip(sites, range(len(sites))))
+    if len(last) < len(sites):
+        amplitudes = amplitudes[list(last.values())]
+    return Multispinor.from_rows(last, amplitudes)

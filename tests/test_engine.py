@@ -246,9 +246,9 @@ def test_residual_table_reads_sites_outside_the_window_and_missing_sites():
     c = random_multispinor(Window(3).points()[::2], 16)
     c[(40, 0, 0, 0)] = [1, 1, 1, 1]
     assert any(site_add(n, s) not in c for n in rows for s in SHIFTS_S13)
-    # the per-site gather, then the same einsum: equal to the last bit
+    # the per-site gather, then the same row sums: equal to the last bit
     x = np.array([[c[site_add(n, s)] for s in SHIFTS_S13] for n in rows])
-    expected = np.linalg.norm(np.einsum("nsab,nsb->na", tables.rows(rows), x), axis=1)
+    expected = np.linalg.norm(tables.row_sums(tables.zero_shift(rows), x), axis=1)
     got = residual_table(c, tables, rows)
     assert [n for n, _ in got] == rows
     assert [value for _, value in got] == expected.tolist()
@@ -370,12 +370,23 @@ def test_apply_fundamental_shares_no_buffer_with_its_input():
     # a seed missing some window sites and holding one outside the window
     c = random_multispinor(points[::3], 17)
     c[(9, 9, 0, 0)] = [1, 2, 3, 4]
-    before = {site: value.copy() for site, value in c.data.items()}
+    check_apply_fundamental_keeps_its_input(acc, c)
+
+
+def test_apply_fundamental_on_the_window_sites_shares_no_buffer():
+    # the seed is laid on the window's own sites, so no site lookup runs
+    acc = fresh_accumulator().run()
+    check_apply_fundamental_keeps_its_input(acc, random_multispinor(acc.window.points(), 17))
+
+
+def check_apply_fundamental_keeps_its_input(acc, c):
+    before = {site: c[site].copy() for site in c}
     solution = acc.apply_fundamental(c)
     reference = c - acc.apply_projector(c)
     assert list(solution) == list(reference)
     for site in reference:
         assert np.array_equal(solution[site], reference[site])
+    assert not np.shares_memory(solution.amplitudes, c.amplitudes)
     for site in solution:
         solution[site][:] = 7.0
     assert list(c) == list(before)
@@ -402,11 +413,28 @@ def test_second_accumulator_reuses_the_window_tables():
             array.flat[0] = 0
 
 
+def test_second_point_on_a_field_shares_its_field_tables():
+    window = Window(2)
+    first = ProjectorAccumulator(FIELD, PARAMS, window)
+    moved = DimensionlessParams(-0.2, 0.05, 0.1, 0.3, omega=PARAMS.omega)
+    second = ProjectorAccumulator(FIELD, moved, window)
+    assert second.tables.field_pairs is first.tables.field_pairs
+    # the zero-shift rows still follow q
+    assert not np.array_equal(second._rows[:, 0], first._rows[:, 0])
+    assert np.array_equal(second._rows[:, 1:], first._rows[:, 1:])
+    # a field equal to FIELD but built anew shares them too
+    again = FieldConfig(FIELD.a.copy(), FIELD.b.copy())
+    assert FieldTables(again, moved).field_pairs is first.tables.field_pairs
+    other = FieldConfig.from_amplitudes({"a_12": 0.05})
+    assert FieldTables(other, moved).field_pairs is not first.tables.field_pairs
+
+
 def test_library_point_makes_no_per_site_calls(monkeypatch):
-    # one sweep point at R=3: v_coupling only for the twelve field shifts, site_add never
+    # one sweep point at R=3: v_coupling only for the twelve field shifts, site_add and
+    # the per-site Multispinor accessors never
     from estc import field, multispinor
 
-    shifts, adds = [], []
+    shifts, adds, accessed = [], [], []
     real_coupling, real_add = field.v_coupling, lattice.site_add
 
     def coupling(n, s, f, p):
@@ -421,9 +449,19 @@ def test_library_point_makes_no_per_site_calls(monkeypatch):
         for name, wrapper in (("v_coupling", coupling), ("site_add", add)):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
-    # cold window caches: building them calls neither
+    for name in ("__getitem__", "__setitem__", "add_to"):
+        real = getattr(Multispinor, name)
+
+        def accessor(self, *args, name=name, real=real):
+            accessed.append(name)
+            return real(self, *args)
+
+        monkeypatch.setattr(Multispinor, name, accessor)
+    # cold window and field caches: building them calls none of these
     lattice._layout.cache_clear()
+    engine._window_plan.cache_clear()
     engine._window_pattern.cache_clear()
+    engine._field_tables.cache_clear()
     cfg = parse_config(SAMPLE_CONFIG.read_text())
     params = DimensionlessParams(0.11, -0.07, 0.2, 0.05, omega=cfg.params.omega)
     acc = ProjectorAccumulator(cfg.field, params, Window(3, cfg.n_ref)).run()
@@ -431,6 +469,7 @@ def test_library_point_makes_no_per_site_calls(monkeypatch):
     residual_table(solution, acc.tables, acc.processed_sites())
     assert sorted(shifts) == sorted(SHIFTS_S13[1:])
     assert adds == []
+    assert accessed == []
 
 
 def test_stage_diagnostics_are_recorded():
@@ -460,6 +499,59 @@ def test_random_configurations_keep_the_invariants():
         solution = acc.apply_fundamental(c)
         worst = max(v for _, v in residual_table(solution, acc.tables, acc.processed_sites()))
         assert worst < 1e-9 * c.norm()
+
+
+def slice_factors(monkeypatch, f, p, window):
+    """Every lower-triangular matrix the accumulator inverts, recursion blocks included."""
+    factors = []
+    real = engine.tril_inverse
+
+    def record(r):
+        factors.append(r.copy())
+        return real(r)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "tril_inverse", record)
+        ProjectorAccumulator(f, p, window).run()
+    return factors
+
+
+def check_tril_inverse(r):
+    w = engine.tril_inverse(r)
+    assert not np.triu(w, 1).any()
+    assert np.abs(w @ r - np.eye(len(r))).max() < 1e-12
+    reference = np.tril(np.linalg.inv(r))
+    assert np.abs(w - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("radius", [2, 3, 4])
+def test_tril_inverse_inverts_the_slice_factors_of_the_sample_field(radius, monkeypatch):
+    cfg = parse_config(SAMPLE_CONFIG.read_text())
+    factors = slice_factors(monkeypatch, cfg.field, cfg.params, Window(radius, cfg.n_ref))
+    assert max(len(r) for r in factors) > (engine.TRIL_BLOCK if radius > 2 else 0)
+    for r in factors:
+        check_tril_inverse(r)
+
+
+def test_tril_inverse_inverts_the_slice_factors_of_random_fields(monkeypatch):
+    rng = np.random.default_rng(2024)
+    for i in range(20):
+        f = random_field(rng, intensity=float(rng.uniform(0.02, 0.3)))
+        p = random_params(rng)
+        try:
+            factors = slice_factors(monkeypatch, f, p, Window(2 + i % 3))
+        except StageSingular:
+            continue
+        for r in factors:
+            check_tril_inverse(r)
+
+
+def test_tril_inverse_on_sizes_off_the_block_size():
+    rng = np.random.default_rng(11)
+    block = engine.TRIL_BLOCK
+    for rows in (4, 8, block - 4, block, block + 4, 2 * block - 4, 2 * block + 12, 5 * block + 4):
+        a = rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows))
+        check_tril_inverse(np.linalg.cholesky(a @ a.conj().T + rows * np.eye(rows)))
 
 
 def factor_identity_error(acc, gram):

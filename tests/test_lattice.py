@@ -232,7 +232,7 @@ def test_layout_neighbor_table_matches_the_brute_scan(radius, center):
     points = window.points()
     assert list(layout.sites) == points
     for i, n in enumerate(points):
-        assert layout.index[n] == i
+        assert tuple(layout.coords[i]) == n
         for s, shift in enumerate(SHIFTS_S13):
             m = site_add(n, shift)
             expected = points.index(m) if m in points else -1
@@ -246,11 +246,9 @@ def test_layout_neighbor_table_matches_the_brute_scan(radius, center):
 def test_layout_is_cached_and_read_only():
     layout = lattice.window_layout(Window(3, (1, 0, -1, 2)))
     assert lattice.window_layout(Window(3, (1, 0, -1, 2))) is layout
-    for array in (layout.neighbors, layout.schedule, lattice.SHIFT_ARRAY):
+    for array in (layout.coords, layout.neighbors, layout.schedule, lattice.SHIFT_ARRAY):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    with pytest.raises(TypeError):
-        layout.index[(99, 1, 0, 0)] = 0
 
 
 def test_locate_matches_a_dict_lookup():
