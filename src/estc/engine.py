@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -195,7 +195,7 @@ def gram_pattern(stencil: np.ndarray) -> GramPattern:
 
 @dataclass(frozen=True)
 class WindowPlan:
-    """What an accumulator needs of its window besides the Gram pattern.
+    """What an accumulator needs of its window, built once per window.
 
     stencil[k, s] is the window index of m_k + SHIFTS_S13[s] and slice_ptr
     the slice starts of the schedule (ProjectorAccumulator.slice_bounds).
@@ -204,7 +204,9 @@ class WindowPlan:
     of stages 0..k reach.  The projection sums its K * 13 stencil terms
     into the window sites in one sorted reduction: scatter_order sorts the
     flat stencil, stably, and the run starting at scatter_first[j] holds
-    the terms of window site scatter_sites[j].
+    the terms of window site scatter_sites[j].  pattern is the row Gram's
+    pattern of matched products, built on first use: an accumulator that
+    only applies restored factors never needs it.
     """
 
     stencil: np.ndarray
@@ -214,6 +216,10 @@ class WindowPlan:
     scatter_order: np.ndarray
     scatter_first: np.ndarray
     scatter_sites: np.ndarray
+
+    @cached_property
+    def pattern(self) -> GramPattern:
+        return gram_pattern(self.stencil)
 
 
 @lru_cache(maxsize=8)
@@ -238,11 +244,6 @@ def _window_plan(radius: int, center: Site) -> WindowPlan:
     for array in vars(plan).values():
         array.setflags(write=False)
     return plan
-
-
-@lru_cache(maxsize=8)
-def _window_pattern(radius: int, center: Site) -> GramPattern:
-    return gram_pattern(_window_plan(radius, center).stencil)
 
 
 def build_row_gram(rows: np.ndarray, field_pairs: np.ndarray, pattern: GramPattern) -> RowGram:
@@ -421,8 +422,7 @@ class ProjectorAccumulator:
     def gram(self) -> RowGram:
         """Row Gram blocks of the whole schedule, built on first use."""
         if self._gram is None:
-            pattern = _window_pattern(self.window.radius, self.window.center)
-            self._gram = build_row_gram(self._rows, self.tables.field_pairs, pattern)
+            self._gram = build_row_gram(self._rows, self.tables.field_pairs, self._plan.pattern)
         return self._gram
 
     def processed_sites(self) -> list[Site]:
@@ -576,15 +576,11 @@ class ProjectorAccumulator:
         out[plan.scatter_sites] = np.add.reduceat(terms[plan.scatter_order], plan.scatter_first)
         return out
 
-    def _window_amplitudes(self, c: Multispinor) -> tuple[np.ndarray, np.ndarray | None]:
+    def _window_amplitudes(self, c: Multispinor) -> tuple[np.ndarray, np.ndarray]:
         """(N, 4) amplitudes of c on the window sites, zero where c has none, and their rows.
 
-        rows[j] is the row of c at window site j, -1 where c has none; it
-        is None, and no site is looked up, when c lies on the window's own
-        sites in their order.
+        rows[j] is the row of c at window site j, -1 where c has none.
         """
-        if c.support == self._layout.sites:
-            return c.amplitudes, None
         rows = locate(c.coords(), self._layout.coords)
         return np.concatenate([c.amplitudes, np.zeros((1, 4), dtype=complex)])[rows], rows
 
@@ -611,16 +607,13 @@ class ProjectorAccumulator:
         layout = self._layout
         x, rows = self._window_amplitudes(c)
         y = x - self._project(x)
-        if rows is None:
-            return Multispinor.from_rows(layout.sites, y, layout.coords)
         present = rows >= 0
         out = c.amplitudes.copy()
         out[rows[present]] = y[present]
         covered = self._covered()
         lacking = covered[~present[covered]]
         sites = c.support + tuple(layout.sites[i] for i in lacking)
-        coords = np.concatenate([c.coords(), layout.coords[lacking]])
-        return Multispinor.from_rows(sites, np.concatenate([out, y[lacking]]), coords)
+        return Multispinor.from_rows(sites, np.concatenate([out, y[lacking]]))
 
 
 def residual_table(

@@ -7,6 +7,7 @@ window act on it exactly.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import chain
 
 import numpy as np
 
@@ -23,6 +24,12 @@ class Multispinor:
     index is built on the first lookup by site and the (N, 4) int64 site
     array on the first call of coords(), so code that works on the arrays
     never builds the index.
+
+    Adding a site takes amortized constant time: the rows live in a buffer
+    grown geometrically, and amplitudes is a view of its filled part.
+    c[site] is a view of its row, so writes through it show in c, but
+    adding a new site may move the rows: a view of a row or of amplitudes
+    taken before the insert may then no longer write into c.
     """
 
     def __init__(self, data: Mapping[Site, np.ndarray] | None = None):
@@ -31,17 +38,14 @@ class Multispinor:
         self._assign(tuple(data), np.array(rows, dtype=complex).reshape(-1, 4))
 
     @classmethod
-    def from_rows(
-        cls, sites: Iterable[Site], rows: np.ndarray, coords: np.ndarray | None = None
-    ) -> "Multispinor":
+    def from_rows(cls, sites: Iterable[Site], rows: np.ndarray) -> "Multispinor":
         """rows[i] at sites[i], with the sites distinct and rows an (N, 4) complex array.
 
         The array is taken as it is, not copied: writes through either show
-        in both.  coords, if given, must be the sites as an (N, 4) int64 array.
+        in both until a new site is added.
         """
         out = cls.__new__(cls)
         out._assign(tuple(sites), rows)
-        out._coords = coords
         return out
 
     def _assign(self, support: tuple[Site, ...], amplitudes: np.ndarray) -> None:
@@ -50,15 +54,26 @@ class Multispinor:
                 f"{len(support)} sites need a ({len(support)}, 4) complex array, "
                 f"got {amplitudes.dtype} {amplitudes.shape}"
             )
-        self.support = support
+        # the sites are the tuple _support or, while sites are added, the list _sites
+        self._support: tuple[Site, ...] | None = support
+        self._sites: list[Site] | None = None
+        self._buffer = amplitudes
         self.amplitudes = amplitudes
         self._index: dict[Site, int] | None = None
         self._coords: np.ndarray | None = None
 
+    @property
+    def support(self) -> tuple[Site, ...]:
+        """The sites, in their order."""
+        if self._support is None:
+            self._support = tuple(self._sites)
+        return self._support
+
     def coords(self) -> np.ndarray:
         """The sites as an (N, 4) int64 array, in their order."""
         if self._coords is None:
-            self._coords = np.array(self.support, dtype=np.int64).reshape(-1, 4)
+            flat = chain.from_iterable(self.support)
+            self._coords = np.fromiter(flat, np.int64, 4 * len(self.amplitudes)).reshape(-1, 4)
         return self._coords
 
     def _lookup(self) -> dict[Site, int]:
@@ -75,13 +90,21 @@ class Multispinor:
         value = np.asarray(value, dtype=complex).reshape(4)
         index = self._lookup()
         i = index.get(site)
-        if i is None:
-            index[site] = len(self.support)
-            self.support += (site,)
-            self.amplitudes = np.concatenate([self.amplitudes, value[None]])
-            self._coords = None
-        else:
+        if i is not None:
             self.amplitudes[i] = value
+            return
+        n = len(self.amplitudes)
+        if n == len(self._buffer):
+            self._buffer = np.empty((2 * n + 4, 4), dtype=complex)
+            self._buffer[:n] = self.amplitudes
+        self._buffer[n] = value
+        self.amplitudes = self._buffer[: n + 1]
+        if self._sites is None:
+            self._sites = list(self._support)
+        self._sites.append(site)
+        self._support = None
+        self._coords = None
+        index[site] = n
 
     def __contains__(self, site: Site) -> bool:
         return site in self._lookup()
@@ -100,7 +123,7 @@ class Multispinor:
             self.amplitudes[i] += np.asarray(value, dtype=complex).reshape(4)
 
     def copy(self) -> "Multispinor":
-        return Multispinor.from_rows(self.support, self.amplitudes.copy(), self._coords)
+        return Multispinor.from_rows(self.support, self.amplitudes.copy())
 
     def __add__(self, other: "Multispinor") -> "Multispinor":
         """Sum on the sites of self, in their order, then the sites of other that self lacks."""
@@ -117,7 +140,7 @@ class Multispinor:
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "Multispinor":
-        return Multispinor.from_rows(self.support, scalar * self.amplitudes, self._coords)
+        return Multispinor.from_rows(self.support, scalar * self.amplitudes)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))

@@ -374,7 +374,7 @@ def test_apply_fundamental_shares_no_buffer_with_its_input():
 
 
 def test_apply_fundamental_on_the_window_sites_shares_no_buffer():
-    # the seed is laid on the window's own sites, so no site lookup runs
+    # the seed covers every window site, so the solution adds none
     acc = fresh_accumulator().run()
     check_apply_fundamental_keeps_its_input(acc, random_multispinor(acc.window.points(), 17))
 
@@ -406,7 +406,7 @@ def test_second_accumulator_reuses_the_window_tables():
     assert np.array_equal(gram.stage_ptr, pattern.stage_ptr)
     assert np.array_equal(gram.partner, pattern.partner)
     assert gram.blocks.tobytes() == first.gram.blocks.tobytes()
-    cached = engine._window_pattern(window.radius, window.center)
+    cached = engine._window_plan(window.radius, window.center).pattern
     assert gram.stage_ptr is cached.stage_ptr
     for array in (*vars(cached).values(), second.tables.field_pairs):
         with pytest.raises(ValueError, match="read-only"):
@@ -460,7 +460,6 @@ def test_library_point_makes_no_per_site_calls(monkeypatch):
     # cold window and field caches: building them calls none of these
     lattice._layout.cache_clear()
     engine._window_plan.cache_clear()
-    engine._window_pattern.cache_clear()
     engine._field_tables.cache_clear()
     cfg = parse_config(SAMPLE_CONFIG.read_text())
     params = DimensionlessParams(0.11, -0.07, 0.2, 0.05, omega=cfg.params.omega)

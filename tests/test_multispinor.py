@@ -74,3 +74,28 @@ def test_norm_sums_every_amplitude():
     c = random_multispinor([(0, 0, 0, 0), (1, 1, 0, 0), (0, 0, 2, 0)], 4)
     flat = np.concatenate([c[site] for site in c])
     assert c.norm() == pytest.approx(np.linalg.norm(flat), rel=1e-15)
+
+
+def test_sites_added_one_at_a_time_keep_their_rows_and_views():
+    sites = [(k, k % 2, 0, 0) for k in range(40)]
+    c = Multispinor()
+    for k, site in enumerate(sites):
+        c[site] = np.full(4, k)
+        c.add_to(site, [0, 1j, 0, 0])
+        # a view taken after the inserts so far writes into c
+        c[sites[0]][3] = k
+    assert c.support == tuple(sites)
+    assert np.array_equal(c.coords(), np.array(sites))
+    expected = np.arange(40)[:, None] * np.ones(4) + [0, 1j, 0, 0]
+    expected[0, 3] = 39
+    assert np.array_equal(c.amplitudes, expected)
+    assert all(np.array_equal(c[site], row) for site, row in zip(sites, expected))
+    view = c[sites[5]]
+    view[:] = -1.0
+    assert np.array_equal(c.amplitudes[5], -np.ones(4))
+    # the copy owns its rows; adding a site to it leaves c as it was
+    copy = c.copy()
+    copy[(99, 1, 0, 0)] = np.ones(4)
+    copy[sites[1]][:] = 0.0
+    assert len(c.amplitudes) == 40 and (99, 1, 0, 0) not in c
+    assert np.array_equal(c[sites[1]], expected[1])
