@@ -11,7 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .checks import run_verify
 from .config import RunConfig, config_fingerprint, parse_config
 from .engine import ProjectorAccumulator, residual_table
 from .errors import (
@@ -28,7 +27,6 @@ from .io import (
     export_operator_csv,
     export_operator_json,
     read_operator,
-    read_operator_payload,
     read_solution,
     residual_csv,
     stages_csv,
@@ -93,9 +91,11 @@ def cmd_build(args: argparse.Namespace) -> int:
     report = RunReport(f"build {config_fingerprint(cfg)[:12]}")
     seed_c = random_multispinor(window.points(), cfg.seed)
     _gate_processed_rows(report, acc, seed_c, cfg.residual_tol)
-    worst_rcond = min(diag.rcond for diag in acc.diagnostics)
-    report.add(
-        "every stage condition stays above rcond_min", cfg.rcond_min / worst_rcond, 1.0
+    worst = min(acc.diagnostics, key=lambda diag: diag.rcond)
+    report.add("every stage condition stays above rcond_min", cfg.rcond_min / worst.rcond, 1.0)
+    report.notes.append(
+        f"worst stage rcond {worst.rcond:.3e} at stage {worst.stage}, site {worst.site}; "
+        f"rcond_min {cfg.rcond_min:.3e}"
     )
     report.notes.append(
         f"window radius {cfg.radius} around {cfg.n_ref}: "
@@ -138,6 +138,8 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .checks import run_verify  # here, so build and apply never load the suite
+
     cfg = _load_config(args.config)
     report = run_verify(cfg)
     sys.stdout.write(report.to_text())
@@ -146,9 +148,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config) if args.config else None
-    payload = read_operator_payload(args.operator, cfg)
-    text = export_operator_json(payload) if args.format == "json" else export_operator_csv(payload)
-    Path(args.out).write_text(text)
+    export = export_operator_json if args.format == "json" else export_operator_csv
+    Path(args.out).write_text(export(args.operator, cfg))
     return 0
 
 

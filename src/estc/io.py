@@ -1,20 +1,26 @@
 """Dumps, reports, and exports.  All writers are byte-deterministic.
 
-Operator dumps carry a fingerprint of the generating configuration, the
-window and its schedule, per stage its site and rcond, and per time slice
-the factors of the projector: the lower triangle of W_t = R_tt^-1 ("core")
-and the band blocks [R_t,t-2 | R_t,t-1] ("coupling"), as base64 of
-little-endian complex128 bytes.  The readers accept only the schedule that
-make_schedule gives the window.  Timings never enter written artifacts so
-identical runs produce identical bytes.
+An operator dump (format estc-operator-v4) is two files with one stem: a
+small JSON header, operator.json, and the factors of the projector as raw
+little-endian complex128 numbers, operator.c16.  The header holds the
+fingerprint of the generating configuration, the window radius and center,
+the number of stages, per stage its rcond, and the sha256 of the factor
+file.  The factor file holds, slice by slice, the lower triangle of
+W_t = R_tt^-1 in np.tril_indices order and then the band panel
+[R_t,t-2 | R_t,t-1] row-major.  Every slice shape follows from
+make_schedule(window) and the stage count, so the reader refuses a factor
+file of any other size or digest.  The dsets-v3 export restates the same
+factors as basis coefficients in one JSON file.  Timings never enter
+written artifacts so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
 
-import base64
+import hashlib
 import json
+import os
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -27,7 +33,7 @@ from .errors import ConfigError
 from .lattice import MAX_COORDINATE, Site, Window, g4d, make_schedule, site_sub
 from .multispinor import Multispinor
 
-OPERATOR_FORMAT = "estc-operator-v3"
+OPERATOR_FORMAT = "estc-operator-v4"
 EXPORT_FORMAT = "estc-operator-dsets-v3"
 SOLUTION_FORMAT = "estc-solution-v1"
 
@@ -36,61 +42,47 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _b64(a: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<c16").tobytes()).decode("ascii")
+def factor_path(path: str | Path) -> Path:
+    """The factor file of an operator header: operator.json -> operator.c16."""
+    return Path(path).with_suffix(".c16")
 
 
-def _operator_head(acc: ProjectorAccumulator, cfg: RunConfig) -> dict:
-    return {
+def _slice_shapes(slice_ptr: np.ndarray, stages: int) -> list[tuple[int, int]]:
+    """(stages, band stages) of each slice that holds one of the first `stages` stages."""
+    count = int(np.searchsorted(slice_ptr, stages, side="left"))
+    return [
+        (int(min(slice_ptr[t + 1], stages) - slice_ptr[t]),
+         int(slice_ptr[t] - slice_ptr[max(t - 2, 0)]))
+        for t in range(count)
+    ]
+
+
+def write_operator(path: str | Path, acc: ProjectorAccumulator, cfg: RunConfig) -> None:
+    """Stream the slice factors into the factor file, then write the header with their sha256."""
+    digest = hashlib.sha256()
+    with open(factor_path(path), "wb") as out:
+        for inverse, band in zip(acc.inverses, acc.bands):
+            for part in (inverse[np.tril_indices(inverse.shape[0])], band):
+                raw = np.ascontiguousarray(part, dtype="<c16")
+                digest.update(raw)
+                out.write(raw)
+    header = {
         "format": OPERATOR_FORMAT,
         "fingerprint": config_fingerprint(cfg),
         "radius": cfg.radius,
         "center": list(cfg.n_ref),
-        "schedule": [list(site) for site in acc.schedule],
+        "stages": int(acc.stages_done),
+        "rconds": acc.rconds[: acc.stages_done].tolist(),
+        "sha256": digest.hexdigest(),
     }
+    Path(path).write_text(json.dumps(header, separators=(",", ":")) + "\n")
 
 
-def _stage_entries(acc: ProjectorAccumulator) -> Iterator[dict]:
-    for k in range(acc.stages_done):
-        yield {"stage": k, "site": list(acc.schedule[k]), "rcond": float(acc.rconds[k])}
-
-
-def _slice_entries(acc: ProjectorAccumulator) -> Iterator[dict]:
-    for t, (inverse, band) in enumerate(zip(acc.inverses, acc.bands)):
-        lower = inverse[np.tril_indices(inverse.shape[0])]
-        yield {"slice": t, "core": _b64(lower), "coupling": _b64(band)}
-
-
-def operator_payload(acc: ProjectorAccumulator, cfg: RunConfig) -> dict:
-    return {
-        **_operator_head(acc, cfg),
-        "stages": list(_stage_entries(acc)),
-        "slices": list(_slice_entries(acc)),
-    }
-
-
-def write_operator(path: str | Path, acc: ProjectorAccumulator, cfg: RunConfig) -> None:
-    """Write json.dumps(operator_payload(acc, cfg)) compactly, one entry at a time."""
-
-    def dumps(value) -> str:
-        return json.dumps(value, separators=(",", ":"))
-
-    with open(path, "w", encoding="ascii") as out:
-        out.write(dumps(_operator_head(acc, cfg))[:-1])
-        for key, entries in (("stages", _stage_entries(acc)), ("slices", _slice_entries(acc))):
-            out.write(f',"{key}":[')
-            for i, entry in enumerate(entries):
-                out.write("," + dumps(entry) if i else dumps(entry))
-            out.write("]")
-        out.write("}\n")
-
-
-def read_operator_payload(
-    path: str | Path, cfg: RunConfig | None = None, expected_format: str = OPERATOR_FORMAT
-) -> dict:
+def _read_json(path: str | Path, cfg: RunConfig | None, expected_format: str) -> dict:
+    """The JSON object of a header or export, checked against cfg when one is given."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
+        payload = json.loads(Path(path).read_bytes())
+    except ValueError as err:  # not JSON, or not UTF-8
         raise ConfigError(f"malformed operator dump {path}: {err}") from None
     if not isinstance(payload, dict) or payload.get("format") != expected_format:
         raise ConfigError(f"not a {expected_format} file: {path}")
@@ -114,7 +106,7 @@ def _site(value) -> Site:
 
 @dataclass
 class _Factors:
-    """Validated content of a dump or export, ready for from_factors."""
+    """Validated content of a dump, ready for from_factors or an export."""
 
     fingerprint: str
     window: Window
@@ -125,23 +117,56 @@ class _Factors:
     bands: list[np.ndarray]
 
 
-def _decoded(raw: bytes, count: int, what: str) -> np.ndarray:
-    if len(raw) != 16 * count:
-        raise ConfigError(
-            f"{what} decodes to {len(raw)} bytes, expected {16 * count} ({count} complex numbers)"
-        )
-    return np.frombuffer(raw, dtype="<c16")
+def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
+    """Checked header and factors of a dump; the fingerprint only against a given cfg.
 
+    Every shape is derived from the header before the factor file is
+    opened, and the file must have exactly their total size and the
+    header's sha256.  The band panels are views of the one array read.
+    """
+    header = _read_json(path, cfg, OPERATOR_FORMAT)
+    try:
+        fingerprint, digest = header["fingerprint"], header["sha256"]
+        if not isinstance(fingerprint, str) or not isinstance(digest, str):
+            raise ConfigError("the fingerprint and sha256 of an operator dump must be strings")
+        window = Window(int(header["radius"]), _site(header["center"]))
+        schedule = make_schedule(window)
+        stages, rconds = header["stages"], header["rconds"]
+        if type(stages) is not int or not 0 <= stages <= len(schedule):
+            raise ConfigError(
+                f"stages must be an integer from 0 to {len(schedule)}, not {stages!r}"
+            )
+        if not _numbers(rconds, stages, (int, float)):
+            raise ConfigError(f"rconds must be {stages} finite numbers, one per stage")
+        slice_ptr = ProjectorAccumulator.slice_bounds(schedule)
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"malformed operator dump: {err!r}") from None
 
-def _dump_slice(entry: dict, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """(W_t, band panel) of one estc-operator-v3 slice entry of rows stages."""
-    n = 4 * rows
-    lower = _decoded(base64.b64decode(entry["core"], validate=True), n * (n + 1) // 2, "core")
-    inverse = np.zeros((n, n), dtype=complex)
-    inverse[np.tril_indices(n)] = lower
-    raw = base64.b64decode(entry["coupling"], validate=True)
-    band = _decoded(raw, 16 * rows * cols, "coupling").reshape(n, 4 * cols)
-    return inverse, band
+    shapes = _slice_shapes(slice_ptr, stages)
+    count = sum(2 * n * (4 * n + 1) + 16 * n * m for n, m in shapes)
+    source = factor_path(path)
+    with open(source, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size != 16 * count:
+            raise ConfigError(
+                f"factor file {source} has {size} bytes, expected {16 * count} "
+                f"({count} complex numbers for {stages} stages)"
+            )
+        data = np.fromfile(f, dtype="<c16", count=count)
+    if hashlib.sha256(data).hexdigest() != digest:
+        raise ConfigError(f"factor file {source} does not match the sha256 of its header")
+
+    inverses, bands, offset = [], [], 0
+    for n, m in shapes:
+        lower = np.tril_indices(4 * n)
+        inverse = np.zeros((4 * n, 4 * n), dtype=complex)
+        inverse[lower] = data[offset : offset + lower[0].size]
+        offset += lower[0].size
+        inverses.append(inverse)
+        bands.append(data[offset : offset + 16 * n * m].reshape(4 * n, 4 * m))
+        offset += 16 * n * m
+    rconds = np.array(rconds, dtype=float)
+    return _Factors(fingerprint, window, schedule, slice_ptr, rconds, inverses, bands)
 
 
 def _block_dsets(a: np.ndarray) -> np.ndarray:
@@ -165,52 +190,12 @@ def _export_slice(entry: dict, rows: int, cols: int) -> tuple[np.ndarray, np.nda
     return np.tril(_from_blocks(dsets)), _from_blocks(pairs[..., 0] + 1j * pairs[..., 1])
 
 
-def _decode(payload: dict, decode_slice: Callable[[dict, int, int], tuple]) -> _Factors:
-    """Window, schedule and slice factors of a payload, checked for consistency."""
-    try:
-        fingerprint = str(payload["fingerprint"])
-        window = Window(int(payload["radius"]), _site(payload["center"]))
-        schedule = make_schedule(window)
-        if [_site(site) for site in payload["schedule"]] != schedule:
-            raise ConfigError("the schedule is not the window's own schedule")
-        stages = payload["stages"]
-        if len(stages) > len(schedule):
-            raise ConfigError(f"{len(stages)} stages for a schedule of {len(schedule)} sites")
-        rconds = []
-        for k, stage in enumerate(stages):
-            if stage["stage"] != k or _site(stage["site"]) != schedule[k]:
-                raise ConfigError(f"stage entry {k} is out of schedule order")
-            rconds.append(float(stage["rcond"]))
-        ptr = ProjectorAccumulator.slice_bounds(schedule)
-        slices = payload["slices"]
-        expected = int(np.searchsorted(ptr, len(stages), side="left"))
-        if len(slices) != expected:
-            raise ConfigError(
-                f"{len(slices)} slice entries for {len(stages)} stages, expected {expected}"
-            )
-        inverses, bands = [], []
-        for t, entry in enumerate(slices):
-            if entry["slice"] != t:
-                raise ConfigError(f"slice entry {t} is out of order")
-            rows = min(ptr[t + 1], len(stages)) - ptr[t]
-            inverse, band = decode_slice(entry, rows, ptr[t] - ptr[max(t - 2, 0)])
-            inverses.append(inverse)
-            bands.append(band)
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"malformed operator dump: {err!r}") from None
-    return _Factors(fingerprint, window, schedule, ptr, np.array(rconds), inverses, bands)
-
-
-def _restore(payload: dict, cfg: RunConfig, decode_slice: Callable) -> ProjectorAccumulator:
-    factors = _decode(payload, decode_slice)
+def read_operator(path: str | Path, cfg: RunConfig) -> ProjectorAccumulator:
+    """Restore the accumulator from a dump, refusing fingerprint mismatches."""
+    factors = _read_factors(path, cfg)
     return ProjectorAccumulator.from_factors(
         cfg.field, cfg.params, factors.window, factors.inverses, factors.bands, factors.rconds
     )
-
-
-def read_operator(path: str | Path, cfg: RunConfig) -> ProjectorAccumulator:
-    """Restore the accumulator from a dump, refusing fingerprint mismatches."""
-    return _restore(read_operator_payload(path, cfg), cfg, _dump_slice)
 
 
 def solution_payload(c: Multispinor, cfg: RunConfig, source: dict) -> dict:
@@ -312,9 +297,9 @@ def _stored_blocks(factors: _Factors) -> Iterator[tuple[int, int, str, np.ndarra
                 yield start + a, low + b, "coupling", coupling[a, b]
 
 
-def export_operator_json(payload: dict) -> str:
+def export_operator_json(path: str | Path, cfg: RunConfig | None = None) -> str:
     """Re-serialize a dump with every stored 4x4 block as 16 [re, im] basis pairs."""
-    factors = _decode(payload, _dump_slice)
+    factors = _read_factors(path, cfg)
     slices = []
     for t, (inverse, band) in enumerate(zip(factors.inverses, factors.bands)):
         core = _block_dsets(inverse)[np.tril_indices(inverse.shape[0] // 4)]
@@ -341,12 +326,12 @@ def export_operator_json(payload: dict) -> str:
     return json.dumps(out, separators=(",", ":")) + "\n"
 
 
-def export_operator_csv(payload: dict) -> str:
+def export_operator_csv(path: str | Path, cfg: RunConfig | None = None) -> str:
     """Flat table: one row per stored 4x4 block (core or coupling), as 16 [re, im] pairs.
 
     Row stage k at site m couples to stage j at site n.
     """
-    factors = _decode(payload, _dump_slice)
+    factors = _read_factors(path, cfg)
     header = ["stage", "m1", "m2", "m3", "m4", "entry", "n1", "n2", "n3", "n4"]
     header += [f"c{i}_{part}" for i in range(16) for part in ("re", "im")]
     lines = [",".join(header)]
@@ -359,8 +344,38 @@ def export_operator_csv(payload: dict) -> str:
 
 def read_exported_operator(path: str | Path, cfg: RunConfig) -> ProjectorAccumulator:
     """Restore the accumulator from the 16-pair basis-coefficient exchange format."""
-    payload = read_operator_payload(path, cfg, expected_format=EXPORT_FORMAT)
-    return _restore(payload, cfg, _export_slice)
+    payload = _read_json(path, cfg, EXPORT_FORMAT)
+    try:
+        window = Window(int(payload["radius"]), _site(payload["center"]))
+        schedule = make_schedule(window)
+        if [_site(site) for site in payload["schedule"]] != schedule:
+            raise ConfigError("the schedule is not the window's own schedule")
+        stages = payload["stages"]
+        if len(stages) > len(schedule):
+            raise ConfigError(f"{len(stages)} stages for a schedule of {len(schedule)} sites")
+        rconds = []
+        for k, stage in enumerate(stages):
+            if stage["stage"] != k or _site(stage["site"]) != schedule[k]:
+                raise ConfigError(f"stage entry {k} is out of schedule order")
+            rconds.append(float(stage["rcond"]))
+        shapes = _slice_shapes(ProjectorAccumulator.slice_bounds(schedule), len(stages))
+        slices = payload["slices"]
+        if len(slices) != len(shapes):
+            raise ConfigError(
+                f"{len(slices)} slice entries for {len(stages)} stages, expected {len(shapes)}"
+            )
+        inverses, bands = [], []
+        for t, (entry, (rows, cols)) in enumerate(zip(slices, shapes)):
+            if entry["slice"] != t:
+                raise ConfigError(f"slice entry {t} is out of order")
+            inverse, band = _export_slice(entry, rows, cols)
+            inverses.append(inverse)
+            bands.append(band)
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"malformed operator export: {err!r}") from None
+    return ProjectorAccumulator.from_factors(
+        cfg.field, cfg.params, window, inverses, bands, np.array(rconds)
+    )
 
 
 @dataclass

@@ -5,7 +5,6 @@ observed worst-case numbers, then asserts.  Run with -s to see the lines
 for passing criteria too.
 """
 
-import json
 import time
 
 import numpy as np
@@ -37,7 +36,7 @@ from estc import (
     v_coupling,
 )
 from estc.dirac_basis import UNIT_DSET
-from estc.io import export_operator_json, operator_payload, read_exported_operator
+from estc.io import export_operator_json, factor_path, read_exported_operator, write_operator
 
 from helpers import (
     GAMMA_DENSE,
@@ -459,18 +458,21 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
     cfg = parse_config(ACCEPT_CONFIG)
     window = Window(cfg.radius, cfg.n_ref)
 
-    def fresh_dump():
+    def fresh_dump(name):
         acc = ProjectorAccumulator(
             cfg.field, cfg.params, window, rcond_min=cfg.rcond_min
         ).run()
-        return acc, json.dumps(operator_payload(acc, cfg), separators=(",", ":"))
+        header = tmp_path / name / "operator.json"
+        header.parent.mkdir()
+        write_operator(header, acc, cfg)
+        return acc, header, (header.read_bytes(), factor_path(header).read_bytes())
 
-    acc, dump = fresh_dump()
-    _, dump_again = fresh_dump()
+    acc, header, dump = fresh_dump("first")
+    _, _, dump_again = fresh_dump("second")
     identical = dump == dump_again
 
     path = tmp_path / "operator_dsets.json"
-    path.write_text(export_operator_json(operator_payload(acc, cfg)))
+    path.write_text(export_operator_json(header))
     restored = read_exported_operator(path, cfg)
     c0 = random_multispinor(window.points(), cfg.seed)
     solution = acc.apply_fundamental(c0)

@@ -1,6 +1,10 @@
 """Command line behavior: artifacts, determinism, exit codes, fault injection."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,8 +52,9 @@ def built(tmp_path, config_path):
 def test_build_writes_all_artifacts(built):
     _, out = built
     payload = json.loads((out / "operator.json").read_text())
-    assert payload["format"] == "estc-operator-v3"
-    assert len(payload["stages"]) == 13
+    assert payload["format"] == "estc-operator-v4"
+    assert payload["stages"] == 13
+    assert (out / "operator.c16").stat().st_size == lattice.factor_bytes(2)
     assert (out / "stages.csv").read_text().startswith("stage,")
     report = (out / "report.txt").read_text()
     assert "PASS processed rows are solved relative to the seed norm" in report
@@ -61,8 +66,32 @@ def test_build_is_byte_deterministic(built, tmp_path, config_path):
     _, out = built
     second = tmp_path / "op2"
     assert cli.main(["build", "--config", str(config_path), "--out", str(second)]) == 0
-    for name in ("operator.json", "stages.csv", "report.txt"):
+    for name in ("operator.json", "operator.c16", "stages.csv", "report.txt"):
         assert (second / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_build_report_names_the_worst_stage_rcond(built):
+    _, out = built
+    rows = [line.split(",") for line in (out / "stages.csv").read_text().split("\n")[1:-1]]
+    worst = min(rows, key=lambda row: float(row[6]))
+    site = tuple(int(x) for x in worst[1:5])
+    report = (out / "report.txt").read_text()
+    assert "PASS every stage condition stays above rcond_min: observed=" in report
+    assert (
+        f"  worst stage rcond {float(worst[6]):.3e} at stage {worst[0]}, site {site}; "
+        "rcond_min 1.000e-10\n"
+    ) in report
+
+
+def test_importing_the_cli_skips_the_verify_suite_and_base64():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, estc.cli; print(sorted({'estc.checks', 'base64'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_apply_writes_solution_and_residuals(built, tmp_path):

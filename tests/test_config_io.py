@@ -2,6 +2,7 @@
 
 import base64
 import contextlib
+import hashlib
 import io
 import json
 
@@ -31,10 +32,9 @@ from estc.io import (
     RunReport,
     export_operator_csv,
     export_operator_json,
-    operator_payload,
+    factor_path,
     read_exported_operator,
     read_operator,
-    read_operator_payload,
     read_solution,
     residual_csv,
     stages_csv,
@@ -205,35 +205,49 @@ def test_operator_dump_round_trip(built):
     assert (loaded.apply_projector(c) - acc.apply_projector(c)).norm() == 0.0
 
 
-def test_operator_dump_holds_the_factors_in_base64(built):
+def _factor_parts(acc):
+    """The packed lower triangle of each W_t and its band panel, in factor-file order."""
+    for inverse, band in zip(acc.inverses, acc.bands):
+        yield inverse[np.tril_indices(inverse.shape[0])]
+        yield band
+
+
+def test_operator_dump_is_a_header_and_raw_factor_bytes(built):
     cfg, acc, path = built
-    assert path.read_text() == json.dumps(operator_payload(acc, cfg), separators=(",", ":")) + "\n"
-    payload = json.loads(path.read_text())
-    assert payload["format"] == "estc-operator-v3"
-    assert [tuple(site) for site in payload["schedule"]] == acc.schedule
-    for k, stage in enumerate(payload["stages"]):
-        assert stage == {"stage": k, "site": list(acc.schedule[k]), "rcond": acc.rconds[k]}
+    raw = factor_path(path).read_bytes()
+    assert factor_path(path) == path.with_name("operator.c16")
+    header = {
+        "format": "estc-operator-v4",
+        "fingerprint": config_fingerprint(cfg),
+        "radius": 2,
+        "center": [0, 0, 0, 0],
+        "stages": 13,
+        "rconds": [float(x) for x in acc.rconds],
+        "sha256": hashlib.sha256(raw).hexdigest(),
+    }
+    assert path.read_text() == json.dumps(header, separators=(",", ":")) + "\n"
     # slices of 6, 1 and 6 stages; the band reaches back two slices
     shapes = [((24, 24), (24, 0)), ((4, 4), (4, 24)), ((24, 24), (24, 28))]
-    for t, (entry, (core, band)) in enumerate(zip(payload["slices"], shapes, strict=True)):
-        assert set(entry) == {"slice", "core", "coupling"} and entry["slice"] == t
+    data = np.frombuffer(raw, dtype="<c16")
+    offset = 0
+    for t, (core, band) in enumerate(shapes):
         assert (acc.inverses[t].shape, acc.bands[t].shape) == (core, band)
-        lower = np.frombuffer(base64.b64decode(entry["core"]), dtype="<c16")
+        lower = data[offset : offset + core[0] * (core[0] + 1) // 2]
+        offset += len(lower)
         assert np.array_equal(lower, acc.inverses[t][np.tril_indices(core[0])])
-        raw = base64.b64decode(entry["coupling"])
-        assert np.array_equal(np.frombuffer(raw, dtype="<c16").reshape(band), acc.bands[t])
+        assert np.array_equal(data[offset : offset + band[0] * band[1]].reshape(band), acc.bands[t])
+        offset += band[0] * band[1]
+    assert offset == len(data)
+    parts = (np.ascontiguousarray(part, dtype="<c16").tobytes() for part in _factor_parts(acc))
+    assert raw == b"".join(parts)
 
 
 @pytest.mark.parametrize("radius", [2, 3, 4, 5])
-def test_stored_factor_bytes_match_the_closed_form(radius):
+def test_stored_factor_bytes_match_the_closed_form(radius, tmp_path):
     cfg = parse_config(BASE_TEXT.replace("R = 2", f"R = {radius}"))
     acc = ProjectorAccumulator(cfg.field, cfg.params, Window(radius)).run()
-    stored = sum(
-        len(base64.b64decode(entry[key]))
-        for entry in operator_payload(acc, cfg)["slices"]
-        for key in ("core", "coupling")
-    )
-    assert stored == lattice.factor_bytes(radius)
+    write_operator(tmp_path / "operator.json", acc, cfg)
+    assert (tmp_path / "operator.c16").stat().st_size == lattice.factor_bytes(radius)
 
 
 def test_operator_dump_is_deterministic(built, tmp_path):
@@ -241,6 +255,20 @@ def test_operator_dump_is_deterministic(built, tmp_path):
     again = tmp_path / "operator.json"
     write_operator(again, acc, cfg)
     assert again.read_bytes() == path.read_bytes()
+    assert factor_path(again).read_bytes() == factor_path(path).read_bytes()
+
+
+def test_partial_operator_dump_round_trip(built, tmp_path):
+    cfg, _, _ = built
+    for stages in (0, 3, 7, 12):
+        acc = ProjectorAccumulator(cfg.field, cfg.params, Window(cfg.radius)).run(stages)
+        path = tmp_path / f"partial{stages}.json"
+        write_operator(path, acc, cfg)
+        loaded = read_operator(path, cfg)
+        assert loaded.stages_done == stages == json.loads(path.read_text())["stages"]
+        assert len(loaded.inverses) == len(acc.inverses)
+        for ours, theirs in zip(loaded.inverses + loaded.bands, acc.inverses + acc.bands):
+            assert np.array_equal(ours, theirs)
 
 
 def test_dump_refuses_wrong_fingerprint(built, tmp_path):
@@ -258,101 +286,162 @@ def test_dump_refuses_wrong_fingerprint(built, tmp_path):
         read_operator(wrong, cfg)
 
 
-def _stage_set(k, key, value):
-    def edit(payload):
-        payload["stages"][k][key] = value
+def _v3_dump(acc, header):
+    """The same operator as an estc-operator-v3 dump: one JSON file, factors in base64."""
+
+    def b64(a):
+        return base64.b64encode(np.ascontiguousarray(a, dtype="<c16").tobytes()).decode("ascii")
+
+    parts = list(_factor_parts(acc))
+    return {
+        **{key: header[key] for key in ("fingerprint", "radius", "center")},
+        "format": "estc-operator-v3",
+        "schedule": [list(site) for site in acc.schedule],
+        "stages": [
+            {"stage": k, "site": list(acc.schedule[k]), "rcond": float(acc.rconds[k])}
+            for k in range(acc.stages_done)
+        ],
+        "slices": [
+            {"slice": t, "core": b64(core), "coupling": b64(band)}
+            for t, (core, band) in enumerate(zip(parts[::2], parts[1::2]))
+        ],
+    }
+
+
+def _header_set(key, value):
+    return lambda header, acc: {**header, key: value}
+
+
+def _header_drop(key):
+    return lambda header, acc: {k: v for k, v in header.items() if k != key}
+
+
+def _rcond_set(k, value):
+    def edit(header, acc):
+        rconds = list(header["rconds"])
+        rconds[k] = value
+        return {**header, "rconds": rconds}
 
     return edit
 
 
-def _slice_set(t, key, value):
-    def edit(payload):
-        payload["slices"][t][key] = value
-
-    return edit
+def _stages_past_the_schedule(header, acc):
+    return {**header, "stages": len(acc.schedule) + 1, "rconds": header["rconds"] + [0.5]}
 
 
-def _schedule_set(k, site):
-    def edit(payload):
-        payload["schedule"][k] = site
-        payload["stages"][k]["site"] = site
-
-    return edit
+def _one_stage_fewer(header, acc):
+    return {**header, "stages": header["stages"] - 1, "rconds": header["rconds"][:-1]}
 
 
-def _reorder_schedule(payload):
-    schedule, stages = payload["schedule"], payload["stages"]
-    schedule[1], schedule[2] = schedule[2], schedule[1]
-    stages[1]["site"], stages[2]["site"] = stages[2]["site"], stages[1]["site"]
-
-
-def _swap_stages(payload):
-    stages = payload["stages"]
-    stages[1], stages[2] = stages[2], stages[1]
-
-
-def _as_v1(payload):
-    payload["format"] = "estc-operator-v1"
-    for stage in payload["stages"]:
-        stage["support"] = []
-
-
-def _as_v2(payload):
-    payload["format"] = "estc-operator-v2"
-    del payload["slices"]
-
-
-def _short_coupling(payload):
-    entry = payload["slices"][2]
-    entry["coupling"] = entry["coupling"][:-8]
-
-
-def _next_stage_coupling(payload):
-    slices = payload["slices"]
-    slices[1]["coupling"] = slices[2]["coupling"]
-
-
-# edits of a valid dump, each of which the reader must refuse
-MALFORMED = {
-    "bad base64": _slice_set(2, "coupling", "not*base64!"),
-    "short coupling": _short_coupling,
-    "coupling of the next stage": _next_stage_coupling,
-    "v1 file": _as_v1,
-    "v2 file": _as_v2,
-    "missing slice": lambda payload: payload["slices"].pop(),
-    "out-of-order slices": lambda payload: payload["slices"].reverse(),
-    "fingerprint mismatch": lambda payload: payload.update(fingerprint="0" * 64),
-    "out-of-order stages": _swap_stages,
-    "stage site off the schedule": _stage_set(1, "site", [0, 0, 0, 0]),
-    "schedule site outside the window": _schedule_set(0, [6, 0, 0, 0]),
-    "schedule site on the window edge": _schedule_set(0, [2, 0, 0, 0]),
-    "core of the wrong length": _slice_set(0, "core", base64.b64encode(bytes(16 * 15)).decode()),
-    "missing stages": lambda payload: payload.pop("stages"),
-    "more stages than sites": lambda payload: payload["schedule"].pop(),
-    "radius off the configuration": lambda payload: payload.update(radius=payload["radius"] + 1),
-    "center off the configuration": lambda payload: payload.update(
-        center=[x + d for x, d in zip(payload["center"], (1, 1, 0, 0))],
-        radius=payload["radius"] + 2,
-    ),
-    "schedule lists a site twice": _schedule_set(1, [0, 0, 0, 0]),
-    "schedule in another order": _reorder_schedule,
+# edits of a valid header, each of which the reader must refuse
+MALFORMED_HEADERS = {
+    "v3 file": lambda header, acc: _v3_dump(acc, header),
+    "v2 file": _header_set("format", "estc-operator-v2"),
+    "v1 file": _header_set("format", "estc-operator-v1"),
+    "a list": lambda header, acc: [header],
+    "fingerprint mismatch": _header_set("fingerprint", "0" * 64),
+    "radius off the configuration": lambda header, acc: {**header, "radius": header["radius"] + 1},
+    "center off the configuration": lambda header, acc: {
+        **header,
+        "center": [x + d for x, d in zip(header["center"], (1, 1, 0, 0))],
+        "radius": header["radius"] + 2,
+    },
+    "stages past the schedule": _stages_past_the_schedule,
+    "one stage fewer than the factor file holds": _one_stage_fewer,
+    "negative stages": _header_set("stages", -1),
+    "stages not an integer": _header_set("stages", 13.0),
+    "stages a boolean": _header_set("stages", True),
+    "rconds one short": lambda header, acc: {**header, "rconds": header["rconds"][:-1]},
+    "rconds one too many": lambda header, acc: {**header, "rconds": header["rconds"] + [0.5]},
+    "rconds not a list": _header_set("rconds", 0.5),
+    "rcond NaN": _rcond_set(3, float("nan")),
+    "rcond infinite": _rcond_set(3, float("inf")),
+    "rcond past the float range": _rcond_set(3, 10**400),
+    "rcond a string": _rcond_set(3, "0.5"),
+    "rcond null": _rcond_set(3, None),
+    "sha256 of other bytes": _header_set("sha256", "0" * 64),
+    "sha256 not a string": _header_set("sha256", 0),
+    **{f"missing {key}": _header_drop(key) for key in
+       ("format", "fingerprint", "radius", "center", "stages", "rconds", "sha256")},
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_reader_refuses_malformed_v2_dumps(built, tmp_path, case):
-    cfg, acc, path = built
-    payload = json.loads(path.read_text())
-    MALFORMED[case](payload)
+def _refused(tmp_path, header_text: str, factors: bytes) -> None:
+    """read_operator raises ConfigError on the dump and CLI apply exits 1."""
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
+    bad.write_text(header_text)
+    factor_path(bad).write_bytes(factors)
     with pytest.raises(ConfigError):
-        read_operator(bad, cfg)
+        read_operator(bad, parse_config(BASE_TEXT))
     config = tmp_path / "run.cfg"
     config.write_text(BASE_TEXT)
     argv = ["apply", "--config", str(config), "--operator", str(bad), "--out", str(tmp_path / "y")]
     with contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == 1
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_reader_refuses_edited_operator_headers(built, tmp_path, case):
+    _, acc, path = built
+    edited = MALFORMED_HEADERS[case](json.loads(path.read_text()), acc)
+    _refused(tmp_path, json.dumps(edited), factor_path(path).read_bytes())
+
+
+@pytest.fixture(scope="module")
+def other_radius_factors(tmp_path_factory):
+    """The factor file of the same field at R = 3."""
+    cfg = parse_config(BASE_TEXT.replace("R = 2", "R = 3"))
+    acc = ProjectorAccumulator(cfg.field, cfg.params, Window(3)).run()
+    path = tmp_path_factory.mktemp("r3") / "operator.json"
+    write_operator(path, acc, cfg)
+    return factor_path(path).read_bytes()
+
+
+def _flip(raw, index):
+    return raw[:index] + bytes([raw[index] ^ 0x01]) + raw[index + 1 :]
+
+
+# edits of a valid factor file, each of which the reader must refuse
+MALFORMED_FACTORS = {
+    "truncated by 16 bytes": lambda raw, other: raw[:-16],
+    "truncated by one byte": lambda raw, other: raw[:-1],
+    "one extra complex": lambda raw, other: raw + bytes(16),
+    "empty": lambda raw, other: b"",
+    "one flipped byte": lambda raw, other: _flip(raw, len(raw) // 2),
+    "first byte flipped": lambda raw, other: _flip(raw, 0),
+    "from another radius": lambda raw, other: other,
+    "from another radius, cut to size": lambda raw, other: other[: len(raw)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FACTORS))
+def test_reader_refuses_edited_factor_files(built, other_radius_factors, tmp_path, case):
+    _, _, path = built
+    raw = MALFORMED_FACTORS[case](factor_path(path).read_bytes(), other_radius_factors)
+    _refused(tmp_path, path.read_text(), raw)
+
+
+def test_reader_checks_the_size_before_the_digest(built, tmp_path):
+    _, _, path = built
+    raw = factor_path(path).read_bytes()[:-16]
+    header = {**json.loads(path.read_text()), "sha256": hashlib.sha256(raw).hexdigest()}
+    _refused(tmp_path, json.dumps(header), raw)
+
+
+def test_missing_factor_file_exits_3(built, tmp_path):
+    _, _, path = built
+    header = tmp_path / "operator.json"
+    header.write_bytes(path.read_bytes())
+    with pytest.raises(FileNotFoundError):
+        read_operator(header, parse_config(BASE_TEXT))
+    config = tmp_path / "run.cfg"
+    config.write_text(BASE_TEXT)
+    for argv in (
+        ["apply", "--config", str(config), "--operator", str(header), "--out", str(tmp_path / "y")],
+        ["export", "--operator", str(header), "--out", str(tmp_path / "z.json")],
+    ):
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 3
 
 
 _JUNK = st.one_of(
@@ -380,18 +469,29 @@ def _containers(value):
 @given(st.data())
 def test_reader_raises_only_config_errors_on_mutated_dumps(built, data):
     cfg, _, path = built
-    payload = json.loads(path.read_text())
+    header = json.loads(path.read_text())
+    raw = bytearray(factor_path(path).read_bytes())
     for _ in range(data.draw(st.integers(1, 3))):
-        # delete or overwrite one entry of the payload or of any nested part
-        parent = data.draw(st.sampled_from(_containers(payload)))
-        keys = sorted(parent) if isinstance(parent, dict) else range(len(parent))
-        key = data.draw(st.sampled_from(keys))
         if data.draw(st.booleans()):
-            del parent[key]
+            # delete or overwrite one entry of the header or of any nested part
+            parent = data.draw(st.sampled_from(_containers(header)))
+            keys = sorted(parent) if isinstance(parent, dict) else range(len(parent))
+            key = data.draw(st.sampled_from(keys))
+            if data.draw(st.booleans()):
+                del parent[key]
+            else:
+                parent[key] = data.draw(_JUNK)
+        elif raw and data.draw(st.booleans()):
+            # flip bits of one byte of the factor file
+            index = data.draw(st.integers(0, len(raw) - 1))
+            raw[index] ^= data.draw(st.integers(1, 255))
         else:
-            parent[key] = data.draw(_JUNK)
+            # cut the factor file, or pad it with junk bytes
+            cut = data.draw(st.integers(0, len(raw)))
+            raw = raw[:cut] + data.draw(st.binary(max_size=40))
     bad = path.with_name("mutated.json")
-    bad.write_text(json.dumps(payload))
+    bad.write_text(json.dumps(header))
+    factor_path(bad).write_bytes(raw)
     try:
         read_operator(bad, cfg)
     except ConfigError:
@@ -537,8 +637,7 @@ def test_residual_and_stage_csv_formats(built):
 
 def test_export_json_round_trip_preserves_the_operator(built, tmp_path):
     cfg, acc, path = built
-    payload = read_operator_payload(path, cfg)
-    text = export_operator_json(payload)
+    text = export_operator_json(path, cfg)
     assert json.loads(text)["format"] == "estc-operator-dsets-v3"
     exported = tmp_path / "exported.json"
     exported.write_text(text)
@@ -557,8 +656,7 @@ def test_export_json_round_trip_preserves_the_operator(built, tmp_path):
 
 def test_export_csv_shape(built):
     cfg, acc, path = built
-    payload = read_operator_payload(path, cfg)
-    lines = export_operator_csv(payload).strip().split("\n")
+    lines = export_operator_csv(path, cfg).strip().split("\n")
     header = lines[0].split(",")
     assert header[:10] == ["stage", "m1", "m2", "m3", "m4", "entry", "n1", "n2", "n3", "n4"]
     assert len(header) == 10 + 32
