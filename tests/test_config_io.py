@@ -212,6 +212,11 @@ def _factor_parts(acc):
         yield band
 
 
+def _part_bytes(acc):
+    """The factor-file bytes of each W_t and band panel, in file order."""
+    return [np.ascontiguousarray(part, dtype="<c16").tobytes() for part in _factor_parts(acc)]
+
+
 def test_operator_dump_is_a_header_and_raw_factor_bytes(built):
     cfg, acc, path = built
     raw = factor_path(path).read_bytes()
@@ -238,8 +243,7 @@ def test_operator_dump_is_a_header_and_raw_factor_bytes(built):
         assert np.array_equal(data[offset : offset + band[0] * band[1]].reshape(band), acc.bands[t])
         offset += band[0] * band[1]
     assert offset == len(data)
-    parts = (np.ascontiguousarray(part, dtype="<c16").tobytes() for part in _factor_parts(acc))
-    assert raw == b"".join(parts)
+    assert raw == b"".join(_part_bytes(acc))
 
 
 @pytest.mark.parametrize("radius", [2, 3, 4, 5])
@@ -346,7 +350,7 @@ MALFORMED_HEADERS = {
         "center": [x + d for x, d in zip(header["center"], (1, 1, 0, 0))],
         "radius": header["radius"] + 2,
     },
-    "stages past the schedule": _stages_past_the_schedule,
+    "more stages than sites": _stages_past_the_schedule,
     "one stage fewer than the factor file holds": _one_stage_fewer,
     "negative stages": _header_set("stages", -1),
     "stages not an integer": _header_set("stages", 13.0),
@@ -380,13 +384,6 @@ def _refused(tmp_path, header_text: str, factors: bytes) -> None:
         assert cli.main(argv) == 1
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
-def test_reader_refuses_edited_operator_headers(built, tmp_path, case):
-    _, acc, path = built
-    edited = MALFORMED_HEADERS[case](json.loads(path.read_text()), acc)
-    _refused(tmp_path, json.dumps(edited), factor_path(path).read_bytes())
-
-
 @pytest.fixture(scope="module")
 def other_radius_factors(tmp_path_factory):
     """The factor file of the same field at R = 3."""
@@ -401,24 +398,54 @@ def _flip(raw, index):
     return raw[:index] + bytes([raw[index] ^ 0x01]) + raw[index + 1 :]
 
 
+def _slice_bytes(acc):
+    """The factor-file bytes of each slice: its packed W_t, then its band panel."""
+    parts = _part_bytes(acc)
+    return [core + band for core, band in zip(parts[::2], parts[1::2])]
+
+
+def _next_slice_coupling(raw, acc, other):
+    """The band panel of slice 1 overwritten by the leading bytes of slice 2's panel."""
+    parts = _part_bytes(acc)
+    parts[3] = parts[5][: len(parts[3])]
+    return b"".join(parts)
+
+
 # edits of a valid factor file, each of which the reader must refuse
 MALFORMED_FACTORS = {
-    "truncated by 16 bytes": lambda raw, other: raw[:-16],
-    "truncated by one byte": lambda raw, other: raw[:-1],
-    "one extra complex": lambda raw, other: raw + bytes(16),
-    "empty": lambda raw, other: b"",
-    "one flipped byte": lambda raw, other: _flip(raw, len(raw) // 2),
-    "first byte flipped": lambda raw, other: _flip(raw, 0),
-    "from another radius": lambda raw, other: other,
-    "from another radius, cut to size": lambda raw, other: other[: len(raw)],
+    "truncated by 16 bytes": lambda raw, acc, other: raw[:-16],
+    "short coupling": lambda raw, acc, other: raw[:-1],
+    "one extra complex": lambda raw, acc, other: raw + bytes(16),
+    "empty": lambda raw, acc, other: b"",
+    "missing slice": lambda raw, acc, other: b"".join(_slice_bytes(acc)[:-1]),
+    "core of the wrong length": lambda raw, acc, other: raw[16:],
+    "coupling of the next stage": _next_slice_coupling,
+    "out-of-order slices": lambda raw, acc, other: b"".join(reversed(_slice_bytes(acc))),
+    "one flipped byte": lambda raw, acc, other: _flip(raw, len(raw) // 2),
+    "first byte flipped": lambda raw, acc, other: _flip(raw, 0),
+    "from another radius": lambda raw, acc, other: other,
+    "from another radius, cut to size": lambda raw, acc, other: other[: len(raw)],
+}
+
+# each case edits the header or the factor file of a valid estc-operator-v4 dump
+MALFORMED = {
+    **{case: (edit, None) for case, edit in MALFORMED_HEADERS.items()},
+    **{case: (None, edit) for case, edit in MALFORMED_FACTORS.items()},
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_FACTORS))
-def test_reader_refuses_edited_factor_files(built, other_radius_factors, tmp_path, case):
-    _, _, path = built
-    raw = MALFORMED_FACTORS[case](factor_path(path).read_bytes(), other_radius_factors)
-    _refused(tmp_path, path.read_text(), raw)
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_reader_refuses_malformed_v2_dumps(built, other_radius_factors, tmp_path, case):
+    """Refuses edited v4 dumps; the name dates from the v2 format and is kept."""
+    _, acc, path = built
+    header, raw = json.loads(path.read_text()), factor_path(path).read_bytes()
+    edit_header, edit_factors = MALFORMED[case]
+    if edit_header:
+        header = edit_header(header, acc)
+    if edit_factors:
+        assert raw == b"".join(_slice_bytes(acc))
+        raw = edit_factors(raw, acc, other_radius_factors)
+    _refused(tmp_path, json.dumps(header), raw)
 
 
 def test_reader_checks_the_size_before_the_digest(built, tmp_path):
