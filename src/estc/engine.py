@@ -28,29 +28,39 @@ truncation error of the window.
 
 Only the zero-shift block V(n, 0) depends on q, through w = q + Omega n,
 so a point at new q pays only for it.  Per window (radius, center), built
-once per process and shared read-only: the layout of lattice.window_layout
-(sites, the (N, 13) neighbor table, the schedule), the window plan
-(stencil, slices, coverage, the projection's scatter order) and the Gram
-pattern, which lists every matched product of the row Gram matrix and the
-run of each block.  Per field, likewise: the twelve field-shift matrices
-F_s and their 144 products F_s F_t^dag.  A point forms the rows'
-zero-shift matrices, the products that involve them, and the factor; the
-seed, the projection and the residuals work on the (N, 4) amplitude array
-of a Multispinor, without site tuples handled one at a time.
+once per process and shared read-only, lattice.window_table holds the
+sites, the (N, 13) neighbor table, the schedule and its stencil, the
+slice bounds, the coverage of the stencils, the projection's scatter order
+and, built on first use, the Gram pattern, which lists every matched
+product of the row Gram matrix and the run of each block.  Per field,
+likewise: the twelve field-shift matrices F_s and their 144 products
+F_s F_t^dag.  A point forms the rows' zero-shift matrices, the products
+that involve them, and the factor; the seed, the projection and the
+residuals work on the (N, 4) site and amplitude arrays of a Multispinor
+and on schedule indices, never on site tuples.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .dirac_basis import dset_from_matrix, matrix_from_dset
 from .errors import StageSingular
 from .field import DimensionlessParams, FieldConfig, v_coupling, validate, zero_shift_dsets
-from .lattice import SHIFT_ARRAY, SHIFTS_S13, Site, Window, locate, make_schedule, window_layout
+from .lattice import (
+    SHIFT_ARRAY,
+    SHIFTS_S13,
+    GramPattern,
+    Site,
+    Window,
+    locate,
+    make_schedule,
+    window_table,
+)
 from .multispinor import Multispinor
 
 
@@ -76,8 +86,11 @@ class FieldTables:
         """(len(sites), 4, 4) zero-shift matrices V(n, 0) of a list or (N, 4) array of sites."""
         return matrix_from_dset(zero_shift_dsets(sites, self.params))
 
-    def rows(self, sites: list[Site]) -> np.ndarray:
-        """(len(sites), 13, 4, 4) coupling matrices of each row, in stencil shift order."""
+    def rows(self, sites: list[Site] | np.ndarray) -> np.ndarray:
+        """(len(sites), 13, 4, 4) coupling matrices of each row of a list or (N, 4) array of sites.
+
+        The matrices of each row are in stencil shift order.
+        """
         out = np.empty((len(sites), 13, 4, 4), dtype=complex)
         out[:, 0] = self.zero_shift(sites)
         out[:, 1:] = self._field_v
@@ -133,117 +146,6 @@ class RowGram:
     stage_ptr: np.ndarray
     partner: np.ndarray
     blocks: np.ndarray
-
-
-@dataclass(frozen=True)
-class GramPattern:
-    """Where the row Gram blocks of a schedule come from: everything but the rows.
-
-    Row k at shift s and row i at shift t share a column exactly when
-    stencil[k, s] == stencil[i, t].  Each such matched product
-    V_k[s] V_i[t]^dag with i <= k is listed in the order of the block it
-    sums into, and block j sums products first[j]:first[j + 1].  A product
-    of two field shifts is the site-independent F_s F_t^dag, entry
-    (s - 1) * 12 + t - 1 of the field-pair table; one that involves the
-    zero shift is formed per point from the rows (k, s) and (i, t) in the
-    zero_* arrays, and is entry 144 + j, j its place in those arrays.
-    """
-
-    source: np.ndarray
-    first: np.ndarray
-    zero_k: np.ndarray
-    zero_s: np.ndarray
-    zero_i: np.ndarray
-    zero_t: np.ndarray
-    stage_ptr: np.ndarray
-    partner: np.ndarray
-
-
-def gram_pattern(stencil: np.ndarray) -> GramPattern:
-    """The matched products of a schedule, from its (K, 13) stencil of column indices.
-
-    A column-to-stage table over the 13 shifts finds every match with
-    i <= k; sorting by (k, i), stably, puts each block's products in one
-    run.
-    """
-    stages = len(stencil)
-    owner = np.full((stencil.max() + 1, 13), -1, dtype=np.intp)
-    owner[stencil, np.arange(13)] = np.arange(stages)[:, None]
-    partner = owner[stencil]
-    k, s, t = np.nonzero((partner >= 0) & (partner <= np.arange(stages)[:, None, None]))
-    i = partner[k, s, t]
-    key = k * stages + i
-    order = np.argsort(key, kind="stable")
-    k, s, t, i, key = k[order], s[order], t[order], i[order], key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    zero = (s == 0) | (t == 0)
-    source = np.where(zero, 144 + np.cumsum(zero) - 1, (s - 1) * 12 + t - 1)
-    pattern = GramPattern(
-        source=source,
-        first=first,
-        zero_k=k[zero],
-        zero_s=s[zero],
-        zero_i=i[zero],
-        zero_t=t[zero],
-        stage_ptr=np.searchsorted(key[first] // stages, np.arange(stages + 1)),
-        partner=key[first] % stages,
-    )
-    for array in vars(pattern).values():
-        array.setflags(write=False)
-    return pattern
-
-
-@dataclass(frozen=True)
-class WindowPlan:
-    """What an accumulator needs of its window, built once per window.
-
-    stencil[k, s] is the window index of m_k + SHIFTS_S13[s] and slice_ptr
-    the slice starts of the schedule (ProjectorAccumulator.slice_bounds).
-    first_cover[j] is the first stage whose stencil reaches window site j
-    (K where none does) and support[k] counts the sites that the stencils
-    of stages 0..k reach.  The projection sums its K * 13 stencil terms
-    into the window sites in one sorted reduction: scatter_order sorts the
-    flat stencil, stably, and the run starting at scatter_first[j] holds
-    the terms of window site scatter_sites[j].  pattern is the row Gram's
-    pattern of matched products, built on first use: an accumulator that
-    only applies restored factors never needs it.
-    """
-
-    stencil: np.ndarray
-    slice_ptr: np.ndarray
-    first_cover: np.ndarray
-    support: np.ndarray
-    scatter_order: np.ndarray
-    scatter_first: np.ndarray
-    scatter_sites: np.ndarray
-
-    @cached_property
-    def pattern(self) -> GramPattern:
-        return gram_pattern(self.stencil)
-
-
-@lru_cache(maxsize=8)
-def _window_plan(radius: int, center: Site) -> WindowPlan:
-    layout = window_layout(Window(radius, center))
-    stencil = layout.neighbors[layout.schedule]
-    stages = len(stencil)
-    first_cover = np.full(len(layout.sites), stages)
-    np.minimum.at(first_cover, stencil, np.arange(stages)[:, None])
-    flat = stencil.ravel()
-    order = np.argsort(flat, kind="stable")
-    first = np.flatnonzero(np.diff(flat[order], prepend=-1))
-    plan = WindowPlan(
-        stencil=stencil,
-        slice_ptr=ProjectorAccumulator.slice_bounds(layout.coords[layout.schedule]),
-        first_cover=first_cover,
-        support=np.cumsum(np.bincount(first_cover, minlength=stages + 1))[:stages],
-        scatter_order=order,
-        scatter_first=first,
-        scatter_sites=flat[order][first],
-    )
-    for array in vars(plan).values():
-        array.setflags(write=False)
-    return plan
 
 
 def build_row_gram(rows: np.ndarray, field_pairs: np.ndarray, pattern: GramPattern) -> RowGram:
@@ -366,16 +268,13 @@ class ProjectorAccumulator:
         self.diagnostics: list[StageDiagnostics] = []
         self.stages_done = 0
 
-        self._layout = window_layout(window)
-        self._plan = _window_plan(window.radius, window.center)
-        self.slice_ptr = self._plan.slice_ptr
-        # row k of the stencil table holds the window indices of m_k + s over the 13 shifts
-        self._stencil = self._plan.stencil
+        self._table = window_table(window)
+        self.slice_ptr = self._table.slice_ptr
         self.inverses: list[np.ndarray] = []
         self.bands: list[np.ndarray] = []
         self.rconds = np.zeros(len(self.schedule))
         self._gram: RowGram | None = None
-        self._rows = self.tables.rows(self.schedule)
+        self._rows = self.tables.rows(self._table.coords[self._table.schedule])
 
     @classmethod
     def from_factors(
@@ -400,15 +299,6 @@ class ProjectorAccumulator:
         acc.rconds[: len(rconds)] = rconds
         return acc
 
-    @staticmethod
-    def slice_bounds(schedule) -> np.ndarray:
-        """slice_ptr of a time-major schedule: slice t is stages slice_ptr[t]:slice_ptr[t + 1].
-
-        schedule is a list of sites or a (K, 4) array of them.
-        """
-        n4 = np.reshape(schedule, (-1, 4))[:, 3]
-        return np.flatnonzero(np.diff(n4, prepend=n4[0] - 1, append=n4[-1] + 1))
-
     @property
     def coupling_count(self) -> int:
         """Stored off-diagonal 4x4 blocks: the strictly lower W_t blocks and the band blocks."""
@@ -422,7 +312,7 @@ class ProjectorAccumulator:
     def gram(self) -> RowGram:
         """Row Gram blocks of the whole schedule, built on first use."""
         if self._gram is None:
-            self._gram = build_row_gram(self._rows, self.tables.field_pairs, self._plan.pattern)
+            self._gram = build_row_gram(self._rows, self.tables.field_pairs, self._table.pattern)
         return self._gram
 
     def processed_sites(self) -> list[Site]:
@@ -494,7 +384,7 @@ class ProjectorAccumulator:
             self.schedule[new],
             self.rconds[new].tolist(),
             asymmetry[done - start : keep].tolist(),
-            self._plan.support[new].tolist(),
+            self._table.support[new].tolist(),
         ):
             self.diagnostics.append(
                 StageDiagnostics(k, site, rcond, gram_asymmetry, support_size, share)
@@ -567,13 +457,13 @@ class ProjectorAccumulator:
         if k == 0:
             return out
         zero = self._rows[:, 0]
-        y = self.tables.row_sums(zero[:k], x[self._stencil[:k]])
+        table = self._table
+        y = self.tables.row_sums(zero[:k], x[table.stencil[:k]])
         # stages past k contribute zero terms, so the full-schedule scatter order holds
         u = np.zeros((len(self.schedule), 4), dtype=complex)
         u[:k] = self.solve_upper(self.solve_lower(y.ravel())).reshape(k, 4)
         terms = self.tables.adjoint_terms(zero, u).reshape(-1, 4)
-        plan = self._plan
-        out[plan.scatter_sites] = np.add.reduceat(terms[plan.scatter_order], plan.scatter_first)
+        out[table.scatter_sites] = np.add.reduceat(terms[table.scatter_order], table.scatter_first)
         return out
 
     def _window_amplitudes(self, c: Multispinor) -> tuple[np.ndarray, np.ndarray]:
@@ -581,12 +471,12 @@ class ProjectorAccumulator:
 
         rows[j] is the row of c at window site j, -1 where c has none.
         """
-        rows = locate(c.coords(), self._layout.coords)
+        rows = locate(c.coords, self._table.coords)
         return np.concatenate([c.amplitudes, np.zeros((1, 4), dtype=complex)])[rows], rows
 
     def _covered(self) -> np.ndarray:
         """Window indices of the sites the processed stencils reach."""
-        return np.flatnonzero(self._plan.first_cover < self.stages_done)
+        return np.flatnonzero(self._table.first_cover < self.stages_done)
 
     def apply_projector(self, c: Multispinor) -> Multispinor:
         """Accumulated projector applied to c: the processed-row component.
@@ -596,7 +486,7 @@ class ProjectorAccumulator:
         """
         out = self._project(self._window_amplitudes(c)[0])
         covered = self._covered()
-        return Multispinor.from_rows([self._layout.sites[i] for i in covered], out[covered])
+        return Multispinor.from_rows(self._table.coords[covered], out[covered])
 
     def apply_fundamental(self, c: Multispinor) -> Multispinor:
         """c minus its processed-row component: a solution of processed rows.
@@ -604,7 +494,6 @@ class ProjectorAccumulator:
         Holds the sites of c, in its order, then the covered sites c lacks.
         No amplitude shares a buffer with c.
         """
-        layout = self._layout
         x, rows = self._window_amplitudes(c)
         y = x - self._project(x)
         present = rows >= 0
@@ -612,8 +501,8 @@ class ProjectorAccumulator:
         out[rows[present]] = y[present]
         covered = self._covered()
         lacking = covered[~present[covered]]
-        sites = c.support + tuple(layout.sites[i] for i in lacking)
-        return Multispinor.from_rows(sites, np.concatenate([out, y[lacking]]))
+        coords = np.concatenate([c.coords, self._table.coords[lacking]])
+        return Multispinor.from_rows(coords, np.concatenate([out, y[lacking]]))
 
 
 def residual_table(
@@ -623,6 +512,6 @@ def residual_table(
     # the row past the last amplitude is the zero that sites c lacks read
     values = np.concatenate([c.amplitudes, np.zeros((1, 4), dtype=complex)])
     coords = np.array(sites, dtype=np.int64).reshape(-1, 4)
-    neighbors = locate(c.coords(), coords[:, None, :] + SHIFT_ARRAY)
+    neighbors = locate(c.coords, coords[:, None, :] + SHIFT_ARRAY)
     rows = tables.row_sums(tables.zero_shift(coords), values[neighbors])
     return list(zip(sites, np.linalg.norm(rows, axis=1).tolist()))

@@ -22,6 +22,7 @@ import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .config import RunConfig, config_fingerprint
 from .dirac_basis import dset_from_matrix, matrix_from_dset
 from .engine import ProjectorAccumulator, StageDiagnostics
 from .errors import ConfigError
-from .lattice import MAX_COORDINATE, Site, Window, g4d, make_schedule, site_sub
+from .lattice import MAX_COORDINATE, Site, Window, first_rows, g4d, make_schedule, site_sub, window_table
 from .multispinor import Multispinor
 
 OPERATOR_FORMAT = "estc-operator-v4"
@@ -82,7 +83,7 @@ def _read_json(path: str | Path, cfg: RunConfig | None, expected_format: str) ->
     """The JSON object of a header or export, checked against cfg when one is given."""
     try:
         payload = json.loads(Path(path).read_bytes())
-    except ValueError as err:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as err:  # not JSON, not UTF-8, or nested too deep
         raise ConfigError(f"malformed operator dump {path}: {err}") from None
     if not isinstance(payload, dict) or payload.get("format") != expected_format:
         raise ConfigError(f"not a {expected_format} file: {path}")
@@ -110,8 +111,6 @@ class _Factors:
 
     fingerprint: str
     window: Window
-    schedule: list[Site]
-    slice_ptr: np.ndarray
     rconds: np.ndarray
     inverses: list[np.ndarray]
     bands: list[np.ndarray]
@@ -130,19 +129,16 @@ def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
         if not isinstance(fingerprint, str) or not isinstance(digest, str):
             raise ConfigError("the fingerprint and sha256 of an operator dump must be strings")
         window = Window(int(header["radius"]), _site(header["center"]))
-        schedule = make_schedule(window)
+        count = len(make_schedule(window))
         stages, rconds = header["stages"], header["rconds"]
-        if type(stages) is not int or not 0 <= stages <= len(schedule):
-            raise ConfigError(
-                f"stages must be an integer from 0 to {len(schedule)}, not {stages!r}"
-            )
+        if type(stages) is not int or not 0 <= stages <= count:
+            raise ConfigError(f"stages must be an integer from 0 to {count}, not {stages!r}")
         if not _numbers(rconds, stages, (int, float)):
             raise ConfigError(f"rconds must be {stages} finite numbers, one per stage")
-        slice_ptr = ProjectorAccumulator.slice_bounds(schedule)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"malformed operator dump: {err!r}") from None
 
-    shapes = _slice_shapes(slice_ptr, stages)
+    shapes = _slice_shapes(window_table(window).slice_ptr, stages)
     count = sum(2 * n * (4 * n + 1) + 16 * n * m for n, m in shapes)
     source = factor_path(path)
     with open(source, "rb") as f:
@@ -166,7 +162,7 @@ def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
         bands.append(data[offset : offset + 16 * n * m].reshape(4 * n, 4 * m))
         offset += 16 * n * m
     rconds = np.array(rconds, dtype=float)
-    return _Factors(fingerprint, window, schedule, slice_ptr, rconds, inverses, bands)
+    return _Factors(fingerprint, window, rconds, inverses, bands)
 
 
 def _block_dsets(a: np.ndarray) -> np.ndarray:
@@ -181,12 +177,24 @@ def _from_blocks(dsets: np.ndarray) -> np.ndarray:
     return matrix_from_dset(dsets).transpose(0, 2, 1, 3).reshape(4 * rows, 4 * cols)
 
 
+def _number_array(value, shape: tuple[int, ...]) -> np.ndarray:
+    """value as a float array: lists nested exactly to shape, whose entries pass _numbers."""
+    items = [value]
+    for size in shape:
+        if not all(isinstance(x, list) and len(x) == size for x in items):
+            raise ConfigError(f"an export entry is not a nested list of shape {shape}")
+        items = list(chain.from_iterable(items))
+    if not _numbers(items, len(items), (int, float)):
+        raise ConfigError("an export entry holds a value that is not a finite number")
+    return np.array(items, dtype=float).reshape(shape)
+
+
 def _export_slice(entry: dict, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     """(W_t, band panel) of one estc-operator-dsets-v3 slice entry of rows stages."""
-    pairs = np.array(entry["core"], dtype=float).reshape(rows * (rows + 1) // 2, 16, 2)
+    pairs = _number_array(entry["core"], (rows * (rows + 1) // 2, 16, 2))
     dsets = np.zeros((rows, rows, 16), dtype=complex)
     dsets[np.tril_indices(rows)] = pairs[..., 0] + 1j * pairs[..., 1]
-    pairs = np.array(entry["coupling"], dtype=float).reshape(rows, cols, 16, 2)
+    pairs = _number_array(entry["coupling"], (rows * cols, 16, 2)).reshape(rows, cols, 16, 2)
     return np.tril(_from_blocks(dsets)), _from_blocks(pairs[..., 0] + 1j * pairs[..., 1])
 
 
@@ -200,7 +208,7 @@ def read_operator(path: str | Path, cfg: RunConfig) -> ProjectorAccumulator:
 
 def solution_payload(c: Multispinor, cfg: RunConfig, source: dict) -> dict:
     """Sites in sorted order, each with its amplitudes as [re0, im0, ..., re3, im3]."""
-    sites = c.coords()
+    sites = c.coords
     order = np.lexsort(sites.T[::-1])
     return {
         "format": SOLUTION_FORMAT,
@@ -227,8 +235,8 @@ def _numbers(value, count: int, kinds) -> bool:
 
 def read_solution(path: str | Path, cfg: RunConfig | None = None) -> Multispinor:
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
+        payload = json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as err:  # not JSON, not UTF-8, or nested too deep
         raise ConfigError(f"malformed solution dump {path}: {err}") from None
     if not isinstance(payload, dict) or payload.get("format") != SOLUTION_FORMAT:
         raise ConfigError(f"not a solution dump: {path}")
@@ -244,19 +252,19 @@ def read_solution(path: str | Path, cfg: RunConfig | None = None) -> Multispinor
         raise ConfigError(
             f"solution dump {path} has {len(sites)} sites but {len(amplitudes)} amplitude rows"
         )
-    seen: dict[Site, None] = {}
     for site, flat in zip(sites, amplitudes):
         if not _numbers(site, 4, int):
             raise ConfigError(f"solution site {site!r} is not four integers")
         if max(abs(n) for n in site) > MAX_COORDINATE:
             raise ConfigError(f"solution site {site} lies past the site range of +-2**62")
-        if tuple(site) in seen:
-            raise ConfigError(f"solution site {site} is listed twice")
         if not _numbers(flat, 8, (int, float)):
             raise ConfigError(f"amplitudes at solution site {site} are not eight finite numbers")
-        seen[tuple(site)] = None
+    coords = np.array(sites, dtype=np.int64).reshape(-1, 4)
+    repeated = np.flatnonzero(first_rows(coords) != np.arange(len(coords)))
+    if repeated.size:
+        raise ConfigError(f"solution site {sites[repeated[0]]} is listed twice")
     values = np.array(amplitudes, dtype=float).reshape(-1, 8).view(complex)
-    return Multispinor.from_rows(seen, values)
+    return Multispinor.from_rows(coords, values)
 
 
 def residual_csv(rows: list[tuple[Site, float]], center: Site) -> str:
@@ -286,7 +294,7 @@ def _stored_blocks(factors: _Factors) -> Iterator[tuple[int, int, str, np.ndarra
     The core blocks are the lower triangle of W_t, j <= k in slice t, and
     the coupling blocks the band blocks of R, j in slices t - 2 and t - 1.
     """
-    ptr = factors.slice_ptr
+    ptr = window_table(factors.window).slice_ptr
     for t, (inverse, band) in enumerate(zip(factors.inverses, factors.bands)):
         start, low = ptr[t], ptr[max(t - 2, 0)]
         core, coupling = _block_dsets(inverse), _block_dsets(band)
@@ -297,9 +305,16 @@ def _stored_blocks(factors: _Factors) -> Iterator[tuple[int, int, str, np.ndarra
                 yield start + a, low + b, "coupling", coupling[a, b]
 
 
+def _scheduled_sites(window: Window) -> list[list[int]]:
+    """The window's schedule as JSON site lists, in schedule order."""
+    table = window_table(window)
+    return table.coords[table.schedule].tolist()
+
+
 def export_operator_json(path: str | Path, cfg: RunConfig | None = None) -> str:
     """Re-serialize a dump with every stored 4x4 block as 16 [re, im] basis pairs."""
     factors = _read_factors(path, cfg)
+    sites = _scheduled_sites(factors.window)
     slices = []
     for t, (inverse, band) in enumerate(zip(factors.inverses, factors.bands)):
         core = _block_dsets(inverse)[np.tril_indices(inverse.shape[0] // 4)]
@@ -316,9 +331,9 @@ def export_operator_json(path: str | Path, cfg: RunConfig | None = None) -> str:
         "fingerprint": factors.fingerprint,
         "radius": factors.window.radius,
         "center": list(factors.window.center),
-        "schedule": [list(site) for site in factors.schedule],
+        "schedule": sites,
         "stages": [
-            {"stage": k, "site": list(factors.schedule[k]), "rcond": float(rcond)}
+            {"stage": k, "site": sites[k], "rcond": float(rcond)}
             for k, rcond in enumerate(factors.rconds)
         ],
         "slices": slices,
@@ -332,11 +347,12 @@ def export_operator_csv(path: str | Path, cfg: RunConfig | None = None) -> str:
     Row stage k at site m couples to stage j at site n.
     """
     factors = _read_factors(path, cfg)
+    sites = _scheduled_sites(factors.window)
     header = ["stage", "m1", "m2", "m3", "m4", "entry", "n1", "n2", "n3", "n4"]
     header += [f"c{i}_{part}" for i in range(16) for part in ("re", "im")]
     lines = [",".join(header)]
     for k, j, entry, dset in _stored_blocks(factors):
-        cells = [str(k), *map(str, factors.schedule[k]), entry, *map(str, factors.schedule[j])]
+        cells = [str(k), *map(str, sites[k]), entry, *map(str, sites[j])]
         cells += [repr(float(x)) for z in dset for x in (z.real, z.imag)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -347,18 +363,20 @@ def read_exported_operator(path: str | Path, cfg: RunConfig) -> ProjectorAccumul
     payload = _read_json(path, cfg, EXPORT_FORMAT)
     try:
         window = Window(int(payload["radius"]), _site(payload["center"]))
-        schedule = make_schedule(window)
-        if [_site(site) for site in payload["schedule"]] != schedule:
+        make_schedule(window)  # refuses an oversized window before it is enumerated
+        sites = _scheduled_sites(window)
+        if payload["schedule"] != sites:
             raise ConfigError("the schedule is not the window's own schedule")
         stages = payload["stages"]
-        if len(stages) > len(schedule):
-            raise ConfigError(f"{len(stages)} stages for a schedule of {len(schedule)} sites")
-        rconds = []
+        if len(stages) > len(sites):
+            raise ConfigError(f"{len(stages)} stages for a schedule of {len(sites)} sites")
         for k, stage in enumerate(stages):
-            if stage["stage"] != k or _site(stage["site"]) != schedule[k]:
+            if stage["stage"] != k or stage["site"] != sites[k]:
                 raise ConfigError(f"stage entry {k} is out of schedule order")
-            rconds.append(float(stage["rcond"]))
-        shapes = _slice_shapes(ProjectorAccumulator.slice_bounds(schedule), len(stages))
+        rconds = [stage["rcond"] for stage in stages]
+        if not _numbers(rconds, len(stages), (int, float)):
+            raise ConfigError(f"rconds must be {len(stages)} finite numbers, one per stage")
+        shapes = _slice_shapes(window_table(window).slice_ptr, len(stages))
         slices = payload["slices"]
         if len(slices) != len(shapes):
             raise ConfigError(
@@ -374,7 +392,7 @@ def read_exported_operator(path: str | Path, cfg: RunConfig) -> ProjectorAccumul
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"malformed operator export: {err!r}") from None
     return ProjectorAccumulator.from_factors(
-        cfg.field, cfg.params, window, inverses, bands, np.array(rconds)
+        cfg.field, cfg.params, window, inverses, bands, np.array(rconds, dtype=float)
     )
 
 

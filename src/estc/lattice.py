@@ -5,12 +5,18 @@ coupling range of a site is measured by g4d, the larger of the spatial
 1-norm and the absolute time component.  Row n of the coupled system
 involves only the 13 sites n + s with s in the stencil: the zero shift and
 twelve unit shifts mixing one spatial axis with the time axis.
+
+Inside the library a set of sites is one (N, 4) int64 array.  Everything
+that depends on a window alone, its sites, neighbor table, time-major
+schedule, stencil, slices, coverage, scatter order and Gram pattern, is
+one read-only WindowTable, built once per (radius, center); site tuples
+are handed out only at the edges (Window.points, make_schedule).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -128,22 +134,7 @@ def window_points(radius: int, center: Site = (0, 0, 0, 0)) -> list[Site]:
     """
     if not in_lattice(center):
         raise ValueError(f"window center {center} has odd coordinate sum")
-    return list(_enumerate_window(radius, center))
-
-
-@lru_cache(maxsize=8)
-def _enumerate_window(radius: int, center: Site) -> tuple[Site, ...]:
-    out = []
-    r = radius
-    for n1 in range(-r, r + 1):
-        for n2 in range(-r + abs(n1), r - abs(n1) + 1):
-            for n3 in range(-r + abs(n1) + abs(n2), r - abs(n1) - abs(n2) + 1):
-                for n4 in range(-r, r + 1):
-                    n = (center[0] + n1, center[1] + n2, center[2] + n3, center[3] + n4)
-                    if in_lattice(n):
-                        out.append(n)
-    out.sort(key=lambda n: (g4d(site_sub(n, center)), n))
-    return tuple(out)
+    return list(_window_table(radius, center).sites)
 
 
 def locate(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -171,38 +162,167 @@ def locate(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return out.reshape(queries.shape[:-1])
 
 
-@dataclass(frozen=True)
-class WindowLayout:
-    """Array form of a window, built once per (radius, center).
+def first_rows(coords: np.ndarray) -> np.ndarray:
+    """For each row of an (N, 4) site array, the first row that holds the same site.
 
-    sites are the window points in window order and coords the same
-    points as an (N, 4) int64 array; neighbors[i, s] is the window index
-    of sites[i] + SHIFTS_S13[s], -1 outside the window; schedule lists the
-    window indices of make_schedule's sites in its order.  The arrays are
-    read-only: every caller shares them.
+    first_rows(coords)[i] == i exactly where site i is not repeated from an
+    earlier row.  One lexicographic sort, so any int64 sites compare.
+    """
+    order = np.lexsort(coords.T[::-1])  # stable: equal sites keep their row order
+    ordered = coords[order]
+    new = np.ones(len(coords), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    out = np.empty(len(coords), dtype=np.intp)
+    out[order] = order[new][np.cumsum(new) - 1]
+    return out
+
+
+@dataclass(frozen=True)
+class GramPattern:
+    """Where the row Gram blocks of a schedule come from: everything but the rows.
+
+    Row k at shift s and row i at shift t share a column exactly when
+    stencil[k, s] == stencil[i, t].  Each such matched product
+    V_k[s] V_i[t]^dag with i <= k is listed in the order of the block it
+    sums into, and block j sums products first[j]:first[j + 1].  A product
+    of two field shifts is the site-independent F_s F_t^dag, entry
+    (s - 1) * 12 + t - 1 of the field-pair table; one that involves the
+    zero shift is formed per point from the rows (k, s) and (i, t) in the
+    zero_* arrays, and is entry 144 + j, j its place in those arrays.
+    The blocks of stage k are stage_ptr[k]:stage_ptr[k + 1], and
+    partner[b] is the other stage of block b.
+    """
+
+    source: np.ndarray
+    first: np.ndarray
+    zero_k: np.ndarray
+    zero_s: np.ndarray
+    zero_i: np.ndarray
+    zero_t: np.ndarray
+    stage_ptr: np.ndarray
+    partner: np.ndarray
+
+
+def gram_pattern(stencil: np.ndarray) -> GramPattern:
+    """The matched products of a schedule, from its (K, 13) stencil of column indices.
+
+    A column-to-stage table over the 13 shifts finds every match with
+    i <= k; sorting by (k, i), stably, puts each block's products in one
+    run.
+    """
+    stages = len(stencil)
+    owner = np.full((stencil.max() + 1, 13), -1, dtype=np.intp)
+    owner[stencil, np.arange(13)] = np.arange(stages)[:, None]
+    partner = owner[stencil]
+    k, s, t = np.nonzero((partner >= 0) & (partner <= np.arange(stages)[:, None, None]))
+    i = partner[k, s, t]
+    key = k * stages + i
+    order = np.argsort(key, kind="stable")
+    k, s, t, i, key = k[order], s[order], t[order], i[order], key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    zero = (s == 0) | (t == 0)
+    source = np.where(zero, 144 + np.cumsum(zero) - 1, (s - 1) * 12 + t - 1)
+    pattern = GramPattern(
+        source=source,
+        first=first,
+        zero_k=k[zero],
+        zero_s=s[zero],
+        zero_i=i[zero],
+        zero_t=t[zero],
+        stage_ptr=np.searchsorted(key[first] // stages, np.arange(stages + 1)),
+        partner=key[first] % stages,
+    )
+    for array in vars(pattern).values():
+        array.setflags(write=False)
+    return pattern
+
+
+@dataclass(frozen=True)
+class WindowTable:
+    """Everything that depends on a window alone, built once per (radius, center).
+
+    sites are the window points in window order, as 4-tuples for the
+    edges that name single sites, and coords the same points as an (N, 4)
+    int64 array.  neighbors[i, s] is the window index of
+    coords[i] + SHIFTS_S13[s], -1 outside the window.  schedule lists the
+    window indices of make_schedule's sites in its order, and
+    stencil[k, s] = neighbors[schedule[k], s] the columns of stage k.
+    The schedule is time-major: slice t of equal n4 is stages
+    slice_ptr[t]:slice_ptr[t + 1].  first_cover[j] is the first stage whose
+    stencil reaches window site j (K where none does) and support[k]
+    counts the sites that the stencils of stages 0..k reach.  The
+    projection sums its K * 13 stencil terms into the window sites in one
+    sorted reduction: scatter_order sorts the flat stencil, stably, and
+    the run starting at scatter_first[j] holds the terms of window site
+    scatter_sites[j].  pattern is the row Gram's pattern of matched
+    products, built on first use: an accumulator that only applies
+    restored factors never needs it.  The arrays are read-only: every
+    caller shares them.
     """
 
     sites: tuple[Site, ...]
     coords: np.ndarray
     neighbors: np.ndarray
     schedule: np.ndarray
+    stencil: np.ndarray
+    slice_ptr: np.ndarray
+    first_cover: np.ndarray
+    support: np.ndarray
+    scatter_order: np.ndarray
+    scatter_first: np.ndarray
+    scatter_sites: np.ndarray
+
+    @cached_property
+    def pattern(self) -> GramPattern:
+        return gram_pattern(self.stencil)
 
 
-def window_layout(window: Window) -> WindowLayout:
-    """The cached layout of a window."""
-    return _layout(window.radius, window.center)
+def window_table(window: Window) -> WindowTable:
+    """The cached table of a window."""
+    return _window_table(window.radius, window.center)
 
 
 @lru_cache(maxsize=8)
-def _layout(radius: int, center: Site) -> WindowLayout:
-    sites = _enumerate_window(radius, center)
+def _window_table(radius: int, center: Site) -> WindowTable:
+    sites = []
+    r = radius
+    for n1 in range(-r, r + 1):
+        for n2 in range(-r + abs(n1), r - abs(n1) + 1):
+            for n3 in range(-r + abs(n1) + abs(n2), r - abs(n1) - abs(n2) + 1):
+                for n4 in range(-r, r + 1):
+                    n = (center[0] + n1, center[1] + n2, center[2] + n3, center[3] + n4)
+                    if in_lattice(n):
+                        sites.append(n)
+    sites.sort(key=lambda n: (g4d(site_sub(n, center)), n))
     coords = np.array(sites, dtype=np.int64).reshape(-1, 4)
     neighbors = locate(coords, coords[:, None, :] + SHIFT_ARRAY)
     # the interior is the leading window_size(radius - 1) points; the schedule is time-major
     schedule = np.argsort(coords[: window_size(radius - 1), 3], kind="stable")
-    for array in (coords, neighbors, schedule):
-        array.setflags(write=False)
-    return WindowLayout(sites, coords, neighbors, schedule)
+    n4 = coords[schedule, 3]
+    stencil = neighbors[schedule]
+    stages = len(stencil)
+    first_cover = np.full(len(sites), stages)
+    np.minimum.at(first_cover, stencil, np.arange(stages)[:, None])
+    flat = stencil.ravel()
+    order = np.argsort(flat, kind="stable")
+    first = np.flatnonzero(np.diff(flat[order], prepend=-1))
+    table = WindowTable(
+        sites=tuple(sites),
+        coords=coords,
+        neighbors=neighbors,
+        schedule=schedule,
+        stencil=stencil,
+        slice_ptr=np.flatnonzero(np.diff(n4, prepend=n4[:1] - 1, append=n4[-1:] + 1)),
+        first_cover=first_cover,
+        support=np.cumsum(np.bincount(first_cover, minlength=stages + 1))[:stages],
+        scatter_order=order,
+        scatter_first=first,
+        scatter_sites=flat[order][first],
+    )
+    for array in vars(table).values():
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
+    return table
 
 
 def slice_sizes(radius: int) -> tuple[int, int]:
@@ -258,5 +378,5 @@ def make_schedule(window: Window) -> list[Site]:
             f"window radius {window.radius} needs {window_size(window.radius - 1)} stages "
             f"and a band factor of {size} bytes, more than the limit of {MAX_FACTOR_BYTES} bytes"
         )
-    layout = window_layout(window)
-    return [layout.sites[i] for i in layout.schedule]
+    table = window_table(window)
+    return [table.sites[i] for i in table.schedule.tolist()]

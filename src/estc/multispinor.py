@@ -1,7 +1,9 @@
 """Amplitude container: one 4-component complex bispinor per lattice site.
 
 A multispinor is zero off its finite support, so operators truncated to a
-window act on it exactly.
+window act on it exactly.  Its sites are one (N, 4) int64 array, fixed
+when it is made, and its amplitudes one (N, 4) complex array; the sites
+as 4-tuples are built only when code at the edges asks for single sites.
 """
 
 from __future__ import annotations
@@ -11,70 +13,60 @@ from itertools import chain
 
 import numpy as np
 
-from .lattice import Site
+from .lattice import Site, first_rows
 
 _ZERO = np.zeros(4, dtype=complex)
 _ZERO.setflags(write=False)
 
 
 class Multispinor:
-    """N distinct sites, in insertion order, and their amplitudes as one (N, 4) complex array.
+    """N distinct sites as an (N, 4) int64 array, coords, and their amplitudes as one (N, 4) complex array.
 
-    Row i of amplitudes is the bispinor at support[i].  The site-to-row
-    index is built on the first lookup by site and the (N, 4) int64 site
-    array on the first call of coords(), so code that works on the arrays
-    never builds the index.
-
-    Adding a site takes amortized constant time: the rows live in a buffer
-    grown geometrically, and amplitudes is a view of its filled part.
-    c[site] is a view of its row, so writes through it show in c, but
-    adding a new site may move the rows: a view of a row or of amplitudes
-    taken before the insert may then no longer write into c.
+    Row i of amplitudes is the bispinor at site coords[i].  The sites are
+    fixed: coords is read-only, and a sum that brings new sites returns a
+    new multispinor.  The sites as 4-tuples, support, and the
+    site-to-row index behind c[site] and site in c are built on first use,
+    so code that works on the arrays never builds them.  c[site] is a view
+    of its row, so writes through it show in c; an absent site reads as a
+    read-only zero.
     """
 
     def __init__(self, data: Mapping[Site, np.ndarray] | None = None):
         data = data or {}
         rows = [np.asarray(value, dtype=complex).reshape(4) for value in data.values()]
-        self._assign(tuple(data), np.array(rows, dtype=complex).reshape(-1, 4))
+        self._assign(list(data), np.array(rows, dtype=complex).reshape(-1, 4))
 
     @classmethod
-    def from_rows(cls, sites: Iterable[Site], rows: np.ndarray) -> "Multispinor":
-        """rows[i] at sites[i], with the sites distinct and rows an (N, 4) complex array.
+    def from_rows(cls, coords, amplitudes: np.ndarray) -> "Multispinor":
+        """amplitudes[i] at site coords[i]: distinct sites as an (N, 4) int64 array, or a list of them.
 
-        The array is taken as it is, not copied: writes through either show
-        in both until a new site is added.
+        The sites are copied into the read-only coords; amplitudes, an
+        (N, 4) complex array, is taken as it is, not copied: writes through
+        either show in both.
         """
         out = cls.__new__(cls)
-        out._assign(tuple(sites), rows)
+        out._assign(coords, amplitudes)
         return out
 
-    def _assign(self, support: tuple[Site, ...], amplitudes: np.ndarray) -> None:
-        if amplitudes.shape != (len(support), 4) or amplitudes.dtype != complex:
+    def _assign(self, coords, amplitudes: np.ndarray) -> None:
+        coords = np.array(coords, dtype=np.int64).reshape(-1, 4)
+        if amplitudes.shape != (len(coords), 4) or amplitudes.dtype != complex:
             raise ValueError(
-                f"{len(support)} sites need a ({len(support)}, 4) complex array, "
+                f"{len(coords)} sites need a ({len(coords)}, 4) complex array, "
                 f"got {amplitudes.dtype} {amplitudes.shape}"
             )
-        # the sites are the tuple _support or, while sites are added, the list _sites
-        self._support: tuple[Site, ...] | None = support
-        self._sites: list[Site] | None = None
-        self._buffer = amplitudes
+        coords.setflags(write=False)
+        self.coords = coords
         self.amplitudes = amplitudes
+        self._support: tuple[Site, ...] | None = None
         self._index: dict[Site, int] | None = None
-        self._coords: np.ndarray | None = None
 
     @property
     def support(self) -> tuple[Site, ...]:
-        """The sites, in their order."""
+        """The sites as 4-tuples, in their order, built on first use."""
         if self._support is None:
-            self._support = tuple(self._sites)
+            self._support = tuple(map(tuple, self.coords.tolist()))
         return self._support
-
-    def coords(self) -> np.ndarray:
-        """The sites as an (N, 4) int64 array, in their order."""
-        if self._coords is None:
-            flat = chain.from_iterable(self.support)
-            self._coords = np.fromiter(flat, np.int64, 4 * len(self.amplitudes)).reshape(-1, 4)
-        return self._coords
 
     def _lookup(self) -> dict[Site, int]:
         """The site-to-row index, built on first use."""
@@ -86,26 +78,6 @@ class Multispinor:
         i = self._lookup().get(site)
         return _ZERO if i is None else self.amplitudes[i]
 
-    def __setitem__(self, site: Site, value) -> None:
-        value = np.asarray(value, dtype=complex).reshape(4)
-        index = self._lookup()
-        i = index.get(site)
-        if i is not None:
-            self.amplitudes[i] = value
-            return
-        n = len(self.amplitudes)
-        if n == len(self._buffer):
-            self._buffer = np.empty((2 * n + 4, 4), dtype=complex)
-            self._buffer[:n] = self.amplitudes
-        self._buffer[n] = value
-        self.amplitudes = self._buffer[: n + 1]
-        if self._sites is None:
-            self._sites = list(self._support)
-        self._sites.append(site)
-        self._support = None
-        self._coords = None
-        index[site] = n
-
     def __contains__(self, site: Site) -> bool:
         return site in self._lookup()
 
@@ -115,32 +87,24 @@ class Multispinor:
     def sites(self) -> list[Site]:
         return sorted(self.support)
 
-    def add_to(self, site: Site, value: np.ndarray) -> None:
-        i = self._lookup().get(site)
-        if i is None:
-            self[site] = value
-        else:
-            self.amplitudes[i] += np.asarray(value, dtype=complex).reshape(4)
-
     def copy(self) -> "Multispinor":
-        return Multispinor.from_rows(self.support, self.amplitudes.copy())
+        return Multispinor.from_rows(self.coords, self.amplitudes.copy())
 
     def __add__(self, other: "Multispinor") -> "Multispinor":
         """Sum on the sites of self, in their order, then the sites of other that self lacks."""
-        index = self._lookup()
-        rows = np.array([index.get(site, -1) for site in other.support], dtype=np.intp)
-        extra = np.flatnonzero(rows < 0)
-        rows[extra] = len(self.support) + np.arange(len(extra))
+        n = len(self.coords)
+        rows = first_rows(np.concatenate([self.coords, other.coords]))[n:]
+        extra = np.flatnonzero(rows >= n)  # other's sites are distinct: each is its own first row
+        rows[extra] = n + np.arange(len(extra))
         out = np.concatenate([self.amplitudes, np.zeros((len(extra), 4), dtype=complex)])
         out[rows] += other.amplitudes
-        support = self.support + tuple(other.support[i] for i in extra)
-        return Multispinor.from_rows(support, out)
+        return Multispinor.from_rows(np.concatenate([self.coords, other.coords[extra]]), out)
 
     def __sub__(self, other: "Multispinor") -> "Multispinor":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "Multispinor":
-        return Multispinor.from_rows(self.support, scalar * self.amplitudes)
+        return Multispinor.from_rows(self.coords, scalar * self.amplitudes)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
@@ -153,10 +117,13 @@ def random_multispinor(sites: Iterable[Site], seed: int) -> Multispinor:
     four imaginary parts.  A repeated site keeps its first place and takes
     its last draw.
     """
-    sites = list(sites)
-    draws = np.random.default_rng(seed).standard_normal((len(sites), 2, 4))
+    coords = np.fromiter(chain.from_iterable(sites), np.int64).reshape(-1, 4)
+    draws = np.random.default_rng(seed).standard_normal((len(coords), 2, 4))
     amplitudes = draws[:, 0] + 1j * draws[:, 1]
-    last = dict(zip(sites, range(len(sites))))
-    if len(last) < len(sites):
-        amplitudes = amplitudes[list(last.values())]
-    return Multispinor.from_rows(last, amplitudes)
+    first = first_rows(coords)
+    keep = np.flatnonzero(first == np.arange(len(coords)))
+    if len(keep) < len(coords):
+        last = np.zeros(len(coords), dtype=np.intp)
+        np.maximum.at(last, first, np.arange(len(coords)))
+        coords, amplitudes = coords[keep], amplitudes[last[keep]]
+    return Multispinor.from_rows(coords, amplitudes)

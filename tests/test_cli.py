@@ -257,7 +257,7 @@ def test_non_finite_gram_exits_2(tmp_path, config_path, monkeypatch, capsys):
 
     def poisoned(self, sites):
         out = real(self, sites)
-        out[[i for i, n in enumerate(sites) if n == target], 0, 0, 0] = np.nan
+        out[(np.asarray(sites) == target).all(axis=1), 0, 0, 0] = np.nan
         return out
 
     monkeypatch.setattr(engine.FieldTables, "rows", poisoned)
@@ -304,3 +304,29 @@ def test_io_failures_exit_3(tmp_path, config_path):
         ["apply", "--config", str(config_path), "--operator", str(tmp_path / "nope.json"),
          "--out", str(tmp_path / "y")]
     ) == 3
+
+
+# 100,000 levels: far past the depth at which json.loads gives up with RecursionError
+DEEP_LIST = "[" * 100_000
+DEEP_OBJECT = '{"a":' * 100_000 + "1" + "}" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("apply", DEEP_LIST), ("export", DEEP_LIST), ("apply", DEEP_OBJECT), ("input", DEEP_OBJECT)],
+    ids=["apply header", "export header", "apply header of objects", "solution input"],
+)
+def test_deeply_nested_json_exits_1_with_one_error_line(built, tmp_path, capsys, command, text):
+    config_path, out = built
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    operator = str(out / "operator.json") if command == "input" else str(deep)
+    argv = {
+        "apply": ["apply", "--config", str(config_path), "--operator", operator],
+        "export": ["export", "--operator", operator],
+        "input": ["apply", "--config", str(config_path), "--operator", operator, "--input", str(deep)],
+    }[command]
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(tmp_path / "y")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed ") and err.count("\n") == 1

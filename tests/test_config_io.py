@@ -540,7 +540,11 @@ def test_solution_writer_matches_the_per_site_writer(built, tmp_path):
     cfg, acc, _ = built
     seed = random_multispinor(acc.window.points(), 5)
     c = acc.apply_fundamental(seed)
-    c[(9, 9, 0, 0)] = [0.0, -0.0, 1e-300j, -2.5 - 0j]  # signed zeros and a tiny part
+    # one more site, with signed zeros and a tiny part
+    c = Multispinor.from_rows(
+        np.concatenate([c.coords, [[9, 9, 0, 0]]]),
+        np.concatenate([c.amplitudes, [[0.0, -0.0, 1e-300j, -2.5 - 0j]]]),
+    )
     for value in (c, Multispinor()):
         sites = value.sites()
         expected = {
@@ -679,6 +683,46 @@ def test_export_json_round_trip_preserves_the_operator(built, tmp_path):
     direct = acc.apply_projector(c)
     routed = restored.apply_projector(c)
     assert (routed - direct).norm() < 1e-12 * max(direct.norm(), 1.0)
+
+
+# (path into the export, value); the reader must refuse each with ConfigError.  The
+# string "1e400" is written as the bare JSON number 1e400, which parses as inf.
+MALFORMED_EXPORTS = {
+    "rcond NaN as a string": (("stages", 3, "rcond"), "NaN"),
+    "rcond a boolean": (("stages", 3, "rcond"), True),
+    "rcond a numeric string": (("stages", 3, "rcond"), "0.5"),
+    "rcond NaN": (("stages", 3, "rcond"), float("nan")),
+    "rcond past the float range": (("stages", 3, "rcond"), "1e400"),
+    "core entry past the float range": (("slices", 1, "core", 0, 3, 0), "1e400"),
+    "core entry inf as a string": (("slices", 1, "core", 0, 3, 0), "inf"),
+    "core entry infinite": (("slices", 0, "core", 2, 0, 1), float("inf")),
+    "core entry a boolean": (("slices", 2, "core", 1, 15, 1), True),
+    "coupling entry NaN": (("slices", 2, "coupling", 5, 0, 1), float("nan")),
+    "coupling entry a numeric string": (("slices", 1, "coupling", 0, 4, 0), "1.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_EXPORTS))
+def test_export_reader_refuses_what_is_not_a_finite_number(built, tmp_path, case):
+    cfg, acc, path = built
+    payload = json.loads(export_operator_json(path, cfg))
+    keys, value = MALFORMED_EXPORTS[case]
+    parent = payload
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload).replace('"1e400"', "1e400"))
+    with pytest.raises(ConfigError, match="finite number"):
+        read_exported_operator(bad, cfg)
+
+
+def test_export_reader_refuses_deeply_nested_json(built, tmp_path):
+    cfg, _, _ = built
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    with pytest.raises(ConfigError, match="malformed operator dump"):
+        read_exported_operator(deep, cfg)
 
 
 def test_export_csv_shape(built):

@@ -243,8 +243,7 @@ def test_residual_table_reads_sites_outside_the_window_and_missing_sites():
     tables = FieldTables(FIELD, PARAMS)
     rows = Window(2).points()
     # every other site of a wider window, and one far from every row
-    c = random_multispinor(Window(3).points()[::2], 16)
-    c[(40, 0, 0, 0)] = [1, 1, 1, 1]
+    c = random_multispinor(Window(3).points()[::2], 16) + Multispinor({(40, 0, 0, 0): [1, 1, 1, 1]})
     assert any(site_add(n, s) not in c for n in rows for s in SHIFTS_S13)
     # the per-site gather, then the same row sums: equal to the last bit
     x = np.array([[c[site_add(n, s)] for s in SHIFTS_S13] for n in rows])
@@ -268,7 +267,7 @@ def test_oversized_window_is_refused_before_enumeration(tmp_path, monkeypatch, c
 
     # the band factor of R = 2 takes one byte more than the lowered limit
     monkeypatch.setattr(lattice, "MAX_FACTOR_BYTES", lattice.factor_bytes(2) - 1)
-    monkeypatch.setattr(lattice, "window_points", refuse)
+    monkeypatch.setattr(lattice, "_window_table", refuse)
     refusal = "13 stages and a band factor of 22048 bytes, more than the limit of 22047 bytes"
     with pytest.raises(ValueError, match=refusal):
         fresh_accumulator()
@@ -305,7 +304,7 @@ def test_non_finite_gram_trips_the_stage_guard(bad, monkeypatch):
 
     def poisoned(self, sites):
         out = real(self, sites)
-        out[[i for i, n in enumerate(sites) if n == target], 0, 0, 0] = bad
+        out[(np.asarray(sites) == target).all(axis=1), 0, 0, 0] = bad
         return out
 
     monkeypatch.setattr(engine.FieldTables, "rows", poisoned)
@@ -325,7 +324,7 @@ def test_dependent_mid_slice_row_trips_the_stage_guard(monkeypatch):
     # is multiplied by T on the left where k is the stage and by T^dag on
     # the right where i is.
     schedule = lattice.make_schedule(Window(3))
-    start = engine.ProjectorAccumulator.slice_bounds(schedule)[2]
+    start = lattice.window_table(Window(3)).slice_ptr[2]
     stage = start + 9
     assert schedule[stage][3] == schedule[start][3] == schedule[stage + 1][3]
     t = np.eye(4)
@@ -368,8 +367,7 @@ def test_apply_fundamental_shares_no_buffer_with_its_input():
     acc = fresh_accumulator().run()
     points = acc.window.points()
     # a seed missing some window sites and holding one outside the window
-    c = random_multispinor(points[::3], 17)
-    c[(9, 9, 0, 0)] = [1, 2, 3, 4]
+    c = random_multispinor(points[::3], 17) + Multispinor({(9, 9, 0, 0): [1, 2, 3, 4]})
     check_apply_fundamental_keeps_its_input(acc, c)
 
 
@@ -400,13 +398,14 @@ def test_second_accumulator_reuses_the_window_tables():
     second = ProjectorAccumulator(FIELD, PARAMS, window)
     points = window.points()
     stencil = [[points.index(site_add(m, s)) for s in SHIFTS_S13] for m in second.schedule]
-    assert second._stencil.tolist() == stencil
-    pattern = engine.gram_pattern(np.array(stencil))
+    table = lattice.window_table(window)
+    assert table.stencil.tolist() == stencil
+    pattern = lattice.gram_pattern(np.array(stencil))
     gram = second.gram
     assert np.array_equal(gram.stage_ptr, pattern.stage_ptr)
     assert np.array_equal(gram.partner, pattern.partner)
     assert gram.blocks.tobytes() == first.gram.blocks.tobytes()
-    cached = engine._window_plan(window.radius, window.center).pattern
+    cached = table.pattern
     assert gram.stage_ptr is cached.stage_ptr
     for array in (*vars(cached).values(), second.tables.field_pairs):
         with pytest.raises(ValueError, match="read-only"):
@@ -430,8 +429,8 @@ def test_second_point_on_a_field_shares_its_field_tables():
 
 
 def test_library_point_makes_no_per_site_calls(monkeypatch):
-    # one sweep point at R=3: v_coupling only for the twelve field shifts, site_add and
-    # the per-site Multispinor accessors never
+    # one sweep point at R=3: v_coupling only for the twelve field shifts; site_add, the
+    # per-site Multispinor accessor and its site tuples never
     from estc import field, multispinor
 
     shifts, adds, accessed = [], [], []
@@ -449,17 +448,20 @@ def test_library_point_makes_no_per_site_calls(monkeypatch):
         for name, wrapper in (("v_coupling", coupling), ("site_add", add)):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
-    for name in ("__getitem__", "__setitem__", "add_to"):
-        real = getattr(Multispinor, name)
+    real_getitem, real_support = Multispinor.__getitem__, Multispinor.support
 
-        def accessor(self, *args, name=name, real=real):
-            accessed.append(name)
-            return real(self, *args)
+    def getitem(self, site):
+        accessed.append("__getitem__")
+        return real_getitem(self, site)
 
-        monkeypatch.setattr(Multispinor, name, accessor)
+    def support(self):
+        accessed.append("support")
+        return real_support.fget(self)
+
+    monkeypatch.setattr(Multispinor, "__getitem__", getitem)
+    monkeypatch.setattr(Multispinor, "support", property(support))
     # cold window and field caches: building them calls none of these
-    lattice._layout.cache_clear()
-    engine._window_plan.cache_clear()
+    lattice._window_table.cache_clear()
     engine._field_tables.cache_clear()
     cfg = parse_config(SAMPLE_CONFIG.read_text())
     params = DimensionlessParams(0.11, -0.07, 0.2, 0.05, omega=cfg.params.omega)

@@ -28,9 +28,9 @@ from estc import (
     w_vector,
 )
 from estc import Window
-from estc.engine import build_row_gram, gram_pattern
+from estc.engine import build_row_gram
 from estc.field import CONSTRAINED_COMPONENTS, FREE_COMPONENTS, zero_shift_dsets
-from estc.lattice import make_schedule
+from estc.lattice import gram_pattern, make_schedule
 
 from helpers import random_field, random_params
 

@@ -228,7 +228,7 @@ def test_window_points_are_enumerated_once_and_copied(monkeypatch):
 @pytest.mark.parametrize("radius, center", [(1, (0, 0, 0, 0)), (2, (0, 0, 0, 0)), (3, (1, 0, -1, 2))])
 def test_layout_neighbor_table_matches_the_brute_scan(radius, center):
     window = Window(radius, center)
-    layout = lattice.window_layout(window)
+    layout = lattice.window_table(window)
     points = window.points()
     assert list(layout.sites) == points
     for i, n in enumerate(points):
@@ -244,9 +244,11 @@ def test_layout_neighbor_table_matches_the_brute_scan(radius, center):
 
 
 def test_layout_is_cached_and_read_only():
-    layout = lattice.window_layout(Window(3, (1, 0, -1, 2)))
-    assert lattice.window_layout(Window(3, (1, 0, -1, 2))) is layout
-    for array in (layout.coords, layout.neighbors, layout.schedule, lattice.SHIFT_ARRAY):
+    table = lattice.window_table(Window(3, (1, 0, -1, 2)))
+    assert lattice.window_table(Window(3, (1, 0, -1, 2))) is table
+    arrays = [value for value in vars(table).values() if isinstance(value, np.ndarray)]
+    assert len(arrays) == 10
+    for array in (*arrays, lattice.SHIFT_ARRAY):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 

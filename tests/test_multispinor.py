@@ -10,32 +10,26 @@ def test_missing_sites_read_as_zero():
     c = Multispinor()
     assert np.array_equal(c[(0, 0, 0, 0)], np.zeros(4))
     assert (0, 0, 0, 0) not in c
-    c[(0, 0, 0, 0)] = [1, 2, 3, 4]
+    c = Multispinor({(0, 0, 0, 0): [1, 2, 3, 4]})
     assert (0, 0, 0, 0) in c
     assert np.array_equal(c[(0, 0, 0, 0)], np.array([1, 2, 3, 4], dtype=complex))
+    assert np.array_equal(c[(0, 0, 1, 1)], np.zeros(4))
 
 
 def test_values_are_complex_4_vectors():
-    c = Multispinor()
-    c[(1, 1, 0, 0)] = np.arange(4)
+    c = Multispinor({(1, 1, 0, 0): np.arange(4)})
     assert c[(1, 1, 0, 0)].dtype == np.complex128
     with pytest.raises(ValueError):
-        c[(1, 1, 0, 0)] = [1, 2, 3]
-
-
-def test_add_to_accumulates():
-    c = Multispinor()
-    c.add_to((0, 0, 1, 1), [1, 0, 0, 0])
-    c.add_to((0, 0, 1, 1), [0, 1j, 0, 0])
-    assert np.array_equal(c[(0, 0, 1, 1)], np.array([1, 1j, 0, 0]))
+        Multispinor({(1, 1, 0, 0): [1, 2, 3]})
+    with pytest.raises(ValueError):
+        Multispinor.from_rows([(1, 1, 0, 0)], np.zeros((1, 4)))  # real, not complex
+    with pytest.raises(ValueError):
+        Multispinor.from_rows([(1, 1, 0, 0), (0, 0, 0, 0)], np.zeros((1, 4), dtype=complex))
 
 
 def test_arithmetic_and_norm():
-    a = Multispinor()
-    b = Multispinor()
-    a[(0, 0, 0, 0)] = [1, 0, 0, 0]
-    a[(1, 0, 0, 1)] = [0, 2, 0, 0]
-    b[(0, 0, 0, 0)] = [0, 0, 3j, 0]
+    a = Multispinor({(0, 0, 0, 0): [1, 0, 0, 0], (1, 0, 0, 1): [0, 2, 0, 0]})
+    b = Multispinor({(0, 0, 0, 0): [0, 0, 3j, 0]})
     total = a + b
     assert np.array_equal(total[(0, 0, 0, 0)], np.array([1, 0, 3j, 0]))
     assert np.array_equal(total[(1, 0, 0, 1)], np.array([0, 2, 0, 0]))
@@ -45,6 +39,16 @@ def test_arithmetic_and_norm():
     scaled = 2.0 * a
     assert scaled.norm() == pytest.approx(2 * np.sqrt(5))
     assert a.sites() == sorted(a.sites())
+
+
+def test_sum_keeps_the_sites_of_the_left_then_the_new_ones_of_the_right():
+    a = random_multispinor([(0, 0, 0, 0), (2**62, 0, 0, 0), (1, 1, 0, 0)], 1)
+    b = random_multispinor([(3, 1, 0, 0), (1, 1, 0, 0), (-(2**62), 0, 0, 0)], 2)
+    total = a + b
+    assert list(total) == [(0, 0, 0, 0), (2**62, 0, 0, 0), (1, 1, 0, 0), (3, 1, 0, 0), (-(2**62), 0, 0, 0)]
+    for site in total:
+        assert np.array_equal(total[site], a[site] + b[site])
+    assert list(a + Multispinor()) == list(a) and list(Multispinor() + b) == list(b)
 
 
 def test_random_multispinor_is_seed_deterministic():
@@ -76,26 +80,24 @@ def test_norm_sums_every_amplitude():
     assert c.norm() == pytest.approx(np.linalg.norm(flat), rel=1e-15)
 
 
-def test_sites_added_one_at_a_time_keep_their_rows_and_views():
+def test_sites_are_one_read_only_array_and_rows_are_views():
     sites = [(k, k % 2, 0, 0) for k in range(40)]
-    c = Multispinor()
-    for k, site in enumerate(sites):
-        c[site] = np.full(4, k)
-        c.add_to(site, [0, 1j, 0, 0])
-        # a view taken after the inserts so far writes into c
-        c[sites[0]][3] = k
-    assert c.support == tuple(sites)
-    assert np.array_equal(c.coords(), np.array(sites))
-    expected = np.arange(40)[:, None] * np.ones(4) + [0, 1j, 0, 0]
-    expected[0, 3] = 39
-    assert np.array_equal(c.amplitudes, expected)
-    assert all(np.array_equal(c[site], row) for site, row in zip(sites, expected))
+    coords = np.array(sites)
+    rows = np.arange(40)[:, None] * np.ones(4, dtype=complex)
+    c = Multispinor.from_rows(coords, rows)
+    assert c.coords.dtype == np.int64 and np.array_equal(c.coords, coords)
+    assert c.amplitudes is rows
+    assert c.support == tuple(sites) and list(c) == sites
+    with pytest.raises(ValueError, match="read-only"):
+        c.coords[0, 0] = 5
+    coords[0, 0] = 5  # a copy: the caller's array stays writable and c keeps its sites
+    assert c.coords[0, 0] == 0 and c[sites[0]][0] == 0
+    with pytest.raises(TypeError):
+        c[(99, 1, 0, 0)] = np.ones(4)  # the sites are fixed
     view = c[sites[5]]
     view[:] = -1.0
     assert np.array_equal(c.amplitudes[5], -np.ones(4))
-    # the copy owns its rows; adding a site to it leaves c as it was
+    # the copy owns its rows
     copy = c.copy()
-    copy[(99, 1, 0, 0)] = np.ones(4)
     copy[sites[1]][:] = 0.0
-    assert len(c.amplitudes) == 40 and (99, 1, 0, 0) not in c
-    assert np.array_equal(c[sites[1]], expected[1])
+    assert np.array_equal(c[sites[1]], np.ones(4))
