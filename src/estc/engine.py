@@ -22,9 +22,13 @@ diagnostics.
 
 The projector is kept and applied in factored form only, as
 P = (R^-1 V)^dag (R^-1 V): a block forward and back substitution over the
-slices.  The complement U - P maps any seed multispinor onto the solution
-subspace of the processed rows; residuals of unprocessed rows measure the
-truncation error of the window.
+slices.  The factor is stored once, as one complex128 array in the layout
+of the operator dump's factor file: per slice, the lower triangle of
+W_t = R_tt^-1 packed in np.tril_indices order, then the band panel
+row-major.  A step that needs W_t unpacks it into a dense temporary.  The
+complement U - P maps any seed multispinor onto the solution subspace of
+the processed rows; residuals of unprocessed rows measure the truncation
+error of the window.
 
 Only the zero-shift block V(n, 0) depends on q, through w = q + Omega n,
 so a point at new q pays only for it.  Per window (radius, center), built
@@ -221,6 +225,71 @@ def tril_inverse(r: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _tril_flat(size: int) -> np.ndarray:
+    """Flat indices of the lower triangle of a (size, size) matrix, in np.tril_indices order."""
+    rows, cols = np.tril_indices(size)
+    flat = rows * size + cols
+    flat.setflags(write=False)
+    return flat
+
+
+def pack_lower(a: np.ndarray) -> np.ndarray:
+    """The lower triangle of a square matrix, in np.tril_indices order."""
+    return a.reshape(-1)[_tril_flat(a.shape[0])]
+
+
+def unpack_lower(packed: np.ndarray, size: int) -> np.ndarray:
+    """The (size, size) lower-triangular matrix whose packed lower triangle is packed."""
+    out = np.zeros((size, size), dtype=complex)
+    out.reshape(-1)[_tril_flat(size)] = packed
+    return out
+
+
+def _factor_shapes(slice_ptr: np.ndarray, stages: int) -> list[tuple[int, int, int]]:
+    """(stages n, band stages m, numbers) of each slice holding one of the first `stages` stages.
+
+    A slice of n stages whose band reaches m stages back takes
+    2n(4n + 1) + 16nm numbers of the factor store: the lower triangle of
+    W_t, then the band panel.
+    """
+    ptr = slice_ptr.tolist()
+    shapes = []
+    for t in range(len(ptr) - 1):
+        if ptr[t] >= stages:
+            break
+        n, m = min(ptr[t + 1], stages) - ptr[t], ptr[t] - ptr[max(t - 2, 0)]
+        shapes.append((n, m, 2 * n * (4 * n + 1) + 16 * n * m))
+    return shapes
+
+
+def factor_count(slice_ptr: np.ndarray, stages: int) -> int:
+    """Complex numbers in the factor store of the first `stages` stages."""
+    return sum(size for _, _, size in _factor_shapes(slice_ptr, stages))
+
+
+def factor_slices(
+    factors: np.ndarray, slice_ptr: np.ndarray, stages: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(packed W_t, band panel) of each slice in a factor store of the first `stages` stages.
+
+    Both are views of factors, the panel as a (4n, 4m) matrix.  Raises
+    ValueError when factors does not have the store's size.
+    """
+    shapes = _factor_shapes(slice_ptr, stages)
+    count = sum(size for _, _, size in shapes)
+    if factors.shape != (count,):
+        raise ValueError(
+            f"a factor store of {stages} stages has {count} complex numbers, not {factors.size}"
+        )
+    out, offset = [], 0
+    for n, m, size in shapes:
+        middle, end = offset + 2 * n * (4 * n + 1), offset + size
+        out.append((factors[offset:middle], factors[middle:end].reshape(4 * n, 4 * m)))
+        offset = end
+    return out
+
+
 def _blocks(a: np.ndarray) -> np.ndarray:
     """(n, 4, 4) diagonal 4x4 blocks of a (4n, 4n) matrix."""
     n = a.shape[0] // 4
@@ -237,20 +306,25 @@ class ProjectorAccumulator:
     R_tj = (G_tj - sum_{i<j} R_ti R_ji^dag) W_j^dag with W_j = R_jj^-1;
     the Schur complement S_t = G_tt - sum_j R_tj R_tj^dag is factored by one
     Cholesky, S_t = R_tt R_tt^dag.  Blocks further than two slices away
-    stay zero, so the band never fills.  Per slice, inverses[t] holds the
-    lower-triangular W_t and bands[t] the band blocks [R_t,t-2 | R_t,t-1]
-    as one (4n_t, 4(n_t-2 + n_t-1)) panel.
+    stay zero, so the band never fills.  Per slice, the store factors holds
+    the lower triangle of W_t packed in np.tril_indices order, then the
+    band blocks [R_t,t-2 | R_t,t-1] as one (4n_t, 4(n_t-2 + n_t-1)) panel,
+    row-major: the layout of the operator dump's factor file, so a
+    restored accumulator keeps the array it read.  slice_factors() gives
+    each slice's views of it; W_t is unpacked into a dense temporary by
+    the step that multiplies by it.
 
     In terms of the block LDL^dag factorization G = U D U^dag with U block
     unit-lower, U = R blockdiag(R_kk)^-1 and D_k = R_kk R_kk^dag, so the
     stage cores are A_k = (R_kk R_kk^dag)^-1.  The leading stages of a
     Cholesky factor are the Cholesky factor of the leading block, so
     run(stages=k) factors only the leading part of the slice it stops in.
-    The row coefficients of the whole schedule are built once, as one
-    (K, 13, 4, 4) stack.  The overlaps come from the block-sparse row Gram
-    (gram), built from that stack and the window's Gram pattern on first
-    use, so a restored accumulator that only applies the projector never
-    builds either.
+    The zero-shift matrices V(m_k, 0) of the whole schedule are formed
+    once; the projection needs no other per-site coefficient.  The
+    overlaps come from the block-sparse row Gram (gram), built on first
+    use from the (K, 13, 4, 4) stack of row coefficients and the window's
+    Gram pattern, so a restored accumulator that only applies the
+    projector never builds either.
     """
 
     def __init__(
@@ -270,11 +344,14 @@ class ProjectorAccumulator:
 
         self._table = window_table(window)
         self.slice_ptr = self._table.slice_ptr
-        self.inverses: list[np.ndarray] = []
-        self.bands: list[np.ndarray] = []
+        self.factors = np.empty(0, dtype=complex)
+        # the store is factors = _buffer[:factors.size], viewed slice by slice in _slices;
+        # run() reserves room in _buffer for the stages it is asked for
+        self._buffer = self.factors
+        self._slices: list[tuple[np.ndarray, np.ndarray]] = []
         self.rconds = np.zeros(len(self.schedule))
         self._gram: RowGram | None = None
-        self._rows = self.tables.rows(self._table.coords[self._table.schedule])
+        self._zero = self.tables.zero_shift(self._scheduled_coords())
 
     @classmethod
     def from_factors(
@@ -282,37 +359,42 @@ class ProjectorAccumulator:
         f: FieldConfig,
         p: DimensionlessParams,
         window: Window,
-        inverses: list[np.ndarray],
-        bands: list[np.ndarray],
+        factors: np.ndarray,
         rconds: np.ndarray,
     ) -> "ProjectorAccumulator":
-        """Accumulator whose first len(rconds) stages are restored from their slice factors.
+        """Accumulator whose first len(rconds) stages are restored from their factor store.
 
-        inverses[t] and bands[t] are W_t and the band panel of slice t, the
-        last one cut to the restored stages, and rconds[k] the recorded
-        rcond of stage k.
+        factors is the store of those stages, in the layout of the factor
+        file, and becomes the accumulator's own without a copy; rconds[k]
+        is the recorded rcond of stage k.  Raises ValueError when factors
+        does not have the store's size.
         """
         acc = cls(f, p, window)
-        acc.inverses = list(inverses)
-        acc.bands = list(bands)
+        acc._slices = factor_slices(factors, acc.slice_ptr, len(rconds))
+        acc.factors = acc._buffer = factors
         acc.stages_done = len(rconds)
         acc.rconds[: len(rconds)] = rconds
         return acc
 
+    def slice_factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(packed W_t, band panel) of each stored slice, as views of the store."""
+        return self._slices
+
     @property
     def coupling_count(self) -> int:
         """Stored off-diagonal 4x4 blocks: the strictly lower W_t blocks and the band blocks."""
-        total = 0
-        for inverse, band in zip(self.inverses, self.bands):
-            n = inverse.shape[0] // 4
-            total += n * (n - 1) // 2 + n * band.shape[1] // 4
-        return total
+        shapes = _factor_shapes(self.slice_ptr, self.stages_done)
+        return sum(n * (n - 1) // 2 + n * m for n, m, _ in shapes)
+
+    def _scheduled_coords(self) -> np.ndarray:
+        return self._table.coords[self._table.schedule]
 
     @property
     def gram(self) -> RowGram:
         """Row Gram blocks of the whole schedule, built on first use."""
         if self._gram is None:
-            self._gram = build_row_gram(self._rows, self.tables.field_pairs, self._table.pattern)
+            rows = self.tables.rows(self._scheduled_coords())
+            self._gram = build_row_gram(rows, self.tables.field_pairs, self._table.pattern)
         return self._gram
 
     def processed_sites(self) -> list[Site]:
@@ -352,11 +434,14 @@ class ProjectorAccumulator:
         width = 4 * (start - low)
         band = panel[:, :width].copy()
         second = 4 * (ptr[t - 1] - low) if t else 0  # columns of slice t - 2
+        slices = self._slices
         if t >= 2:
-            band[:, :second] = band[:, :second] @ self.inverses[t - 2].conj().T
-            band[:, second:] -= band[:, :second] @ self.bands[t - 1][:, -second:].conj().T
+            inverse = unpack_lower(slices[t - 2][0], second)
+            band[:, :second] = band[:, :second] @ inverse.conj().T
+            band[:, second:] -= band[:, :second] @ slices[t - 1][1][:, -second:].conj().T
         if t >= 1:
-            band[:, second:] = band[:, second:] @ self.inverses[t - 1].conj().T
+            inverse = unpack_lower(slices[t - 1][0], width - second)
+            band[:, second:] = band[:, second:] @ inverse.conj().T
         schur = panel[:, width:] - band @ band.conj().T
         asymmetry = np.abs(dset_from_matrix(_blocks(schur)).imag).max(axis=1)
 
@@ -372,9 +457,17 @@ class ProjectorAccumulator:
         keep = factor.shape[0] // 4 if failed is None else failed[0]
 
         done = self.stages_done
+        # slice t goes after the slices before it, replacing a cut slice t
+        offset = sum(lower.size + coupling.size for lower, coupling in slices[:t])
+        middle = offset + 2 * keep * (4 * keep + 1)
+        end = middle + 4 * keep * width
+        del slices[t:]
         if keep:
-            self.inverses[t:] = [tril_inverse(factor[: 4 * keep, : 4 * keep])]
-            self.bands[t:] = [band[: 4 * keep]]
+            packed = self._buffer[offset:middle]
+            packed[...] = pack_lower(tril_inverse(factor[: 4 * keep, : 4 * keep]))
+            self._buffer[middle:end] = band[: 4 * keep].reshape(-1)
+            slices.append((packed, self._buffer[middle:end].reshape(4 * keep, width)))
+        self.factors = self._buffer[:end]
         self.rconds[done : start + keep] = rconds[done - start : keep]
         self.stages_done = start + keep
         share = (time.perf_counter() - started) / (stop - start)
@@ -424,6 +517,12 @@ class ProjectorAccumulator:
     def run(self, stages: int | None = None) -> "ProjectorAccumulator":
         """Process the whole schedule (or its first `stages` entries)."""
         target = len(self.schedule) if stages is None else stages
+        size = factor_count(self.slice_ptr, target)
+        if self._buffer.size < size:
+            self._buffer = np.empty(size, dtype=complex)
+            self._buffer[: self.factors.size] = self.factors
+            self.factors = self._buffer[: self.factors.size]
+            self._slices = factor_slices(self.factors, self.slice_ptr, self.stages_done)
         while self.stages_done < target:
             t = int(np.searchsorted(self.slice_ptr, self.stages_done, side="right")) - 1
             self._factor_slice(t, min(self.slice_ptr[t + 1], target))
@@ -432,9 +531,10 @@ class ProjectorAccumulator:
     def solve_lower(self, y: np.ndarray) -> np.ndarray:
         """R^-1 y for y over the rows of the processed stages: forward substitution by slices."""
         z = np.empty_like(y, dtype=complex)
-        for t, (inverse, band) in enumerate(zip(self.inverses, self.bands)):
+        for t, (packed, band) in enumerate(self.slice_factors()):
             start, low = 4 * self.slice_ptr[t], 4 * self.slice_ptr[max(t - 2, 0)]
-            stop = start + inverse.shape[0]
+            stop = start + band.shape[0]
+            inverse = unpack_lower(packed, stop - start)
             z[start:stop] = inverse @ (y[start:stop] - band @ z[low:start])
         return z
 
@@ -442,10 +542,12 @@ class ProjectorAccumulator:
         """R^-dag z for z over the rows of the processed stages: back substitution by slices."""
         rhs = np.array(z, dtype=complex)
         u = np.empty_like(rhs)
-        for t in reversed(range(len(self.inverses))):
-            inverse, band = self.inverses[t], self.bands[t]
+        slices = self.slice_factors()
+        for t in reversed(range(len(slices))):
+            packed, band = slices[t]
             start, low = 4 * self.slice_ptr[t], 4 * self.slice_ptr[max(t - 2, 0)]
-            stop = start + inverse.shape[0]
+            stop = start + band.shape[0]
+            inverse = unpack_lower(packed, stop - start)
             u[start:stop] = _adjoint_times(inverse, rhs[start:stop])
             rhs[low:start] -= _adjoint_times(band, u[start:stop])
         return u
@@ -456,7 +558,7 @@ class ProjectorAccumulator:
         out = np.zeros_like(x)
         if k == 0:
             return out
-        zero = self._rows[:, 0]
+        zero = self._zero
         table = self._table
         y = self.tables.row_sums(zero[:k], x[table.stencil[:k]])
         # stages past k contribute zero terms, so the full-schedule scatter order holds

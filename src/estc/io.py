@@ -9,8 +9,11 @@ file.  The factor file holds, slice by slice, the lower triangle of
 W_t = R_tt^-1 in np.tril_indices order and then the band panel
 [R_t,t-2 | R_t,t-1] row-major.  Every slice shape follows from
 make_schedule(window) and the stage count, so the reader refuses a factor
-file of any other size or digest.  The dsets-v3 export restates the same
-factors as basis coefficients in one JSON file.  Timings never enter
+file of any other size or digest.  The factor file is the accumulator's
+factor store byte for byte: the writer writes the store with one call, and
+the array the reader reads becomes the restored accumulator's store.  The
+dsets-v3 export restates the same factors as basis coefficients in one
+JSON file, unpacking one slice at a time.  Timings never enter
 written artifacts so identical runs produce identical bytes.
 """
 
@@ -29,7 +32,14 @@ import numpy as np
 
 from .config import RunConfig, config_fingerprint
 from .dirac_basis import dset_from_matrix, matrix_from_dset
-from .engine import ProjectorAccumulator, StageDiagnostics
+from .engine import (
+    ProjectorAccumulator,
+    StageDiagnostics,
+    factor_count,
+    factor_slices,
+    pack_lower,
+    unpack_lower,
+)
 from .errors import ConfigError
 from .lattice import MAX_COORDINATE, Site, Window, first_rows, g4d, make_schedule, site_sub, window_table
 from .multispinor import Multispinor
@@ -48,25 +58,10 @@ def factor_path(path: str | Path) -> Path:
     return Path(path).with_suffix(".c16")
 
 
-def _slice_shapes(slice_ptr: np.ndarray, stages: int) -> list[tuple[int, int]]:
-    """(stages, band stages) of each slice that holds one of the first `stages` stages."""
-    count = int(np.searchsorted(slice_ptr, stages, side="left"))
-    return [
-        (int(min(slice_ptr[t + 1], stages) - slice_ptr[t]),
-         int(slice_ptr[t] - slice_ptr[max(t - 2, 0)]))
-        for t in range(count)
-    ]
-
-
 def write_operator(path: str | Path, acc: ProjectorAccumulator, cfg: RunConfig) -> None:
-    """Stream the slice factors into the factor file, then write the header with their sha256."""
-    digest = hashlib.sha256()
-    with open(factor_path(path), "wb") as out:
-        for inverse, band in zip(acc.inverses, acc.bands):
-            for part in (inverse[np.tril_indices(inverse.shape[0])], band):
-                raw = np.ascontiguousarray(part, dtype="<c16")
-                digest.update(raw)
-                out.write(raw)
+    """Write the factor store as the factor file, then the header with its sha256."""
+    raw = np.ascontiguousarray(acc.factors, dtype="<c16")
+    factor_path(path).write_bytes(raw)
     header = {
         "format": OPERATOR_FORMAT,
         "fingerprint": config_fingerprint(cfg),
@@ -74,7 +69,7 @@ def write_operator(path: str | Path, acc: ProjectorAccumulator, cfg: RunConfig) 
         "center": list(cfg.n_ref),
         "stages": int(acc.stages_done),
         "rconds": acc.rconds[: acc.stages_done].tolist(),
-        "sha256": digest.hexdigest(),
+        "sha256": hashlib.sha256(raw).hexdigest(),
     }
     Path(path).write_text(json.dumps(header, separators=(",", ":")) + "\n")
 
@@ -98,22 +93,28 @@ def _read_json(path: str | Path, cfg: RunConfig | None, expected_format: str) ->
     return payload
 
 
-def _site(value) -> Site:
-    site = tuple(int(x) for x in value)
-    if len(site) != 4:
-        raise ValueError(f"site {value!r} does not have four coordinates")
-    return site
+def _window(payload: dict) -> Window:
+    """The window of a header or export: a JSON integer radius and a center of four."""
+    radius, center = payload["radius"], payload["center"]
+    if type(radius) is not int or not _numbers(center, 4, int):
+        raise ConfigError(
+            f"the window radius {radius!r} and center {center!r} of an operator dump "
+            "must be an integer and four integers"
+        )
+    return Window(radius, tuple(center))
 
 
 @dataclass
 class _Factors:
-    """Validated content of a dump, ready for from_factors or an export."""
+    """Validated content of a dump, ready for from_factors or an export.
+
+    factors is the factor store of the first len(rconds) stages.
+    """
 
     fingerprint: str
     window: Window
     rconds: np.ndarray
-    inverses: list[np.ndarray]
-    bands: list[np.ndarray]
+    factors: np.ndarray
 
 
 def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
@@ -121,14 +122,14 @@ def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
 
     Every shape is derived from the header before the factor file is
     opened, and the file must have exactly their total size and the
-    header's sha256.  The band panels are views of the one array read.
+    header's sha256.  The array read is the factor store, as it is.
     """
     header = _read_json(path, cfg, OPERATOR_FORMAT)
     try:
         fingerprint, digest = header["fingerprint"], header["sha256"]
         if not isinstance(fingerprint, str) or not isinstance(digest, str):
             raise ConfigError("the fingerprint and sha256 of an operator dump must be strings")
-        window = Window(int(header["radius"]), _site(header["center"]))
+        window = _window(header)
         count = len(make_schedule(window))
         stages, rconds = header["stages"], header["rconds"]
         if type(stages) is not int or not 0 <= stages <= count:
@@ -138,8 +139,7 @@ def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"malformed operator dump: {err!r}") from None
 
-    shapes = _slice_shapes(window_table(window).slice_ptr, stages)
-    count = sum(2 * n * (4 * n + 1) + 16 * n * m for n, m in shapes)
+    count = factor_count(window_table(window).slice_ptr, stages)
     source = factor_path(path)
     with open(source, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -151,18 +151,14 @@ def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
         data = np.fromfile(f, dtype="<c16", count=count)
     if hashlib.sha256(data).hexdigest() != digest:
         raise ConfigError(f"factor file {source} does not match the sha256 of its header")
+    return _Factors(fingerprint, window, np.array(rconds, dtype=float), data)
 
-    inverses, bands, offset = [], [], 0
-    for n, m in shapes:
-        lower = np.tril_indices(4 * n)
-        inverse = np.zeros((4 * n, 4 * n), dtype=complex)
-        inverse[lower] = data[offset : offset + lower[0].size]
-        offset += lower[0].size
-        inverses.append(inverse)
-        bands.append(data[offset : offset + 16 * n * m].reshape(4 * n, 4 * m))
-        offset += 16 * n * m
-    rconds = np.array(rconds, dtype=float)
-    return _Factors(fingerprint, window, rconds, inverses, bands)
+
+def _dense_slices(factors: _Factors) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(W_t, band panel) of each stored slice, W_t unpacked one slice at a time."""
+    ptr = window_table(factors.window).slice_ptr
+    for packed, band in factor_slices(factors.factors, ptr, len(factors.rconds)):
+        yield unpack_lower(packed, band.shape[0]), band
 
 
 def _block_dsets(a: np.ndarray) -> np.ndarray:
@@ -190,19 +186,19 @@ def _number_array(value, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _export_slice(entry: dict, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """(W_t, band panel) of one estc-operator-dsets-v3 slice entry of rows stages."""
+    """(packed W_t, band panel) of one estc-operator-dsets-v3 slice entry of rows stages."""
     pairs = _number_array(entry["core"], (rows * (rows + 1) // 2, 16, 2))
     dsets = np.zeros((rows, rows, 16), dtype=complex)
     dsets[np.tril_indices(rows)] = pairs[..., 0] + 1j * pairs[..., 1]
     pairs = _number_array(entry["coupling"], (rows * cols, 16, 2)).reshape(rows, cols, 16, 2)
-    return np.tril(_from_blocks(dsets)), _from_blocks(pairs[..., 0] + 1j * pairs[..., 1])
+    return pack_lower(_from_blocks(dsets)), _from_blocks(pairs[..., 0] + 1j * pairs[..., 1])
 
 
 def read_operator(path: str | Path, cfg: RunConfig) -> ProjectorAccumulator:
     """Restore the accumulator from a dump, refusing fingerprint mismatches."""
     factors = _read_factors(path, cfg)
     return ProjectorAccumulator.from_factors(
-        cfg.field, cfg.params, factors.window, factors.inverses, factors.bands, factors.rconds
+        cfg.field, cfg.params, factors.window, factors.factors, factors.rconds
     )
 
 
@@ -295,7 +291,7 @@ def _stored_blocks(factors: _Factors) -> Iterator[tuple[int, int, str, np.ndarra
     the coupling blocks the band blocks of R, j in slices t - 2 and t - 1.
     """
     ptr = window_table(factors.window).slice_ptr
-    for t, (inverse, band) in enumerate(zip(factors.inverses, factors.bands)):
+    for t, (inverse, band) in enumerate(_dense_slices(factors)):
         start, low = ptr[t], ptr[max(t - 2, 0)]
         core, coupling = _block_dsets(inverse), _block_dsets(band)
         for a in range(core.shape[0]):
@@ -316,7 +312,7 @@ def export_operator_json(path: str | Path, cfg: RunConfig | None = None) -> str:
     factors = _read_factors(path, cfg)
     sites = _scheduled_sites(factors.window)
     slices = []
-    for t, (inverse, band) in enumerate(zip(factors.inverses, factors.bands)):
+    for t, (inverse, band) in enumerate(_dense_slices(factors)):
         core = _block_dsets(inverse)[np.tril_indices(inverse.shape[0] // 4)]
         coupling = _block_dsets(band).reshape(-1, 16)
         slices.append(
@@ -362,37 +358,44 @@ def read_exported_operator(path: str | Path, cfg: RunConfig) -> ProjectorAccumul
     """Restore the accumulator from the 16-pair basis-coefficient exchange format."""
     payload = _read_json(path, cfg, EXPORT_FORMAT)
     try:
-        window = Window(int(payload["radius"]), _site(payload["center"]))
+        window = _window(payload)
         make_schedule(window)  # refuses an oversized window before it is enumerated
         sites = _scheduled_sites(window)
-        if payload["schedule"] != sites:
+        # sites and indices match only as JSON integers: in Python 0.0 == 0 and True == 1
+        schedule = payload["schedule"]
+        if (
+            not isinstance(schedule, list)
+            or not all(_numbers(site, 4, int) for site in schedule)
+            or schedule != sites
+        ):
             raise ConfigError("the schedule is not the window's own schedule")
         stages = payload["stages"]
         if len(stages) > len(sites):
             raise ConfigError(f"{len(stages)} stages for a schedule of {len(sites)} sites")
         for k, stage in enumerate(stages):
-            if stage["stage"] != k or stage["site"] != sites[k]:
+            index, site = stage["stage"], stage["site"]
+            exact = type(index) is int and _numbers(site, 4, int)
+            if not exact or index != k or site != sites[k]:
                 raise ConfigError(f"stage entry {k} is out of schedule order")
         rconds = [stage["rcond"] for stage in stages]
         if not _numbers(rconds, len(stages), (int, float)):
             raise ConfigError(f"rconds must be {len(stages)} finite numbers, one per stage")
-        shapes = _slice_shapes(window_table(window).slice_ptr, len(stages))
+        ptr = window_table(window).slice_ptr
+        factors = np.zeros(factor_count(ptr, len(stages)), dtype=complex)
+        parts = factor_slices(factors, ptr, len(stages))
         slices = payload["slices"]
-        if len(slices) != len(shapes):
+        if len(slices) != len(parts):
             raise ConfigError(
-                f"{len(slices)} slice entries for {len(stages)} stages, expected {len(shapes)}"
+                f"{len(slices)} slice entries for {len(stages)} stages, expected {len(parts)}"
             )
-        inverses, bands = [], []
-        for t, (entry, (rows, cols)) in enumerate(zip(slices, shapes)):
-            if entry["slice"] != t:
+        for t, (entry, (packed, band)) in enumerate(zip(slices, parts)):
+            if type(entry["slice"]) is not int or entry["slice"] != t:
                 raise ConfigError(f"slice entry {t} is out of order")
-            inverse, band = _export_slice(entry, rows, cols)
-            inverses.append(inverse)
-            bands.append(band)
+            packed[...], band[...] = _export_slice(entry, band.shape[0] // 4, band.shape[1] // 4)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"malformed operator export: {err!r}") from None
     return ProjectorAccumulator.from_factors(
-        cfg.field, cfg.params, window, inverses, bands, np.array(rconds, dtype=float)
+        cfg.field, cfg.params, window, factors, np.array(rconds, dtype=float)
     )
 
 

@@ -170,14 +170,17 @@ def svd_projector(v):
 def dense_factor(acc):
     """Dense Cholesky factor R of the processed rows' Gram matrix, from the stored slice blocks.
 
-    Slice t contributes its diagonal block R_tt = W_t^-1 and its band
-    panel [R_t,t-2 | R_t,t-1]; every other block is zero.
+    Slice t contributes its diagonal block R_tt = W_t^-1, with W_t
+    unpacked from its lower triangle in np.tril_indices order, and its
+    band panel [R_t,t-2 | R_t,t-1]; every other block is zero.
     """
     k = acc.stages_done
     r = np.zeros((4 * k, 4 * k), dtype=complex)
-    for t, (inverse, band) in enumerate(zip(acc.inverses, acc.bands)):
+    for t, (packed, band) in enumerate(acc.slice_factors()):
         start, low = 4 * acc.slice_ptr[t], 4 * acc.slice_ptr[max(t - 2, 0)]
-        stop = start + inverse.shape[0]
+        stop = start + band.shape[0]
+        inverse = np.zeros((stop - start, stop - start), dtype=complex)
+        inverse[np.tril_indices(stop - start)] = packed
         r[start:stop, start:stop] = np.tril(np.linalg.inv(inverse))
         r[start:stop, low:start] = band
     return r

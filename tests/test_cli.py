@@ -273,7 +273,8 @@ def test_corrupted_coupling_fails_the_build(tmp_path, monkeypatch):
     def corrupted(self, stages=None):
         real(self, stages)
         # a relative error of 1e-6 in the largest stored band entry
-        band = max(self.bands, key=lambda band: np.abs(band).max(initial=0.0))
+        bands = [band for _, band in self.slice_factors()]  # views of the factor store
+        band = max(bands, key=lambda band: np.abs(band).max(initial=0.0))
         band[np.unravel_index(np.abs(band).argmax(), band.shape)] *= 1 + 1e-6
         return self
 

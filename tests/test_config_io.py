@@ -5,6 +5,8 @@ import contextlib
 import hashlib
 import io
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from helpers import dense_factor
 
 from estc.io import (
     RunReport,
+    _read_factors,
     export_operator_csv,
     export_operator_json,
     factor_path,
@@ -197,8 +200,8 @@ def test_operator_dump_round_trip(built):
     assert loaded.stages_done == acc.stages_done
     assert loaded.schedule == acc.schedule
     assert loaded.window == acc.window
-    assert len(loaded.inverses) == len(acc.inverses) == 3
-    for ours, theirs in zip(loaded.inverses + loaded.bands, acc.inverses + acc.bands):
+    assert len(loaded.slice_factors()) == len(acc.slice_factors()) == 3
+    for ours, theirs in zip(_factor_parts(loaded), _factor_parts(acc)):
         assert np.array_equal(ours, theirs)
     assert np.array_equal(loaded.rconds, acc.rconds)
     c = random_multispinor(acc.window.points(), 5)
@@ -207,8 +210,8 @@ def test_operator_dump_round_trip(built):
 
 def _factor_parts(acc):
     """The packed lower triangle of each W_t and its band panel, in factor-file order."""
-    for inverse, band in zip(acc.inverses, acc.bands):
-        yield inverse[np.tril_indices(inverse.shape[0])]
+    for packed, band in acc.slice_factors():
+        yield packed
         yield band
 
 
@@ -236,11 +239,13 @@ def test_operator_dump_is_a_header_and_raw_factor_bytes(built):
     data = np.frombuffer(raw, dtype="<c16")
     offset = 0
     for t, (core, band) in enumerate(shapes):
-        assert (acc.inverses[t].shape, acc.bands[t].shape) == (core, band)
+        packed, panel = acc.slice_factors()[t]
+        inverse = engine.unpack_lower(packed, core[0])
+        assert (inverse.shape, panel.shape) == (core, band)
         lower = data[offset : offset + core[0] * (core[0] + 1) // 2]
         offset += len(lower)
-        assert np.array_equal(lower, acc.inverses[t][np.tril_indices(core[0])])
-        assert np.array_equal(data[offset : offset + band[0] * band[1]].reshape(band), acc.bands[t])
+        assert np.array_equal(lower, inverse[np.tril_indices(core[0])])
+        assert np.array_equal(data[offset : offset + band[0] * band[1]].reshape(band), panel)
         offset += band[0] * band[1]
     assert offset == len(data)
     assert raw == b"".join(_part_bytes(acc))
@@ -252,6 +257,68 @@ def test_stored_factor_bytes_match_the_closed_form(radius, tmp_path):
     acc = ProjectorAccumulator(cfg.field, cfg.params, Window(radius)).run()
     write_operator(tmp_path / "operator.json", acc, cfg)
     assert (tmp_path / "operator.c16").stat().st_size == lattice.factor_bytes(radius)
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+def test_the_factor_store_is_the_factor_file(radius, tmp_path):
+    cfg = parse_config(BASE_TEXT.replace("R = 2", f"R = {radius}"))
+    acc = ProjectorAccumulator(cfg.field, cfg.params, Window(radius)).run()
+    assert acc.factors.shape == (lattice.factor_bytes(radius) // 16,)
+    assert acc.factors.dtype == np.dtype("<c16")
+    write_operator(tmp_path / "operator.json", acc, cfg)
+    assert (tmp_path / "operator.c16").read_bytes() == acc.factors.tobytes()
+
+
+def test_a_cut_slice_reads_back_to_the_same_bits(tmp_path):
+    cfg = parse_config(BASE_TEXT.replace("R = 2", "R = 3"))
+    window = Window(3)
+    ptr = lattice.window_table(window).slice_ptr
+    stages = int(ptr[2]) + 7  # seven stages into slice 2
+    acc = ProjectorAccumulator(cfg.field, cfg.params, window).run(stages)
+    assert ptr[2] < acc.stages_done == stages < ptr[3]
+    path = tmp_path / "operator.json"
+    write_operator(path, acc, cfg)
+    loaded = read_operator(path, cfg)
+    assert factor_path(path).read_bytes() == loaded.factors.tobytes() == acc.factors.tobytes()
+    c = random_multispinor(window.points(), 9)
+    ours, theirs = loaded.apply_fundamental(c), acc.apply_fundamental(c)
+    assert ours.coords.tobytes() == theirs.coords.tobytes()
+    assert ours.amplitudes.tobytes() == theirs.amplitudes.tobytes()
+
+
+def test_an_apply_holds_one_copy_of_the_factor(tmp_path, monkeypatch):
+    """Reading an R = 4 dump and applying it takes the factor file plus one dense slice.
+
+    The traced peak is bounded by the factor file, one dense W_t of the
+    largest slice (44 stages, 176 x 176) and 1 MiB for everything else.
+    """
+    text = (Path(__file__).resolve().parent.parent / "demos" / "sample_config.txt").read_text()
+    cfg = parse_config(text.replace("R = 2", "R = 4"))
+    window = Window(4, cfg.n_ref)
+    path = tmp_path / "operator.json"
+    write_operator(path, ProjectorAccumulator(cfg.field, cfg.params, window).run(), cfg)
+    seed = random_multispinor(window.points(), 3)
+    read = []
+    fromfile = np.fromfile
+
+    def recorded_fromfile(*args, **kwargs):
+        read.append(fromfile(*args, **kwargs))
+        return read[-1]
+
+    monkeypatch.setattr(np, "fromfile", recorded_fromfile)
+
+    tracemalloc.start()
+    try:
+        acc = read_operator(path, cfg)
+        acc.apply_fundamental(seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    largest = 4 * int(np.diff(lattice.window_table(window).slice_ptr).max())
+    assert largest == 176
+    bound = factor_path(path).stat().st_size + 16 * largest**2 + 2**20
+    assert peak < bound, f"traced peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+    assert len(read) == 1 and np.shares_memory(acc.factors, read[0])
 
 
 def test_operator_dump_is_deterministic(built, tmp_path):
@@ -270,8 +337,8 @@ def test_partial_operator_dump_round_trip(built, tmp_path):
         write_operator(path, acc, cfg)
         loaded = read_operator(path, cfg)
         assert loaded.stages_done == stages == json.loads(path.read_text())["stages"]
-        assert len(loaded.inverses) == len(acc.inverses)
-        for ours, theirs in zip(loaded.inverses + loaded.bands, acc.inverses + acc.bands):
+        assert len(loaded.slice_factors()) == len(acc.slice_factors())
+        for ours, theirs in zip(_factor_parts(loaded), _factor_parts(acc)):
             assert np.array_equal(ours, theirs)
 
 
@@ -453,6 +520,42 @@ def test_reader_checks_the_size_before_the_digest(built, tmp_path):
     raw = factor_path(path).read_bytes()[:-16]
     header = {**json.loads(path.read_text()), "sha256": hashlib.sha256(raw).hexdigest()}
     _refused(tmp_path, json.dumps(header), raw)
+
+
+# a window radius and center read exactly or refused: int() would make 0.9 and "0" a 0
+NOT_INTEGER_WINDOWS = {
+    "center with a fraction and a string": ("center", [0.9, "0", 0, 0]),
+    "center of floats": ("center", [0.0, 0, 0, 0]),
+    "center with a boolean": ("center", [True, 0, 0, 0]),
+    "radius a float": ("radius", 2.0),
+    "radius a boolean": ("radius", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_INTEGER_WINDOWS))
+def test_reader_refuses_a_window_that_is_not_json_integers(built, tmp_path, case):
+    cfg, _, path = built
+    key, value = NOT_INTEGER_WINDOWS[case]
+    header = {**json.loads(path.read_text()), key: value}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(header))
+    factor_path(bad).write_bytes(factor_path(path).read_bytes())
+    with pytest.raises(ConfigError, match="four integers"):
+        _read_factors(bad)
+    with pytest.raises(ConfigError):
+        read_operator(bad, cfg)
+    out = tmp_path / "e.json"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        assert cli.main(["export", "--operator", str(bad), "--out", str(out)]) == 1
+    assert "four integers" in stderr.getvalue()
+    assert not out.exists()
+
+    export = {**json.loads(export_operator_json(path, cfg)), key: value}
+    exported = tmp_path / "exported.json"
+    exported.write_text(json.dumps(export))
+    with pytest.raises(ConfigError):
+        read_exported_operator(exported, cfg)
 
 
 def test_missing_factor_file_exits_3(built, tmp_path):
@@ -675,7 +778,7 @@ def test_export_json_round_trip_preserves_the_operator(built, tmp_path):
     restored = read_exported_operator(exported, cfg)
     assert restored.schedule == acc.schedule
     assert np.array_equal(restored.rconds, acc.rconds)
-    for ours, theirs in zip(restored.inverses + restored.bands, acc.inverses + acc.bands):
+    for ours, theirs in zip(_factor_parts(restored), _factor_parts(acc)):
         assert ours.shape == theirs.shape
         assert np.abs(ours - theirs).max(initial=0.0) <= 1e-14 * np.abs(theirs).max(initial=0.0)
 
@@ -714,6 +817,33 @@ def test_export_reader_refuses_what_is_not_a_finite_number(built, tmp_path, case
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload).replace('"1e400"', "1e400"))
     with pytest.raises(ConfigError, match="finite number"):
+        read_exported_operator(bad, cfg)
+
+
+# (path into the export, value); equal to the right entry in Python, but not a JSON integer
+NOT_INTEGER_EXPORT_ENTRIES = {
+    "stage index a boolean": (("stages", 1, "stage"), True),
+    "stage index a float": (("stages", 2, "stage"), 2.0),
+    "stage site of floats": (("stages", 2, "site"), [0.0, 0.0, -1.0, -1.0]),
+    "schedule site of floats": (("schedule", 2), [0.0, 0.0, -1.0, -1.0]),
+    "slice index a boolean": (("slices", 1, "slice"), True),
+    "slice index a float": (("slices", 2, "slice"), 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_INTEGER_EXPORT_ENTRIES))
+def test_export_reader_refuses_indices_and_sites_that_are_not_integers(built, tmp_path, case):
+    cfg, _, path = built
+    payload = json.loads(export_operator_json(path, cfg))
+    keys, value = NOT_INTEGER_EXPORT_ENTRIES[case]
+    parent = payload
+    for key in keys[:-1]:
+        parent = parent[key]
+    assert parent[keys[-1]] == value and json.dumps(parent[keys[-1]]) != json.dumps(value)
+    parent[keys[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match="schedule|out of order"):
         read_exported_operator(bad, cfg)
 
 
