@@ -11,10 +11,12 @@ W_t = R_tt^-1 in np.tril_indices order and then the band panel
 make_schedule(window) and the stage count, so the reader refuses a factor
 file of any other size or digest.  The factor file is the accumulator's
 factor store byte for byte: the writer writes the store with one call, and
-the array the reader reads becomes the restored accumulator's store.  The
-dsets-v3 export restates the same factors as basis coefficients in one
-JSON file, unpacking one slice at a time.  Timings never enter
-written artifacts so identical runs produce identical bytes.
+the array the reader reads becomes the restored accumulator's store, and
+the dump is the only form an operator is read back from.  The JSON
+(estc-operator-dsets-v3) and CSV exports are write-only views of a dump
+that restate its factors as basis coefficients, unpacking one slice at a
+time.  Timings never enter written artifacts so identical runs produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -25,19 +27,17 @@ import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, config_fingerprint
-from .dirac_basis import dset_from_matrix, matrix_from_dset
+from .dirac_basis import dset_from_matrix
 from .engine import (
     ProjectorAccumulator,
     StageDiagnostics,
     factor_count,
     factor_slices,
-    pack_lower,
     unpack_lower,
 )
 from .errors import ConfigError
@@ -75,26 +75,20 @@ def write_operator(path: str | Path, acc: ProjectorAccumulator, cfg: RunConfig) 
 
 
 def _read_json(path: str | Path, cfg: RunConfig | None, expected_format: str) -> dict:
-    """The JSON object of a header or export, checked against cfg when one is given."""
+    """The JSON object of a dump, its fingerprint checked against cfg when one is given."""
     try:
         payload = json.loads(Path(path).read_bytes())
     except (ValueError, RecursionError) as err:  # not JSON, not UTF-8, or nested too deep
-        raise ConfigError(f"malformed operator dump {path}: {err}") from None
+        raise ConfigError(f"malformed {expected_format} file {path}: {err}") from None
     if not isinstance(payload, dict) or payload.get("format") != expected_format:
         raise ConfigError(f"not a {expected_format} file: {path}")
-    if cfg is not None:
-        if payload.get("fingerprint") != config_fingerprint(cfg):
-            raise ConfigError("operator dump fingerprint does not match the configuration")
-        if payload.get("radius") != cfg.radius or payload.get("center") != list(cfg.n_ref):
-            raise ConfigError(
-                f"operator dump radius {payload.get('radius')!r} and center "
-                f"{payload.get('center')!r} do not match R and n_ref of the configuration"
-            )
+    if cfg is not None and payload.get("fingerprint") != config_fingerprint(cfg):
+        raise ConfigError(f"the fingerprint of {path} does not match the configuration")
     return payload
 
 
 def _window(payload: dict) -> Window:
-    """The window of a header or export: a JSON integer radius and a center of four."""
+    """The window of a header: a JSON integer radius and a center of four."""
     radius, center = payload["radius"], payload["center"]
     if type(radius) is not int or not _numbers(center, 4, int):
         raise ConfigError(
@@ -125,6 +119,13 @@ def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
     header's sha256.  The array read is the factor store, as it is.
     """
     header = _read_json(path, cfg, OPERATOR_FORMAT)
+    if cfg is not None and (
+        header.get("radius") != cfg.radius or header.get("center") != list(cfg.n_ref)
+    ):
+        raise ConfigError(
+            f"operator dump radius {header.get('radius')!r} and center "
+            f"{header.get('center')!r} do not match R and n_ref of the configuration"
+        )
     try:
         fingerprint, digest = header["fingerprint"], header["sha256"]
         if not isinstance(fingerprint, str) or not isinstance(digest, str):
@@ -167,33 +168,6 @@ def _block_dsets(a: np.ndarray) -> np.ndarray:
     return dset_from_matrix(a.reshape(rows, 4, cols, 4).transpose(0, 2, 1, 3))
 
 
-def _from_blocks(dsets: np.ndarray) -> np.ndarray:
-    """Inverse of _block_dsets."""
-    rows, cols = dsets.shape[:2]
-    return matrix_from_dset(dsets).transpose(0, 2, 1, 3).reshape(4 * rows, 4 * cols)
-
-
-def _number_array(value, shape: tuple[int, ...]) -> np.ndarray:
-    """value as a float array: lists nested exactly to shape, whose entries pass _numbers."""
-    items = [value]
-    for size in shape:
-        if not all(isinstance(x, list) and len(x) == size for x in items):
-            raise ConfigError(f"an export entry is not a nested list of shape {shape}")
-        items = list(chain.from_iterable(items))
-    if not _numbers(items, len(items), (int, float)):
-        raise ConfigError("an export entry holds a value that is not a finite number")
-    return np.array(items, dtype=float).reshape(shape)
-
-
-def _export_slice(entry: dict, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """(packed W_t, band panel) of one estc-operator-dsets-v3 slice entry of rows stages."""
-    pairs = _number_array(entry["core"], (rows * (rows + 1) // 2, 16, 2))
-    dsets = np.zeros((rows, rows, 16), dtype=complex)
-    dsets[np.tril_indices(rows)] = pairs[..., 0] + 1j * pairs[..., 1]
-    pairs = _number_array(entry["coupling"], (rows * cols, 16, 2)).reshape(rows, cols, 16, 2)
-    return pack_lower(_from_blocks(dsets)), _from_blocks(pairs[..., 0] + 1j * pairs[..., 1])
-
-
 def read_operator(path: str | Path, cfg: RunConfig) -> ProjectorAccumulator:
     """Restore the accumulator from a dump, refusing fingerprint mismatches."""
     factors = _read_factors(path, cfg)
@@ -230,17 +204,10 @@ def _numbers(value, count: int, kinds) -> bool:
 
 
 def read_solution(path: str | Path, cfg: RunConfig | None = None) -> Multispinor:
-    try:
-        payload = json.loads(Path(path).read_bytes())
-    except (ValueError, RecursionError) as err:  # not JSON, not UTF-8, or nested too deep
-        raise ConfigError(f"malformed solution dump {path}: {err}") from None
-    if not isinstance(payload, dict) or payload.get("format") != SOLUTION_FORMAT:
-        raise ConfigError(f"not a solution dump: {path}")
+    payload = _read_json(path, cfg, SOLUTION_FORMAT)
     missing = [key for key in ("fingerprint", "sites", "amplitudes") if key not in payload]
     if missing:
         raise ConfigError(f"solution dump {path} lacks {', '.join(missing)}")
-    if cfg is not None and payload["fingerprint"] != config_fingerprint(cfg):
-        raise ConfigError("solution dump fingerprint does not match the configuration")
     sites, amplitudes = payload["sites"], payload["amplitudes"]
     if not isinstance(sites, list) or not isinstance(amplitudes, list):
         raise ConfigError(f"solution dump {path}: sites and amplitudes must be lists")
@@ -352,51 +319,6 @@ def export_operator_csv(path: str | Path, cfg: RunConfig | None = None) -> str:
         cells += [repr(float(x)) for z in dset for x in (z.real, z.imag)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def read_exported_operator(path: str | Path, cfg: RunConfig) -> ProjectorAccumulator:
-    """Restore the accumulator from the 16-pair basis-coefficient exchange format."""
-    payload = _read_json(path, cfg, EXPORT_FORMAT)
-    try:
-        window = _window(payload)
-        make_schedule(window)  # refuses an oversized window before it is enumerated
-        sites = _scheduled_sites(window)
-        # sites and indices match only as JSON integers: in Python 0.0 == 0 and True == 1
-        schedule = payload["schedule"]
-        if (
-            not isinstance(schedule, list)
-            or not all(_numbers(site, 4, int) for site in schedule)
-            or schedule != sites
-        ):
-            raise ConfigError("the schedule is not the window's own schedule")
-        stages = payload["stages"]
-        if len(stages) > len(sites):
-            raise ConfigError(f"{len(stages)} stages for a schedule of {len(sites)} sites")
-        for k, stage in enumerate(stages):
-            index, site = stage["stage"], stage["site"]
-            exact = type(index) is int and _numbers(site, 4, int)
-            if not exact or index != k or site != sites[k]:
-                raise ConfigError(f"stage entry {k} is out of schedule order")
-        rconds = [stage["rcond"] for stage in stages]
-        if not _numbers(rconds, len(stages), (int, float)):
-            raise ConfigError(f"rconds must be {len(stages)} finite numbers, one per stage")
-        ptr = window_table(window).slice_ptr
-        factors = np.zeros(factor_count(ptr, len(stages)), dtype=complex)
-        parts = factor_slices(factors, ptr, len(stages))
-        slices = payload["slices"]
-        if len(slices) != len(parts):
-            raise ConfigError(
-                f"{len(slices)} slice entries for {len(stages)} stages, expected {len(parts)}"
-            )
-        for t, (entry, (packed, band)) in enumerate(zip(slices, parts)):
-            if type(entry["slice"]) is not int or entry["slice"] != t:
-                raise ConfigError(f"slice entry {t} is out of order")
-            packed[...], band[...] = _export_slice(entry, band.shape[0] // 4, band.shape[1] // 4)
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"malformed operator export: {err!r}") from None
-    return ProjectorAccumulator.from_factors(
-        cfg.field, cfg.params, window, factors, np.array(rconds, dtype=float)
-    )
 
 
 @dataclass

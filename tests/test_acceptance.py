@@ -36,7 +36,7 @@ from estc import (
     v_coupling,
 )
 from estc.dirac_basis import UNIT_DSET
-from estc.io import export_operator_json, factor_path, read_exported_operator, write_operator
+from estc.io import factor_path, read_operator, write_operator
 
 from helpers import (
     GAMMA_DENSE,
@@ -471,9 +471,7 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
     _, _, dump_again = fresh_dump("second")
     identical = dump == dump_again
 
-    path = tmp_path / "operator_dsets.json"
-    path.write_text(export_operator_json(header))
-    restored = read_exported_operator(path, cfg)
+    restored = read_operator(header, cfg)
     c0 = random_multispinor(window.points(), cfg.seed)
     solution = acc.apply_fundamental(c0)
     drift = solution - restored.apply_fundamental(c0)
@@ -484,6 +482,6 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
     assert _line(
         8,
         ok,
-        f"independent builds byte-identical: {identical}; export round-trip apply "
+        f"independent builds byte-identical: {identical}; dump round-trip apply "
         f"drift {round_trip_err:.2e} <= {TOL_ROUND_TRIP}",
     )

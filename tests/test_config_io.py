@@ -36,7 +36,6 @@ from estc.io import (
     export_operator_csv,
     export_operator_json,
     factor_path,
-    read_exported_operator,
     read_operator,
     read_solution,
     residual_csv,
@@ -438,7 +437,10 @@ MALFORMED_HEADERS = {
 
 
 def _refused(tmp_path, header_text: str, factors: bytes) -> None:
-    """read_operator raises ConfigError on the dump and CLI apply exits 1."""
+    """read_operator raises ConfigError on the dump; CLI apply and export exit 1.
+
+    The export writes no file.
+    """
     bad = tmp_path / "bad.json"
     bad.write_text(header_text)
     factor_path(bad).write_bytes(factors)
@@ -446,9 +448,14 @@ def _refused(tmp_path, header_text: str, factors: bytes) -> None:
         read_operator(bad, parse_config(BASE_TEXT))
     config = tmp_path / "run.cfg"
     config.write_text(BASE_TEXT)
-    argv = ["apply", "--config", str(config), "--operator", str(bad), "--out", str(tmp_path / "y")]
-    with contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main(argv) == 1
+    exported = tmp_path / "e.json"
+    for argv in (
+        ["apply", "--config", str(config), "--operator", str(bad), "--out", str(tmp_path / "y")],
+        ["export", "--config", str(config), "--operator", str(bad), "--out", str(exported)],
+    ):
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 1
+    assert not exported.exists()
 
 
 @pytest.fixture(scope="module")
@@ -550,12 +557,6 @@ def test_reader_refuses_a_window_that_is_not_json_integers(built, tmp_path, case
         assert cli.main(["export", "--operator", str(bad), "--out", str(out)]) == 1
     assert "four integers" in stderr.getvalue()
     assert not out.exists()
-
-    export = {**json.loads(export_operator_json(path, cfg)), key: value}
-    exported = tmp_path / "exported.json"
-    exported.write_text(json.dumps(export))
-    with pytest.raises(ConfigError):
-        read_exported_operator(exported, cfg)
 
 
 def test_missing_factor_file_exits_3(built, tmp_path):
@@ -769,90 +770,41 @@ def test_residual_and_stage_csv_formats(built):
     assert int(first[7]) == 13  # the stencil of the first site
 
 
-def test_export_json_round_trip_preserves_the_operator(built, tmp_path):
-    cfg, acc, path = built
-    text = export_operator_json(path, cfg)
-    assert json.loads(text)["format"] == "estc-operator-dsets-v3"
-    exported = tmp_path / "exported.json"
-    exported.write_text(text)
-    restored = read_exported_operator(exported, cfg)
-    assert restored.schedule == acc.schedule
-    assert np.array_equal(restored.rconds, acc.rconds)
-    for ours, theirs in zip(_factor_parts(restored), _factor_parts(acc)):
-        assert ours.shape == theirs.shape
-        assert np.abs(ours - theirs).max(initial=0.0) <= 1e-14 * np.abs(theirs).max(initial=0.0)
-
-    c = random_multispinor(acc.window.points(), 17)
-    direct = acc.apply_projector(c)
-    routed = restored.apply_projector(c)
-    assert (routed - direct).norm() < 1e-12 * max(direct.norm(), 1.0)
+def _decoded(pairs) -> np.ndarray:
+    """(blocks, 4, 4) matrices of a list of exported blocks, each 16 [re, im] basis pairs."""
+    values = np.array(pairs, dtype=float).reshape(-1, 16, 2)
+    return matrix_from_dset(values[..., 0] + 1j * values[..., 1])
 
 
-# (path into the export, value); the reader must refuse each with ConfigError.  The
-# string "1e400" is written as the bare JSON number 1e400, which parses as inf.
-MALFORMED_EXPORTS = {
-    "rcond NaN as a string": (("stages", 3, "rcond"), "NaN"),
-    "rcond a boolean": (("stages", 3, "rcond"), True),
-    "rcond a numeric string": (("stages", 3, "rcond"), "0.5"),
-    "rcond NaN": (("stages", 3, "rcond"), float("nan")),
-    "rcond past the float range": (("stages", 3, "rcond"), "1e400"),
-    "core entry past the float range": (("slices", 1, "core", 0, 3, 0), "1e400"),
-    "core entry inf as a string": (("slices", 1, "core", 0, 3, 0), "inf"),
-    "core entry infinite": (("slices", 0, "core", 2, 0, 1), float("inf")),
-    "core entry a boolean": (("slices", 2, "core", 1, 15, 1), True),
-    "coupling entry NaN": (("slices", 2, "coupling", 5, 0, 1), float("nan")),
-    "coupling entry a numeric string": (("slices", 1, "coupling", 0, 4, 0), "1.5"),
-}
+def test_export_json_round_trip_preserves_the_operator(built):
+    """The JSON export restates the dump: schedule, processed sites, rconds and every block.
 
-
-@pytest.mark.parametrize("case", sorted(MALFORMED_EXPORTS))
-def test_export_reader_refuses_what_is_not_a_finite_number(built, tmp_path, case):
+    The export is write-only, so its content is checked directly: each core
+    block decodes to the 4x4 block of the unpacked W_t and each coupling
+    block to the band panel's, within 1e-14 of the largest entry.
+    """
     cfg, acc, path = built
     payload = json.loads(export_operator_json(path, cfg))
-    keys, value = MALFORMED_EXPORTS[case]
-    parent = payload
-    for key in keys[:-1]:
-        parent = parent[key]
-    parent[keys[-1]] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload).replace('"1e400"', "1e400"))
-    with pytest.raises(ConfigError, match="finite number"):
-        read_exported_operator(bad, cfg)
-
-
-# (path into the export, value); equal to the right entry in Python, but not a JSON integer
-NOT_INTEGER_EXPORT_ENTRIES = {
-    "stage index a boolean": (("stages", 1, "stage"), True),
-    "stage index a float": (("stages", 2, "stage"), 2.0),
-    "stage site of floats": (("stages", 2, "site"), [0.0, 0.0, -1.0, -1.0]),
-    "schedule site of floats": (("schedule", 2), [0.0, 0.0, -1.0, -1.0]),
-    "slice index a boolean": (("slices", 1, "slice"), True),
-    "slice index a float": (("slices", 2, "slice"), 2.0),
-}
-
-
-@pytest.mark.parametrize("case", sorted(NOT_INTEGER_EXPORT_ENTRIES))
-def test_export_reader_refuses_indices_and_sites_that_are_not_integers(built, tmp_path, case):
-    cfg, _, path = built
-    payload = json.loads(export_operator_json(path, cfg))
-    keys, value = NOT_INTEGER_EXPORT_ENTRIES[case]
-    parent = payload
-    for key in keys[:-1]:
-        parent = parent[key]
-    assert parent[keys[-1]] == value and json.dumps(parent[keys[-1]]) != json.dumps(value)
-    parent[keys[-1]] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
-    with pytest.raises(ConfigError, match="schedule|out of order"):
-        read_exported_operator(bad, cfg)
-
-
-def test_export_reader_refuses_deeply_nested_json(built, tmp_path):
-    cfg, _, _ = built
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 100_000)
-    with pytest.raises(ConfigError, match="malformed operator dump"):
-        read_exported_operator(deep, cfg)
+    assert payload["format"] == "estc-operator-dsets-v3"
+    assert payload["schedule"] == [list(site) for site in acc.schedule]
+    stages = payload["stages"]
+    assert [(stage["stage"], stage["site"]) for stage in stages] == [
+        (k, list(site)) for k, site in enumerate(acc.processed_sites())
+    ]
+    assert np.array_equal([stage["rcond"] for stage in stages], acc.rconds)
+    slices = payload["slices"]
+    assert [entry["slice"] for entry in slices] == list(range(len(acc.slice_factors())))
+    for entry, (packed, band) in zip(slices, acc.slice_factors()):
+        n, m = band.shape[0] // 4, band.shape[1] // 4
+        blocks = engine.unpack_lower(packed, 4 * n).reshape(n, 4, n, 4).transpose(0, 2, 1, 3)
+        bands = band.reshape(n, 4, m, 4).transpose(0, 2, 1, 3).reshape(-1, 4, 4)
+        for ours, theirs in (
+            (_decoded(entry["core"]), blocks[np.tril_indices(n)]),
+            (_decoded(entry["coupling"]), bands),
+        ):
+            assert ours.shape == theirs.shape
+            bound = 1e-14 * np.abs(theirs).max(initial=0.0)
+            assert np.abs(ours - theirs).max(initial=0.0) <= bound
 
 
 def test_export_csv_shape(built):
