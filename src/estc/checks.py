@@ -22,7 +22,7 @@ from .dirac_basis import (
     dset_square,
     gamma_matrix,
 )
-from .engine import FieldTables, ProjectorAccumulator, residual_table
+from .engine import ProjectorAccumulator, residual_table
 from .field import a_matrix, det_l, field_intensity, l_matrix, n_overlap, v_coupling
 from .io import RunReport
 from .lattice import SHIFTS_S13, Site, Window, site_add
@@ -93,13 +93,14 @@ def check_basis(report: RunReport) -> None:
 
 def check_field(cfg: RunConfig, report: RunReport) -> None:
     f, p = cfg.field, cfg.params
-    sites = Window(2, cfg.n_ref).points()
-    rows = FieldTables(f, p).rows(sites)
+    gammas = _fresh_gammas()
 
     worst_gram = 0.0
     worst_inverse = 0.0
     worst_det = 0.0
-    for n, stack in zip(sites, rows):
+    for n in Window(2, cfg.n_ref).points():
+        # the coupling sum from the reference formula, site by site
+        stack = _dense(np.stack([v_coupling(n, s, f, p) for s in SHIFTS_S13]), gammas)
         gram = np.einsum("sij,skj->ik", stack, stack.conj())
         gram_dset = l_matrix(n, f, p)
         l_dense = dirac_basis.matrix_from_dset(gram_dset)

@@ -195,9 +195,15 @@ class CharInvariants(NamedTuple):
 
 
 def char_invariants(d: np.ndarray) -> CharInvariants:
-    """All four characteristic invariants as polynomials in the dset."""
-    d = np.asarray(d, dtype=complex)
-    c = np.moveaxis(d, -1, 0)
+    """All four characteristic invariants as polynomials in the dset.
+
+    The polynomials are evaluated in np.clongdouble and returned as
+    complex128.  i4 of a well-conditioned matrix, a row Gram matrix L(n)
+    say, is a sum of terms much larger than itself, and the extended
+    precision keeps their cancellation below double rounding.  Where
+    longdouble is double, this gains nothing.
+    """
+    c = np.moveaxis(np.asarray(d, dtype=np.clongdouble), -1, 0)
     i0 = np.sum(c[1:] ** 2, axis=0)
     i1 = 4 * c[0]
     i2 = 6 * c[0] ** 2 - 2 * i0
@@ -249,7 +255,7 @@ def char_invariants(d: np.ndarray) -> CharInvariants:
             + (c[2] * c[3] - c[6] * c[7]) * (c[10] * c[11] + c[14] * c[15])
         )
     )
-    return CharInvariants(i1, i2, i3, i4)
+    return CharInvariants(*(x.astype(complex) for x in (i1, i2, i3, i4)))
 
 
 def dset_adjoint(d: np.ndarray) -> np.ndarray:

@@ -73,32 +73,23 @@ class FieldTables:
 
     The twelve field-shift coupling matrices F_s are site-independent, so
     only the zero-shift matrix depends on the site (and on q).  Formed
-    once per field and shared read-only by every FieldTables of it: the
-    products F_s F_t^dag of every pair of field shifts, as
-    field_pairs[s - 1, t - 1], and field_row, the F_s side by side as one
-    (4, 48) matrix, so that the field part of a row acts on the 12
-    neighbors of its site as one matrix product.
+    once per field and shared read-only by every FieldTables of it:
+    field_v, the F_s in stencil shift order; the products F_s F_t^dag of
+    every pair of field shifts, as field_pairs[s - 1, t - 1]; and
+    field_row, the F_s side by side as one (4, 48) matrix, so that the
+    field part of a row acts on the 12 neighbors of its site as one matrix
+    product.
     """
 
     def __init__(self, f: FieldConfig, p: DimensionlessParams):
         validate(f, p)
         self.field = f
         self.params = p
-        self._field_v, self.field_pairs, self.field_row = _field_tables(f)
+        self.field_v, self.field_pairs, self.field_row = _field_tables(f)
 
     def zero_shift(self, sites: list[Site] | np.ndarray) -> np.ndarray:
         """(len(sites), 4, 4) zero-shift matrices V(n, 0) of a list or (N, 4) array of sites."""
         return matrix_from_dset(zero_shift_dsets(sites, self.params))
-
-    def rows(self, sites: list[Site] | np.ndarray) -> np.ndarray:
-        """(len(sites), 13, 4, 4) coupling matrices of each row of a list or (N, 4) array of sites.
-
-        The matrices of each row are in stencil shift order.
-        """
-        out = np.empty((len(sites), 13, 4, 4), dtype=complex)
-        out[:, 0] = self.zero_shift(sites)
-        out[:, 1:] = self._field_v
-        return out
 
     def row_sums(self, zero: np.ndarray, values: np.ndarray) -> np.ndarray:
         """sum_s V(n, s) values[n, s] of each row n, given its V(n, 0) as zero[n].
@@ -136,36 +127,25 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("pab,pcb->pac", a, b.conj())
 
 
-@dataclass
-class RowGram:
-    """Lower block-sparse row Gram matrix G = V V^dag in schedule order.
+def build_row_gram(tables: FieldTables, zero: np.ndarray, pattern: GramPattern) -> np.ndarray:
+    """(B, 4, 4) lower block-sparse row Gram matrix G = V V^dag of a schedule, in one pass.
 
-    Block p is the row overlap N(m_k, m_i) of one coupled pair of stages
-    i <= k.  The blocks of stage k are stage_ptr[k]:stage_ptr[k + 1], with
-    their partners i ascending, so the last one is the diagonal block
-    N(m_k, m_k) = L(m_k).  Pairs that share no column have no block: their
-    overlap vanishes identically.
+    zero[k] is the zero-shift matrix V(m_k, 0) of stage k.  Block b is the
+    row overlap N(m_k, m_i) of one coupled pair of stages i <= k.  The
+    blocks of stage k are pattern.stage_ptr[k]:stage_ptr[k + 1], with
+    their partners pattern.partner[b] ascending, so the last one is the
+    diagonal block N(m_k, m_k) = L(m_k).  Pairs that share no column have
+    no block: their overlap vanishes identically.
+
+    Only the products that involve a zero shift are formed here, from one
+    table of the twelve field-shift matrices followed by zero; with the
+    field-pair products they are summed over each block's run of the
+    pattern.
     """
-
-    stage_ptr: np.ndarray
-    partner: np.ndarray
-    blocks: np.ndarray
-
-
-def build_row_gram(rows: np.ndarray, field_pairs: np.ndarray, pattern: GramPattern) -> RowGram:
-    """All lower row Gram blocks of a schedule, in one vectorized pass.
-
-    rows[k] holds the 13 coupling matrices of row k and field_pairs the
-    products of the field shifts.  Only the products that involve a zero
-    shift are formed here; with the field-pair products they are summed
-    over each block's run of the pattern.
-    """
-    zero = _products(
-        rows[pattern.zero_k, pattern.zero_s], rows[pattern.zero_i, pattern.zero_t]
-    )
-    products = np.concatenate([field_pairs.reshape(144, 4, 4), zero])[pattern.source]
-    blocks = np.add.reduceat(products, pattern.first, axis=0)
-    return RowGram(pattern.stage_ptr, pattern.partner, blocks)
+    table = np.concatenate([tables.field_v, zero])
+    zero_products = _products(table[pattern.zero_left], table[pattern.zero_right])
+    products = np.concatenate([tables.field_pairs.reshape(144, 4, 4), zero_products])
+    return np.add.reduceat(products[pattern.source], pattern.first, axis=0)
 
 
 @dataclass
@@ -320,11 +300,11 @@ class ProjectorAccumulator:
     Cholesky factor are the Cholesky factor of the leading block, so
     run(stages=k) factors only the leading part of the slice it stops in.
     The zero-shift matrices V(m_k, 0) of the whole schedule are formed
-    once; the projection needs no other per-site coefficient.  The
-    overlaps come from the block-sparse row Gram (gram), built on first
-    use from the (K, 13, 4, 4) stack of row coefficients and the window's
-    Gram pattern, so a restored accumulator that only applies the
-    projector never builds either.
+    once; neither the Gram nor the projection needs any other per-site
+    coefficient.  The overlaps come from the blocks of the row Gram
+    (gram), built on first use from those matrices and the window's Gram
+    pattern, which also holds the blocks' structure, so a restored
+    accumulator that only applies the projector never builds either.
     """
 
     def __init__(
@@ -350,8 +330,8 @@ class ProjectorAccumulator:
         self._buffer = self.factors
         self._slices: list[tuple[np.ndarray, np.ndarray]] = []
         self.rconds = np.zeros(len(self.schedule))
-        self._gram: RowGram | None = None
-        self._zero = self.tables.zero_shift(self._scheduled_coords())
+        self._gram: np.ndarray | None = None
+        self._zero = self.tables.zero_shift(self._table.coords[self._table.schedule])
 
     @classmethod
     def from_factors(
@@ -386,15 +366,11 @@ class ProjectorAccumulator:
         shapes = _factor_shapes(self.slice_ptr, self.stages_done)
         return sum(n * (n - 1) // 2 + n * m for n, m, _ in shapes)
 
-    def _scheduled_coords(self) -> np.ndarray:
-        return self._table.coords[self._table.schedule]
-
     @property
-    def gram(self) -> RowGram:
-        """Row Gram blocks of the whole schedule, built on first use."""
+    def gram(self) -> np.ndarray:
+        """Row Gram blocks of the whole schedule, built on first use, in the pattern's order."""
         if self._gram is None:
-            rows = self.tables.rows(self._scheduled_coords())
-            self._gram = build_row_gram(rows, self.tables.field_pairs, self._table.pattern)
+            self._gram = build_row_gram(self.tables, self._zero, self._table.pattern)
         return self._gram
 
     def processed_sites(self) -> list[Site]:
@@ -406,11 +382,11 @@ class ProjectorAccumulator:
         The diagonal part G[start:stop, start:stop] is filled in full: its
         strictly lower blocks are mirrored to the upper half.
         """
-        gram = self.gram
-        span = slice(gram.stage_ptr[start], gram.stage_ptr[stop])
-        rows = np.repeat(np.arange(stop - start), np.diff(gram.stage_ptr[start : stop + 1]))
-        cols = gram.partner[span] - low
-        blocks = gram.blocks[span]
+        pattern = self._table.pattern
+        span = slice(pattern.stage_ptr[start], pattern.stage_ptr[stop])
+        rows = np.repeat(np.arange(stop - start), np.diff(pattern.stage_ptr[start : stop + 1]))
+        cols = pattern.partner[span] - low
+        blocks = self.gram[span]
         offset = start - low
         # laid out as (row stage, 4, column stage, 4), so the dense panel is a view
         panel = np.zeros((stop - start, 4, stop - low, 4), dtype=complex)

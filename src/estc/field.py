@@ -41,9 +41,6 @@ FREE_COMPONENTS: tuple[tuple[int, int], ...] = tuple(
     if (j, k) not in CONSTRAINED_COMPONENTS
 )
 
-# dset positions of the three spatial current components
-_POS_K = {1: 14, 2: 15, 3: 13}
-
 # shift -> the two (position, j, k) amplitude slots of its coupling dset,
 # transcribed row by row from the coupling table; the six +time shifts
 # repeat the six -time rows with the sign of b flipped

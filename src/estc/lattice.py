@@ -186,19 +186,21 @@ class GramPattern:
     V_k[s] V_i[t]^dag with i <= k is listed in the order of the block it
     sums into, and block j sums products first[j]:first[j + 1].  A product
     of two field shifts is the site-independent F_s F_t^dag, entry
-    (s - 1) * 12 + t - 1 of the field-pair table; one that involves the
-    zero shift is formed per point from the rows (k, s) and (i, t) in the
-    zero_* arrays, and is entry 144 + j, j its place in those arrays.
-    The blocks of stage k are stage_ptr[k]:stage_ptr[k + 1], and
-    partner[b] is the other stage of block b.
+    (s - 1) * 12 + t - 1 of the field-pair table.  One that involves the
+    zero shift is formed per point, as entry 144 + j, j its place in the
+    zero_* arrays, from a (12 + K, 4, 4) table of the twelve field-shift
+    matrices followed by the K rows' zero-shift matrices:
+    zero_left[j] and zero_right[j] are the table entries of its two
+    factors, s - 1 for a field shift s of either row and 12 + k for the
+    zero shift of row k.  The blocks of stage k are
+    stage_ptr[k]:stage_ptr[k + 1], and partner[b] is the other stage of
+    block b.
     """
 
     source: np.ndarray
     first: np.ndarray
-    zero_k: np.ndarray
-    zero_s: np.ndarray
-    zero_i: np.ndarray
-    zero_t: np.ndarray
+    zero_left: np.ndarray
+    zero_right: np.ndarray
     stage_ptr: np.ndarray
     partner: np.ndarray
 
@@ -225,10 +227,8 @@ def gram_pattern(stencil: np.ndarray) -> GramPattern:
     pattern = GramPattern(
         source=source,
         first=first,
-        zero_k=k[zero],
-        zero_s=s[zero],
-        zero_i=i[zero],
-        zero_t=t[zero],
+        zero_left=np.where(s == 0, 12 + k, s - 1)[zero],
+        zero_right=np.where(t == 0, 12 + i, t - 1)[zero],
         stage_ptr=np.searchsorted(key[first] // stages, np.arange(stages + 1)),
         partner=key[first] % stages,
     )

@@ -253,14 +253,14 @@ def test_degeneracy_exits_2(tmp_path):
 
 def test_non_finite_gram_exits_2(tmp_path, config_path, monkeypatch, capsys):
     target = make_schedule(Window(2))[3]
-    real = engine.FieldTables.rows
+    real = engine.FieldTables.zero_shift
 
     def poisoned(self, sites):
         out = real(self, sites)
-        out[(np.asarray(sites) == target).all(axis=1), 0, 0, 0] = np.nan
+        out[(np.asarray(sites) == target).all(axis=1), 0, 0] = np.nan
         return out
 
-    monkeypatch.setattr(engine.FieldTables, "rows", poisoned)
+    monkeypatch.setattr(engine.FieldTables, "zero_shift", poisoned)
     out = tmp_path / "op"
     assert cli.main(["build", "--config", str(config_path), "--out", str(out)]) == 2
     assert f"stage 3 at site {target}" in capsys.readouterr().err

@@ -79,9 +79,10 @@ def test_bare_block_structure():
     n = (0, 0, 0, 0)
     support = sorted(site_add(n, s) for s in SHIFTS_S13)
     v = np.zeros((4, 4 * len(support)), dtype=complex)
+    row = np.concatenate([tables.zero_shift([n]), tables.field_v])
     for i, s in enumerate(SHIFTS_S13):
         j = support.index(site_add(n, s))
-        v[:, 4 * j : 4 * j + 4] = tables.rows([n])[0][i]
+        v[:, 4 * j : 4 * j + 4] = row[i]
     dense = v.conj().T @ matrix_from_dset(a_matrix(n, FIELD, PARAMS)) @ v
     assert np.abs(dense - bare_projector(n, FIELD, PARAMS, support)).max() < 1e-12
     assert np.abs(dense - dense.conj().T).max() < 1e-12
@@ -300,14 +301,14 @@ def test_resonant_site_trips_the_stage_guard():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_gram_trips_the_stage_guard(bad, monkeypatch):
     target = lattice.make_schedule(Window(2))[3]
-    real = engine.FieldTables.rows
+    real = engine.FieldTables.zero_shift
 
     def poisoned(self, sites):
         out = real(self, sites)
-        out[(np.asarray(sites) == target).all(axis=1), 0, 0, 0] = bad
+        out[(np.asarray(sites) == target).all(axis=1), 0, 0] = bad
         return out
 
-    monkeypatch.setattr(engine.FieldTables, "rows", poisoned)
+    monkeypatch.setattr(engine.FieldTables, "zero_shift", poisoned)
     acc = fresh_accumulator()
     with pytest.raises(StageSingular) as err:
         acc.run()
@@ -333,13 +334,12 @@ def test_dependent_mid_slice_row_trips_the_stage_guard(monkeypatch):
     real_leading = engine.ProjectorAccumulator._leading_factor
     leading_calls = []
 
-    def dependent(*args):
-        gram = real_gram(*args)
-        blocks = gram.blocks.copy()
-        owner = np.repeat(np.arange(len(schedule)), np.diff(gram.stage_ptr))
+    def dependent(tables, zero, pattern):
+        blocks = real_gram(tables, zero, pattern).copy()
+        owner = np.repeat(np.arange(len(schedule)), np.diff(pattern.stage_ptr))
         blocks[owner == stage] = t @ blocks[owner == stage]
-        blocks[gram.partner == stage] = blocks[gram.partner == stage] @ t.T
-        return engine.RowGram(gram.stage_ptr, gram.partner, blocks)
+        blocks[pattern.partner == stage] = blocks[pattern.partner == stage] @ t.T
+        return blocks
 
     def leading(schur):
         leading_calls.append(schur.shape)
@@ -361,6 +361,20 @@ def test_dependent_mid_slice_row_trips_the_stage_guard(monkeypatch):
     solution = acc.apply_fundamental(c)
     worst = max(v for _, v in residual_table(solution, acc.tables, acc.processed_sites()))
     assert worst < 1e-13 * c.norm()
+
+
+def test_a_point_forms_its_zero_shift_matrices_once(monkeypatch):
+    # the Gram and the apply share the accumulator's V(m_k, 0)
+    real = engine.FieldTables.zero_shift
+    calls = []
+
+    def counted(self, sites):
+        calls.append(len(sites))
+        return real(self, sites)
+
+    monkeypatch.setattr(engine.FieldTables, "zero_shift", counted)
+    ProjectorAccumulator(FIELD, PARAMS, Window(3)).run()
+    assert calls == [69]
 
 
 def test_apply_fundamental_shares_no_buffer_with_its_input():
@@ -402,12 +416,12 @@ def test_second_accumulator_reuses_the_window_tables():
     assert table.stencil.tolist() == stencil
     pattern = lattice.gram_pattern(np.array(stencil))
     gram = second.gram
-    assert np.array_equal(gram.stage_ptr, pattern.stage_ptr)
-    assert np.array_equal(gram.partner, pattern.partner)
-    assert gram.blocks.tobytes() == first.gram.blocks.tobytes()
     cached = table.pattern
-    assert gram.stage_ptr is cached.stage_ptr
-    for array in (*vars(cached).values(), second.tables.field_pairs):
+    assert np.array_equal(cached.stage_ptr, pattern.stage_ptr)
+    assert np.array_equal(cached.partner, pattern.partner)
+    assert gram.tobytes() == first.gram.tobytes()
+    assert second._table.pattern is cached
+    for array in (*vars(cached).values(), second.tables.field_pairs, second.tables.field_v):
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
 
@@ -420,8 +434,8 @@ def test_second_point_on_a_field_shares_its_field_tables():
     assert second.tables.field_pairs is first.tables.field_pairs
     # the zero-shift rows still follow q
     assert not np.array_equal(second._zero, first._zero)
-    sites = lattice.window_table(window).coords
-    assert np.array_equal(second.tables.rows(sites)[:, 1:], first.tables.rows(sites)[:, 1:])
+    # the field-shift matrices do not
+    assert second.tables.field_v is first.tables.field_v
     # a field equal to FIELD but built anew shares them too
     again = FieldConfig(FIELD.a.copy(), FIELD.b.copy())
     assert FieldTables(again, moved).field_pairs is first.tables.field_pairs

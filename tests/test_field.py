@@ -225,26 +225,35 @@ def test_table_overlaps_match_the_brute_column_scan(seed):
     index = {site: j for j, site in enumerate(columns)}
     stencil = np.array([[index[site_add(n, s)] for s in SHIFTS_S13] for n in schedule])
     tables = FieldTables(f, p)
-    gram = build_row_gram(tables.rows(schedule), tables.field_pairs, gram_pattern(stencil))
-    assert gram.stage_ptr[0] == 0 and gram.stage_ptr[k] == len(gram.blocks)
+    pattern = gram_pattern(stencil)
+    blocks = build_row_gram(tables, tables.zero_shift(schedule), pattern)
+    assert pattern.stage_ptr[0] == 0 and pattern.stage_ptr[k] == len(blocks)
     for a, x in enumerate(schedule):
-        span = slice(gram.stage_ptr[a], gram.stage_ptr[a + 1])
-        partners = gram.partner[span].tolist()
+        span = slice(pattern.stage_ptr[a], pattern.stage_ptr[a + 1])
+        partners = pattern.partner[span].tolist()
         # one block per coupled partner b <= a, ascending, none for the others
         assert partners == [b for b in range(a + 1) if couples(x, schedule[b])]
-        for b, block in zip(partners, gram.blocks[span]):
+        for b, block in zip(partners, blocks[span]):
             assert np.abs(block - oracle_overlap(x, schedule[b], f, p)).max() < 1e-13
         for b in range(a + 1):
             if b not in partners:
                 assert not oracle_overlap(x, schedule[b], f, p).any()
 
 
+def per_site_rows(sites, f, p):
+    """(len(sites), 13, 4, 4) coupling matrices of each row, straight from v_coupling."""
+    return np.array(
+        [[matrix_from_dset(v_coupling(n, s, f, p)) for s in SHIFTS_S13] for n in sites]
+    )
+
+
 def all_pairs_row_gram(rows, stencil):
     """The row Gram blocks with every matched product formed from the rows.
 
-    The reference for the field-pair table: one einsum over all matches
-    V_k[s] V_i[t]^dag with i <= k, in (k, s, t) order, then a stable sort
-    by (k, i) and a sum over each run.
+    The reference for the field-pair table and the zero-shift table: one
+    einsum over all matches V_k[s] V_i[t]^dag with i <= k of the per-site
+    stack rows, in (k, s, t) order, then a stable sort by (k, i) and a sum
+    over each run.
     """
     stages = len(stencil)
     owner = np.full((stencil.max() + 1, 13), -1, dtype=np.intp)
@@ -270,18 +279,18 @@ def test_row_gram_from_the_field_pair_table_is_the_all_pairs_sum(radius, center)
     points = window.points()
     index = {site: j for j, site in enumerate(points)}
     stencil = np.array([[index[site_add(n, s)] for s in SHIFTS_S13] for n in schedule])
+    pattern = gram_pattern(stencil)
     for _ in range(3):
         f, p = random_field(rng), random_params(rng)
         tables = FieldTables(f, p)
-        rows = tables.rows(schedule)
-        gram = build_row_gram(rows, tables.field_pairs, gram_pattern(stencil))
-        stage_ptr, partner, blocks = all_pairs_row_gram(rows, stencil)
-        assert np.array_equal(gram.stage_ptr, stage_ptr)
-        assert np.array_equal(gram.partner, partner)
+        gram = build_row_gram(tables, tables.zero_shift(schedule), pattern)
+        stage_ptr, partner, blocks = all_pairs_row_gram(per_site_rows(schedule, f, p), stencil)
+        assert np.array_equal(pattern.stage_ptr, stage_ptr)
+        assert np.array_equal(pattern.partner, partner)
         # the same products summed in the same order: equal to the last bit
-        assert gram.blocks.tobytes() == blocks.tobytes()
-        owner = np.repeat(np.arange(len(schedule)), np.diff(gram.stage_ptr))
-        for k, i, block in zip(owner, gram.partner, gram.blocks):
+        assert gram.tobytes() == blocks.tobytes()
+        owner = np.repeat(np.arange(len(schedule)), np.diff(pattern.stage_ptr))
+        for k, i, block in zip(owner, pattern.partner, gram):
             assert np.abs(block - n_overlap(schedule[k], schedule[i], f, p)).max() < 1e-13
 
 
@@ -290,16 +299,19 @@ def test_table_rows_are_the_per_site_coupling_stack():
     sites = Window(3, (1, 0, -1, 2)).points()
     for _ in range(4):
         f, p = random_field(rng), random_params(rng)
-        expected = np.array(
-            [[matrix_from_dset(v_coupling(n, s, f, p)) for s in SHIFTS_S13] for n in sites]
+        expected = per_site_rows(sites, f, p)
+        tables = FieldTables(f, p)
+        assert np.array_equal(tables.zero_shift(sites), expected[:, 0])
+        # the twelve field-shift matrices are every row's, at any site
+        assert np.array_equal(
+            np.broadcast_to(tables.field_v, expected[:, 1:].shape), expected[:, 1:]
         )
-        assert np.array_equal(FieldTables(f, p).rows(sites), expected)
         # one zero-shift formula: v_coupling reads its row of the vectorized dsets
         assert np.array_equal(
             zero_shift_dsets(sites, p),
             np.array([v_coupling(n, (0, 0, 0, 0), f, p) for n in sites]),
         )
-    assert FieldTables(f, p).rows([]).shape == (0, 13, 4, 4)
+    assert FieldTables(f, p).zero_shift([]).shape == (0, 4, 4)
 
 
 def test_overlap_diagonal_is_the_gram_matrix():
