@@ -32,8 +32,8 @@ print("window radius:", cfg.radius)
 # one stage, and the conditioning of its 4x4 pivot is recorded.
 acc = ProjectorAccumulator(cfg.field, cfg.params, Window(cfg.radius, cfg.n_ref)).run()
 print("stages processed:", acc.stages_done)
-worst = min(acc.diagnostics, key=lambda diag: diag.rcond)
-print(f"worst stage rcond {worst.rcond:.3e} at site {worst.site}")
+worst = int(np.argmin(acc.rconds))
+print(f"worst stage rcond {acc.rconds[worst]:.3e} at site {acc.schedule[worst]}")
 
 # The complement of the accumulated projector maps a random seed onto the
 # solution subspace: every processed row evaluates to (numerical) zero.

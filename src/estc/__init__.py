@@ -26,7 +26,6 @@ from .dirac_basis import (
 from .engine import (
     FieldTables,
     ProjectorAccumulator,
-    StageDiagnostics,
     residual_table,
 )
 from .errors import (
@@ -58,10 +57,8 @@ from .lattice import (
     g4d,
     in_lattice,
     make_schedule,
-    shifts_s13,
     site_add,
     site_sub,
-    window_points,
     window_size,
 )
 from .multispinor import Multispinor, random_multispinor
@@ -80,7 +77,6 @@ __all__ = [
     "SHIFTS_S13",
     "ShiftNotInS13",
     "SingularMatrix",
-    "StageDiagnostics",
     "StageSingular",
     "TransversalityViolation",
     "Window",
@@ -111,14 +107,12 @@ __all__ = [
     "range_restricted_pseudoinverse",
     "residual_table",
     "serialize_config",
-    "shifts_s13",
     "site_add",
     "site_sub",
     "structure_constant",
     "v_coupling",
     "validate",
     "w_vector",
-    "window_points",
     "window_size",
 ]
 

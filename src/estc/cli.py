@@ -89,15 +89,18 @@ def cmd_build(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_operator(out / "operator.json", acc, cfg)
-    (out / "stages.csv").write_text(stages_csv(acc.diagnostics, cfg.n_ref))
+    (out / "stages.csv").write_text(stages_csv(acc))
 
     report = RunReport(f"build {config_fingerprint(cfg)[:12]}")
     seed_c = random_multispinor(window.points(), cfg.seed)
     _gate_processed_rows(report, acc, seed_c, cfg.residual_tol)
-    worst = min(acc.diagnostics, key=lambda diag: diag.rcond)
-    report.add("every stage condition stays above rcond_min", cfg.rcond_min / worst.rcond, 1.0)
+    # stages by rcond, ascending; ties keep schedule order
+    order = np.argsort(acc.rconds[: acc.stages_done], kind="stable").tolist()
+    worst = order[0]
+    rcond = float(acc.rconds[worst])
+    report.add("every stage condition stays above rcond_min", cfg.rcond_min / rcond, 1.0)
     report.notes.append(
-        f"worst stage rcond {worst.rcond:.3e} at stage {worst.stage}, site {worst.site}; "
+        f"worst stage rcond {rcond:.3e} at stage {worst}, site {acc.schedule[worst]}; "
         f"rcond_min {cfg.rcond_min:.3e}"
     )
     report.notes.append(
@@ -106,10 +109,9 @@ def cmd_build(args: argparse.Namespace) -> int:
         f"{acc.coupling_count} stored couplings"
     )
     if not report.ok:
-        worst = sorted(acc.diagnostics, key=lambda diag: diag.rcond)[:3]
         report.notes.append(
             "smallest stage rconds: "
-            + "; ".join(f"stage {d.stage} at {d.site} {d.rcond:.3e}" for d in worst)
+            + "; ".join(f"stage {k} at {acc.schedule[k]} {acc.rconds[k]:.3e}" for k in order[:3])
         )
     (out / "report.txt").write_text(report.to_text())
     sys.stdout.write(report.to_text())

@@ -17,8 +17,9 @@ slices t - 1 and t - 2.  The accumulator factors one slice at a time, with
 one dense Cholesky of the slice's Schur complement, and keeps only the
 band.  Stage k, one scheduled site, has the pivot D_k = R_kk R_kk^dag, the
 deflated Gram matrix of its row; a numerically singular pivot means the
-row is linearly dependent on the processed rows and aborts the stage with
-diagnostics.
+row is linearly dependent on the processed rows and stops the run there.
+A run is one-shot: it sizes the store once and factors the slices in
+order; an accumulator restored from a dump only applies.
 
 The projector is kept and applied in factored form only, as
 P = (R^-1 V)^dag (R^-1 V): a block forward and back substitution over the
@@ -46,8 +47,6 @@ and on schedule indices, never on site tuples.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -146,27 +145,6 @@ def build_row_gram(tables: FieldTables, zero: np.ndarray, pattern: GramPattern) 
     zero_products = _products(table[pattern.zero_left], table[pattern.zero_right])
     products = np.concatenate([tables.field_pairs.reshape(144, 4, 4), zero_products])
     return np.add.reduceat(products[pattern.source], pattern.first, axis=0)
-
-
-@dataclass
-class StageDiagnostics:
-    """Conditioning, support and wall time of one stage.
-
-    rcond is the eigenvalue ratio of the stage's pivot D_k = R_kk R_kk^dag.
-    gram_asymmetry is the largest imaginary part of the real-basis
-    coefficients of the stage's diagonal block of its slice's Schur
-    complement, before the Cholesky: every basis matrix is Hermitian, so
-    it measures how far rounding left that block from Hermitian.
-    support_size counts the window sites that the stencils of stages 0..k
-    reach.  elapsed is the stage's equal share of its slice's time.
-    """
-
-    stage: int
-    site: Site
-    rcond: float
-    gram_asymmetry: float
-    support_size: int
-    elapsed: float
 
 
 def _adjoint_times(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -294,11 +272,19 @@ class ProjectorAccumulator:
     each slice's views of it; W_t is unpacked into a dense temporary by
     the step that multiplies by it.
 
+    The build record is two arrays over the schedule: rconds[k], the
+    eigenvalue ratio of the pivot of stage k (zero until factored), and
+    asymmetry[k], the largest imaginary part of the real-basis
+    coefficients of its diagonal block of the Schur complement, which
+    rounding alone makes nonzero (NaN unless this accumulator factored it).
+
     In terms of the block LDL^dag factorization G = U D U^dag with U block
     unit-lower, U = R blockdiag(R_kk)^-1 and D_k = R_kk R_kk^dag, so the
     stage cores are A_k = (R_kk R_kk^dag)^-1.  The leading stages of a
     Cholesky factor are the Cholesky factor of the leading block, so
     run(stages=k) factors only the leading part of the slice it stops in.
+    An accumulator runs once: a second run(), or a run() of one restored
+    by from_factors, raises ValueError; build a new one to factor again.
     The zero-shift matrices V(m_k, 0) of the whole schedule are formed
     once; neither the Gram nor the projection needs any other per-site
     coefficient.  The overlaps come from the blocks of the row Gram
@@ -319,17 +305,15 @@ class ProjectorAccumulator:
         self.window = window
         self.schedule = make_schedule(window)
         self.rcond_min = rcond_min
-        self.diagnostics: list[StageDiagnostics] = []
         self.stages_done = 0
 
         self._table = window_table(window)
         self.slice_ptr = self._table.slice_ptr
-        self.factors = np.empty(0, dtype=complex)
-        # the store is factors = _buffer[:factors.size], viewed slice by slice in _slices;
-        # run() reserves room in _buffer for the stages it is asked for
-        self._buffer = self.factors
+        # the factored part of the store, None until run() or from_factors; views in _slices
+        self.factors: np.ndarray | None = None
         self._slices: list[tuple[np.ndarray, np.ndarray]] = []
         self.rconds = np.zeros(len(self.schedule))
+        self.asymmetry = np.full(len(self.schedule), np.nan)
         self._gram: np.ndarray | None = None
         self._zero = self.tables.zero_shift(self._table.coords[self._table.schedule])
 
@@ -351,7 +335,7 @@ class ProjectorAccumulator:
         """
         acc = cls(f, p, window)
         acc._slices = factor_slices(factors, acc.slice_ptr, len(rconds))
-        acc.factors = acc._buffer = factors
+        acc.factors = factors
         acc.stages_done = len(rconds)
         acc.rconds[: len(rconds)] = rconds
         return acc
@@ -396,14 +380,13 @@ class ProjectorAccumulator:
         panel[cols[mirror] - offset, :, rows[mirror] + offset] = mirrored
         return panel.reshape(4 * (stop - start), 4 * (stop - low))
 
-    def _factor_slice(self, t: int, stop: int) -> None:
-        """Factor stages slice_ptr[t]:stop of slice t and record them.
+    def _factor_slice(self, t: int, stop: int, store: np.ndarray) -> None:
+        """Factor stages slice_ptr[t]:stop of slice t into store, after the slices before it.
 
         Raises StageSingular at the first stage whose pivot is not
         positive definite or has rcond below rcond_min, after recording the
         stages before it.
         """
-        started = time.perf_counter()
         ptr = self.slice_ptr
         start, low = ptr[t], ptr[max(t - 2, 0)]
         panel = self._gram_panel(low, start, stop)
@@ -432,32 +415,18 @@ class ProjectorAccumulator:
             failed = (int(bad[0]), float(rconds[bad[0]]))
         keep = factor.shape[0] // 4 if failed is None else failed[0]
 
-        done = self.stages_done
-        # slice t goes after the slices before it, replacing a cut slice t
-        offset = sum(lower.size + coupling.size for lower, coupling in slices[:t])
+        offset = self.factors.size
         middle = offset + 2 * keep * (4 * keep + 1)
         end = middle + 4 * keep * width
-        del slices[t:]
         if keep:
-            packed = self._buffer[offset:middle]
+            packed, coupling = store[offset:middle], store[middle:end].reshape(4 * keep, width)
             packed[...] = pack_lower(tril_inverse(factor[: 4 * keep, : 4 * keep]))
-            self._buffer[middle:end] = band[: 4 * keep].reshape(-1)
-            slices.append((packed, self._buffer[middle:end].reshape(4 * keep, width)))
-        self.factors = self._buffer[:end]
-        self.rconds[done : start + keep] = rconds[done - start : keep]
+            coupling[...] = band[: 4 * keep]
+            slices.append((packed, coupling))
+        self.factors = store[:end]
+        self.rconds[start : start + keep] = rconds[:keep]
+        self.asymmetry[start : start + keep] = asymmetry[:keep]
         self.stages_done = start + keep
-        share = (time.perf_counter() - started) / (stop - start)
-        new = slice(done, start + keep)
-        for k, site, rcond, gram_asymmetry, support_size in zip(
-            range(done, start + keep),
-            self.schedule[new],
-            self.rconds[new].tolist(),
-            asymmetry[done - start : keep].tolist(),
-            self._table.support[new].tolist(),
-        ):
-            self.diagnostics.append(
-                StageDiagnostics(k, site, rcond, gram_asymmetry, support_size, share)
-            )
         if failed is not None:
             k = start + failed[0]
             raise StageSingular(k, self.schedule[k], failed[1])
@@ -491,17 +460,19 @@ class ProjectorAccumulator:
             return factor, (good, float(values[0] / np.abs(values).max()))
 
     def run(self, stages: int | None = None) -> "ProjectorAccumulator":
-        """Process the whole schedule (or its first `stages` entries)."""
+        """Factor the whole schedule (or its first `stages` entries), once.
+
+        Raises ValueError when this accumulator has run before or was
+        restored by from_factors.
+        """
+        if self.factors is not None:
+            raise ValueError("an accumulator runs once; its stages are already factored")
         target = len(self.schedule) if stages is None else stages
-        size = factor_count(self.slice_ptr, target)
-        if self._buffer.size < size:
-            self._buffer = np.empty(size, dtype=complex)
-            self._buffer[: self.factors.size] = self.factors
-            self.factors = self._buffer[: self.factors.size]
-            self._slices = factor_slices(self.factors, self.slice_ptr, self.stages_done)
-        while self.stages_done < target:
-            t = int(np.searchsorted(self.slice_ptr, self.stages_done, side="right")) - 1
-            self._factor_slice(t, min(self.slice_ptr[t + 1], target))
+        store = np.empty(factor_count(self.slice_ptr, target), dtype=complex)
+        self.factors = store[:0]
+        # the slices that hold one of the first `target` stages, in order
+        for t in range(int(np.searchsorted(self.slice_ptr, target))):
+            self._factor_slice(t, min(int(self.slice_ptr[t + 1]), target), store)
         return self
 
     def solve_lower(self, y: np.ndarray) -> np.ndarray:

@@ -35,7 +35,6 @@ from .config import RunConfig, config_fingerprint
 from .dirac_basis import dset_from_matrix
 from .engine import (
     ProjectorAccumulator,
-    StageDiagnostics,
     factor_count,
     factor_slices,
     unpack_lower,
@@ -239,14 +238,20 @@ def residual_csv(rows: list[tuple[Site, float]], center: Site) -> str:
     return "\n".join(lines) + "\n"
 
 
-def stages_csv(diagnostics: list[StageDiagnostics], center: Site) -> str:
+def stages_csv(acc: ProjectorAccumulator) -> str:
+    """stages.csv: per processed stage, its site, g4d, rcond, support and asymmetry."""
+    k, center = acc.stages_done, acc.window.center
     lines = ["stage,n1,n2,n3,n4,g4d,rcond,support,gram_asymmetry"]
-    for diag in diagnostics:
-        site = diag.site
+    for stage, site, rcond, support, asymmetry in zip(
+        range(k),
+        acc.schedule[:k],
+        acc.rconds[:k].tolist(),
+        window_table(acc.window).support[:k].tolist(),
+        acc.asymmetry[:k].tolist(),
+    ):
         lines.append(
-            f"{diag.stage},{site[0]},{site[1]},{site[2]},{site[3]},"
-            f"{g4d(site_sub(site, center))},{diag.rcond!r},{diag.support_size},"
-            f"{diag.gram_asymmetry!r}"
+            f"{stage},{site[0]},{site[1]},{site[2]},{site[3]},"
+            f"{g4d(site_sub(site, center))},{rcond!r},{support},{asymmetry!r}"
         )
     return "\n".join(lines) + "\n"
 

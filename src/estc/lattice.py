@@ -66,11 +66,6 @@ def in_lattice(n: Site) -> bool:
     return (n[0] + n[1] + n[2] + n[3]) % 2 == 0
 
 
-def shifts_s13() -> tuple[Site, ...]:
-    """The 13 stencil shifts, zero shift first, in fixed table order."""
-    return SHIFTS_S13
-
-
 def site_sub(a: Site, b: Site) -> Site:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
 
@@ -110,8 +105,11 @@ class Window:
         return in_lattice(n) and g4d(site_sub(n, self.center)) <= self.radius
 
     def points(self) -> list[Site]:
-        """All member sites, ordered by g4d then lexicographically."""
-        return window_points(self.radius, self.center)
+        """All member sites, ordered by g4d then lexicographically.
+
+        Each window is enumerated once per process; every call returns a new list.
+        """
+        return list(_window_table(self.radius, self.center).sites)
 
     def interior(self, n: Site) -> bool:
         """True when every stencil neighbor of n, each one g4d step away, stays in the window."""
@@ -125,16 +123,6 @@ class Window:
 def window_size(r: int) -> int:
     """Sites in a window of radius r, in closed form: (4r^4 + 8r^3 + 14r^2 + 10r + 3) / 3."""
     return ((((4 * r + 8) * r + 14) * r + 10) * r + 3) // 3 if r >= 0 else 0
-
-
-def window_points(radius: int, center: Site = (0, 0, 0, 0)) -> list[Site]:
-    """Enumerate the window in deterministic order (g4d ascending, then lex).
-
-    Each window is enumerated once per process; every call returns a new list.
-    """
-    if not in_lattice(center):
-        raise ValueError(f"window center {center} has odd coordinate sum")
-    return list(_window_table(radius, center).sites)
 
 
 def locate(points: np.ndarray, queries: np.ndarray) -> np.ndarray:

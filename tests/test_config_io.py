@@ -761,10 +761,10 @@ def test_residual_and_stage_csv_formats(built):
     assert lines[2].startswith("0,0,-1,-1,1,")
     assert float(lines[2].rsplit(",", 1)[1]) == 2.5e-9
 
-    text = stages_csv(acc.diagnostics, cfg.n_ref)
+    text = stages_csv(acc)
     lines = text.strip().split("\n")
     assert lines[0] == "stage,n1,n2,n3,n4,g4d,rcond,support,gram_asymmetry"
-    assert len(lines) == 1 + len(acc.diagnostics)
+    assert len(lines) == 1 + acc.stages_done
     first = lines[1].split(",")
     assert first[0] == "0"
     assert int(first[7]) == 13  # the stencil of the first site

@@ -17,16 +17,19 @@ from estc import (
     StageSingular,
     Window,
     combine_pair,
+    g4d,
     matrix_from_dset,
     n_overlap,
     parse_config,
     random_multispinor,
     residual_table,
     site_add,
+    site_sub,
     v_coupling,
 )
 from estc import cli, engine, lattice
 from estc.field import a_matrix
+from estc.io import read_operator, stages_csv, write_operator
 
 from helpers import (
     dense_factor,
@@ -128,14 +131,12 @@ def test_first_coupling_matches_its_closed_form():
 @pytest.mark.parametrize("k", range(1, 13))
 def test_each_stage_matches_the_pair_combination(k):
     # the paper's pair formula: P_{<=k} combines P_{<k} with the bare block of m_k
-    acc = fresh_accumulator()
-    assert len(acc.schedule) == 13
-    sites = acc.window.points()
-    acc.run(stages=k)
-    alpha = applied_matrix(acc, sites)
-    acc.run(stages=k + 1)
-    beta = bare_projector(acc.schedule[k], FIELD, PARAMS, sites)
-    assert np.abs(applied_matrix(acc, sites) - combine_pair(alpha, beta)).max() < 1e-9
+    before, after = fresh_accumulator().run(stages=k), fresh_accumulator().run(stages=k + 1)
+    assert len(after.schedule) == 13
+    sites = after.window.points()
+    alpha = applied_matrix(before, sites)
+    beta = bare_projector(after.schedule[k], FIELD, PARAMS, sites)
+    assert np.abs(applied_matrix(after, sites) - combine_pair(alpha, beta)).max() < 1e-9
 
 
 def test_accumulated_projector_matches_the_dense_span_oracle():
@@ -355,7 +356,11 @@ def test_dependent_mid_slice_row_trips_the_stage_guard(monkeypatch):
     assert (err.value.stage, err.value.site) == (stage, schedule[stage])
     assert not err.value.rcond >= acc.rcond_min
     assert acc.stages_done == stage
-    assert [d.stage for d in acc.diagnostics] == list(range(stage))
+    # the stages before it are recorded, it and the stages after it are not
+    assert (acc.rconds[:stage] > 0).all()
+    assert (acc.rconds[stage:] == 0).all()
+    assert np.isfinite(acc.asymmetry[:stage]).all()
+    assert np.isnan(acc.asymmetry[stage:]).all()
     # the stages before it still give the projector onto their rows
     c = random_multispinor(acc.window.points(), 8)
     solution = acc.apply_fundamental(c)
@@ -490,16 +495,49 @@ def test_library_point_makes_no_per_site_calls(monkeypatch):
 
 def test_stage_diagnostics_are_recorded():
     acc = fresh_accumulator().run(stages=3)
-    assert [d.stage for d in acc.diagnostics] == [0, 1, 2]
-    for k, diag in enumerate(acc.diagnostics):
-        assert diag.site == acc.schedule[k]
-        assert 0.0 < diag.rcond <= 1.0
-        assert diag.rcond == acc.rconds[k]
-        support = {site_add(m, s) for m in acc.schedule[: k + 1] for s in SHIFTS_S13}
-        assert diag.support_size == len(support)
-        assert diag.gram_asymmetry < 1e-10
-        # the three stages share the time of their one slice step equally
-        assert diag.elapsed == acc.diagnostics[0].elapsed > 0.0
+    support = lattice.window_table(acc.window).support
+    for k in range(3):
+        assert 0.0 < acc.rconds[k] <= 1.0
+        reached = {site_add(m, s) for m in acc.schedule[: k + 1] for s in SHIFTS_S13}
+        assert support[k] == len(reached)
+        assert acc.asymmetry[k] < 1e-10
+    # the stages past the run have no record
+    assert not acc.rconds[3:].any()
+    assert np.isnan(acc.asymmetry[3:]).all()
+
+
+def test_stages_csv_is_the_arrays_row_for_row():
+    cfg = parse_config(SAMPLE_CONFIG.read_text())
+    acc = ProjectorAccumulator(cfg.field, cfg.params, Window(3, cfg.n_ref)).run()
+    lines = stages_csv(acc).split("\n")
+    assert lines[0] == "stage,n1,n2,n3,n4,g4d,rcond,support,gram_asymmetry"
+    assert lines[-1] == "" and len(lines) == 2 + 69
+    reached = set()
+    for k, line in enumerate(lines[1:-1]):
+        m = acc.schedule[k]
+        reached |= {site_add(m, s) for s in SHIFTS_S13}
+        rcond, asymmetry = float(acc.rconds[k]), float(acc.asymmetry[k])
+        row = [k, *m, g4d(site_sub(m, cfg.n_ref)), repr(rcond), len(reached), repr(asymmetry)]
+        assert line == ",".join(map(str, row))
+
+
+def test_a_run_happens_once(tmp_path):
+    cfg = parse_config(SAMPLE_CONFIG.read_text())
+    window = Window(2, cfg.n_ref)
+    empty = ProjectorAccumulator(cfg.field, cfg.params, window).run(stages=0)
+    with pytest.raises(ValueError, match="runs once"):
+        empty.run()
+    assert empty.stages_done == 0 and empty.factors.size == 0
+    acc = ProjectorAccumulator(cfg.field, cfg.params, window).run()
+    path = tmp_path / "operator.json"
+    write_operator(path, acc, cfg)
+    for built in (acc, read_operator(path, cfg)):
+        factors, rconds = built.factors.tobytes(), built.rconds.copy()
+        for stages in (None, 5):
+            with pytest.raises(ValueError, match="runs once"):
+                built.run(stages)
+            assert built.factors.tobytes() == factors
+            assert np.array_equal(built.rconds, rconds)
 
 
 def test_random_configurations_keep_the_invariants():
@@ -580,7 +618,7 @@ def factor_identity_error(acc, gram):
     """
     r = dense_factor(acc)
     reference = np.linalg.cholesky(gram)
-    worst_rcond = min(diag.rcond for diag in acc.diagnostics)
+    worst_rcond = acc.rconds[: acc.stages_done].min()
     return float(np.abs(r - reference).max() / np.sqrt(np.abs(gram).max())) * worst_rcond
 
 

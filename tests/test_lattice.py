@@ -13,10 +13,8 @@ from estc import (
     g4d,
     in_lattice,
     make_schedule,
-    shifts_s13,
     site_add,
     site_sub,
-    window_points,
     window_size,
 )
 
@@ -54,7 +52,6 @@ def brute_window(radius, center=(0, 0, 0, 0)):
 
 def test_stencil_is_the_frozen_table():
     assert SHIFTS_S13 == FROZEN_SHIFTS
-    assert shifts_s13() == FROZEN_SHIFTS
 
 
 def test_stencil_properties():
@@ -122,17 +119,17 @@ def test_coupling_distance_bound():
             assert g4d(d) <= 2
 
 
-def test_window_points_match_the_brute_scan():
+def test_window_sites_match_the_brute_scan():
     for radius in range(4):
         for center in ((0, 0, 0, 0), (1, 0, -1, 2)):
-            points = window_points(radius, center)
+            points = Window(radius, center).points()
             assert set(points) == brute_window(radius, center)
             assert len(points) == len(set(points))
 
 
 def test_window_order_is_g4d_then_lexicographic():
     center = (0, 0, 0, 0)
-    points = window_points(3, center)
+    points = Window(3, center).points()
     keys = [(g4d(site_sub(n, center)), n) for n in points]
     assert keys == sorted(keys)
 
@@ -162,7 +159,7 @@ def test_window_membership_and_validation():
     with pytest.raises(ValueError):
         Window(2, (0, 0, 0, 1))
     with pytest.raises(ValueError):
-        window_points(1, (0, 0, 0, 1))
+        Window(1, (0, 0, 0, 1))
 
 
 def test_interior_means_all_neighbors_inside():
@@ -213,15 +210,15 @@ def test_schedule_refuses_windows_past_the_byte_budget():
         make_schedule(Window(2**40))
 
 
-def test_window_points_are_enumerated_once_and_copied(monkeypatch):
-    first = window_points(3, (1, 0, -1, 2))
+def test_window_sites_are_enumerated_once_and_copied(monkeypatch):
+    first = Window(3, (1, 0, -1, 2)).points()
     first.append((9, 9, 9, 9))
 
     def refuse(*args):
         raise AssertionError("the window was enumerated again")
 
     monkeypatch.setattr(lattice, "g4d", refuse)
-    again = window_points(3, (1, 0, -1, 2))
+    again = Window(3, (1, 0, -1, 2)).points()
     assert again == first[:-1] and again is not first
 
 
