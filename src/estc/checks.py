@@ -25,7 +25,7 @@ from .dirac_basis import (
 from .engine import ProjectorAccumulator, residual_table
 from .field import a_matrix, det_l, field_intensity, l_matrix, n_overlap, v_coupling
 from .io import RunReport
-from .lattice import SHIFTS_S13, Site, Window, site_add
+from .lattice import SHIFTS_S13, Site, Window, site_add, window_table
 from .multispinor import random_multispinor
 
 
@@ -151,6 +151,23 @@ def check_projector(cfg: RunConfig, report: RunReport) -> None:
 
     # stage k of P = (R^-1 V)^dag (R^-1 V) is rho_k = Phi_k^dag Phi_k, Phi = R^-1 V
     v = _dense_rows(cfg, acc.processed_sites(), sites)
+    # the engine's row Gram blocks against G = V V^dag of the dense rows: equal on
+    # the pattern, and every lower block off it zero
+    gram = (v @ v.conj().T).reshape(stages, 4, stages, 4).transpose(0, 2, 1, 3)
+    pattern = window_table(window).pattern
+    end = pattern.stage_ptr[stages]
+    owner = np.repeat(np.arange(stages), np.diff(pattern.stage_ptr[: stages + 1]))
+    partner = pattern.partner[:end]
+    worst = np.abs(acc.gram[:end] - gram[owner, partner]).max(initial=0.0)
+    outside = np.tri(stages, dtype=bool)
+    outside[owner, partner] = False
+    worst = max(worst, np.abs(gram[outside]).max(initial=0.0))
+    report.add(
+        "row Gram blocks match the dense V V^dag",
+        float(worst / max(np.abs(gram).max(initial=0.0), 1e-300)),
+        1e-13,
+    )
+
     phi = acc.solve_lower(v)
     worst_herm = 0.0
     worst_idem = 0.0

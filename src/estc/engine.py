@@ -36,13 +36,14 @@ so a point at new q pays only for it.  Per window (radius, center), built
 once per process and shared read-only, lattice.window_table holds the
 sites, the (N, 13) neighbor table, the schedule and its stencil, the
 slice bounds, the coverage of the stencils, the projection's scatter order
-and, built on first use, the Gram pattern, which lists every matched
-product of the row Gram matrix and the run of each block.  Per field,
-likewise: the twelve field-shift matrices F_s and their 144 products
-F_s F_t^dag.  A point forms the rows' zero-shift matrices, the products
-that involve them, and the factor; the seed, the projection and the
-residuals work on the (N, 4) site and amplitude arrays of a Multispinor
-and on schedule indices, never on site tuples.
+and, built on first use, the Gram pattern: the coupled pairs of stages and
+the site difference of each.  Per field, likewise: the twelve field-shift
+matrices F_s and, per site difference d, their overlap C_d, the sum of
+F_s F_t^dag over the pairs with s - t = d.  The row overlap of two stages
+is C_d plus the few products that involve their zero-shift matrices, so a
+point forms those matrices, those products and the factor; the seed, the
+projection and the residuals work on the (N, 4) site and amplitude arrays
+of a Multispinor and on schedule indices, never on site tuples.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .dirac_basis import dset_from_matrix, matrix_from_dset
 from .errors import StageSingular
 from .field import DimensionlessParams, FieldConfig, v_coupling, validate, zero_shift_dsets
 from .lattice import (
+    COUPLING_DIFFS,
     SHIFT_ARRAY,
     SHIFTS_S13,
     GramPattern,
@@ -73,18 +75,19 @@ class FieldTables:
     The twelve field-shift coupling matrices F_s are site-independent, so
     only the zero-shift matrix depends on the site (and on q).  Formed
     once per field and shared read-only by every FieldTables of it:
-    field_v, the F_s in stencil shift order; the products F_s F_t^dag of
-    every pair of field shifts, as field_pairs[s - 1, t - 1]; and
-    field_row, the F_s side by side as one (4, 48) matrix, so that the
-    field part of a row acts on the 12 neighbors of its site as one matrix
-    product.
+    field_v, the F_s in stencil shift order; field_overlap[d], the sum
+    C_d of F_s F_t^dag over the pairs of field shifts with s - t equal to
+    row d of lattice.COUPLING_DIFFS, which is zero for the twelve field
+    shifts d = 1..12; and field_row, the F_s side by side as one (4, 48)
+    matrix, so that the field part of a row acts on the 12 neighbors of
+    its site as one matrix product.
     """
 
     def __init__(self, f: FieldConfig, p: DimensionlessParams):
         validate(f, p)
         self.field = f
         self.params = p
-        self.field_v, self.field_pairs, self.field_row = _field_tables(f)
+        self.field_v, self.field_overlap, self.field_row = _field_tables(f)
 
     def zero_shift(self, sites: list[Site] | np.ndarray) -> np.ndarray:
         """(len(sites), 4, 4) zero-shift matrices V(n, 0) of a list or (N, 4) array of sites."""
@@ -108,17 +111,23 @@ class FieldTables:
 
 @lru_cache(maxsize=8)
 def _field_tables(f: FieldConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The field-shift matrices F_s of a field, their products F_s F_t^dag and F_s side by side."""
+    """The field-shift matrices F_s of a field, their overlaps C_d and F_s side by side.
+
+    C_d = sum F_s F_t^dag over the pairs of field shifts with s - t = d,
+    one per row d of COUPLING_DIFFS.
+    """
     # a field shift's coefficient reads neither the site nor the parameters
     p = DimensionlessParams()
     dsets = np.stack([v_coupling((0, 0, 0, 0), s, f, p) for s in SHIFTS_S13[1:]])
     field_v = matrix_from_dset(dsets)
     s, t = np.indices((12, 12)).reshape(2, -1)
-    field_pairs = _products(field_v[s], field_v[t]).reshape(12, 12, 4, 4)
+    diffs = locate(COUPLING_DIFFS, SHIFT_ARRAY[1 + s] - SHIFT_ARRAY[1 + t])
+    field_overlap = np.zeros((len(COUPLING_DIFFS), 4, 4), dtype=complex)
+    np.add.at(field_overlap, diffs, _products(field_v[s], field_v[t]))
     field_row = field_v.transpose(1, 0, 2).reshape(4, 48)
-    for array in (field_v, field_pairs, field_row):
+    for array in (field_v, field_overlap, field_row):
         array.setflags(write=False)
-    return field_v, field_pairs, field_row
+    return field_v, field_overlap, field_row
 
 
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,22 +138,27 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def build_row_gram(tables: FieldTables, zero: np.ndarray, pattern: GramPattern) -> np.ndarray:
     """(B, 4, 4) lower block-sparse row Gram matrix G = V V^dag of a schedule, in one pass.
 
-    zero[k] is the zero-shift matrix V(m_k, 0) of stage k.  Block b is the
-    row overlap N(m_k, m_i) of one coupled pair of stages i <= k.  The
+    zero[k] is the zero-shift matrix Z_k = V(m_k, 0) of stage k.  Block b is
+    the row overlap N(m_k, m_i) of one coupled pair of stages i <= k.  The
     blocks of stage k are pattern.stage_ptr[k]:stage_ptr[k + 1], with
     their partners pattern.partner[b] ascending, so the last one is the
     diagonal block N(m_k, m_k) = L(m_k).  Pairs that share no column have
     no block: their overlap vanishes identically.
 
-    Only the products that involve a zero shift are formed here, from one
-    table of the twelve field-shift matrices followed by zero; with the
-    field-pair products they are summed over each block's run of the
-    pattern.
+    With d = m_i - m_k, COUPLING_DIFFS row pattern.diff[b], the block is
+    the field overlap C_d, plus Z_k F_-d^dag + F_d Z_i^dag when d is a
+    field shift, plus Z_k Z_k^dag on the diagonal.
     """
-    table = np.concatenate([tables.field_v, zero])
-    zero_products = _products(table[pattern.zero_left], table[pattern.zero_right])
-    products = np.concatenate([tables.field_pairs.reshape(144, 4, 4), zero_products])
-    return np.add.reduceat(products[pattern.source], pattern.first, axis=0)
+    gram = tables.field_overlap[pattern.diff]
+    stage = np.repeat(np.arange(len(zero)), np.diff(pattern.stage_ptr))
+    # d is field shift j, so F_d is field_v[j - 1] and F_-d, shift 13 - j, field_v[12 - j]
+    near = np.flatnonzero((pattern.diff >= 1) & (pattern.diff <= 12))
+    j = pattern.diff[near]
+    left = _products(zero[stage[near]], tables.field_v[12 - j])
+    right = _products(tables.field_v[j - 1], zero[pattern.partner[near]])
+    gram[near] += left + right
+    gram[pattern.stage_ptr[1:] - 1] += _products(zero, zero)
+    return gram
 
 
 def _adjoint_times(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -463,11 +477,16 @@ class ProjectorAccumulator:
         """Factor the whole schedule (or its first `stages` entries), once.
 
         Raises ValueError when this accumulator has run before or was
-        restored by from_factors.
+        restored by from_factors, or when stages is not an integer from 0
+        to the schedule's length.
         """
         if self.factors is not None:
             raise ValueError("an accumulator runs once; its stages are already factored")
         target = len(self.schedule) if stages is None else stages
+        if not (isinstance(target, (int, np.integer)) and 0 <= target <= len(self.schedule)):
+            raise ValueError(
+                f"stages must be an integer from 0 to {len(self.schedule)}, got {stages!r}"
+            )
         store = np.empty(factor_count(self.slice_ptr, target), dtype=complex)
         self.factors = store[:0]
         # the slices that hold one of the first `target` stages, in order

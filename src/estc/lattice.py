@@ -50,10 +50,13 @@ SHIFTS_S13: tuple[Site, ...] = (
 SHIFT_ARRAY = np.array(SHIFTS_S13, dtype=np.int64)
 SHIFT_ARRAY.setflags(write=False)
 
-# all differences s - s2 of stencil shifts: support of the row overlaps
-_COUPLING_DIFFS = frozenset(
-    tuple(a - b for a, b in zip(s, s2)) for s in SHIFTS_S13 for s2 in SHIFTS_S13
-)
+# every difference s - t of two stencil shifts, the support of the row
+# overlaps: the zero shift, the twelve field shifts in SHIFTS_S13 order (the
+# negative of shift j is shift 13 - j), then the 56 other differences of two
+# field shifts, in lexicographic order
+_FIELD_DIFFS = {tuple(a - b for a, b in zip(s, t)) for s in SHIFTS_S13[1:] for t in SHIFTS_S13[1:]}
+COUPLING_DIFFS = np.array(SHIFTS_S13 + tuple(sorted(_FIELD_DIFFS - {SHIFTS_S13[0]})), dtype=np.int64)
+COUPLING_DIFFS.setflags(write=False)
 
 
 def g4d(s: Site) -> int:
@@ -77,11 +80,10 @@ def site_add(a: Site, b: Site) -> Site:
 def couples(m: Site, n: Site) -> bool:
     """True when the rows at m and n can share a column.
 
-    That happens exactly when n - m is a difference of two stencil shifts;
-    every such difference has g4d at most 2.
+    That happens exactly when n - m is a difference of two stencil shifts,
+    a row of COUPLING_DIFFS; every such difference has g4d at most 2.
     """
-    d = site_sub(n, m)
-    return g4d(d) <= 2 and d in _COUPLING_DIFFS
+    return bool((COUPLING_DIFFS == site_sub(n, m)).all(axis=1).any())
 
 
 @dataclass(frozen=True)
@@ -167,58 +169,36 @@ def first_rows(coords: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramPattern:
-    """Where the row Gram blocks of a schedule come from: everything but the rows.
+    """Where the row Gram blocks of a schedule sit: everything but their values.
 
-    Row k at shift s and row i at shift t share a column exactly when
-    stencil[k, s] == stencil[i, t].  Each such matched product
-    V_k[s] V_i[t]^dag with i <= k is listed in the order of the block it
-    sums into, and block j sums products first[j]:first[j + 1].  A product
-    of two field shifts is the site-independent F_s F_t^dag, entry
-    (s - 1) * 12 + t - 1 of the field-pair table.  One that involves the
-    zero shift is formed per point, as entry 144 + j, j its place in the
-    zero_* arrays, from a (12 + K, 4, 4) table of the twelve field-shift
-    matrices followed by the K rows' zero-shift matrices:
-    zero_left[j] and zero_right[j] are the table entries of its two
-    factors, s - 1 for a field shift s of either row and 12 + k for the
-    zero shift of row k.  The blocks of stage k are
-    stage_ptr[k]:stage_ptr[k + 1], and partner[b] is the other stage of
-    block b.
+    Rows k and i share a column exactly when m_i - m_k is a row of
+    COUPLING_DIFFS.  Each such pair with i <= k is one block: the blocks of
+    stage k are stage_ptr[k]:stage_ptr[k + 1], with partner[b] = i
+    ascending, so the last one is the diagonal block, and diff[b] is the
+    index of m_i - m_k in COUPLING_DIFFS.
     """
 
-    source: np.ndarray
-    first: np.ndarray
-    zero_left: np.ndarray
-    zero_right: np.ndarray
     stage_ptr: np.ndarray
     partner: np.ndarray
+    diff: np.ndarray
 
 
-def gram_pattern(stencil: np.ndarray) -> GramPattern:
-    """The matched products of a schedule, from its (K, 13) stencil of column indices.
+def gram_pattern(sites: np.ndarray) -> GramPattern:
+    """The coupled pairs of a schedule, from its (K, 4) sites in schedule order.
 
-    A column-to-stage table over the 13 shifts finds every match with
-    i <= k; sorting by (k, i), stably, puts each block's products in one
+    The partners of stage k are the scheduled sites at m_k + d, d over
+    COUPLING_DIFFS; sorting them by (k, i) lists each stage's blocks in one
     run.
     """
-    stages = len(stencil)
-    owner = np.full((stencil.max() + 1, 13), -1, dtype=np.intp)
-    owner[stencil, np.arange(13)] = np.arange(stages)[:, None]
-    partner = owner[stencil]
-    k, s, t = np.nonzero((partner >= 0) & (partner <= np.arange(stages)[:, None, None]))
-    i = partner[k, s, t]
-    key = k * stages + i
-    order = np.argsort(key, kind="stable")
-    k, s, t, i, key = k[order], s[order], t[order], i[order], key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    zero = (s == 0) | (t == 0)
-    source = np.where(zero, 144 + np.cumsum(zero) - 1, (s - 1) * 12 + t - 1)
+    stages = len(sites)
+    found = locate(sites, sites[:, None, :] + COUPLING_DIFFS)
+    k, d = np.nonzero((found >= 0) & (found <= np.arange(stages)[:, None]))
+    i = found[k, d]
+    order = np.argsort(k * stages + i, kind="stable")
     pattern = GramPattern(
-        source=source,
-        first=first,
-        zero_left=np.where(s == 0, 12 + k, s - 1)[zero],
-        zero_right=np.where(t == 0, 12 + i, t - 1)[zero],
-        stage_ptr=np.searchsorted(key[first] // stages, np.arange(stages + 1)),
-        partner=key[first] % stages,
+        stage_ptr=np.searchsorted(k, np.arange(stages + 1)),
+        partner=i[order],
+        diff=d[order],
     )
     for array in vars(pattern).values():
         array.setflags(write=False)
@@ -242,10 +222,9 @@ class WindowTable:
     projection sums its K * 13 stencil terms into the window sites in one
     sorted reduction: scatter_order sorts the flat stencil, stably, and
     the run starting at scatter_first[j] holds the terms of window site
-    scatter_sites[j].  pattern is the row Gram's pattern of matched
-    products, built on first use: an accumulator that only applies
-    restored factors never needs it.  The arrays are read-only: every
-    caller shares them.
+    scatter_sites[j].  pattern is the block pattern of the row Gram, built
+    on first use: an accumulator that only applies restored factors never
+    needs it.  The arrays are read-only: every caller shares them.
     """
 
     sites: tuple[Site, ...]
@@ -262,7 +241,7 @@ class WindowTable:
 
     @cached_property
     def pattern(self) -> GramPattern:
-        return gram_pattern(self.stencil)
+        return gram_pattern(self.coords[self.schedule])
 
 
 def window_table(window: Window) -> WindowTable:

@@ -165,6 +165,20 @@ def test_verify_detects_a_corrupted_factor_table(config_path, capsys, monkeypatc
     assert "FAIL factor table" in capsys.readouterr().out
 
 
+def test_verify_detects_a_corrupted_field_overlap(config_path, capsys, monkeypatch):
+    real = engine._field_tables
+
+    def corrupted(f):
+        field_v, field_overlap, field_row = real(f)
+        broken = field_overlap.copy()
+        broken[0] *= 1 + 1e-6
+        return field_v, broken, field_row
+
+    monkeypatch.setattr(engine, "_field_tables", corrupted)
+    assert cli.main(["verify", "--config", str(config_path)]) == 1
+    assert "FAIL row Gram blocks" in capsys.readouterr().out
+
+
 def test_verify_detects_a_corrupted_product_tensor(config_path, capsys, monkeypatch):
     broken = dirac_basis._PROD.copy()
     broken[3 ^ 5, 3, 5] = -broken[3 ^ 5, 3, 5]

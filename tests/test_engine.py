@@ -419,14 +419,14 @@ def test_second_accumulator_reuses_the_window_tables():
     stencil = [[points.index(site_add(m, s)) for s in SHIFTS_S13] for m in second.schedule]
     table = lattice.window_table(window)
     assert table.stencil.tolist() == stencil
-    pattern = lattice.gram_pattern(np.array(stencil))
+    pattern = lattice.gram_pattern(np.array(second.schedule))
     gram = second.gram
     cached = table.pattern
     assert np.array_equal(cached.stage_ptr, pattern.stage_ptr)
     assert np.array_equal(cached.partner, pattern.partner)
     assert gram.tobytes() == first.gram.tobytes()
     assert second._table.pattern is cached
-    for array in (*vars(cached).values(), second.tables.field_pairs, second.tables.field_v):
+    for array in (*vars(cached).values(), second.tables.field_overlap, second.tables.field_v):
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
 
@@ -436,16 +436,16 @@ def test_second_point_on_a_field_shares_its_field_tables():
     first = ProjectorAccumulator(FIELD, PARAMS, window)
     moved = DimensionlessParams(-0.2, 0.05, 0.1, 0.3, omega=PARAMS.omega)
     second = ProjectorAccumulator(FIELD, moved, window)
-    assert second.tables.field_pairs is first.tables.field_pairs
+    assert second.tables.field_overlap is first.tables.field_overlap
     # the zero-shift rows still follow q
     assert not np.array_equal(second._zero, first._zero)
     # the field-shift matrices do not
     assert second.tables.field_v is first.tables.field_v
     # a field equal to FIELD but built anew shares them too
     again = FieldConfig(FIELD.a.copy(), FIELD.b.copy())
-    assert FieldTables(again, moved).field_pairs is first.tables.field_pairs
+    assert FieldTables(again, moved).field_overlap is first.tables.field_overlap
     other = FieldConfig.from_amplitudes({"a_12": 0.05})
-    assert FieldTables(other, moved).field_pairs is not first.tables.field_pairs
+    assert FieldTables(other, moved).field_overlap is not first.tables.field_overlap
 
 
 def test_library_point_makes_no_per_site_calls(monkeypatch):
@@ -538,6 +538,17 @@ def test_a_run_happens_once(tmp_path):
                 built.run(stages)
             assert built.factors.tobytes() == factors
             assert np.array_equal(built.rconds, rconds)
+
+
+def test_run_takes_a_stage_count_within_the_schedule():
+    cfg = parse_config(SAMPLE_CONFIG.read_text())
+    window = Window(2, cfg.n_ref)
+    stages = len(lattice.make_schedule(window))
+    for bad in (-1, stages + 1, 20, 2.0):
+        with pytest.raises(ValueError, match="stages must be an integer"):
+            ProjectorAccumulator(cfg.field, cfg.params, window).run(bad)
+    assert ProjectorAccumulator(cfg.field, cfg.params, window).run(0).stages_done == 0
+    assert ProjectorAccumulator(cfg.field, cfg.params, window).run(stages).stages_done == stages
 
 
 def test_random_configurations_keep_the_invariants():

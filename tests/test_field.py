@@ -27,7 +27,7 @@ from estc import (
     validate,
     w_vector,
 )
-from estc import Window
+from estc import ProjectorAccumulator, Window, lattice
 from estc.engine import build_row_gram
 from estc.field import CONSTRAINED_COMPONENTS, FREE_COMPONENTS, zero_shift_dsets
 from estc.lattice import gram_pattern, make_schedule
@@ -221,11 +221,8 @@ def test_table_overlaps_match_the_brute_column_scan(seed):
     picked = [m] + [near[i] for i in rng.integers(0, len(near), size=6)] + far
     schedule = list(dict.fromkeys(picked))
     k = len(schedule)
-    columns = sorted({site_add(n, s) for n in schedule for s in SHIFTS_S13})
-    index = {site: j for j, site in enumerate(columns)}
-    stencil = np.array([[index[site_add(n, s)] for s in SHIFTS_S13] for n in schedule])
     tables = FieldTables(f, p)
-    pattern = gram_pattern(stencil)
+    pattern = gram_pattern(np.array(schedule))
     blocks = build_row_gram(tables, tables.zero_shift(schedule), pattern)
     assert pattern.stage_ptr[0] == 0 and pattern.stage_ptr[k] == len(blocks)
     for a, x in enumerate(schedule):
@@ -250,10 +247,10 @@ def per_site_rows(sites, f, p):
 def all_pairs_row_gram(rows, stencil):
     """The row Gram blocks with every matched product formed from the rows.
 
-    The reference for the field-pair table and the zero-shift table: one
-    einsum over all matches V_k[s] V_i[t]^dag with i <= k of the per-site
-    stack rows, in (k, s, t) order, then a stable sort by (k, i) and a sum
-    over each run.
+    The reference for the closed form of build_row_gram: one einsum over
+    all matches V_k[s] V_i[t]^dag with i <= k of the per-site stack rows,
+    in (k, s, t) order, then a stable sort by (k, i) and a sum over each
+    run.
     """
     stages = len(stencil)
     owner = np.full((stencil.max() + 1, 13), -1, dtype=np.intp)
@@ -272,14 +269,14 @@ def all_pairs_row_gram(rows, stencil):
 
 
 @pytest.mark.parametrize("radius, center", [(2, (0, 0, 0, 0)), (3, (1, 0, -1, 2))])
-def test_row_gram_from_the_field_pair_table_is_the_all_pairs_sum(radius, center):
+def test_row_gram_in_closed_form_is_the_all_pairs_sum(radius, center):
     rng = np.random.default_rng(radius)
     window = Window(radius, center)
     schedule = make_schedule(window)
     points = window.points()
     index = {site: j for j, site in enumerate(points)}
     stencil = np.array([[index[site_add(n, s)] for s in SHIFTS_S13] for n in schedule])
-    pattern = gram_pattern(stencil)
+    pattern = gram_pattern(np.array(schedule))
     for _ in range(3):
         f, p = random_field(rng), random_params(rng)
         tables = FieldTables(f, p)
@@ -287,11 +284,45 @@ def test_row_gram_from_the_field_pair_table_is_the_all_pairs_sum(radius, center)
         stage_ptr, partner, blocks = all_pairs_row_gram(per_site_rows(schedule, f, p), stencil)
         assert np.array_equal(pattern.stage_ptr, stage_ptr)
         assert np.array_equal(pattern.partner, partner)
-        # the same products summed in the same order: equal to the last bit
-        assert gram.tobytes() == blocks.tobytes()
+        # the same products, summed in another order: equal to a few rounding steps
+        eps = np.finfo(float).eps
+        assert np.abs(gram - blocks).max() <= 4 * eps * np.abs(blocks).max()
         owner = np.repeat(np.arange(len(schedule)), np.diff(pattern.stage_ptr))
         for k, i, block in zip(owner, pattern.partner, gram):
             assert np.abs(block - n_overlap(schedule[k], schedule[i], f, p)).max() < 1e-13
+
+
+def test_field_overlap_of_the_zero_difference_is_the_intensity():
+    # C_0 = sum_s F_s F_s^dag is the I_A of l_matrix's closed form times the identity
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        f = random_field(rng)
+        intensity = field_intensity(f)
+        c0 = FieldTables(f, DimensionlessParams()).field_overlap[0]
+        assert np.abs(c0 - intensity * np.eye(4)).max() <= 1e-14 * intensity
+
+
+def test_field_overlap_vanishes_on_the_field_shifts():
+    # two field shifts never differ by a field shift: their time steps are +-1 each
+    overlap = FieldTables(FIELD, PARAMS).field_overlap
+    assert overlap.shape == (69, 4, 4)
+    assert not overlap[1:13].any()
+
+
+def test_row_gram_off_the_near_differences_is_the_field_overlap():
+    # only the zero-shift blocks carry q, and they enter the blocks with d = 0..12 alone;
+    # a field with every wave present, so that no F_s vanishes
+    f = random_field(np.random.default_rng(5))
+    window = Window(3, (1, 0, -1, 2))
+    moved = DimensionlessParams(-0.2, 0.05, 0.1, 0.3, omega=PARAMS.omega)
+    first, second = (ProjectorAccumulator(f, p, window) for p in (PARAMS, moved))
+    diff = lattice.window_table(window).pattern.diff
+    overlap = first.tables.field_overlap
+    far = diff >= 13
+    assert far.any() and (~far).any()
+    for acc in (first, second):
+        assert acc.gram[far].tobytes() == overlap[diff[far]].tobytes()
+    assert (first.gram[~far] != second.gram[~far]).any(axis=(1, 2)).all()
 
 
 def test_table_rows_are_the_per_site_coupling_stack():

@@ -102,6 +102,17 @@ def test_couples_matches_the_brute_column_scan():
         assert couples(m, n) == shared, d
 
 
+def test_coupling_diffs_lead_with_the_stencil_then_the_other_differences():
+    diffs = lattice.COUPLING_DIFFS
+    assert diffs.shape == (69, 4) and diffs.dtype == np.int64
+    assert not diffs.flags.writeable
+    assert [tuple(d) for d in diffs[:13].tolist()] == list(FROZEN_SHIFTS)
+    # the negative of field shift j is field shift 13 - j
+    assert np.array_equal(diffs[13 - np.arange(1, 13)], -diffs[1:13])
+    every = {site_sub(s, t) for s in FROZEN_SHIFTS for t in FROZEN_SHIFTS}
+    assert {tuple(d) for d in diffs.tolist()} == every and len(every) == 69
+
+
 def test_couples_is_symmetric_and_translation_invariant():
     rng = np.random.default_rng(0)
     for _ in range(200):
