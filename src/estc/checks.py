@@ -2,7 +2,9 @@
 
 Every check compares a fast-path computation against an independently
 rebuilt dense reference; the projector's reference is an SVD of the dense
-row coefficients, which shares no factorization with the engine.  Basis
+row coefficients, which shares no factorization with the engine.  Its stage
+lines read off one Gram Phi Phi^dag, Phi = R^-1 V, with no dense P;
+"idempotent" is the spectral norm of rho_k^2 - rho_k.  Basis
 tables are cross-checked against matrices reconstructed from scratch, so a
 corrupted product or factor table is caught even when both fast paths
 agree with each other.
@@ -168,36 +170,32 @@ def check_projector(cfg: RunConfig, report: RunReport) -> None:
         1e-13,
     )
 
+    # every stage line reads off the blocks B_kj = Phi_k Phi_j^dag of one Gram Phi Phi^dag:
+    # rho_k is idempotent with trace 4 iff B_kk = I, and rho_k rho_j = 0 iff B_kj = 0
     phi = acc.solve_lower(v)
-    worst_herm = 0.0
-    worst_idem = 0.0
-    worst_trace = 0.0
-    dense = np.zeros((phi.shape[1], phi.shape[1]), dtype=complex)
-    for k in range(stages):
-        row = phi[4 * k : 4 * k + 4]
-        block = row.conj().T @ row
-        worst_herm = max(worst_herm, float(np.abs(block - block.conj().T).max()))
-        worst_idem = max(worst_idem, float(np.abs(block @ block - block).max()))
-        worst_trace = max(worst_trace, float(abs(np.trace(block).real - 4.0)))
-        dense += block
-    report.add("stage blocks are Hermitian", worst_herm, 1e-8)
-    report.add("stage blocks are idempotent", worst_idem, 1e-8)
-    report.add("stage blocks have trace 4", worst_trace, 1e-8)
+    blocks = (phi @ phi.conj().T).reshape(stages, 4, stages, 4)
+    diagonal = blocks[np.arange(stages), :, np.arange(stages)]
+    herm = np.abs(diagonal - diagonal.conj().transpose(0, 2, 1)).max()
+    report.add("stage blocks are Hermitian", float(herm), 1e-8)
+    # rho_k^2 - rho_k = Phi_k^dag (B_kk - I) Phi_k: its spectral norm is the largest
+    # |e (1 + e)| over the eigenvalues e of B_kk - I
+    e = np.linalg.eigvalsh(diagonal - np.eye(4))
+    report.add("stage blocks are idempotent", float(np.abs(e * (1 + e)).max()), 1e-8)
+    traces = np.trace(diagonal, axis1=1, axis2=2).real
+    report.add("stage blocks have trace 4", float(np.abs(traces - 4.0).max()), 1e-8)
 
-    cross = (phi @ phi.conj().T).reshape(stages, 4, stages, 4)
-    cross[np.arange(stages), :, np.arange(stages)] = 0.0
-    report.add("distinct stage blocks are mutually orthogonal", float(np.abs(cross).max()), 1e-8)
+    blocks[np.arange(stages), :, np.arange(stages)] = 0.0
+    report.add("distinct stage blocks are mutually orthogonal", float(np.abs(blocks).max()), 1e-8)
 
     report.add(
-        "projector trace equals 4 x stage count",
-        float(abs(np.trace(dense).real - 4.0 * stages)),
-        1e-6,
+        "projector trace equals 4 x stage count", float(abs(traces.sum() - 4.0 * stages)), 1e-6
     )
 
+    # P V^dag = Phi^dag (Phi V^dag): two thin products, no dense P
     bare = v.conj().T
     report.add(
         "projector absorbs every processed row",
-        float(np.abs(dense @ bare - bare).max() / np.abs(bare).max()),
+        float(np.abs(phi.conj().T @ (phi @ bare) - bare).max() / np.abs(bare).max()),
         1e-8,
     )
 
@@ -224,8 +222,9 @@ def check_projector(cfg: RunConfig, report: RunReport) -> None:
         worst / max(scale, 1e-300),
         cfg.residual_tol,
     )
+    configured = f" (configured R = {cfg.radius})" if cfg.radius > radius else ""
     report.notes.append(
-        f"projector run: radius {radius}, {stages} stages, field intensity "
+        f"projector run: radius {radius}{configured}, {stages} stages, field intensity "
         f"{field_intensity(cfg.field):.6g}"
     )
 

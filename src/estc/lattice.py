@@ -130,25 +130,18 @@ def window_size(r: int) -> int:
 def locate(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Row of each query site in the (M, 4) site array points, -1 where it is absent.
 
-    Sites are compared as integer keys over the bounding box of the
-    queries; points outside that box cannot match and are dropped first.
+    Sites are compared as 32-byte keys, the raw bytes of their int64 rows,
+    so any two int64 sites compare, however far apart.
     """
-    flat = queries.reshape(-1, 4)
-    out = np.full(len(flat), -1, dtype=np.intp)
-    if len(flat):
-        axes = np.ascontiguousarray(flat.T)  # reduced far faster than flat along axis 0
-        low, high = axes.min(axis=1), axes.max(axis=1)
-        inside = np.flatnonzero(((points >= low) & (points <= high)).all(axis=1))
-        dims = tuple(high - low + 1)
-        keys = np.ravel_multi_index(tuple((points[inside] - low).T), dims)
-        wanted = np.ravel_multi_index(tuple((flat - low).T), dims)
-        # keys are unique; the stable sort is the one the schedule and the Gram
-        # pattern use, so no second sort routine's code is paged in
+    keys = np.ascontiguousarray(points, dtype=np.int64).view("V32").ravel()
+    wanted = np.ascontiguousarray(queries, dtype=np.int64).reshape(-1, 4).view("V32").ravel()
+    out = np.full(len(wanted), -1, dtype=np.intp)
+    if len(wanted) and len(keys):
+        # stable, so a site listed twice in points resolves to its first row
         order = np.argsort(keys, kind="stable")
-        at = np.searchsorted(keys, wanted, sorter=order)
-        hit = at < len(keys)
-        hit[hit] = keys[order[at[hit]]] == wanted[hit]
-        out[hit] = inside[order[at[hit]]]
+        at = np.minimum(np.searchsorted(keys, wanted, sorter=order), len(keys) - 1)
+        hit = keys[order[at]] == wanted
+        out[hit] = order[at[hit]]
     return out.reshape(queries.shape[:-1])
 
 

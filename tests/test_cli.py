@@ -157,6 +157,17 @@ def test_verify_passes_on_a_sound_configuration(config_path, capsys):
     assert "FAIL" not in text
 
 
+@pytest.mark.parametrize("radius", [3, 5])
+def test_verify_checks_the_projector_at_radius_3_past_it(tmp_path, capsys, radius):
+    config = tmp_path / "run.cfg"
+    config.write_text(GOOD.replace("R = 2", f"R = {radius}"))
+    assert cli.main(["verify", "--config", str(config)]) == 0
+    text = capsys.readouterr().out
+    assert "FAIL" not in text
+    configured = f" (configured R = {radius})" if radius > 3 else ""
+    assert f"  projector run: radius 3{configured}, 69 stages, " in text
+
+
 def test_verify_detects_a_corrupted_factor_table(config_path, capsys, monkeypatch):
     broken = dirac_basis.FACTOR_TABLE.copy()
     broken[3, 5] = -broken[3, 5]
@@ -177,6 +188,31 @@ def test_verify_detects_a_corrupted_field_overlap(config_path, capsys, monkeypat
     monkeypatch.setattr(engine, "_field_tables", corrupted)
     assert cli.main(["verify", "--config", str(config_path)]) == 1
     assert "FAIL row Gram blocks" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+@pytest.mark.parametrize(
+    "part, line",
+    [(0, "FAIL stage blocks are idempotent"),
+     (1, "FAIL distinct stage blocks are mutually orthogonal")],
+    ids=["W_t", "band"],
+)
+def test_verify_detects_a_corrupted_factor_store(tmp_path, capsys, monkeypatch, part, line, radius):
+    real = engine.ProjectorAccumulator.run
+
+    def corrupted(self, stages=None):
+        real(self, stages)
+        # a relative error of 1e-6 in the largest stored entry of packed W_t or of a band
+        arrays = [factors[part] for factors in self.slice_factors()]  # views of the store
+        array = max(arrays, key=lambda array: np.abs(array).max(initial=0.0))
+        array[np.unravel_index(np.abs(array).argmax(), array.shape)] *= 1 + 1e-6
+        return self
+
+    monkeypatch.setattr(engine.ProjectorAccumulator, "run", corrupted)
+    config = tmp_path / "run.cfg"
+    config.write_text(GOOD.replace("R = 2", f"R = {radius}"))
+    assert cli.main(["verify", "--config", str(config)]) == 1
+    assert line in capsys.readouterr().out
 
 
 def test_verify_detects_a_corrupted_product_tensor(config_path, capsys, monkeypatch):

@@ -241,6 +241,17 @@ def test_residual_table_matches_the_dense_rows():
     assert residual_table(c, FieldTables(FIELD, PARAMS), []) == []
 
 
+def test_residual_table_takes_sites_far_apart():
+    tables = FieldTables(FIELD, PARAMS)
+    near, far = (0, 0, 0, 0), (2**20,) * 4
+    c = random_multispinor(Window(2).points() + Window(2, far).points(), 17)
+    got = residual_table(c, tables, [near, far])
+    assert [n for n, _ in got] == [near, far]
+    alone = [residual_table(c, tables, [n])[0][1] for n in (near, far)]
+    assert [value for _, value in got] == pytest.approx(alone, rel=1e-12)
+    assert min(alone) > 0
+
+
 def test_residual_table_reads_sites_outside_the_window_and_missing_sites():
     tables = FieldTables(FIELD, PARAMS)
     rows = Window(2).points()

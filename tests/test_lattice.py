@@ -265,12 +265,17 @@ def test_locate_matches_a_dict_lookup():
     rng = np.random.default_rng(3)
     points = np.unique(rng.integers(-3, 4, size=(60, 4)), axis=0)
     rng.shuffle(points)
-    index = {tuple(p): i for i, p in enumerate(points.tolist())}
     queries = rng.integers(-4, 5, size=(7, 9, 4))
-    got = lattice.locate(points, queries)
-    assert got.shape == (7, 9)
-    expected = [[index.get(tuple(q), -1) for q in row] for row in queries.tolist()]
-    assert got.tolist() == expected
-    assert (got >= 0).any() and (got == -1).any()
-    assert lattice.locate(points[:0], queries).tolist() == [[-1] * 9] * 7
-    assert lattice.locate(points, queries[:0]).shape == (0, 9)
+    # the same lookup with about half the points and queries 2**40 away on every axis
+    far = points + 2**40 * rng.integers(0, 2, size=(len(points), 1))
+    far_queries = queries + 2**40 * rng.integers(0, 2, size=(7, 9, 1))
+    far_queries[0, :3] = far[:3]
+    for points, queries in ((points, queries), (far, far_queries)):
+        index = {tuple(p): i for i, p in enumerate(points.tolist())}
+        got = lattice.locate(points, queries)
+        assert got.shape == (7, 9)
+        expected = [[index.get(tuple(q), -1) for q in row] for row in queries.tolist()]
+        assert got.tolist() == expected
+        assert (got >= 0).any() and (got == -1).any()
+        assert lattice.locate(points[:0], queries).tolist() == [[-1] * 9] * 7
+        assert lattice.locate(points, queries[:0]).shape == (0, 9)
