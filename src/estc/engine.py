@@ -34,10 +34,10 @@ error of the window.
 Only the zero-shift block V(n, 0) depends on q, through w = q + Omega n,
 so a point at new q pays only for it.  Per window (radius, center), built
 once per process and shared read-only, lattice.window_table holds the
-sites, the (N, 13) neighbor table, the schedule and its stencil, the
-slice bounds, the coverage of the stencils, the projection's scatter order
-and, built on first use, the Gram pattern: the coupled pairs of stages and
-the site difference of each.  Per field, likewise: the twelve field-shift
+sites, the schedule and the stencil of each scheduled site, the slice
+bounds, the coverage of the stencils, the projection's scatter order and,
+built on first use, the Gram pattern: the coupled pairs of stages and the
+site difference of each.  Per field, likewise: the twelve field-shift
 matrices F_s and, per site difference d, their overlap C_d, the sum of
 F_s F_t^dag over the pairs with s - t = d.  The row overlap of two stages
 is C_d plus the few products that involve their zero-shift matrices, so a
@@ -273,8 +273,10 @@ class ProjectorAccumulator:
 
     The slices are the runs of equal n4 in the time-major schedule, slice t
     holding stages slice_ptr[t]:slice_ptr[t + 1].  Slice t is factored in
-    one step: its row Gram blocks are scattered into dense G_tt and the
-    band G_t,t-1, G_t,t-2; the band blocks of the factor are
+    one step: its row Gram blocks are scattered into the block-lower part
+    of dense G_tt and the band G_t,t-1, G_t,t-2 (each step reads only lower
+    and diagonal blocks, so the upper half of G_tt is never filled); the
+    band blocks of the factor are
     R_tj = (G_tj - sum_{i<j} R_ti R_ji^dag) W_j^dag with W_j = R_jj^-1;
     the Schur complement S_t = G_tt - sum_j R_tj R_tj^dag is factored by one
     Cholesky, S_t = R_tt R_tt^dag.  Blocks further than two slices away
@@ -377,21 +379,19 @@ class ProjectorAccumulator:
     def _gram_panel(self, low: int, start: int, stop: int) -> np.ndarray:
         """Rows start:stop of G over columns low:stop, dense, as (4(stop - start), 4(stop - low)).
 
-        The diagonal part G[start:stop, start:stop] is filled in full: its
-        strictly lower blocks are mirrored to the upper half.
+        Only the blocks on and below the block diagonal are filled; the
+        strictly upper blocks of the diagonal part G[start:stop, start:stop]
+        stay zero.  Nothing reads them: the Cholesky reads the lower
+        triangle, and the pivot checks and the asymmetry read lower and
+        diagonal blocks.
         """
         pattern = self._table.pattern
         span = slice(pattern.stage_ptr[start], pattern.stage_ptr[stop])
         rows = np.repeat(np.arange(stop - start), np.diff(pattern.stage_ptr[start : stop + 1]))
         cols = pattern.partner[span] - low
-        blocks = self.gram[span]
-        offset = start - low
         # laid out as (row stage, 4, column stage, 4), so the dense panel is a view
         panel = np.zeros((stop - start, 4, stop - low, 4), dtype=complex)
-        panel[rows, :, cols] = blocks
-        mirror = (cols >= offset) & (cols - offset < rows)
-        mirrored = blocks[mirror].conj().transpose(0, 2, 1)
-        panel[cols[mirror] - offset, :, rows[mirror] + offset] = mirrored
+        panel[rows, :, cols] = self.gram[span]
         return panel.reshape(4 * (stop - start), 4 * (stop - low))
 
     def _factor_slice(self, t: int, stop: int, store: np.ndarray) -> None:
@@ -405,7 +405,7 @@ class ProjectorAccumulator:
         start, low = ptr[t], ptr[max(t - 2, 0)]
         panel = self._gram_panel(low, start, stop)
         width = 4 * (start - low)
-        band = panel[:, :width].copy()
+        band = panel[:, :width]  # a view: the panel's band columns are not read again
         second = 4 * (ptr[t - 1] - low) if t else 0  # columns of slice t - 2
         slices = self._slices
         if t >= 2:

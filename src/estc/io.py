@@ -40,7 +40,7 @@ from .engine import (
     unpack_lower,
 )
 from .errors import ConfigError
-from .lattice import MAX_COORDINATE, Site, Window, first_rows, g4d, make_schedule, site_sub, window_table
+from .lattice import MAX_COORDINATE, Site, Window, g4d, locate, make_schedule, site_sub, window_table
 from .multispinor import Multispinor
 
 OPERATOR_FORMAT = "estc-operator-v4"
@@ -222,7 +222,7 @@ def read_solution(path: str | Path, cfg: RunConfig | None = None) -> Multispinor
         if not _numbers(flat, 8, (int, float)):
             raise ConfigError(f"amplitudes at solution site {site} are not eight finite numbers")
     coords = np.array(sites, dtype=np.int64).reshape(-1, 4)
-    repeated = np.flatnonzero(first_rows(coords) != np.arange(len(coords)))
+    repeated = np.flatnonzero(locate(coords, coords) != np.arange(len(coords)))
     if repeated.size:
         raise ConfigError(f"solution site {sites[repeated[0]]} is listed twice")
     values = np.array(amplitudes, dtype=float).reshape(-1, 8).view(complex)

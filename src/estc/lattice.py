@@ -6,11 +6,12 @@ coupling range of a site is measured by g4d, the larger of the spatial
 involves only the 13 sites n + s with s in the stencil: the zero shift and
 twelve unit shifts mixing one spatial axis with the time axis.
 
-Inside the library a set of sites is one (N, 4) int64 array.  Everything
-that depends on a window alone, its sites, neighbor table, time-major
-schedule, stencil, slices, coverage, scatter order and Gram pattern, is
-one read-only WindowTable, built once per (radius, center); site tuples
-are handed out only at the edges (Window.points, make_schedule).
+Inside the library a set of sites is one (N, 4) int64 array, and locate
+is the one way to match sites.  Everything that depends on a window
+alone, its sites, time-major schedule, the stencil of each scheduled
+site, slices, coverage, scatter order and Gram pattern, is one read-only
+WindowTable, built from arrays once per (radius, center); site tuples are
+handed out only at the edges (Window.points, make_schedule).
 """
 
 from __future__ import annotations
@@ -86,22 +87,34 @@ def couples(m: Site, n: Site) -> bool:
     return bool((COUPLING_DIFFS == site_sub(n, m)).all(axis=1).any())
 
 
+def _integer(x) -> bool:
+    """x is a Python or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Window:
     """Truncation window: sites with g4d(n - center) <= radius.
 
-    The center must itself be a lattice site so membership respects the
-    parity constraint.
+    The radius is a nonnegative integer.  The center must be four integers
+    within +-MAX_COORDINATE, held as a tuple of ints, and itself a lattice
+    site so membership respects the parity constraint.
     """
 
     radius: int
     center: Site = (0, 0, 0, 0)
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError(f"window radius must be nonnegative, got {self.radius}")
-        if not in_lattice(self.center):
+        if not _integer(self.radius) or self.radius < 0:
+            raise ValueError(f"window radius must be a nonnegative integer, not {self.radius!r}")
+        center = tuple(self.center) if isinstance(self.center, (tuple, list)) else ()
+        if len(center) != 4 or not all(_integer(n) and abs(int(n)) <= MAX_COORDINATE for n in center):
+            raise ValueError(f"window center must be four integers within +-2**62, not {self.center!r}")
+        if not in_lattice(center):
             raise ValueError(f"window center {self.center} has odd coordinate sum")
+        # plain ints, so that equal windows share one cached table
+        object.__setattr__(self, "radius", int(self.radius))
+        object.__setattr__(self, "center", tuple(map(int, center)))
 
     def __contains__(self, n: Site) -> bool:
         return in_lattice(n) and g4d(site_sub(n, self.center)) <= self.radius
@@ -143,21 +156,6 @@ def locate(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
         hit = keys[order[at]] == wanted
         out[hit] = order[at[hit]]
     return out.reshape(queries.shape[:-1])
-
-
-def first_rows(coords: np.ndarray) -> np.ndarray:
-    """For each row of an (N, 4) site array, the first row that holds the same site.
-
-    first_rows(coords)[i] == i exactly where site i is not repeated from an
-    earlier row.  One lexicographic sort, so any int64 sites compare.
-    """
-    order = np.lexsort(coords.T[::-1])  # stable: equal sites keep their row order
-    ordered = coords[order]
-    new = np.ones(len(coords), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    out = np.empty(len(coords), dtype=np.intp)
-    out[order] = order[new][np.cumsum(new) - 1]
-    return out
 
 
 @dataclass(frozen=True)
@@ -204,10 +202,10 @@ class WindowTable:
 
     sites are the window points in window order, as 4-tuples for the
     edges that name single sites, and coords the same points as an (N, 4)
-    int64 array.  neighbors[i, s] is the window index of
-    coords[i] + SHIFTS_S13[s], -1 outside the window.  schedule lists the
-    window indices of make_schedule's sites in its order, and
-    stencil[k, s] = neighbors[schedule[k], s] the columns of stage k.
+    int64 array.  schedule lists the window indices of make_schedule's
+    sites in its order, and stencil[k, s], the window index of
+    coords[schedule[k]] + SHIFTS_S13[s], the columns of stage k; every
+    scheduled site is interior, so its stencil lies in the window.
     The schedule is time-major: slice t of equal n4 is stages
     slice_ptr[t]:slice_ptr[t + 1].  first_cover[j] is the first stage whose
     stencil reaches window site j (K where none does) and support[k]
@@ -222,7 +220,6 @@ class WindowTable:
 
     sites: tuple[Site, ...]
     coords: np.ndarray
-    neighbors: np.ndarray
     schedule: np.ndarray
     stencil: np.ndarray
     slice_ptr: np.ndarray
@@ -244,32 +241,26 @@ def window_table(window: Window) -> WindowTable:
 
 @lru_cache(maxsize=8)
 def _window_table(radius: int, center: Site) -> WindowTable:
-    sites = []
-    r = radius
-    for n1 in range(-r, r + 1):
-        for n2 in range(-r + abs(n1), r - abs(n1) + 1):
-            for n3 in range(-r + abs(n1) + abs(n2), r - abs(n1) - abs(n2) + 1):
-                for n4 in range(-r, r + 1):
-                    n = (center[0] + n1, center[1] + n2, center[2] + n3, center[3] + n4)
-                    if in_lattice(n):
-                        sites.append(n)
-    sites.sort(key=lambda n: (g4d(site_sub(n, center)), n))
-    coords = np.array(sites, dtype=np.int64).reshape(-1, 4)
-    neighbors = locate(coords, coords[:, None, :] + SHIFT_ARRAY)
+    # the offsets of the (2r + 1)^4 box with g4d <= r and even sum, by g4d then lexicographically
+    offsets = np.indices((2 * radius + 1,) * 4, dtype=np.int64).reshape(4, -1)
+    offsets -= radius
+    g = np.maximum(np.abs(offsets[:3]).sum(axis=0), np.abs(offsets[3]))
+    keep = np.flatnonzero((g <= radius) & (offsets.sum(axis=0) % 2 == 0))
+    keep = keep[np.lexsort((*offsets[::-1, keep], g[keep]))]
+    coords = offsets[:, keep].T + np.array(center, dtype=np.int64)
     # the interior is the leading window_size(radius - 1) points; the schedule is time-major
     schedule = np.argsort(coords[: window_size(radius - 1), 3], kind="stable")
     n4 = coords[schedule, 3]
-    stencil = neighbors[schedule]
+    stencil = locate(coords, coords[schedule, None, :] + SHIFT_ARRAY)
     stages = len(stencil)
-    first_cover = np.full(len(sites), stages)
+    first_cover = np.full(len(coords), stages)
     np.minimum.at(first_cover, stencil, np.arange(stages)[:, None])
     flat = stencil.ravel()
     order = np.argsort(flat, kind="stable")
     first = np.flatnonzero(np.diff(flat[order], prepend=-1))
     table = WindowTable(
-        sites=tuple(sites),
+        sites=tuple(map(tuple, coords.tolist())),
         coords=coords,
-        neighbors=neighbors,
         schedule=schedule,
         stencil=stencil,
         slice_ptr=np.flatnonzero(np.diff(n4, prepend=n4[:1] - 1, append=n4[-1:] + 1)),

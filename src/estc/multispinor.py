@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .lattice import Site, first_rows
+from .lattice import Site, locate
 
 _ZERO = np.zeros(4, dtype=complex)
 _ZERO.setflags(write=False)
@@ -93,8 +93,8 @@ class Multispinor:
     def __add__(self, other: "Multispinor") -> "Multispinor":
         """Sum on the sites of self, in their order, then the sites of other that self lacks."""
         n = len(self.coords)
-        rows = first_rows(np.concatenate([self.coords, other.coords]))[n:]
-        extra = np.flatnonzero(rows >= n)  # other's sites are distinct: each is its own first row
+        rows = locate(self.coords, other.coords)
+        extra = np.flatnonzero(rows < 0)
         rows[extra] = n + np.arange(len(extra))
         out = np.concatenate([self.amplitudes, np.zeros((len(extra), 4), dtype=complex)])
         out[rows] += other.amplitudes
@@ -120,7 +120,7 @@ def random_multispinor(sites: Iterable[Site], seed: int) -> Multispinor:
     coords = np.fromiter(chain.from_iterable(sites), np.int64).reshape(-1, 4)
     draws = np.random.default_rng(seed).standard_normal((len(coords), 2, 4))
     amplitudes = draws[:, 0] + 1j * draws[:, 1]
-    first = first_rows(coords)
+    first = locate(coords, coords)
     keep = np.flatnonzero(first == np.arange(len(coords)))
     if len(keep) < len(coords):
         last = np.zeros(len(coords), dtype=np.intp)

@@ -379,6 +379,26 @@ def test_dependent_mid_slice_row_trips_the_stage_guard(monkeypatch):
     assert worst < 1e-13 * c.norm()
 
 
+def test_slice_cholesky_reads_only_the_lower_triangle(monkeypatch):
+    # the slice step leaves the upper blocks of each Schur complement unfilled
+    cfg = parse_config(SAMPLE_CONFIG.read_text())
+    real_cholesky = np.linalg.cholesky
+    seen = []
+
+    def record(a, *args, **kwargs):
+        seen.append(a.copy())
+        return real_cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", record)
+    ProjectorAccumulator(cfg.field, cfg.params, Window(3, cfg.n_ref)).run()
+    monkeypatch.undo()
+    schur = seen[2]  # slice 2: both band blocks present
+    lower = np.tril(schur)
+    complete = lower + np.tril(schur, -1).conj().T
+    hidden = lower + np.triu(np.full(schur.shape, np.nan), 1)
+    assert np.array_equal(np.linalg.cholesky(hidden), np.linalg.cholesky(complete))
+
+
 def test_a_point_forms_its_zero_shift_matrices_once(monkeypatch):
     # the Gram and the apply share the accumulator's V(m_k, 0)
     real = engine.FieldTables.zero_shift

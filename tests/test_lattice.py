@@ -1,6 +1,7 @@
 """Stencil, coupling range, and window enumeration against brute scans."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -139,10 +140,12 @@ def test_window_sites_match_the_brute_scan():
 
 
 def test_window_order_is_g4d_then_lexicographic():
-    center = (0, 0, 0, 0)
-    points = Window(3, center).points()
-    keys = [(g4d(site_sub(n, center)), n) for n in points]
-    assert keys == sorted(keys)
+    # the largest center a configuration accepts: the int64 sites reach 2**62 + 2
+    for radius, center in ((3, (0, 0, 0, 0)), (2, (2**62, 0, 0, 0))):
+        points = Window(radius, center).points()
+        keys = [(g4d(site_sub(n, center)), n) for n in points]
+        assert keys == sorted(keys)
+        assert set(points) == brute_window(radius, center)
 
 
 def test_frozen_window_and_interior_sizes():
@@ -171,6 +174,24 @@ def test_window_membership_and_validation():
         Window(2, (0, 0, 0, 1))
     with pytest.raises(ValueError):
         Window(1, (0, 0, 0, 1))
+    refused = [
+        ((2, (0, 0, 0)), "center"),
+        ((2, (1.0, 1.0, 0, 0)), "center"),
+        ((2, (0, 0, 0, True)), "center"),
+        ((2, "0000"), "center"),
+        ((2, 0), "center"),
+        ((2, (2**62 + 2, 0, 0, 0)), "center"),
+        ((2, (-(2**63), 0, 0, 0)), "center"),
+        ((1.5,), "radius"),
+        ((True,), "radius"),
+        (("2",), "radius"),
+    ]
+    for args, name in refused:
+        with pytest.raises(ValueError, match=f"window {name} .*{re.escape(repr(args[-1]))}"):
+            Window(*args)
+    w = Window(np.int64(2), [0, 0, np.int64(1), 1])
+    assert w == Window(2, (0, 0, 1, 1)) and type(w.radius) is int
+    assert w.center == (0, 0, 1, 1) and all(type(n) is int for n in w.center)
 
 
 def test_interior_means_all_neighbors_inside():
@@ -221,15 +242,13 @@ def test_schedule_refuses_windows_past_the_byte_budget():
         make_schedule(Window(2**40))
 
 
-def test_window_sites_are_enumerated_once_and_copied(monkeypatch):
+def test_window_sites_are_enumerated_once_and_copied():
     first = Window(3, (1, 0, -1, 2)).points()
     first.append((9, 9, 9, 9))
-
-    def refuse(*args):
-        raise AssertionError("the window was enumerated again")
-
-    monkeypatch.setattr(lattice, "g4d", refuse)
-    again = Window(3, (1, 0, -1, 2)).points()
+    builds = lattice._window_table.cache_info().misses
+    # a list or numpy-integer center names the same window and shares its table
+    again = Window(3, [1, 0, np.int64(-1), 2]).points()
+    assert lattice._window_table.cache_info().misses == builds
     assert again == first[:-1] and again is not first
 
 
@@ -241,11 +260,10 @@ def test_layout_neighbor_table_matches_the_brute_scan(radius, center):
     assert list(layout.sites) == points
     for i, n in enumerate(points):
         assert tuple(layout.coords[i]) == n
+    for k, i in enumerate(layout.schedule):
         for s, shift in enumerate(SHIFTS_S13):
-            m = site_add(n, shift)
-            expected = points.index(m) if m in points else -1
-            assert layout.neighbors[i, s] == expected
-    assert (layout.neighbors == -1).any()
+            assert layout.stencil[k, s] == points.index(site_add(points[i], shift))
+    assert (layout.stencil >= 0).all()  # every scheduled stencil lies in the window
     interior = window.interior_points()
     assert [points[i] for i in layout.schedule] == sorted(interior, key=lambda n: n[3])
     assert make_schedule(window) == sorted(interior, key=lambda n: n[3])
@@ -255,7 +273,7 @@ def test_layout_is_cached_and_read_only():
     table = lattice.window_table(Window(3, (1, 0, -1, 2)))
     assert lattice.window_table(Window(3, (1, 0, -1, 2))) is table
     arrays = [value for value in vars(table).values() if isinstance(value, np.ndarray)]
-    assert len(arrays) == 10
+    assert len(arrays) == 9
     for array in (*arrays, lattice.SHIFT_ARRAY):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
@@ -270,8 +288,15 @@ def test_locate_matches_a_dict_lookup():
     far = points + 2**40 * rng.integers(0, 2, size=(len(points), 1))
     far_queries = queries + 2**40 * rng.integers(0, 2, size=(7, 9, 1))
     far_queries[0, :3] = far[:3]
-    for points, queries in ((points, queries), (far, far_queries)):
-        index = {tuple(p): i for i, p in enumerate(points.tolist())}
+    # the same lookup with sites listed up to three times: each resolves to its first row
+    repeated = np.concatenate([points, points[::2], points[::-3]])
+    repeated_queries = queries.copy()
+    repeated_queries[0] = repeated[-9:]
+    cases = ((points, queries), (far, far_queries), (repeated, repeated_queries))
+    for points, queries in cases:
+        index = {}
+        for i, p in enumerate(points.tolist()):
+            index.setdefault(tuple(p), i)
         got = lattice.locate(points, queries)
         assert got.shape == (7, 9)
         expected = [[index.get(tuple(q), -1) for q in row] for row in queries.tolist()]
