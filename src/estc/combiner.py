@@ -27,36 +27,37 @@ import numpy as np
 
 from .errors import DegenerateOverlap
 
+# relative singular-value floor of a restricted core, see range_restricted_pseudoinverse
+RCOND = 1e-10
 
-def range_basis(p: np.ndarray, tol: float = 0.5) -> np.ndarray:
+
+def range_basis(p: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the range of a Hermitian projector.
 
     Eigenvalues of a projector cluster at 0 and 1; columns with eigenvalue
-    above tol are the range.
+    above 1/2 are the range.
     """
     eigenvalues, vectors = np.linalg.eigh(p)
-    return vectors[:, eigenvalues > tol]
+    return vectors[:, eigenvalues > 0.5]
 
 
-def range_restricted_pseudoinverse(
-    x: np.ndarray, p: np.ndarray, rcond: float = 1e-10, scale: float = 1.0
-) -> np.ndarray:
+def range_restricted_pseudoinverse(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Inverse of Hermitian x on the range of projector p, zero elsewhere.
 
     Satisfies y @ x = x @ y = p and p @ y = y @ p = y.  Raises
     DegenerateOverlap when x is singular on the range of p; that is a
     statement about the inputs, not a numerical nuisance, so no
     regularization is attempted.  Singularity is judged against
-    max(largest core singular value, scale); the default scale of 1 is the
-    operator norm of any nonzero projector, which keeps a uniformly tiny
-    core (ranges intersecting in every direction) degenerate too.
+    max(largest core singular value, 1); 1 is the operator norm of any
+    nonzero projector, which keeps a uniformly tiny core (ranges
+    intersecting in every direction) degenerate too.
     """
     q = range_basis(p)
     if q.shape[1] == 0:
         raise DegenerateOverlap("projector has empty range")
     core = q.conj().T @ x @ q
     singular_values = np.linalg.svd(core, compute_uv=False)
-    if singular_values[-1] <= rcond * max(singular_values[0], scale):
+    if singular_values[-1] <= RCOND * max(singular_values[0], 1.0):
         raise DegenerateOverlap(
             f"restricted core is singular (smallest/largest singular value "
             f"{singular_values[-1]:.3e}/{singular_values[0]:.3e})"
@@ -64,7 +65,7 @@ def range_restricted_pseudoinverse(
     return q @ np.linalg.inv(core) @ q.conj().T
 
 
-def combine_pair(alpha: np.ndarray, beta: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
+def combine_pair(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Projector onto the joint span of two Hermitian projectors.
 
     Requires the ranges to intersect trivially; raises DegenerateOverlap
@@ -72,6 +73,6 @@ def combine_pair(alpha: np.ndarray, beta: np.ndarray, rcond: float = 1e-10) -> n
     inputs (alpha @ R = alpha, beta @ R = beta) and has trace
     tr(alpha) + tr(beta).
     """
-    gamma = range_restricted_pseudoinverse(beta - beta @ alpha @ beta, beta, rcond=rcond)
+    gamma = range_restricted_pseudoinverse(beta - beta @ alpha @ beta, beta)
     diff = beta - alpha
     return alpha + diff @ gamma @ diff

@@ -4,8 +4,11 @@ Grammar: one `key = value` per line, `#` comments, blank lines ignored.
 Keys are the dimensionless parameters (q1..q4, Omega), the window (R,
 n_ref), the seed, tolerances, and the free wave amplitudes a_jk / b_jk.
 Unknown and duplicate keys and non-finite numbers are rejected with their
-line number; amplitude keys violating transversality, and q_j or Omega
-that overflow the row Gram matrix in the window, are rejected by name.
+line number, and q_j or Omega that overflow the row Gram matrix in the
+window by name.  The rules of the values themselves live with their
+types: field.amplitude_slot reads the amplitude keys, field.validate
+checks transversality, and lattice.Window checks R and n_ref as it does
+for a library window or a dump header.
 """
 
 from __future__ import annotations
@@ -14,15 +17,9 @@ import hashlib
 import math
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import ConfigError, TransversalityViolation
-from .field import (
-    CONSTRAINED_COMPONENTS,
-    DimensionlessParams,
-    FieldConfig,
-    field_intensity,
-    validate,
-)
-from .lattice import MAX_COORDINATE, Site, in_lattice
+from .errors import ConfigError
+from .field import DimensionlessParams, FieldConfig, amplitude_slot, field_intensity, validate
+from .lattice import Site, Window
 
 _FLOAT_KEYS = ("q1", "q2", "q3", "q4", "Omega", "residual_tol", "rcond_min")
 _INT_KEYS = ("R", "seed")
@@ -68,11 +65,11 @@ def parse_config(text: str) -> RunConfig:
                 if len(parts) != 4:
                     raise ValueError("need 4 integers")
                 n_ref = tuple(int(part) for part in parts)  # type: ignore[assignment]
-            elif len(key) == 4 and key[0] in "ab" and key[1] == "_":
-                amplitudes[key] = _finite(value)
-                _check_amplitude_key(key, amplitudes[key], lineno)
             else:
-                raise ConfigError(f"unknown key {key!r}", line=lineno, key=key)
+                amplitude_slot(key)
+                amplitudes[key] = _finite(value)
+        except KeyError:
+            raise ConfigError(f"unknown key {key!r}", line=lineno, key=key) from None
         except (ValueError, OverflowError) as err:
             raise ConfigError(f"bad value for {key!r}: {err}", line=lineno, key=key) from None
     field = FieldConfig.from_amplitudes(amplitudes)
@@ -84,11 +81,11 @@ def parse_config(text: str) -> RunConfig:
     radius = int(scalars["R"])
     if radius < 1:
         raise ConfigError(f"window radius R must be >= 1, got {radius}", key="R")
-    if not in_lattice(n_ref):
-        raise ConfigError(f"n_ref {n_ref} has odd coordinate sum", key="n_ref")
     _check_gram_range(field, params, radius, n_ref)
-    if max(abs(n) for n in n_ref) > MAX_COORDINATE:
-        raise ConfigError(f"n_ref {n_ref} lies past the site range of +-2**62", key="n_ref")
+    try:
+        Window(radius, n_ref)
+    except ValueError as err:
+        raise ConfigError(f"bad value for 'n_ref': {err}", key="n_ref") from None
     if not scalars["residual_tol"] > 0 or not scalars["rcond_min"] > 0:
         raise ConfigError("tolerances must be positive")
     if scalars["seed"] < 0:
@@ -133,20 +130,6 @@ def _check_gram_range(f: FieldConfig, p: DimensionlessParams, radius: int, n_ref
             f"bad value for {key!r}: |w_{j + 1}| reaches {b[j]:.3e} in the window, "
             "so the row Gram matrix overflows", key=key,
         )
-
-
-def _check_amplitude_key(key: str, value: float, lineno: int) -> None:
-    grid, jk = key[0], key[2:]
-    if not jk.isdigit():
-        raise ConfigError(f"unknown key {key!r}", line=lineno, key=key)
-    j, k = int(jk[0]), int(jk[1])
-    if not (1 <= j <= 6 and 1 <= k <= 3):
-        raise ConfigError(
-            f"amplitude key {key!r} out of range (waves 1..6, axes 1..3)",
-            line=lineno, key=key,
-        )
-    if (j, k) in CONSTRAINED_COMPONENTS and value != 0.0:
-        raise TransversalityViolation(grid, j, k)
 
 
 def serialize_config(cfg: RunConfig) -> str:

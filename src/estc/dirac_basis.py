@@ -274,15 +274,15 @@ def dset_adjoint(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def dset_inverse(d: np.ndarray, tol: float | None = None) -> np.ndarray:
+def dset_inverse(d: np.ndarray) -> np.ndarray:
     """Coefficient set of the matrix inverse: adjugate over determinant.
 
-    tol guards the determinant; default scales with the largest coefficient.
+    The determinant must exceed 1e-12 (1 + max |d|), a guard that scales
+    with the largest coefficient.
     """
     d = np.asarray(d, dtype=complex)
     i4 = char_invariants(d).i4
-    if tol is None:
-        tol = 1e-12 * (1.0 + float(np.max(np.abs(d))))
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(d))))
     if np.any(np.abs(i4) <= tol):
         raise SingularMatrix(f"determinant magnitude at or below tolerance {tol:.3e}")
     return dset_adjoint(d) / i4[..., None]

@@ -22,6 +22,7 @@ site n:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,19 @@ _COUPLING_SLOTS: dict[Site, tuple[tuple[int, int, int], ...]] = {
 }
 
 
+# the one grammar of an amplitude key: grid a or b, wave j = 1..6, axis k = 1..3
+_AMPLITUDE_KEY = re.compile(r"([ab])_([1-6])([1-3])")
+
+
+def amplitude_slot(key: str) -> tuple[str, int, int]:
+    """(grid, j, k) of an amplitude key a_jk or b_jk; KeyError for any other key."""
+    match = _AMPLITUDE_KEY.fullmatch(key)
+    if match is None:
+        raise KeyError(f"{key!r} is not a_jk or b_jk with wave j = 1..6 and axis k = 1..3")
+    grid, j, k = match.groups()
+    return grid, int(j), int(k)
+
+
 @dataclass(frozen=True, eq=False)
 class FieldConfig:
     """Amplitude grids a[j-1, k-1], b[j-1, k-1] for waves j=1..6, axes k=1..3."""
@@ -82,12 +96,7 @@ class FieldConfig:
         b = np.zeros((6, 3))
         grids = {"a": a, "b": b}
         for key, value in amplitudes.items():
-            grid, _, jk = key.partition("_")
-            if grid not in grids or len(jk) != 2 or not jk.isdigit():
-                raise KeyError(f"unrecognized amplitude key {key!r}")
-            j, k = int(jk[0]), int(jk[1])
-            if not (1 <= j <= 6 and 1 <= k <= 3):
-                raise KeyError(f"amplitude key {key!r} out of range (j in 1..6, k in 1..3)")
+            grid, j, k = amplitude_slot(key)
             grids[grid][j - 1, k - 1] = value
         return cls(a=a, b=b)
 

@@ -9,14 +9,15 @@ file.  The factor file holds, slice by slice, the lower triangle of
 W_t = R_tt^-1 in np.tril_indices order and then the band panel
 [R_t,t-2 | R_t,t-1] row-major.  Every slice shape follows from
 make_schedule(window) and the stage count, so the reader refuses a factor
-file of any other size or digest.  The factor file is the accumulator's
-factor store byte for byte: the writer writes the store with one call, and
-the array the reader reads becomes the restored accumulator's store, and
-the dump is the only form an operator is read back from.  The JSON
-(estc-operator-dsets-v3) and CSV exports are write-only views of a dump
-that restate its factors as basis coefficients, unpacking one slice at a
-time.  Timings never enter written artifacts so identical runs produce
-identical bytes.
+file of any other size or digest.  lattice.Window checks the header's
+radius and center, as it checks every window.  The factor file is the
+accumulator's factor store byte for byte: the writer writes the store
+with one call, and the array the reader reads becomes the restored
+accumulator's store, and the dump is the only form an operator is read
+back from.  The JSON (estc-operator-dsets-v3) and CSV exports are
+write-only views of a dump that restate its factors as basis
+coefficients, unpacking one slice at a time.  Timings never enter
+written artifacts so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -58,7 +59,12 @@ def factor_path(path: str | Path) -> Path:
 
 
 def write_operator(path: str | Path, acc: ProjectorAccumulator, cfg: RunConfig) -> None:
-    """Write the factor store as the factor file, then the header with its sha256."""
+    """Write the factor store as the factor file, then the header with its sha256.
+
+    Raises ValueError, writing nothing, for an accumulator that has not run.
+    """
+    if acc.factors is None:
+        raise ValueError("an accumulator that has not run has no factors to write")
     raw = np.ascontiguousarray(acc.factors, dtype="<c16")
     factor_path(path).write_bytes(raw)
     header = {
@@ -84,17 +90,6 @@ def _read_json(path: str | Path, cfg: RunConfig | None, expected_format: str) ->
     if cfg is not None and payload.get("fingerprint") != config_fingerprint(cfg):
         raise ConfigError(f"the fingerprint of {path} does not match the configuration")
     return payload
-
-
-def _window(payload: dict) -> Window:
-    """The window of a header: a JSON integer radius and a center of four."""
-    radius, center = payload["radius"], payload["center"]
-    if type(radius) is not int or not _numbers(center, 4, int):
-        raise ConfigError(
-            f"the window radius {radius!r} and center {center!r} of an operator dump "
-            "must be an integer and four integers"
-        )
-    return Window(radius, tuple(center))
 
 
 @dataclass
@@ -129,7 +124,7 @@ def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
         fingerprint, digest = header["fingerprint"], header["sha256"]
         if not isinstance(fingerprint, str) or not isinstance(digest, str):
             raise ConfigError("the fingerprint and sha256 of an operator dump must be strings")
-        window = _window(header)
+        window = Window(header["radius"], header["center"])
         count = len(make_schedule(window))
         stages, rconds = header["stages"], header["rconds"]
         if type(stages) is not int or not 0 <= stages <= count:
@@ -154,11 +149,12 @@ def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
     return _Factors(fingerprint, window, np.array(rconds, dtype=float), data)
 
 
-def _dense_slices(factors: _Factors) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(W_t, band panel) of each stored slice, W_t unpacked one slice at a time."""
+def _slice_dsets(factors: _Factors) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """(first stage, first band stage, W_t dsets, band dsets) of each stored slice, in turn."""
     ptr = window_table(factors.window).slice_ptr
-    for packed, band in factor_slices(factors.factors, ptr, len(factors.rconds)):
-        yield unpack_lower(packed, band.shape[0]), band
+    for t, (packed, band) in enumerate(factor_slices(factors.factors, ptr, len(factors.rconds))):
+        inverse = unpack_lower(packed, band.shape[0])
+        yield ptr[t], ptr[max(t - 2, 0)], _block_dsets(inverse), _block_dsets(band)
 
 
 def _block_dsets(a: np.ndarray) -> np.ndarray:
@@ -262,10 +258,7 @@ def _stored_blocks(factors: _Factors) -> Iterator[tuple[int, int, str, np.ndarra
     The core blocks are the lower triangle of W_t, j <= k in slice t, and
     the coupling blocks the band blocks of R, j in slices t - 2 and t - 1.
     """
-    ptr = window_table(factors.window).slice_ptr
-    for t, (inverse, band) in enumerate(_dense_slices(factors)):
-        start, low = ptr[t], ptr[max(t - 2, 0)]
-        core, coupling = _block_dsets(inverse), _block_dsets(band)
+    for start, low, core, coupling in _slice_dsets(factors):
         for a in range(core.shape[0]):
             for b in range(a + 1):
                 yield start + a, start + b, "core", core[a, b]
@@ -284,9 +277,9 @@ def export_operator_json(path: str | Path, cfg: RunConfig | None = None) -> str:
     factors = _read_factors(path, cfg)
     sites = _scheduled_sites(factors.window)
     slices = []
-    for t, (inverse, band) in enumerate(_dense_slices(factors)):
-        core = _block_dsets(inverse)[np.tril_indices(inverse.shape[0] // 4)]
-        coupling = _block_dsets(band).reshape(-1, 16)
+    for t, (_, _, core, coupling) in enumerate(_slice_dsets(factors)):
+        core = core[np.tril_indices(core.shape[0])]
+        coupling = coupling.reshape(-1, 16)
         slices.append(
             {
                 "slice": t,

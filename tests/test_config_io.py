@@ -154,7 +154,7 @@ def test_error_reports_offending_line():
     with pytest.raises(ConfigError, match="float range"):
         parse_config(f"a_12 = 0.1\nn_ref = {10**400} 0 0 0")
     # sites are held as int64: a center whose window leaves that range is refused
-    with pytest.raises(ConfigError, match="site range") as err:
+    with pytest.raises(ConfigError, match=r"2\*\*62") as err:
         parse_config(f"a_12 = 0.1\nn_ref = {2**62 + 2} 0 0 0")
     assert err.value.key == "n_ref"
     assert parse_config(f"a_12 = 0.1\nn_ref = {2**62} 0 0 0").n_ref[0] == 2**62
@@ -339,6 +339,19 @@ def test_partial_operator_dump_round_trip(built, tmp_path):
         assert len(loaded.slice_factors()) == len(acc.slice_factors())
         for ours, theirs in zip(_factor_parts(loaded), _factor_parts(acc)):
             assert np.array_equal(ours, theirs)
+
+
+def test_writer_refuses_an_accumulator_that_has_not_run(built, tmp_path):
+    cfg, _, _ = built
+    path = tmp_path / "operator.json"
+    with pytest.raises(ValueError, match="has not run"):
+        write_operator(path, ProjectorAccumulator(cfg.field, cfg.params, Window(cfg.radius)), cfg)
+    assert not path.exists() and not factor_path(path).exists()
+    # a run of 0 stages is a valid, empty dump
+    acc = ProjectorAccumulator(cfg.field, cfg.params, Window(cfg.radius)).run(0)
+    write_operator(path, acc, cfg)
+    assert factor_path(path).read_bytes() == b""
+    assert read_operator(path, cfg).stages_done == 0
 
 
 def test_dump_refuses_wrong_fingerprint(built, tmp_path):
@@ -534,8 +547,10 @@ NOT_INTEGER_WINDOWS = {
     "center with a fraction and a string": ("center", [0.9, "0", 0, 0]),
     "center of floats": ("center", [0.0, 0, 0, 0]),
     "center with a boolean": ("center", [True, 0, 0, 0]),
+    "center past 2**62": ("center", [2**63, 0, 0, 0]),
     "radius a float": ("radius", 2.0),
     "radius a boolean": ("radius", True),
+    "radius negative": ("radius", -1),
 }
 
 
@@ -547,7 +562,8 @@ def test_reader_refuses_a_window_that_is_not_json_integers(built, tmp_path, case
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(header))
     factor_path(bad).write_bytes(factor_path(path).read_bytes())
-    with pytest.raises(ConfigError, match="four integers"):
+    message = "nonnegative integer" if key == "radius" else "four integers"
+    with pytest.raises(ConfigError, match=message):
         _read_factors(bad)
     with pytest.raises(ConfigError):
         read_operator(bad, cfg)
@@ -555,7 +571,56 @@ def test_reader_refuses_a_window_that_is_not_json_integers(built, tmp_path, case
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
         assert cli.main(["export", "--operator", str(bad), "--out", str(out)]) == 1
-    assert "four integers" in stderr.getvalue()
+    assert message in stderr.getvalue()
+    assert not out.exists()
+
+
+# one row per refusal of a malformed amplitude key or window: a config line
+# with the type, line and key of its refusal, or an edit of a dump header
+WINDOW_AND_KEY_REFUSALS = {
+    "config a_79": ("a_79 = 0.1", (ConfigError, 2, "a_79")),
+    "config a_1x": ("a_1x = 0.1", (ConfigError, 2, "a_1x")),
+    "config a_1": ("a_1 = 0.1", (ConfigError, 2, "a_1")),
+    "config a_11 not transverse": ("a_11 = 0.1", (TransversalityViolation, None, None)),
+    "config n_ref odd": ("n_ref = 1 0 0 0", (ConfigError, None, "n_ref")),
+    "config n_ref past 2**62": (f"n_ref = {2**62 + 2} 0 0 0", (ConfigError, None, "n_ref")),
+    "config n_ref past the float range": (f"n_ref = {10**400} 0 0 0", (ConfigError, None, None)),
+    "config n_ref of three integers": ("n_ref = 0 0 0", (ConfigError, 2, "n_ref")),
+    "header radius 2.0": ({"radius": 2.0}, None),
+    "header radius true": ({"radius": True}, None),
+    "header radius -1": ({"radius": -1}, None),
+    "header center with a fraction and a string": ({"center": [0.9, "0", 0, 0]}, None),
+    "header center of three": ({"center": [0, 0, 0]}, None),
+    "header center 2**63": ({"center": [2**63, 0, 0, 0]}, None),
+    "header center a string": ({"center": "0000"}, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_AND_KEY_REFUSALS))
+def test_each_window_and_amplitude_key_refusal(built, tmp_path, case):
+    """A config keeps its refusal's type, line and key, a header its ConfigError; both exit 1."""
+    edit, expected = WINDOW_AND_KEY_REFUSALS[case]
+    out = tmp_path / "out"
+    if isinstance(edit, str):
+        text = f"a_12 = 0.1\n{edit}\n"
+        error, line, key = expected
+        with pytest.raises(error) as err:
+            parse_config(text)
+        assert type(err.value) is error
+        assert (getattr(err.value, "line", None), getattr(err.value, "key", None)) == (line, key)
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        argv = ["build", "--config", str(config), "--out", str(out)]
+    else:
+        _, _, path = built
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        factor_path(bad).write_bytes(factor_path(path).read_bytes())
+        with pytest.raises(ConfigError):
+            _read_factors(bad)
+        argv = ["export", "--operator", str(bad), "--out", str(out)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 1
     assert not out.exists()
 
 
