@@ -201,12 +201,12 @@ def check_projector(cfg: RunConfig, report: RunReport) -> None:
 
     c = random_multispinor(window.points(), cfg.seed)
     scale = c.norm()
-    x = np.concatenate([c[site] for site in sites])
+    coords = window_table(window).coords
+    x = c.at(coords).ravel()
     # SVD reference: the right singular vectors of V span its row space
     right = np.linalg.svd(v, full_matrices=False)[2]
     reference = right.conj().T @ (right @ x)
-    projected = acc.apply_projector(c)
-    fast = np.concatenate([projected[site] for site in sites])
+    fast = acc.apply_projector(c).at(coords).ravel()
     report.add(
         "factored apply matches the SVD projector",
         float(np.linalg.norm(fast - reference)) / max(scale, 1e-300),

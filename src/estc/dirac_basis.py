@@ -266,7 +266,6 @@ def dset_adjoint(d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=complex)
     i1, i2, i3, _ = char_invariants(d)
     linear = -d
-    linear = linear.copy()
     linear[..., 0] += i1
     out = dset_multiply(dset_square(d), linear)
     out -= i2[..., None] * d

@@ -534,52 +534,29 @@ class ProjectorAccumulator:
         out[table.scatter_sites] = np.add.reduceat(terms[table.scatter_order], table.scatter_first)
         return out
 
-    def _window_amplitudes(self, c: Multispinor) -> tuple[np.ndarray, np.ndarray]:
-        """(N, 4) amplitudes of c on the window sites, zero where c has none, and their rows.
-
-        rows[j] is the row of c at window site j, -1 where c has none.
-        """
-        rows = locate(c.coords, self._table.coords)
-        return np.concatenate([c.amplitudes, np.zeros((1, 4), dtype=complex)])[rows], rows
-
-    def _covered(self) -> np.ndarray:
-        """Window indices of the sites the processed stencils reach."""
-        return np.flatnonzero(self._table.first_cover < self.stages_done)
-
     def apply_projector(self, c: Multispinor) -> Multispinor:
         """Accumulated projector applied to c: the processed-row component.
 
         P c = V^dag R^-dag R^-1 V c, returned on the sites the processed
         stencils reach; entries of c outside the window do not enter.
         """
-        out = self._project(self._window_amplitudes(c)[0])
-        covered = self._covered()
+        out = self._project(c.at(self._table.coords))
+        covered = np.flatnonzero(self._table.first_cover < self.stages_done)
         return Multispinor.from_rows(self._table.coords[covered], out[covered])
 
     def apply_fundamental(self, c: Multispinor) -> Multispinor:
-        """c minus its processed-row component: a solution of processed rows.
+        """(U - P) c: c minus its processed-row component, a solution of processed rows.
 
         Holds the sites of c, in its order, then the covered sites c lacks.
         No amplitude shares a buffer with c.
         """
-        x, rows = self._window_amplitudes(c)
-        y = x - self._project(x)
-        present = rows >= 0
-        out = c.amplitudes.copy()
-        out[rows[present]] = y[present]
-        covered = self._covered()
-        lacking = covered[~present[covered]]
-        coords = np.concatenate([c.coords, self._table.coords[lacking]])
-        return Multispinor.from_rows(coords, np.concatenate([out, y[lacking]]))
+        return c - self.apply_projector(c)
 
 
 def residual_table(
     c: Multispinor, tables: FieldTables, sites: list[Site]
 ) -> list[tuple[Site, float]]:
     """Row residuals over the given sites, with c extended by zero."""
-    # the row past the last amplitude is the zero that sites c lacks read
-    values = np.concatenate([c.amplitudes, np.zeros((1, 4), dtype=complex)])
     coords = np.array(sites, dtype=np.int64).reshape(-1, 4)
-    neighbors = locate(c.coords, coords[:, None, :] + SHIFT_ARRAY)
-    rows = tables.row_sums(tables.zero_shift(coords), values[neighbors])
+    rows = tables.row_sums(tables.zero_shift(coords), c.at(coords[:, None, :] + SHIFT_ARRAY))
     return list(zip(sites, np.linalg.norm(rows, axis=1).tolist()))

@@ -41,7 +41,7 @@ from .engine import (
     unpack_lower,
 )
 from .errors import ConfigError
-from .lattice import MAX_COORDINATE, Site, Window, g4d, locate, make_schedule, site_sub, window_table
+from .lattice import Site, Window, g4d, locate, make_schedule, site_in_range, site_sub, window_table
 from .multispinor import Multispinor
 
 OPERATOR_FORMAT = "estc-operator-v4"
@@ -211,10 +211,8 @@ def read_solution(path: str | Path, cfg: RunConfig | None = None) -> Multispinor
             f"solution dump {path} has {len(sites)} sites but {len(amplitudes)} amplitude rows"
         )
     for site, flat in zip(sites, amplitudes):
-        if not _numbers(site, 4, int):
-            raise ConfigError(f"solution site {site!r} is not four integers")
-        if max(abs(n) for n in site) > MAX_COORDINATE:
-            raise ConfigError(f"solution site {site} lies past the site range of +-2**62")
+        if not site_in_range(site):
+            raise ConfigError(f"solution site {site!r} is not four integers within +-2**62")
         if not _numbers(flat, 8, (int, float)):
             raise ConfigError(f"amplitudes at solution site {site} are not eight finite numbers")
     coords = np.array(sites, dtype=np.int64).reshape(-1, 4)
@@ -266,16 +264,10 @@ def _stored_blocks(factors: _Factors) -> Iterator[tuple[int, int, str, np.ndarra
                 yield start + a, low + b, "coupling", coupling[a, b]
 
 
-def _scheduled_sites(window: Window) -> list[list[int]]:
-    """The window's schedule as JSON site lists, in schedule order."""
-    table = window_table(window)
-    return table.coords[table.schedule].tolist()
-
-
 def export_operator_json(path: str | Path, cfg: RunConfig | None = None) -> str:
     """Re-serialize a dump with every stored 4x4 block as 16 [re, im] basis pairs."""
     factors = _read_factors(path, cfg)
-    sites = _scheduled_sites(factors.window)
+    sites = make_schedule(factors.window)
     slices = []
     for t, (_, _, core, coupling) in enumerate(_slice_dsets(factors)):
         core = core[np.tril_indices(core.shape[0])]
@@ -308,7 +300,7 @@ def export_operator_csv(path: str | Path, cfg: RunConfig | None = None) -> str:
     Row stage k at site m couples to stage j at site n.
     """
     factors = _read_factors(path, cfg)
-    sites = _scheduled_sites(factors.window)
+    sites = make_schedule(factors.window)
     header = ["stage", "m1", "m2", "m3", "m4", "entry", "n1", "n2", "n3", "n4"]
     header += [f"c{i}_{part}" for i in range(16) for part in ("re", "im")]
     lines = [",".join(header)]

@@ -92,6 +92,19 @@ def _integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def site_in_range(value) -> bool:
+    """value is a tuple or list of four integers, not bools, each within +-MAX_COORDINATE.
+
+    The one rule for a site that comes from outside the library; the parity
+    of its coordinate sum is checked apart, by in_lattice.
+    """
+    return (
+        isinstance(value, (tuple, list))
+        and len(value) == 4
+        and all(_integer(n) and abs(int(n)) <= MAX_COORDINATE for n in value)
+    )
+
+
 @dataclass(frozen=True)
 class Window:
     """Truncation window: sites with g4d(n - center) <= radius.
@@ -107,9 +120,9 @@ class Window:
     def __post_init__(self):
         if not _integer(self.radius) or self.radius < 0:
             raise ValueError(f"window radius must be a nonnegative integer, not {self.radius!r}")
-        center = tuple(self.center) if isinstance(self.center, (tuple, list)) else ()
-        if len(center) != 4 or not all(_integer(n) and abs(int(n)) <= MAX_COORDINATE for n in center):
+        if not site_in_range(self.center):
             raise ValueError(f"window center must be four integers within +-2**62, not {self.center!r}")
+        center = tuple(self.center)
         if not in_lattice(center):
             raise ValueError(f"window center {self.center} has odd coordinate sum")
         # plain ints, so that equal windows share one cached table

@@ -87,6 +87,12 @@ class Multispinor:
     def sites(self) -> list[Site]:
         return sorted(self.support)
 
+    def at(self, sites: np.ndarray) -> np.ndarray:
+        """(..., 4) amplitudes at an (..., 4) int64 site array, zero at the sites c lacks."""
+        # the row past the last amplitude is the zero that absent sites read
+        padded = np.concatenate([self.amplitudes, np.zeros((1, 4), dtype=complex)])
+        return padded[locate(self.coords, sites)]
+
     def copy(self) -> "Multispinor":
         return Multispinor.from_rows(self.coords, self.amplitudes.copy())
 

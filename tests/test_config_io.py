@@ -755,6 +755,7 @@ MALFORMED_SOLUTIONS = {
     "infinite amplitude": _solution_row("amplitudes", [0.0] * 7 + [float("inf")]),
     "site listed twice": _solution_row("sites", [0, 0, 0, 0]),
     "site past the int64 range": _solution_row("sites", [2**63, 0, 0, 0]),
+    "site past 2**62": _solution_row("sites", [2**62 + 2, 0, 0, 0]),
 }
 
 

@@ -427,13 +427,25 @@ def test_apply_fundamental_on_the_window_sites_shares_no_buffer():
     check_apply_fundamental_keeps_its_input(acc, random_multispinor(acc.window.points(), 17))
 
 
+def test_apply_fundamental_of_a_partial_run_shares_no_buffer():
+    # 30 stages stop inside slice 2, so the stencils cover fewer sites than the window holds
+    acc = fresh_accumulator(radius=3).run(stages=30)
+    points = acc.window.points()
+    assert len(acc.apply_projector(Multispinor()).coords) == 144 < len(points) == 233
+    c = random_multispinor(points[::3], 17) + Multispinor({(9, 9, 0, 0): [1, 2, 3, 4]})
+    check_apply_fundamental_keeps_its_input(acc, c)
+
+
 def check_apply_fundamental_keeps_its_input(acc, c):
     before = {site: c[site].copy() for site in c}
     solution = acc.apply_fundamental(c)
-    reference = c - acc.apply_projector(c)
-    assert list(solution) == list(reference)
-    for site in reference:
-        assert np.array_equal(solution[site], reference[site])
+    # site by site: the sites of c in order, then the covered sites c lacks in P c's order
+    pc = acc.apply_projector(c)
+    reference = [(site, c[site] - pc[site]) for site in c]
+    reference += [(site, -pc[site]) for site in pc if site not in c]
+    assert list(solution) == [site for site, _ in reference]
+    for site, value in reference:
+        assert np.array_equal(solution[site], value)
     assert not np.shares_memory(solution.amplitudes, c.amplitudes)
     for site in solution:
         solution[site][:] = 7.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from estc import Multispinor, random_multispinor
+from estc import Multispinor, Window, random_multispinor
 
 
 def test_missing_sites_read_as_zero():
@@ -49,6 +49,21 @@ def test_sum_keeps_the_sites_of_the_left_then_the_new_ones_of_the_right():
     for site in total:
         assert np.array_equal(total[site], a[site] + b[site])
     assert list(a + Multispinor()) == list(a) and list(Multispinor() + b) == list(b)
+
+
+def test_at_reads_each_site_and_zero_where_absent():
+    window = Window(1).points()
+    c = random_multispinor(window[::2], 3)
+    points = np.array(window, dtype=np.int64)
+    moved = points + 2**40
+    # sites of c (even rows of points), window sites c lacks (odd rows), sites of c moved 2**40
+    sites = np.stack([[points[0], points[1], moved[2]], [moved[4], points[6], points[3]]])
+    values = c.at(sites)
+    assert values.shape == (2, 3, 4)
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(values[index], c[tuple(sites[index].tolist())])
+    assert [bool(np.any(row)) for row in values.reshape(-1, 4)] == [1, 0, 0, 0, 1, 0]
+    assert not np.any(Multispinor().at(sites))
 
 
 def test_random_multispinor_is_seed_deterministic():
