@@ -133,7 +133,6 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
     report = RunReport(f"apply {config_fingerprint(cfg)[:12]}")
     solution, rows = _gate_processed_rows(report, acc, seed_c, cfg.residual_tol)
-    del acc  # the writes below need the solution only, not the factor store
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_solution(out / "solution.json", solution, cfg, source)

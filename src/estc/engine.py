@@ -23,13 +23,15 @@ order; an accumulator restored from a dump only applies.
 
 The projector is kept and applied in factored form only, as
 P = (R^-1 V)^dag (R^-1 V): a block forward and back substitution over the
-slices.  The factor is stored once, as one complex128 array in the layout
-of the operator dump's factor file: per slice, the lower triangle of
-W_t = R_tt^-1 packed in np.tril_indices order, then the band panel
-row-major.  A step that needs W_t unpacks it into a dense temporary.  The
-complement U - P maps any seed multispinor onto the solution subspace of
-the processed rows; residuals of unprocessed rows measure the truncation
-error of the window.
+slices.  The factor is laid out as the operator dump's factor file: per
+slice, the lower triangle of W_t = R_tt^-1 packed in np.tril_indices
+order, then the band panel row-major.  A built accumulator holds it as
+one complex128 array; a restored one reads each slice from the factor
+file when a step indexes it, so an apply holds one slice at a time.
+FactorSlices holds the slice offsets for both.  A step that needs W_t
+unpacks it into a dense temporary.  The complement U - P maps any seed
+multispinor onto the solution subspace of the processed rows; residuals
+of unprocessed rows measure the truncation error of the window.
 
 Only the zero-shift block V(n, 0) depends on q, through w = q + Omega n,
 so a point at new q pays only for it.  Per window (radius, center), built
@@ -49,6 +51,7 @@ of a Multispinor and on schedule indices, never on site tuples.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -240,26 +243,35 @@ def factor_count(slice_ptr: np.ndarray, stages: int) -> int:
     return sum(size for _, _, size in _factor_shapes(slice_ptr, stages))
 
 
-def factor_slices(
-    factors: np.ndarray, slice_ptr: np.ndarray, stages: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(packed W_t, band panel) of each slice in a factor store of the first `stages` stages.
+class FactorSlices:
+    """(packed W_t, band panel) of each slice of a factor store, read when indexed.
 
-    Both are views of factors, the panel as a (4n, 4m) matrix.  Raises
-    ValueError when factors does not have the store's size.
+    The store holds the first `stages` stages in the layout of the factor
+    file; slice t is numbers bounds[t]:bounds[t + 1] of it.  read(start,
+    stop) returns numbers start:stop of the store as a complex array, a
+    view of a store in memory or a read of the factor file; indexing
+    slice t reads that slice alone, and the panel is a (4n, 4m) view of
+    the numbers read.
     """
-    shapes = _factor_shapes(slice_ptr, stages)
-    count = sum(size for _, _, size in shapes)
-    if factors.shape != (count,):
-        raise ValueError(
-            f"a factor store of {stages} stages has {count} complex numbers, not {factors.size}"
-        )
-    out, offset = [], 0
-    for n, m, size in shapes:
-        middle, end = offset + 2 * n * (4 * n + 1), offset + size
-        out.append((factors[offset:middle], factors[middle:end].reshape(4 * n, 4 * m)))
-        offset = end
-    return out
+
+    def __init__(self, slice_ptr: np.ndarray, stages: int, read):
+        shapes = _factor_shapes(slice_ptr, stages)
+        self._shapes = [(n, m) for n, m, _ in shapes]
+        self.bounds = list(accumulate((size for _, _, size in shapes), initial=0))
+        self._read = read
+
+    def __len__(self) -> int:
+        return len(self._shapes)
+
+    def __getitem__(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        t = range(len(self))[t]
+        n, m = self._shapes[t]
+        data = self._read(self.bounds[t], self.bounds[t + 1])
+        middle = 2 * n * (4 * n + 1)
+        return data[:middle], data[middle:].reshape(4 * n, 4 * m)
+
+    def __iter__(self):
+        return (self[t] for t in range(len(self)))
 
 
 def _blocks(a: np.ndarray) -> np.ndarray:
@@ -283,9 +295,10 @@ class ProjectorAccumulator:
     stay zero, so the band never fills.  Per slice, the store factors holds
     the lower triangle of W_t packed in np.tril_indices order, then the
     band blocks [R_t,t-2 | R_t,t-1] as one (4n_t, 4(n_t-2 + n_t-1)) panel,
-    row-major: the layout of the operator dump's factor file, so a
-    restored accumulator keeps the array it read.  slice_factors() gives
-    each slice's views of it; W_t is unpacked into a dense temporary by
+    row-major: the layout of the operator dump's factor file.
+    slice_factors() gives each slice by index, as views of the store, or,
+    for an accumulator restored by from_factors, which holds no store, as
+    a read of the factor file; W_t is unpacked into a dense temporary by
     the step that multiplies by it.
 
     The build record is two arrays over the schedule: rconds[k], the
@@ -325,9 +338,10 @@ class ProjectorAccumulator:
 
         self._table = window_table(window)
         self.slice_ptr = self._table.slice_ptr
-        # the factored part of the store, None until run() or from_factors; views in _slices
+        # the factored part of a built store, None until run(); its slices, or those
+        # read from a dump by from_factors, in _slices
         self.factors: np.ndarray | None = None
-        self._slices: list[tuple[np.ndarray, np.ndarray]] = []
+        self._slices: FactorSlices | None = None
         self.rconds = np.zeros(len(self.schedule))
         self.asymmetry = np.full(len(self.schedule), np.nan)
         self._gram: np.ndarray | None = None
@@ -339,25 +353,30 @@ class ProjectorAccumulator:
         f: FieldConfig,
         p: DimensionlessParams,
         window: Window,
-        factors: np.ndarray,
+        factors: FactorSlices,
         rconds: np.ndarray,
     ) -> "ProjectorAccumulator":
-        """Accumulator whose first len(rconds) stages are restored from their factor store.
+        """Accumulator whose first len(rconds) stages are restored from their factor slices.
 
-        factors is the store of those stages, in the layout of the factor
-        file, and becomes the accumulator's own without a copy; rconds[k]
-        is the recorded rcond of stage k.  Raises ValueError when factors
-        does not have the store's size.
+        factors reads the slices of those stages in this window's layout,
+        each when indexed, and becomes the accumulator's slices; no store
+        is held.  rconds[k] is the recorded rcond of stage k.  Raises
+        ValueError when factors does not have the store's size.
         """
         acc = cls(f, p, window)
-        acc._slices = factor_slices(factors, acc.slice_ptr, len(rconds))
-        acc.factors = factors
+        count = factor_count(acc.slice_ptr, len(rconds))
+        if factors.bounds[-1] != count:
+            raise ValueError(
+                f"a factor store of {len(rconds)} stages has {count} complex numbers, "
+                f"not {factors.bounds[-1]}"
+            )
+        acc._slices = factors
         acc.stages_done = len(rconds)
         acc.rconds[: len(rconds)] = rconds
         return acc
 
-    def slice_factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(packed W_t, band panel) of each stored slice, as views of the store."""
+    def slice_factors(self) -> FactorSlices:
+        """(packed W_t, band panel) of each stored slice: views of a built store, or reads."""
         return self._slices
 
     @property
@@ -429,15 +448,11 @@ class ProjectorAccumulator:
             failed = (int(bad[0]), float(rconds[bad[0]]))
         keep = factor.shape[0] // 4 if failed is None else failed[0]
 
-        offset = self.factors.size
-        middle = offset + 2 * keep * (4 * keep + 1)
-        end = middle + 4 * keep * width
+        self._store_slices(store, start + keep)
         if keep:
-            packed, coupling = store[offset:middle], store[middle:end].reshape(4 * keep, width)
+            packed, coupling = self._slices[t]
             packed[...] = pack_lower(tril_inverse(factor[: 4 * keep, : 4 * keep]))
             coupling[...] = band[: 4 * keep]
-            slices.append((packed, coupling))
-        self.factors = store[:end]
         self.rconds[start : start + keep] = rconds[:keep]
         self.asymmetry[start : start + keep] = asymmetry[:keep]
         self.stages_done = start + keep
@@ -473,6 +488,11 @@ class ProjectorAccumulator:
         with np.errstate(invalid="ignore", divide="ignore"):
             return factor, (good, float(values[0] / np.abs(values).max()))
 
+    def _store_slices(self, store: np.ndarray, stages: int) -> None:
+        """Make the first `stages` stages of store the factored part, sliced in place."""
+        self._slices = FactorSlices(self.slice_ptr, stages, lambda start, stop: store[start:stop])
+        self.factors = store[: self._slices.bounds[-1]]
+
     def run(self, stages: int | None = None) -> "ProjectorAccumulator":
         """Factor the whole schedule (or its first `stages` entries), once.
 
@@ -480,7 +500,7 @@ class ProjectorAccumulator:
         restored by from_factors, or when stages is not an integer from 0
         to the schedule's length.
         """
-        if self.factors is not None:
+        if self._slices is not None:
             raise ValueError("an accumulator runs once; its stages are already factored")
         target = len(self.schedule) if stages is None else stages
         if not (isinstance(target, (int, np.integer)) and 0 <= target <= len(self.schedule)):
@@ -488,7 +508,7 @@ class ProjectorAccumulator:
                 f"stages must be an integer from 0 to {len(self.schedule)}, got {stages!r}"
             )
         store = np.empty(factor_count(self.slice_ptr, target), dtype=complex)
-        self.factors = store[:0]
+        self._store_slices(store, 0)
         # the slices that hold one of the first `target` stages, in order
         for t in range(int(np.searchsorted(self.slice_ptr, target))):
             self._factor_slice(t, min(int(self.slice_ptr[t + 1]), target), store)
@@ -502,6 +522,7 @@ class ProjectorAccumulator:
             stop = start + band.shape[0]
             inverse = unpack_lower(packed, stop - start)
             z[start:stop] = inverse @ (y[start:stop] - band @ z[low:start])
+            del packed, band, inverse  # a restored slice is freed before the next is read
         return z
 
     def solve_upper(self, z: np.ndarray) -> np.ndarray:
@@ -516,6 +537,7 @@ class ProjectorAccumulator:
             inverse = unpack_lower(packed, stop - start)
             u[start:stop] = _adjoint_times(inverse, rhs[start:stop])
             rhs[low:start] -= _adjoint_times(band, u[start:stop])
+            del packed, band, inverse
         return u
 
     def _project(self, x: np.ndarray) -> np.ndarray:

@@ -10,14 +10,18 @@ W_t = R_tt^-1 in np.tril_indices order and then the band panel
 [R_t,t-2 | R_t,t-1] row-major.  Every slice shape follows from
 make_schedule(window) and the stage count, so the reader refuses a factor
 file of any other size or digest.  lattice.Window checks the header's
-radius and center, as it checks every window.  The factor file is the
-accumulator's factor store byte for byte: the writer writes the store
-with one call, and the array the reader reads becomes the restored
-accumulator's store, and the dump is the only form an operator is read
-back from.  The JSON (estc-operator-dsets-v3) and CSV exports are
-write-only views of a dump that restate its factors as basis
-coefficients, unpacking one slice at a time.  Timings never enter
-written artifacts so identical runs produce identical bytes.
+radius and center, as it checks every window.  The factor file is a
+built accumulator's factor store byte for byte, and the writer writes
+the store with one call.  The reader hashes the file one slice at a
+time, and a restored accumulator reads each slice from the file again
+when it is indexed, so an apply holds one slice, never the whole file;
+each such read refuses, with ConfigError, a file whose identity (device,
+inode, size, modification and change times) is not the one that was
+checked.  The dump is the only form an operator is read back from.  The
+JSON (estc-operator-dsets-v3) and CSV exports are write-only views of a
+dump that restate its factors as basis coefficients, reading and
+unpacking one slice at a time.  Timings never enter written artifacts so
+identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -34,12 +38,7 @@ import numpy as np
 
 from .config import RunConfig, config_fingerprint
 from .dirac_basis import dset_from_matrix
-from .engine import (
-    ProjectorAccumulator,
-    factor_count,
-    factor_slices,
-    unpack_lower,
-)
+from .engine import FactorSlices, ProjectorAccumulator, unpack_lower
 from .errors import ConfigError
 from .lattice import Site, Window, g4d, locate, make_schedule, site_in_range, site_sub, window_table
 from .multispinor import Multispinor
@@ -61,10 +60,13 @@ def factor_path(path: str | Path) -> Path:
 def write_operator(path: str | Path, acc: ProjectorAccumulator, cfg: RunConfig) -> None:
     """Write the factor store as the factor file, then the header with its sha256.
 
-    Raises ValueError, writing nothing, for an accumulator that has not run.
+    Raises ValueError, writing nothing, for an accumulator that has not run
+    or was restored from a dump: neither holds a factor store.
     """
     if acc.factors is None:
-        raise ValueError("an accumulator that has not run has no factors to write")
+        raise ValueError(
+            "an accumulator that has not run, or was restored from a dump, has no factors to write"
+        )
     raw = np.ascontiguousarray(acc.factors, dtype="<c16")
     factor_path(path).write_bytes(raw)
     header = {
@@ -96,13 +98,54 @@ def _read_json(path: str | Path, cfg: RunConfig | None, expected_format: str) ->
 class _Factors:
     """Validated content of a dump, ready for from_factors or an export.
 
-    factors is the factor store of the first len(rconds) stages.
+    factors reads the slices of the first len(rconds) stages from the
+    checked factor file, one slice each time it is indexed.
     """
 
     fingerprint: str
     window: Window
     rconds: np.ndarray
-    factors: np.ndarray
+    factors: FactorSlices
+
+
+def _identity(f) -> tuple[int, int, int, int, int]:
+    """Device, inode, size and modification and change times of an open file."""
+    st = os.fstat(f.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _read_numbers(f, start: int, stop: int, source: Path) -> np.ndarray:
+    """Complex numbers start:stop of an open factor file; ConfigError when it ends first."""
+    f.seek(16 * start)
+    data = np.fromfile(f, dtype="<c16", count=stop - start)
+    if data.size != stop - start:
+        raise ConfigError(f"factor file {source} ended before number {stop} of its factors")
+    return data
+
+
+@dataclass(frozen=True)
+class _FactorFile:
+    """A factor file whose size and sha256 were checked, read a range of numbers at a time.
+
+    Each read opens the file anew and refuses, with ConfigError, a file
+    whose identity (device, inode, size, modification and change times)
+    is not the one it had when it was checked, before and after reading,
+    so every slice applied comes from the checked bytes.
+    """
+
+    source: Path
+    identity: tuple[int, int, int, int, int]
+
+    def read(self, start: int, stop: int) -> np.ndarray:
+        with open(self.source, "rb") as f:
+            self._check(f)
+            data = _read_numbers(f, start, stop, self.source)
+            self._check(f)
+        return data
+
+    def _check(self, f) -> None:
+        if _identity(f) != self.identity:
+            raise ConfigError(f"factor file {self.source} changed after it was checked")
 
 
 def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
@@ -110,7 +153,9 @@ def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
 
     Every shape is derived from the header before the factor file is
     opened, and the file must have exactly their total size and the
-    header's sha256.  The array read is the factor store, as it is.
+    header's sha256, hashed one slice at a time.  The factors returned read
+    each slice from the file again when indexed, refusing a file that
+    changed after this check.
     """
     header = _read_json(path, cfg, OPERATOR_FORMAT)
     if cfg is not None and (
@@ -134,25 +179,32 @@ def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"malformed operator dump: {err!r}") from None
 
-    count = factor_count(window_table(window).slice_ptr, stages)
     source = factor_path(path)
     with open(source, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
+        identity = _identity(f)
+        factors = FactorSlices(
+            window_table(window).slice_ptr, stages, _FactorFile(source, identity).read
+        )
+        count, size = factors.bounds[-1], identity[2]
         if size != 16 * count:
             raise ConfigError(
                 f"factor file {source} has {size} bytes, expected {16 * count} "
                 f"({count} complex numbers for {stages} stages)"
             )
-        data = np.fromfile(f, dtype="<c16", count=count)
-    if hashlib.sha256(data).hexdigest() != digest:
+        sha256 = hashlib.sha256()
+        for start, stop in zip(factors.bounds, factors.bounds[1:]):
+            sha256.update(_read_numbers(f, start, stop, source))
+        if _identity(f) != identity:
+            raise ConfigError(f"factor file {source} changed while it was checked")
+    if sha256.hexdigest() != digest:
         raise ConfigError(f"factor file {source} does not match the sha256 of its header")
-    return _Factors(fingerprint, window, np.array(rconds, dtype=float), data)
+    return _Factors(fingerprint, window, np.array(rconds, dtype=float), factors)
 
 
 def _slice_dsets(factors: _Factors) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """(first stage, first band stage, W_t dsets, band dsets) of each stored slice, in turn."""
     ptr = window_table(factors.window).slice_ptr
-    for t, (packed, band) in enumerate(factor_slices(factors.factors, ptr, len(factors.rconds))):
+    for t, (packed, band) in enumerate(factors.factors):
         inverse = unpack_lower(packed, band.shape[0])
         yield ptr[t], ptr[max(t - 2, 0)], _block_dsets(inverse), _block_dsets(band)
 

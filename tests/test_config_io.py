@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -278,18 +279,23 @@ def test_a_cut_slice_reads_back_to_the_same_bits(tmp_path):
     path = tmp_path / "operator.json"
     write_operator(path, acc, cfg)
     loaded = read_operator(path, cfg)
-    assert factor_path(path).read_bytes() == loaded.factors.tobytes() == acc.factors.tobytes()
+    assert factor_path(path).read_bytes() == acc.factors.tobytes()
+    # every (packed W_t, band panel) read back holds the bits of the writer's store
+    assert len(loaded.slice_factors()) == len(acc.slice_factors()) == 3
+    assert b"".join(_part_bytes(loaded)) == acc.factors.tobytes()
     c = random_multispinor(window.points(), 9)
     ours, theirs = loaded.apply_fundamental(c), acc.apply_fundamental(c)
     assert ours.coords.tobytes() == theirs.coords.tobytes()
     assert ours.amplitudes.tobytes() == theirs.amplitudes.tobytes()
 
 
-def test_an_apply_holds_one_copy_of_the_factor(tmp_path, monkeypatch):
-    """Reading an R = 4 dump and applying it takes the factor file plus one dense slice.
+def test_an_apply_holds_one_slice_of_the_factor(tmp_path, monkeypatch):
+    """Reading an R = 4 dump and applying it takes one stored slice plus one dense W_t.
 
-    The traced peak is bounded by the factor file, one dense W_t of the
-    largest slice (44 stages, 176 x 176) and 1 MiB for everything else.
+    The traced peak is bounded by the largest stored slice (packed W_t and
+    band panel), one dense W_t of the largest slice (44 stages, 176 x 176)
+    and 1 MiB for everything else: less than the factor file.  Each read
+    of the factor file returns one slice.
     """
     text = (Path(__file__).resolve().parent.parent / "demos" / "sample_config.txt").read_text()
     cfg = parse_config(text.replace("R = 2", "R = 4"))
@@ -297,14 +303,15 @@ def test_an_apply_holds_one_copy_of_the_factor(tmp_path, monkeypatch):
     path = tmp_path / "operator.json"
     write_operator(path, ProjectorAccumulator(cfg.field, cfg.params, window).run(), cfg)
     seed = random_multispinor(window.points(), 3)
-    read = []
+    counts = []
     fromfile = np.fromfile
 
-    def recorded_fromfile(*args, **kwargs):
-        read.append(fromfile(*args, **kwargs))
-        return read[-1]
+    def counted_fromfile(*args, **kwargs):
+        data = fromfile(*args, **kwargs)
+        counts.append(data.size)  # the count only: holding the arrays would raise the peak
+        return data
 
-    monkeypatch.setattr(np, "fromfile", recorded_fromfile)
+    monkeypatch.setattr(np, "fromfile", counted_fromfile)
 
     tracemalloc.start()
     try:
@@ -315,9 +322,38 @@ def test_an_apply_holds_one_copy_of_the_factor(tmp_path, monkeypatch):
         tracemalloc.stop()
     largest = 4 * int(np.diff(lattice.window_table(window).slice_ptr).max())
     assert largest == 176
-    bound = factor_path(path).stat().st_size + 16 * largest**2 + 2**20
+    sizes = np.diff(acc.slice_factors().bounds)
+    bound = 16 * int(sizes.max()) + 16 * largest**2 + 2**20
+    assert bound < factor_path(path).stat().st_size
     assert peak < bound, f"traced peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
-    assert len(read) == 1 and np.shares_memory(acc.factors, read[0])
+    # the check reads each slice once, and so does each of the two substitutions
+    assert len(counts) == 3 * len(sizes) and set(counts) <= set(sizes.tolist())
+
+
+def _truncate(source):
+    os.truncate(source, source.stat().st_size - 16)
+
+
+def _replace_by_other_bytes(source):
+    other = source.with_name("other.c16")
+    other.write_bytes(bytes(b ^ 1 for b in source.read_bytes()))
+    os.replace(other, source)
+
+
+@pytest.mark.parametrize("change", [_truncate, _replace_by_other_bytes], ids=["cut", "replaced"])
+def test_a_factor_file_changed_after_the_check_fails_loudly(built, tmp_path, change):
+    cfg, acc, path = built
+    dump = tmp_path / "operator.json"
+    dump.write_bytes(path.read_bytes())
+    factor_path(dump).write_bytes(factor_path(path).read_bytes())
+    c = random_multispinor(acc.window.points(), 8)
+    restored = read_operator(dump, cfg)
+    factors = _read_factors(dump, cfg).factors
+    change(factor_path(dump))
+    with pytest.raises(ConfigError, match="changed after it was checked"):
+        restored.apply_fundamental(c)
+    with pytest.raises(ConfigError, match="changed after it was checked"):
+        factors[0]
 
 
 def test_operator_dump_is_deterministic(built, tmp_path):
@@ -342,10 +378,13 @@ def test_partial_operator_dump_round_trip(built, tmp_path):
 
 
 def test_writer_refuses_an_accumulator_that_has_not_run(built, tmp_path):
-    cfg, _, _ = built
+    cfg, _, dump = built
     path = tmp_path / "operator.json"
     with pytest.raises(ValueError, match="has not run"):
         write_operator(path, ProjectorAccumulator(cfg.field, cfg.params, Window(cfg.radius)), cfg)
+    # a restored accumulator reads its slices from its dump and holds no store to write
+    with pytest.raises(ValueError, match="restored from a dump"):
+        write_operator(path, read_operator(dump, cfg), cfg)
     assert not path.exists() and not factor_path(path).exists()
     # a run of 0 stages is a valid, empty dump
     acc = ProjectorAccumulator(cfg.field, cfg.params, Window(cfg.radius)).run(0)
