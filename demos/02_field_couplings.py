@@ -21,7 +21,6 @@ from estc import (
     g4d,
     l_matrix,
     matrix_from_dset,
-    n_overlap,
     site_add,
     v_coupling,
     w_vector,
@@ -66,9 +65,15 @@ print("reduced determinant:", reduced)
 print("squared vs dense determinant:", abs(reduced**2 - np.linalg.det(l_dense).real))
 print("gram eigenvalues:", np.linalg.eigvalsh(l_dense))
 
-# Overlaps between two rows collect the couplings of shared columns, so
-# they die off exactly beyond coupling distance 2.
+# The overlap of rows n and m collects V(n, s) V(m, t)^dag over the columns
+# they share, n + s = m + t, so it dies off exactly beyond coupling
+# distance 2, where no stencil columns meet.
 for shift in ((0, 0, 0, 0), (1, 0, 0, 1), (2, 0, 0, 0), (1, 1, 1, 1), (3, 0, 1, 0)):
     m = site_add(n, shift)
-    overlap = n_overlap(n, m, f, p)
+    stack_m = np.stack([matrix_from_dset(v_coupling(m, t, f, p)) for t in SHIFTS_S13])
+    overlap = np.zeros((4, 4), dtype=complex)
+    for i, s in enumerate(SHIFTS_S13):
+        for j, t in enumerate(SHIFTS_S13):
+            if site_add(n, s) == site_add(m, t):
+                overlap += stack[i] @ stack_m[j].conj().T
     print(f"overlap at distance {g4d(shift)}: max entry {np.abs(overlap).max():.4f}")

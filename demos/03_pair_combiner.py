@@ -14,7 +14,7 @@ converges at a rate set by the principal angles between the ranges.
 
 import numpy as np
 
-from estc import DegenerateOverlap, combine_pair, range_restricted_pseudoinverse
+from estc.combiner import DegenerateOverlap, combine_pair, range_restricted_pseudoinverse
 
 np.set_printoptions(precision=4, suppress=True)
 

@@ -6,12 +6,13 @@ three-dimensional polychromatic field on a truncated frequency-momentum
 window, and accumulates the projector onto the processed rows one time
 slice of rank-4 stages at a time.  The complement of that projector maps any seed amplitude
 set onto the solution subspace.
+
+The names below are the ones the demos, the README and the benchmark
+scripts use; everything else is imported from its module.
 """
 
-from .combiner import combine_pair, range_basis, range_restricted_pseudoinverse
-from .config import RunConfig, config_fingerprint, parse_config, serialize_config
+from .config import parse_config
 from .dirac_basis import (
-    CharInvariants,
     char_invariants,
     dset_adjoint,
     dset_from_matrix,
@@ -19,25 +20,11 @@ from .dirac_basis import (
     dset_multiply,
     dset_square,
     gamma_matrix,
-    leading_element,
     matrix_from_dset,
     structure_constant,
 )
-from .engine import (
-    FieldTables,
-    ProjectorAccumulator,
-    residual_table,
-)
-from .errors import (
-    ConfigError,
-    DegenerateOverlap,
-    EstcError,
-    ShiftNotInS13,
-    SingularMatrix,
-    StageSingular,
-    TransversalityViolation,
-    ZeroField,
-)
+from .engine import ProjectorAccumulator, residual_table
+from .errors import EstcError, StageSingular
 from .field import (
     DimensionlessParams,
     FieldConfig,
@@ -45,47 +32,22 @@ from .field import (
     det_l,
     field_intensity,
     l_matrix,
-    n_overlap,
     v_coupling,
-    validate,
     w_vector,
 )
-from .lattice import (
-    SHIFTS_S13,
-    Window,
-    couples,
-    g4d,
-    in_lattice,
-    make_schedule,
-    site_add,
-    site_sub,
-    window_size,
-)
-from .multispinor import Multispinor, random_multispinor
+from .lattice import SHIFTS_S13, Window, g4d, site_add, site_sub
+from .multispinor import random_multispinor
 
 __all__ = [
-    "CharInvariants",
-    "ConfigError",
-    "DegenerateOverlap",
     "DimensionlessParams",
     "EstcError",
     "FieldConfig",
-    "FieldTables",
-    "Multispinor",
     "ProjectorAccumulator",
-    "RunConfig",
     "SHIFTS_S13",
-    "ShiftNotInS13",
-    "SingularMatrix",
     "StageSingular",
-    "TransversalityViolation",
     "Window",
-    "ZeroField",
     "a_matrix",
     "char_invariants",
-    "combine_pair",
-    "config_fingerprint",
-    "couples",
     "det_l",
     "dset_adjoint",
     "dset_from_matrix",
@@ -95,25 +57,16 @@ __all__ = [
     "field_intensity",
     "g4d",
     "gamma_matrix",
-    "in_lattice",
     "l_matrix",
-    "leading_element",
-    "make_schedule",
     "matrix_from_dset",
-    "n_overlap",
     "parse_config",
     "random_multispinor",
-    "range_basis",
-    "range_restricted_pseudoinverse",
     "residual_table",
-    "serialize_config",
     "site_add",
     "site_sub",
     "structure_constant",
     "v_coupling",
-    "validate",
     "w_vector",
-    "window_size",
 ]
 
 __version__ = "0.1.0"

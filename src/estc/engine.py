@@ -338,8 +338,9 @@ class ProjectorAccumulator:
 
         self._table = window_table(window)
         self.slice_ptr = self._table.slice_ptr
-        # the factored part of a built store, None until run(); its slices, or those
-        # read from a dump by from_factors, in _slices
+        # the store of a built accumulator, None until run(), trimmed to the factored
+        # stages when a singular stage stops the run; its slices, or those read from a
+        # dump by from_factors, in _slices
         self.factors: np.ndarray | None = None
         self._slices: FactorSlices | None = None
         self.rconds = np.zeros(len(self.schedule))
@@ -448,7 +449,9 @@ class ProjectorAccumulator:
             failed = (int(bad[0]), float(rconds[bad[0]]))
         keep = factor.shape[0] // 4 if failed is None else failed[0]
 
-        self._store_slices(store, start + keep)
+        if failed is not None:
+            # the run stops in this slice: its store keeps the first `keep` stages
+            self._store_slices(store, start + keep)
         if keep:
             packed, coupling = self._slices[t]
             packed[...] = pack_lower(tril_inverse(factor[: 4 * keep, : 4 * keep]))
@@ -489,7 +492,11 @@ class ProjectorAccumulator:
             return factor, (good, float(values[0] / np.abs(values).max()))
 
     def _store_slices(self, store: np.ndarray, stages: int) -> None:
-        """Make the first `stages` stages of store the factored part, sliced in place."""
+        """Index the first `stages` stages of store, sliced in place, as the factors.
+
+        run() indexes the stages it will factor once, and again only when a
+        singular stage stops it inside a slice.
+        """
         self._slices = FactorSlices(self.slice_ptr, stages, lambda start, stop: store[start:stop])
         self.factors = store[: self._slices.bounds[-1]]
 
@@ -508,9 +515,9 @@ class ProjectorAccumulator:
                 f"stages must be an integer from 0 to {len(self.schedule)}, got {stages!r}"
             )
         store = np.empty(factor_count(self.slice_ptr, target), dtype=complex)
-        self._store_slices(store, 0)
+        self._store_slices(store, target)
         # the slices that hold one of the first `target` stages, in order
-        for t in range(int(np.searchsorted(self.slice_ptr, target))):
+        for t in range(len(self._slices)):
             self._factor_slice(t, min(int(self.slice_ptr[t + 1]), target), store)
         return self
 

@@ -7,17 +7,17 @@ wave j + 3 along -e_j; amplitudes are stored on 6x3 grids a[j][k], b[j][k]
 (cosine and sine quadratures).  Transversality forces the component along
 the propagation axis to zero, leaving 24 free reals.
 
-Everything downstream couples through three derived objects per lattice
+Everything downstream couples through two derived objects per lattice
 site n:
 
 * v_coupling(n, s): the 4x4 coefficient of amplitude c(n+s) in row n of the
   coupled system, one matrix per stencil shift s, given as a dset;
 * l_matrix(n) = sum_s V(n,s) V(n,s)^dag, the row Gram matrix, with its
   closed-form reduced determinant det_l(n) and closed-form inverse
-  a_matrix(n);
-* n_overlap(m, n) = sum over shift pairs with m+s = n+s' of
-  V(m,s) V(n,s')^dag, the row-overlap matrix, which vanishes identically
-  beyond coupling distance 2.
+  a_matrix(n), the core of the per-site projector V(n)^dag a(n) V(n).
+
+The row overlaps of two sites, the blocks of the row Gram matrix, are
+built by engine.build_row_gram.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac_basis import matrix_from_dset
 from .errors import ShiftNotInS13, SingularMatrix, TransversalityViolation, ZeroField
-from .lattice import SHIFTS_S13, Site, site_sub
+from .lattice import Site
 
 # (j, k) pairs forced to zero: the component along the propagation axis
 # of each wave (waves 1..3 run along +e_j, waves 4..6 along -e_(j-3))
@@ -239,22 +238,3 @@ def a_matrix(n: Site, f: FieldConfig, p: DimensionlessParams) -> np.ndarray:
     flipped = d.copy()
     flipped[[4, 9, 10, 11]] *= -1.0
     return flipped / det
-
-
-def n_overlap(m: Site, n: Site, f: FieldConfig, p: DimensionlessParams) -> np.ndarray:
-    """Dense row-overlap matrix N(m,n), summed over matched shift pairs.
-
-    Rows m and n share the column at site m+s = n+s'; the sum collects
-    V(m,s) V(n,s')^dag over all such pairs.  Identically zero beyond
-    coupling distance 2, equals L(n) densely on the diagonal m = n, and
-    satisfies N(n,m) = N(m,n)^dag.
-    """
-    diff = site_sub(m, n)
-    out = np.zeros((4, 4), dtype=complex)
-    for s in SHIFTS_S13:
-        s_other = (diff[0] + s[0], diff[1] + s[1], diff[2] + s[2], diff[3] + s[3])
-        if s_other in _COUPLING_SLOTS or s_other == (0, 0, 0, 0):
-            vm = matrix_from_dset(v_coupling(m, s, f, p))
-            vn = matrix_from_dset(v_coupling(n, s_other, f, p))
-            out += vm @ vn.conj().T
-    return out

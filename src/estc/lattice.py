@@ -129,19 +129,12 @@ class Window:
         object.__setattr__(self, "radius", int(self.radius))
         object.__setattr__(self, "center", tuple(map(int, center)))
 
-    def __contains__(self, n: Site) -> bool:
-        return in_lattice(n) and g4d(site_sub(n, self.center)) <= self.radius
-
     def points(self) -> list[Site]:
         """All member sites, ordered by g4d then lexicographically.
 
         Each window is enumerated once per process; every call returns a new list.
         """
         return list(_window_table(self.radius, self.center).sites)
-
-    def interior(self, n: Site) -> bool:
-        """True when every stencil neighbor of n, each one g4d step away, stays in the window."""
-        return in_lattice(n) and g4d(site_sub(n, self.center)) < self.radius
 
     def interior_points(self) -> list[Site]:
         """The interior sites: the first window_size(radius - 1) points."""

@@ -4,16 +4,19 @@ Everything here avoids the package's fast paths on purpose: the basis
 matrices are frozen literals, the adjugate is built from cofactors, the
 characteristic coefficients come from numpy's polynomial routine, the
 pair-combination reference sums the alternating series directly, and the
-row coefficients, their Gram matrix and the Gram-Cholesky projector are
-assembled from the coupling coefficients without the engine's cached
-tables.
+row coefficients, the overlap of two rows, their Gram matrix and the
+Gram-Cholesky projector are assembled from the coupling coefficients
+without the engine's cached tables.  gram_blocks and dense_factor read
+the engine's own output into the form these oracles compare against.
 """
 
 import numpy as np
 
-from estc import DimensionlessParams, FieldConfig, Multispinor
+from estc import DimensionlessParams, FieldConfig
+from estc.engine import FieldTables, build_row_gram
 from estc.field import FREE_COMPONENTS, v_coupling
-from estc.lattice import SHIFTS_S13
+from estc.lattice import SHIFTS_S13, gram_pattern
+from estc.multispinor import Multispinor
 
 # frozen 4x4 basis, index nu = 8M + 4N + 2m + n
 GAMMA_LITERALS = (
@@ -152,6 +155,27 @@ def dense_rows(f, p, schedule, sites):
             j = index[tuple(a + b for a, b in zip(n, s))]
             v[4 * k : 4 * k + 4, 4 * j : 4 * j + 4] = dense_from_dset(v_coupling(n, s, f, p))
     return v
+
+
+def oracle_overlap(m, n, f, p):
+    """Row overlap N(m, n): the sum of V(m, s) V(n, s')^dag over the shared columns m + s = n + s'."""
+    out = np.zeros((4, 4), dtype=complex)
+    for s in SHIFTS_S13:
+        for s2 in SHIFTS_S13:
+            if tuple(a + b for a, b in zip(m, s)) == tuple(a + b for a, b in zip(n, s2)):
+                vm = dense_from_dset(v_coupling(m, s, f, p))
+                vn = dense_from_dset(v_coupling(n, s2, f, p))
+                out += vm @ vn.conj().T
+    return out
+
+
+def gram_blocks(f, p, schedule):
+    """The engine's row Gram blocks of a schedule as {(k, i): N(m_k, m_i)}, one per coupled i <= k."""
+    tables = FieldTables(f, p)
+    pattern = gram_pattern(np.array(schedule))
+    blocks = build_row_gram(tables, tables.zero_shift(schedule), pattern)
+    owner = np.repeat(np.arange(len(schedule)), np.diff(pattern.stage_ptr))
+    return {(int(k), int(i)): block for k, i, block in zip(owner, pattern.partner, blocks)}
 
 
 def dense_row_gram(f, p, schedule):

@@ -10,13 +10,11 @@ import time
 import numpy as np
 
 from estc import (
-    DegenerateOverlap,
     ProjectorAccumulator,
     SHIFTS_S13,
     Window,
     a_matrix,
     char_invariants,
-    combine_pair,
     dset_adjoint,
     dset_inverse,
     dset_multiply,
@@ -26,23 +24,25 @@ from estc import (
     gamma_matrix,
     l_matrix,
     matrix_from_dset,
-    n_overlap,
     parse_config,
     random_multispinor,
-    range_restricted_pseudoinverse,
     residual_table,
     site_add,
     structure_constant,
     v_coupling,
 )
+from estc.combiner import combine_pair, range_restricted_pseudoinverse
 from estc.dirac_basis import UNIT_DSET
+from estc.errors import DegenerateOverlap
 from estc.io import factor_path, read_operator, write_operator
 
 from helpers import (
     GAMMA_DENSE,
     dense_factor,
     dense_from_dset,
+    dense_row_gram,
     dense_rows,
+    gram_blocks,
     oracle_combine,
     random_field,
     random_params,
@@ -191,7 +191,7 @@ def test_criterion_4_field_model_cross_validation():
     rng = np.random.default_rng(4)
     far_shifts = ((3, 0, 1, 0), (0, 4, 0, 0), (2, 2, 0, 0), (1, 2, 1, 2))
     assert all(g4d(s) > 2 and sum(s) % 2 == 0 for s in far_shifts)
-    gram_err = inverse_err = det_err = herm_err = far_err = 0.0
+    gram_err = inverse_err = det_err = block_err = herm_err = far_err = 0.0
     det_positive = True
     for _ in range(100):
         f = random_field(rng, intensity=float(rng.uniform(0.005, 0.5)))
@@ -214,18 +214,27 @@ def test_criterion_4_field_model_cross_validation():
         dense_det = np.linalg.det(l_dense).real
         det_err = max(det_err, abs(reduced * reduced - dense_det) / abs(dense_det))
 
-        other = site_add(n, _random_site(rng, span=2))
-        herm_err = max(
-            herm_err,
-            float(np.abs(n_overlap(other, n, f, p) - n_overlap(n, other, f, p).conj().T).max()),
-        )
-        for s in far_shifts:
-            far_err = max(far_err, float(np.abs(n_overlap(n, site_add(n, s), f, p)).max()))
+        # the engine's Gram block of a pair, from both schedule orders, against the
+        # dense G = V V^dag; a pair at distance 0 is one site and its diagonal block
+        pair = list(dict.fromkeys([n, site_add(n, _random_site(rng, span=2))]))
+        last = len(pair) - 1
+        forward = gram_blocks(f, p, pair).get((last, 0), np.zeros((4, 4)))
+        backward = gram_blocks(f, p, pair[::-1]).get((last, 0), np.zeros((4, 4)))
+        dense = dense_row_gram(f, p, pair)[4 * last :, :4]
+        block_err = max(block_err, float(np.abs(forward - dense).max()))
+        herm_err = max(herm_err, float(np.abs(backward - forward.conj().T).max()))
+        # rows beyond coupling distance 2 share no column: the engine keeps no block
+        # for them, and their dense block is exactly zero
+        far = [n] + [site_add(n, s) for s in far_shifts]
+        if any(i == 0 < k for k, i in gram_blocks(f, p, far)):
+            far_err = np.inf
+        far_err = max(far_err, float(np.abs(dense_row_gram(f, p, far)[4:, :4]).max()))
     ok = (
         gram_err <= TOL_FIELD
         and inverse_err <= TOL_FIELD
         and det_err <= TOL_FIELD
         and det_positive
+        and block_err <= TOL_FIELD
         and herm_err <= TOL_OVERLAP_HERM
         and far_err == 0.0
     )
@@ -233,8 +242,8 @@ def test_criterion_4_field_model_cross_validation():
         4,
         ok,
         f"100 configs: gram {gram_err:.2e}, inverse {inverse_err:.2e}, squared "
-        f"reduced det {det_err:.2e} <= {TOL_FIELD} (positive: {det_positive}), "
-        f"overlap hermiticity {herm_err:.2e} <= {TOL_OVERLAP_HERM}, "
+        f"reduced det {det_err:.2e}, engine Gram blocks {block_err:.2e} <= {TOL_FIELD} "
+        f"(positive: {det_positive}), overlap hermiticity {herm_err:.2e} <= {TOL_OVERLAP_HERM}, "
         f"beyond-range {far_err:.1e}",
     )
 

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from estc import Window, cli, dirac_basis, engine, lattice, make_schedule
+import estc
+from estc import Window, checks, cli, dirac_basis, engine, lattice
+from estc.lattice import make_schedule
 
 GOOD = """\
 q1 = 0.1
@@ -87,11 +89,17 @@ def test_importing_the_cli_skips_the_verify_suite_and_base64():
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, estc.cli; print(sorted({'estc.checks', 'base64'} & set(sys.modules)))"
+    loaded = "{'estc.checks', 'estc.combiner', 'base64'} & set(sys.modules)"
+    code = f"import sys, estc.cli; print(sorted({loaded}))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_is_bound_once():
+    assert len(estc.__all__) == len(set(estc.__all__))
+    assert [name for name in estc.__all__ if not hasattr(estc, name)] == []
 
 
 def test_apply_writes_solution_and_residuals(built, tmp_path):
@@ -157,15 +165,26 @@ def test_verify_passes_on_a_sound_configuration(config_path, capsys):
     assert "FAIL" not in text
 
 
-@pytest.mark.parametrize("radius", [3, 5])
+@pytest.mark.parametrize("radius", [1, 2, 3, 5])
 def test_verify_checks_the_projector_at_radius_3_past_it(tmp_path, capsys, radius):
     config = tmp_path / "run.cfg"
     config.write_text(GOOD.replace("R = 2", f"R = {radius}"))
     assert cli.main(["verify", "--config", str(config)]) == 0
     text = capsys.readouterr().out
     assert "FAIL" not in text
+    stages = {1: 1, 2: 13}.get(radius, 69)
     configured = f" (configured R = {radius})" if radius > 3 else ""
-    assert f"  projector run: radius 3{configured}, 69 stages, " in text
+    assert f"  projector run: radius {min(radius, 3)}{configured}, {stages} stages, " in text
+    # the paper's recursion runs at radius min(R, 2): one stage, the bare block, at R = 1
+    assert "  PASS paper recursion matches the factored apply: " in text
+    assert f"  paper recursion: radius {min(radius, 2)}, {min(stages, 13)} stages\n" in text
+
+
+def test_verify_detects_a_perturbed_gram_inverse(config_path, capsys, monkeypatch):
+    real = checks.a_matrix
+    monkeypatch.setattr(checks, "a_matrix", lambda *args: real(*args) * (1 + 1e-6))
+    assert cli.main(["verify", "--config", str(config_path)]) == 1
+    assert "FAIL paper recursion matches the factored apply" in capsys.readouterr().out
 
 
 def test_verify_detects_a_corrupted_factor_table(config_path, capsys, monkeypatch):
@@ -212,7 +231,9 @@ def test_verify_detects_a_corrupted_factor_store(tmp_path, capsys, monkeypatch, 
     config = tmp_path / "run.cfg"
     config.write_text(GOOD.replace("R = 2", f"R = {radius}"))
     assert cli.main(["verify", "--config", str(config)]) == 1
-    assert line in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert line in text
+    assert "FAIL paper recursion matches the factored apply" in text
 
 
 def test_verify_detects_a_corrupted_product_tensor(config_path, capsys, monkeypatch):

@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from estc import (
-    DegenerateOverlap,
-    combine_pair,
-    range_basis,
-    range_restricted_pseudoinverse,
-)
+from estc.combiner import combine_pair, range_basis, range_restricted_pseudoinverse
+from estc.errors import DegenerateOverlap
 
 from helpers import oracle_combine, random_projector
 

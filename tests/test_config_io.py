@@ -15,20 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from estc import (
-    ConfigError,
-    Multispinor,
     ProjectorAccumulator,
-    TransversalityViolation,
     Window,
-    ZeroField,
-    config_fingerprint,
     field_intensity,
     matrix_from_dset,
     parse_config,
     random_multispinor,
-    serialize_config,
 )
 from estc import cli, engine, lattice
+from estc.config import config_fingerprint, serialize_config
+from estc.errors import ConfigError, TransversalityViolation, ZeroField
+from estc.multispinor import Multispinor
 from helpers import dense_factor
 
 from estc.io import (

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from estc import (
-    SingularMatrix,
     char_invariants,
     dset_adjoint,
     dset_from_matrix,
@@ -14,11 +13,11 @@ from estc import (
     dset_multiply,
     dset_square,
     gamma_matrix,
-    leading_element,
     matrix_from_dset,
     structure_constant,
 )
-from estc.dirac_basis import FACTOR_TABLE, GAMMA, UNIT_DSET, _PROD
+from estc.dirac_basis import FACTOR_TABLE, GAMMA, UNIT_DSET, _PROD, leading_element
+from estc.errors import SingularMatrix
 
 from helpers import (
     GAMMA_DENSE,

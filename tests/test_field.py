@@ -8,31 +8,25 @@ from hypothesis import strategies as st
 from estc import (
     DimensionlessParams,
     FieldConfig,
-    FieldTables,
-    ShiftNotInS13,
     SHIFTS_S13,
-    TransversalityViolation,
-    ZeroField,
     a_matrix,
     char_invariants,
-    couples,
     det_l,
     field_intensity,
     l_matrix,
     matrix_from_dset,
-    n_overlap,
     site_add,
     site_sub,
     v_coupling,
-    validate,
     w_vector,
 )
 from estc import ProjectorAccumulator, Window, lattice
-from estc.engine import build_row_gram
-from estc.field import CONSTRAINED_COMPONENTS, FREE_COMPONENTS, zero_shift_dsets
-from estc.lattice import gram_pattern, make_schedule
+from estc.engine import FieldTables, build_row_gram
+from estc.errors import ShiftNotInS13, TransversalityViolation, ZeroField
+from estc.field import CONSTRAINED_COMPONENTS, FREE_COMPONENTS, validate, zero_shift_dsets
+from estc.lattice import couples, gram_pattern, make_schedule
 
-from helpers import random_field, random_params
+from helpers import gram_blocks, oracle_overlap, random_field, random_params
 
 PARAMS = DimensionlessParams(0.1, 0.2, 0.3, 0.15, omega=0.5)
 FIELD = FieldConfig.from_amplitudes(
@@ -42,16 +36,6 @@ FIELD = FieldConfig.from_amplitudes(
 
 def dense_v(n, s, f, p):
     return matrix_from_dset(v_coupling(n, s, f, p))
-
-
-def oracle_overlap(m, n, f, p):
-    # brute scan over shared columns m + s == n + s2
-    out = np.zeros((4, 4), dtype=complex)
-    for s in SHIFTS_S13:
-        for s2 in SHIFTS_S13:
-            if site_add(m, s) == site_add(n, s2):
-                out += dense_v(m, s, f, p) @ dense_v(n, s2, f, p).conj().T
-    return out
 
 
 def test_free_and_constrained_components_partition_the_grid():
@@ -200,12 +184,15 @@ def test_overlaps_match_the_brute_column_scan(seed):
     rng = np.random.default_rng(seed)
     f = random_field(rng)
     p = random_params(rng)
-    m = tuple(rng.integers(-2, 3, size=4))
-    d = tuple(rng.integers(-2, 3, size=4))
-    n = site_add(m, d)
-    fast = n_overlap(m, n, f, p)
-    assert np.abs(fast - oracle_overlap(m, n, f, p)).max() < 1e-13
-    assert np.abs(n_overlap(n, m, f, p) - fast.conj().T).max() == 0.0
+    m = tuple(int(x) for x in rng.integers(-2, 3, size=4))
+    d = tuple(int(x) for x in rng.integers(-2, 3, size=4))
+    # the engine's block N(n, m) from the schedule [m, n], and N(m, n) from [n, m];
+    # one site and its diagonal block when d = 0, no block when the rows share no column
+    pair = list(dict.fromkeys([m, site_add(m, d)]))
+    key, zero = (len(pair) - 1, 0), np.zeros((4, 4))
+    fast = gram_blocks(f, p, pair).get(key, zero)
+    assert np.abs(fast - oracle_overlap(pair[-1], pair[0], f, p)).max() < 1e-13
+    assert np.abs(gram_blocks(f, p, pair[::-1]).get(key, zero) - fast.conj().T).max() == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -289,7 +276,7 @@ def test_row_gram_in_closed_form_is_the_all_pairs_sum(radius, center):
         assert np.abs(gram - blocks).max() <= 4 * eps * np.abs(blocks).max()
         owner = np.repeat(np.arange(len(schedule)), np.diff(pattern.stage_ptr))
         for k, i, block in zip(owner, pattern.partner, gram):
-            assert np.abs(block - n_overlap(schedule[k], schedule[i], f, p)).max() < 1e-13
+            assert np.abs(block - oracle_overlap(schedule[k], schedule[i], f, p)).max() < 1e-13
 
 
 def test_field_overlap_of_the_zero_difference_is_the_intensity():
@@ -347,11 +334,13 @@ def test_table_rows_are_the_per_site_coupling_stack():
 
 def test_overlap_diagonal_is_the_gram_matrix():
     n = (0, -1, 0, 1)
-    fast = n_overlap(n, n, FIELD, PARAMS)
+    fast = gram_blocks(FIELD, PARAMS, [n])[(0, 0)]
     assert np.abs(fast - matrix_from_dset(l_matrix(n, FIELD, PARAMS))).max() < 1e-13
 
 
 def test_overlap_vanishes_beyond_coupling_distance():
     m = (0, 0, 0, 0)
     for d in ((3, 0, 0, 1), (0, 0, 0, 4), (2, 1, 0, 3), (1, 1, 1, 1)):
-        assert np.abs(n_overlap(m, d, FIELD, PARAMS)).max() == 0.0
+        # the engine keeps no block for the pair, and the rows share no column
+        assert gram_blocks(FIELD, PARAMS, [m, d]).keys() == {(0, 0), (1, 1)}
+        assert not oracle_overlap(m, d, FIELD, PARAMS).any()

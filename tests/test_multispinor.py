@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from estc import Multispinor, Window, random_multispinor
+from estc import Window, random_multispinor
+from estc.multispinor import Multispinor
 
 
 def test_missing_sites_read_as_zero():
