@@ -141,19 +141,17 @@ def check_projector(cfg: RunConfig, report: RunReport) -> None:
     acc = ProjectorAccumulator(
         cfg.field, cfg.params, window, rcond_min=cfg.rcond_min
     ).run()
-    stages = acc.stages_done
-    sites = window.points()
+    stages = len(acc.schedule)
+    table = window_table(window)
 
     # stage k of P = (R^-1 V)^dag (R^-1 V) is rho_k = Phi_k^dag Phi_k, Phi = R^-1 V
-    v = _dense_rows(cfg, acc.processed_sites(), sites)
+    v = _dense_rows(cfg, acc.schedule, window.points())
     # the engine's row Gram blocks against G = V V^dag of the dense rows: equal on
     # the pattern, and every lower block off it zero
     gram = (v @ v.conj().T).reshape(stages, 4, stages, 4).transpose(0, 2, 1, 3)
-    pattern = window_table(window).pattern
-    end = pattern.stage_ptr[stages]
-    owner = np.repeat(np.arange(stages), np.diff(pattern.stage_ptr[: stages + 1]))
-    partner = pattern.partner[:end]
-    worst = np.abs(acc.gram[:end] - gram[owner, partner]).max(initial=0.0)
+    owner = np.repeat(np.arange(stages), np.diff(table.pattern.stage_ptr))
+    partner = table.pattern.partner
+    worst = np.abs(acc.gram - gram[owner, partner]).max(initial=0.0)
     outside = np.tri(stages, dtype=bool)
     outside[owner, partner] = False
     worst = max(worst, np.abs(gram[outside]).max(initial=0.0))
@@ -192,14 +190,13 @@ def check_projector(cfg: RunConfig, report: RunReport) -> None:
         1e-8,
     )
 
-    c = random_multispinor(window.points(), cfg.seed)
+    c = random_multispinor(table.coords, cfg.seed)
     scale = c.norm()
-    coords = window_table(window).coords
-    x = c.at(coords).ravel()
+    x = c.at(table.coords).ravel()
     # SVD reference: the right singular vectors of V span its row space
     right = np.linalg.svd(v, full_matrices=False)[2]
     reference = right.conj().T @ (right @ x)
-    fast = acc.apply_projector(c).at(coords).ravel()
+    fast = acc.apply_projector(c).at(table.coords).ravel()
     report.add(
         "factored apply matches the SVD projector",
         float(np.linalg.norm(fast - reference)) / max(scale, 1e-300),
@@ -208,7 +205,7 @@ def check_projector(cfg: RunConfig, report: RunReport) -> None:
 
     solution = acc.apply_fundamental(c)
     worst = max(
-        value for _, value in residual_table(solution, acc.tables, acc.processed_sites())
+        value for _, value in residual_table(solution, acc.tables, acc.schedule)
     )
     report.add(
         "projected seed solves every processed row",
@@ -238,15 +235,15 @@ def check_paper_recursion(cfg: RunConfig, report: RunReport) -> None:
     acc = ProjectorAccumulator(
         cfg.field, cfg.params, window, rcond_min=cfg.rcond_min
     ).run()
-    rows = acc.processed_sites()
+    rows = acc.schedule
     v = _dense_rows(cfg, rows, window.points())
     q = np.linalg.qr(v.conj().T)[0]
     blocks = (v @ q).reshape(len(rows), 4, -1)  # V(n) Q, stage by stage
     cores = _dense(np.stack([a_matrix(n, cfg.field, cfg.params) for n in rows]), _fresh_gammas())
     folded = reduce(combine_pair, blocks.conj().transpose(0, 2, 1) @ cores @ blocks)
 
-    c = random_multispinor(window.points(), cfg.seed)
     coords = window_table(window).coords
+    c = random_multispinor(coords, cfg.seed)
     x = c.at(coords).ravel()
     fast = acc.apply_projector(c).at(coords).ravel()
     report.add(

@@ -17,9 +17,10 @@ slices t - 1 and t - 2.  The accumulator factors one slice at a time, with
 one dense Cholesky of the slice's Schur complement, and keeps only the
 band.  Stage k, one scheduled site, has the pivot D_k = R_kk R_kk^dag, the
 deflated Gram matrix of its row; a numerically singular pivot means the
-row is linearly dependent on the processed rows and stops the run there.
-A run is one-shot: it sizes the store once and factors the slices in
-order; an accumulator restored from a dump only applies.
+row is linearly dependent on the rows before it, and the run raises
+StageSingular there.  A run is one-shot and all or nothing: it sizes the
+store once and factors every slice in order, and an accumulator whose run
+did not complete holds no factors; one restored from a dump only applies.
 
 The projector is kept and applied in factored form only, as
 P = (R^-1 V)^dag (R^-1 V): a block forward and back substitution over the
@@ -30,8 +31,9 @@ one complex128 array; a restored one reads each slice from the factor
 file when a step indexes it, so an apply holds one slice at a time.
 FactorSlices holds the slice offsets for both.  A step that needs W_t
 unpacks it into a dense temporary.  The complement U - P maps any seed
-multispinor onto the solution subspace of the processed rows; residuals
-of unprocessed rows measure the truncation error of the window.
+multispinor onto the solution subspace of the window's interior rows;
+residuals of the rows outside the interior measure the truncation error
+of the window.
 
 Only the zero-shift block V(n, 0) depends on q, through w = q + Omega n,
 so a point at new q pays only for it.  Per window (radius, center), built
@@ -221,8 +223,8 @@ def unpack_lower(packed: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _factor_shapes(slice_ptr: np.ndarray, stages: int) -> list[tuple[int, int, int]]:
-    """(stages n, band stages m, numbers) of each slice holding one of the first `stages` stages.
+def _factor_shapes(slice_ptr: np.ndarray) -> list[tuple[int, int, int]]:
+    """(stages n, band stages m, numbers) of each slice of a schedule.
 
     A slice of n stages whose band reaches m stages back takes
     2n(4n + 1) + 16nm numbers of the factor store: the lower triangle of
@@ -231,22 +233,20 @@ def _factor_shapes(slice_ptr: np.ndarray, stages: int) -> list[tuple[int, int, i
     ptr = slice_ptr.tolist()
     shapes = []
     for t in range(len(ptr) - 1):
-        if ptr[t] >= stages:
-            break
-        n, m = min(ptr[t + 1], stages) - ptr[t], ptr[t] - ptr[max(t - 2, 0)]
+        n, m = ptr[t + 1] - ptr[t], ptr[t] - ptr[max(t - 2, 0)]
         shapes.append((n, m, 2 * n * (4 * n + 1) + 16 * n * m))
     return shapes
 
 
-def factor_count(slice_ptr: np.ndarray, stages: int) -> int:
-    """Complex numbers in the factor store of the first `stages` stages."""
-    return sum(size for _, _, size in _factor_shapes(slice_ptr, stages))
+def factor_count(slice_ptr: np.ndarray) -> int:
+    """Complex numbers in the factor store of a schedule."""
+    return sum(size for _, _, size in _factor_shapes(slice_ptr))
 
 
 class FactorSlices:
     """(packed W_t, band panel) of each slice of a factor store, read when indexed.
 
-    The store holds the first `stages` stages in the layout of the factor
+    The store holds every slice of a schedule in the layout of the factor
     file; slice t is numbers bounds[t]:bounds[t + 1] of it.  read(start,
     stop) returns numbers start:stop of the store as a complex array, a
     view of a store in memory or a read of the factor file; indexing
@@ -254,8 +254,8 @@ class FactorSlices:
     the numbers read.
     """
 
-    def __init__(self, slice_ptr: np.ndarray, stages: int, read):
-        shapes = _factor_shapes(slice_ptr, stages)
+    def __init__(self, slice_ptr: np.ndarray, read):
+        shapes = _factor_shapes(slice_ptr)
         self._shapes = [(n, m) for n, m, _ in shapes]
         self.bounds = list(accumulate((size for _, _, size in shapes), initial=0))
         self._read = read
@@ -302,18 +302,19 @@ class ProjectorAccumulator:
     the step that multiplies by it.
 
     The build record is two arrays over the schedule: rconds[k], the
-    eigenvalue ratio of the pivot of stage k (zero until factored), and
-    asymmetry[k], the largest imaginary part of the real-basis
-    coefficients of its diagonal block of the Schur complement, which
-    rounding alone makes nonzero (NaN unless this accumulator factored it).
+    eigenvalue ratio of the pivot of stage k, and asymmetry[k], the
+    largest imaginary part of the real-basis coefficients of its diagonal
+    block of the Schur complement, which rounding alone makes nonzero
+    (NaN unless this accumulator factored it).
 
     In terms of the block LDL^dag factorization G = U D U^dag with U block
     unit-lower, U = R blockdiag(R_kk)^-1 and D_k = R_kk R_kk^dag, so the
-    stage cores are A_k = (R_kk R_kk^dag)^-1.  The leading stages of a
-    Cholesky factor are the Cholesky factor of the leading block, so
-    run(stages=k) factors only the leading part of the slice it stops in.
-    An accumulator runs once: a second run(), or a run() of one restored
-    by from_factors, raises ValueError; build a new one to factor again.
+    stage cores are A_k = (R_kk R_kk^dag)^-1.  An accumulator runs once: a
+    second run(), or a run() of one restored by from_factors, raises
+    ValueError; build a new one to factor again.  Until a run completes,
+    and for good after one that raised StageSingular, the accumulator
+    holds no factors, and applying, solving with or writing it raises
+    ValueError.
     The zero-shift matrices V(m_k, 0) of the whole schedule are formed
     once; neither the Gram nor the projection needs any other per-site
     coefficient.  The overlaps come from the blocks of the row Gram
@@ -334,13 +335,12 @@ class ProjectorAccumulator:
         self.window = window
         self.schedule = make_schedule(window)
         self.rcond_min = rcond_min
-        self.stages_done = 0
 
         self._table = window_table(window)
         self.slice_ptr = self._table.slice_ptr
-        # the store of a built accumulator, None until run(), trimmed to the factored
-        # stages when a singular stage stops the run; its slices, or those read from a
-        # dump by from_factors, in _slices
+        # the store of a built accumulator, None until a run completes; its slices, or
+        # those read from a dump by from_factors, in _slices
+        self._ran = False
         self.factors: np.ndarray | None = None
         self._slices: FactorSlices | None = None
         self.rconds = np.zeros(len(self.schedule))
@@ -357,34 +357,43 @@ class ProjectorAccumulator:
         factors: FactorSlices,
         rconds: np.ndarray,
     ) -> "ProjectorAccumulator":
-        """Accumulator whose first len(rconds) stages are restored from their factor slices.
+        """Accumulator restored from the factor slices of its whole schedule.
 
-        factors reads the slices of those stages in this window's layout,
-        each when indexed, and becomes the accumulator's slices; no store
-        is held.  rconds[k] is the recorded rcond of stage k.  Raises
-        ValueError when factors does not have the store's size.
+        factors reads the slices in this window's layout, each when
+        indexed, and becomes the accumulator's slices; no store is held.
+        rconds[k] is the recorded rcond of stage k.  Raises ValueError when
+        rconds does not have one entry per stage or factors does not have
+        the store's size.
         """
         acc = cls(f, p, window)
-        count = factor_count(acc.slice_ptr, len(rconds))
-        if factors.bounds[-1] != count:
+        stages, count = len(acc.schedule), factor_count(acc.slice_ptr)
+        if len(rconds) != stages or factors.bounds[-1] != count:
             raise ValueError(
-                f"a factor store of {len(rconds)} stages has {count} complex numbers, "
-                f"not {factors.bounds[-1]}"
+                f"a factor store of {stages} stages has {stages} rconds and {count} complex "
+                f"numbers, not {len(rconds)} and {factors.bounds[-1]}"
             )
-        acc._slices = factors
-        acc.stages_done = len(rconds)
-        acc.rconds[: len(rconds)] = rconds
+        acc._ran, acc._slices = True, factors
+        acc.rconds[:] = rconds
         return acc
 
+    @property
+    def stages_done(self) -> int:
+        """Stages this accumulator holds factors of: the whole schedule, or 0 before a run."""
+        return len(self.schedule) if self._slices is not None else 0
+
     def slice_factors(self) -> FactorSlices:
-        """(packed W_t, band panel) of each stored slice: views of a built store, or reads."""
+        """(packed W_t, band panel) of each slice: views of a built store, or reads.
+
+        Raises ValueError when no run has completed: there are no factors.
+        """
+        if self._slices is None:
+            raise ValueError("an accumulator that has not completed a run has no factors")
         return self._slices
 
     @property
     def coupling_count(self) -> int:
         """Stored off-diagonal 4x4 blocks: the strictly lower W_t blocks and the band blocks."""
-        shapes = _factor_shapes(self.slice_ptr, self.stages_done)
-        return sum(n * (n - 1) // 2 + n * m for n, m, _ in shapes)
+        return sum(n * (n - 1) // 2 + n * m for n, m, _ in _factor_shapes(self.slice_ptr))
 
     @property
     def gram(self) -> np.ndarray:
@@ -414,20 +423,18 @@ class ProjectorAccumulator:
         panel[rows, :, cols] = self.gram[span]
         return panel.reshape(4 * (stop - start), 4 * (stop - low))
 
-    def _factor_slice(self, t: int, stop: int, store: np.ndarray) -> None:
-        """Factor stages slice_ptr[t]:stop of slice t into store, after the slices before it.
+    def _factor_slice(self, t: int, slices: FactorSlices) -> None:
+        """Factor slice t into its place in slices, after the slices before it.
 
-        Raises StageSingular at the first stage whose pivot is not
-        positive definite or has rcond below rcond_min, after recording the
-        stages before it.
+        Raises StageSingular at the first stage of the slice whose pivot is
+        not positive definite or has rcond below rcond_min.
         """
         ptr = self.slice_ptr
-        start, low = ptr[t], ptr[max(t - 2, 0)]
+        start, stop, low = ptr[t], ptr[t + 1], ptr[max(t - 2, 0)]
         panel = self._gram_panel(low, start, stop)
         width = 4 * (start - low)
         band = panel[:, :width]  # a view: the panel's band columns are not read again
         second = 4 * (ptr[t - 1] - low) if t else 0  # columns of slice t - 2
-        slices = self._slices
         if t >= 2:
             inverse = unpack_lower(slices[t - 2][0], second)
             band[:, :second] = band[:, :second] @ inverse.conj().T
@@ -443,33 +450,30 @@ class ProjectorAccumulator:
             failed = None
         except np.linalg.LinAlgError:
             factor, failed = self._leading_factor(schur)
+        # a stage of the leading factor may already fall below the rcond floor
         rconds = _pivot_rconds(_blocks(factor))
         bad = np.flatnonzero(~(rconds >= self.rcond_min))
         if bad.size:
             failed = (int(bad[0]), float(rconds[bad[0]]))
-        keep = factor.shape[0] // 4 if failed is None else failed[0]
-
-        if failed is not None:
-            # the run stops in this slice: its store keeps the first `keep` stages
-            self._store_slices(store, start + keep)
-        if keep:
-            packed, coupling = self._slices[t]
-            packed[...] = pack_lower(tril_inverse(factor[: 4 * keep, : 4 * keep]))
-            coupling[...] = band[: 4 * keep]
-        self.rconds[start : start + keep] = rconds[:keep]
-        self.asymmetry[start : start + keep] = asymmetry[:keep]
-        self.stages_done = start + keep
         if failed is not None:
             k = start + failed[0]
             raise StageSingular(k, self.schedule[k], failed[1])
 
+        packed, coupling = slices[t]
+        packed[...] = pack_lower(tril_inverse(factor))
+        coupling[...] = band
+        self.rconds[start:stop] = rconds
+        self.asymmetry[start:stop] = asymmetry
+
     @staticmethod
     def _leading_factor(schur: np.ndarray) -> tuple[np.ndarray, tuple[int, float]]:
-        """Cholesky factor of the longest leading block of schur that has one.
+        """The stage of schur whose pivot is not positive definite, for the error message.
 
-        Bisects over the leading stage blocks; returns that factor and
-        (stage, rcond) of the first stage past it, whose pivot, the Schur
-        complement of the leading block, is not positive definite.
+        Bisects over the leading stage blocks for the longest one that has
+        a Cholesky factor; returns that factor, whose stages the caller
+        checks against the rcond floor, and (stage, rcond) of the first
+        stage past it, whose pivot, the Schur complement of the leading
+        block, is not positive definite.
         """
         good, bad = 0, schur.shape[0] // 4
         factor = np.zeros((0, 0), dtype=complex)
@@ -491,38 +495,25 @@ class ProjectorAccumulator:
         with np.errstate(invalid="ignore", divide="ignore"):
             return factor, (good, float(values[0] / np.abs(values).max()))
 
-    def _store_slices(self, store: np.ndarray, stages: int) -> None:
-        """Index the first `stages` stages of store, sliced in place, as the factors.
+    def run(self) -> "ProjectorAccumulator":
+        """Factor the whole schedule, once.
 
-        run() indexes the stages it will factor once, and again only when a
-        singular stage stops it inside a slice.
+        Raises StageSingular at the first singular stage, after which the
+        accumulator holds no factors, and ValueError when this accumulator
+        has run before or was restored by from_factors.
         """
-        self._slices = FactorSlices(self.slice_ptr, stages, lambda start, stop: store[start:stop])
-        self.factors = store[: self._slices.bounds[-1]]
-
-    def run(self, stages: int | None = None) -> "ProjectorAccumulator":
-        """Factor the whole schedule (or its first `stages` entries), once.
-
-        Raises ValueError when this accumulator has run before or was
-        restored by from_factors, or when stages is not an integer from 0
-        to the schedule's length.
-        """
-        if self._slices is not None:
+        if self._ran:
             raise ValueError("an accumulator runs once; its stages are already factored")
-        target = len(self.schedule) if stages is None else stages
-        if not (isinstance(target, (int, np.integer)) and 0 <= target <= len(self.schedule)):
-            raise ValueError(
-                f"stages must be an integer from 0 to {len(self.schedule)}, got {stages!r}"
-            )
-        store = np.empty(factor_count(self.slice_ptr, target), dtype=complex)
-        self._store_slices(store, target)
-        # the slices that hold one of the first `target` stages, in order
-        for t in range(len(self._slices)):
-            self._factor_slice(t, min(int(self.slice_ptr[t + 1]), target), store)
+        self._ran = True
+        store = np.empty(factor_count(self.slice_ptr), dtype=complex)
+        slices = FactorSlices(self.slice_ptr, lambda start, stop: store[start:stop])
+        for t in range(len(slices)):
+            self._factor_slice(t, slices)
+        self.factors, self._slices = store, slices
         return self
 
     def solve_lower(self, y: np.ndarray) -> np.ndarray:
-        """R^-1 y for y over the rows of the processed stages: forward substitution by slices."""
+        """R^-1 y for y over the rows of the schedule: forward substitution by slices."""
         z = np.empty_like(y, dtype=complex)
         for t, (packed, band) in enumerate(self.slice_factors()):
             start, low = 4 * self.slice_ptr[t], 4 * self.slice_ptr[max(t - 2, 0)]
@@ -533,7 +524,7 @@ class ProjectorAccumulator:
         return z
 
     def solve_upper(self, z: np.ndarray) -> np.ndarray:
-        """R^-dag z for z over the rows of the processed stages: back substitution by slices."""
+        """R^-dag z for z over the rows of the schedule: back substitution by slices."""
         rhs = np.array(z, dtype=complex)
         u = np.empty_like(rhs)
         slices = self.slice_factors()
@@ -549,34 +540,26 @@ class ProjectorAccumulator:
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         """P x for x the (N, 4) amplitudes on the window sites, as the same array form."""
-        k = self.stages_done
-        out = np.zeros_like(x)
-        if k == 0:
-            return out
-        zero = self._zero
-        table = self._table
-        y = self.tables.row_sums(zero[:k], x[table.stencil[:k]])
-        # stages past k contribute zero terms, so the full-schedule scatter order holds
-        u = np.zeros((len(self.schedule), 4), dtype=complex)
-        u[:k] = self.solve_upper(self.solve_lower(y.ravel())).reshape(k, 4)
+        zero, table = self._zero, self._table
+        y = self.tables.row_sums(zero, x[table.stencil])
+        u = self.solve_upper(self.solve_lower(y.ravel())).reshape(-1, 4)
         terms = self.tables.adjoint_terms(zero, u).reshape(-1, 4)
-        out[table.scatter_sites] = np.add.reduceat(terms[table.scatter_order], table.scatter_first)
-        return out
+        # every window site is reached by some stencil, so the runs are the window sites
+        return np.add.reduceat(terms[table.scatter_order], table.scatter_first)
 
     def apply_projector(self, c: Multispinor) -> Multispinor:
-        """Accumulated projector applied to c: the processed-row component.
+        """Projector applied to c: the component in the span of the window's interior rows.
 
-        P c = V^dag R^-dag R^-1 V c, returned on the sites the processed
-        stencils reach; entries of c outside the window do not enter.
+        P c = V^dag R^-dag R^-1 V c, returned on every window site, in
+        window order; entries of c outside the window do not enter.
         """
-        out = self._project(c.at(self._table.coords))
-        covered = np.flatnonzero(self._table.first_cover < self.stages_done)
-        return Multispinor.from_rows(self._table.coords[covered], out[covered])
+        coords = self._table.coords
+        return Multispinor.from_rows(coords, self._project(c.at(coords)))
 
     def apply_fundamental(self, c: Multispinor) -> Multispinor:
-        """(U - P) c: c minus its processed-row component, a solution of processed rows.
+        """(U - P) c: c minus its projected component, a solution of the interior rows.
 
-        Holds the sites of c, in its order, then the covered sites c lacks.
+        Holds the sites of c, in its order, then the window sites c lacks.
         No amplitude shares a buffer with c.
         """
         return c - self.apply_projector(c)

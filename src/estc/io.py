@@ -4,12 +4,13 @@ An operator dump (format estc-operator-v4) is two files with one stem: a
 small JSON header, operator.json, and the factors of the projector as raw
 little-endian complex128 numbers, operator.c16.  The header holds the
 fingerprint of the generating configuration, the window radius and center,
-the number of stages, per stage its rcond, and the sha256 of the factor
-file.  The factor file holds, slice by slice, the lower triangle of
-W_t = R_tt^-1 in np.tril_indices order and then the band panel
-[R_t,t-2 | R_t,t-1] row-major.  Every slice shape follows from
-make_schedule(window) and the stage count, so the reader refuses a factor
-file of any other size or digest.  lattice.Window checks the header's
+the number of stages, which is the length of the window's schedule, per
+stage its rcond, and the sha256 of the factor file.  The factor file
+holds, slice by slice, the lower triangle of W_t = R_tt^-1 in
+np.tril_indices order and then the band panel [R_t,t-2 | R_t,t-1]
+row-major.  Every slice shape follows from make_schedule(window), so the
+reader refuses any other stage count and a factor file of any other size
+or digest.  lattice.Window checks the header's
 radius and center, as it checks every window.  The factor file is a
 built accumulator's factor store byte for byte, and the writer writes
 the store with one call.  The reader hashes the file one slice at a
@@ -60,12 +61,14 @@ def factor_path(path: str | Path) -> Path:
 def write_operator(path: str | Path, acc: ProjectorAccumulator, cfg: RunConfig) -> None:
     """Write the factor store as the factor file, then the header with its sha256.
 
-    Raises ValueError, writing nothing, for an accumulator that has not run
-    or was restored from a dump: neither holds a factor store.
+    Raises ValueError, writing nothing, for an accumulator that has not
+    completed a run or was restored from a dump: neither holds a factor
+    store.
     """
     if acc.factors is None:
         raise ValueError(
-            "an accumulator that has not run, or was restored from a dump, has no factors to write"
+            "an accumulator that has not completed a run, or was restored from a dump, "
+            "has no factors to write"
         )
     raw = np.ascontiguousarray(acc.factors, dtype="<c16")
     factor_path(path).write_bytes(raw)
@@ -74,8 +77,8 @@ def write_operator(path: str | Path, acc: ProjectorAccumulator, cfg: RunConfig) 
         "fingerprint": config_fingerprint(cfg),
         "radius": cfg.radius,
         "center": list(cfg.n_ref),
-        "stages": int(acc.stages_done),
-        "rconds": acc.rconds[: acc.stages_done].tolist(),
+        "stages": len(acc.schedule),
+        "rconds": acc.rconds.tolist(),
         "sha256": hashlib.sha256(raw).hexdigest(),
     }
     Path(path).write_text(json.dumps(header, separators=(",", ":")) + "\n")
@@ -98,8 +101,8 @@ def _read_json(path: str | Path, cfg: RunConfig | None, expected_format: str) ->
 class _Factors:
     """Validated content of a dump, ready for from_factors or an export.
 
-    factors reads the slices of the first len(rconds) stages from the
-    checked factor file, one slice each time it is indexed.
+    factors reads the slices of the whole schedule from the checked factor
+    file, one slice each time it is indexed.
     """
 
     fingerprint: str
@@ -172,19 +175,17 @@ def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
         window = Window(header["radius"], header["center"])
         count = len(make_schedule(window))
         stages, rconds = header["stages"], header["rconds"]
-        if type(stages) is not int or not 0 <= stages <= count:
-            raise ConfigError(f"stages must be an integer from 0 to {count}, not {stages!r}")
-        if not _numbers(rconds, stages, (int, float)):
-            raise ConfigError(f"rconds must be {stages} finite numbers, one per stage")
+        if type(stages) is not int or stages != count:
+            raise ConfigError(f"stages must be the {count} stages of the schedule, not {stages!r}")
+        if not _numbers(rconds, count, (int, float)):
+            raise ConfigError(f"rconds must be {count} finite numbers, one per stage")
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"malformed operator dump: {err!r}") from None
 
     source = factor_path(path)
     with open(source, "rb") as f:
         identity = _identity(f)
-        factors = FactorSlices(
-            window_table(window).slice_ptr, stages, _FactorFile(source, identity).read
-        )
+        factors = FactorSlices(window_table(window).slice_ptr, _FactorFile(source, identity).read)
         count, size = factors.bounds[-1], identity[2]
         if size != 16 * count:
             raise ConfigError(
@@ -285,15 +286,15 @@ def residual_csv(rows: list[tuple[Site, float]], center: Site) -> str:
 
 
 def stages_csv(acc: ProjectorAccumulator) -> str:
-    """stages.csv: per processed stage, its site, g4d, rcond, support and asymmetry."""
-    k, center = acc.stages_done, acc.window.center
+    """stages.csv: per stage, its site, g4d, rcond, support and asymmetry."""
+    center = acc.window.center
     lines = ["stage,n1,n2,n3,n4,g4d,rcond,support,gram_asymmetry"]
     for stage, site, rcond, support, asymmetry in zip(
-        range(k),
-        acc.schedule[:k],
-        acc.rconds[:k].tolist(),
-        window_table(acc.window).support[:k].tolist(),
-        acc.asymmetry[:k].tolist(),
+        range(len(acc.schedule)),
+        acc.schedule,
+        acc.rconds.tolist(),
+        window_table(acc.window).support.tolist(),
+        acc.asymmetry.tolist(),
     ):
         lines.append(
             f"{stage},{site[0]},{site[1]},{site[2]},{site[3]},"

@@ -213,15 +213,16 @@ class WindowTable:
     coords[schedule[k]] + SHIFTS_S13[s], the columns of stage k; every
     scheduled site is interior, so its stencil lies in the window.
     The schedule is time-major: slice t of equal n4 is stages
-    slice_ptr[t]:slice_ptr[t + 1].  first_cover[j] is the first stage whose
-    stencil reaches window site j (K where none does) and support[k]
-    counts the sites that the stencils of stages 0..k reach.  The
-    projection sums its K * 13 stencil terms into the window sites in one
-    sorted reduction: scatter_order sorts the flat stencil, stably, and
-    the run starting at scatter_first[j] holds the terms of window site
-    scatter_sites[j].  pattern is the block pattern of the row Gram, built
-    on first use: an accumulator that only applies restored factors never
-    needs it.  The arrays are read-only: every caller shares them.
+    slice_ptr[t]:slice_ptr[t + 1].  support[k] counts the sites that the
+    stencils of stages 0..k reach.  At radius >= 1 every window site is
+    reached by some stencil: a site on the rim, at g4d = radius, is one
+    field shift from an interior site.  The projection sums its K * 13
+    stencil terms into the window sites in one sorted reduction:
+    scatter_order sorts the flat stencil, stably, and the run starting at
+    scatter_first[j] holds the terms of window site j.  pattern is the
+    block pattern of the row Gram, built on first use: an accumulator that
+    only applies restored factors never needs it.  The arrays are
+    read-only: every caller shares them.
     """
 
     sites: tuple[Site, ...]
@@ -229,11 +230,9 @@ class WindowTable:
     schedule: np.ndarray
     stencil: np.ndarray
     slice_ptr: np.ndarray
-    first_cover: np.ndarray
     support: np.ndarray
     scatter_order: np.ndarray
     scatter_first: np.ndarray
-    scatter_sites: np.ndarray
 
     @cached_property
     def pattern(self) -> GramPattern:
@@ -259,6 +258,7 @@ def _window_table(radius: int, center: Site) -> WindowTable:
     n4 = coords[schedule, 3]
     stencil = locate(coords, coords[schedule, None, :] + SHIFT_ARRAY)
     stages = len(stencil)
+    # the first stage whose stencil reaches each window site
     first_cover = np.full(len(coords), stages)
     np.minimum.at(first_cover, stencil, np.arange(stages)[:, None])
     flat = stencil.ravel()
@@ -270,11 +270,9 @@ def _window_table(radius: int, center: Site) -> WindowTable:
         schedule=schedule,
         stencil=stencil,
         slice_ptr=np.flatnonzero(np.diff(n4, prepend=n4[:1] - 1, append=n4[-1:] + 1)),
-        first_cover=first_cover,
         support=np.cumsum(np.bincount(first_cover, minlength=stages + 1))[:stages],
         scatter_order=order,
         scatter_first=first,
-        scatter_sites=flat[order][first],
     )
     for array in vars(table).values():
         if isinstance(array, np.ndarray):

@@ -8,8 +8,7 @@ as 4-tuples are built only when code at the edges asks for single sites.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
-from itertools import chain
+from collections.abc import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -116,14 +115,15 @@ class Multispinor:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
 
-def random_multispinor(sites: Iterable[Site], seed: int) -> Multispinor:
+def random_multispinor(sites: Sequence[Site] | np.ndarray, seed: int) -> Multispinor:
     """Standard normal complex amplitudes on the given sites, in their order.
 
-    One draw of shape (N, 2, 4): per site the four real parts, then the
-    four imaginary parts.  A repeated site keeps its first place and takes
-    its last draw.
+    The sites are a list of 4-tuples or an (N, 4) int64 array.  One draw
+    of shape (N, 2, 4): per site the four real parts, then the four
+    imaginary parts.  A repeated site keeps its first place and takes its
+    last draw.
     """
-    coords = np.fromiter(chain.from_iterable(sites), np.int64).reshape(-1, 4)
+    coords = np.asarray(sites, dtype=np.int64).reshape(-1, 4)
     draws = np.random.default_rng(seed).standard_normal((len(coords), 2, 4))
     amplitudes = draws[:, 0] + 1j * draws[:, 1]
     first = locate(coords, coords)

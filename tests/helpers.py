@@ -216,6 +216,19 @@ def factored_projector(acc, v):
     return phi.conj().T @ phi
 
 
+def prefix_projector(acc, k, sites):
+    """Dense projector onto the rows of the first k stages, over the given sites.
+
+    The leading 4k x 4k block of a Cholesky factor is the Cholesky factor
+    of the leading block of G, so the first k stages of the full run's
+    factor give the projector of those stages alone.
+    """
+    r = dense_factor(acc)[: 4 * k, : 4 * k]
+    f, p = acc.tables.field, acc.tables.params
+    phi = np.linalg.solve(r, dense_rows(f, p, acc.schedule[:k], sites))
+    return phi.conj().T @ phi
+
+
 def to_vector(c, sites):
     return np.concatenate([c[site] for site in sites])
 

@@ -219,8 +219,8 @@ def test_verify_detects_a_corrupted_field_overlap(config_path, capsys, monkeypat
 def test_verify_detects_a_corrupted_factor_store(tmp_path, capsys, monkeypatch, part, line, radius):
     real = engine.ProjectorAccumulator.run
 
-    def corrupted(self, stages=None):
-        real(self, stages)
+    def corrupted(self):
+        real(self)
         # a relative error of 1e-6 in the largest stored entry of packed W_t or of a band
         arrays = [factors[part] for factors in self.slice_factors()]  # views of the store
         array = max(arrays, key=lambda array: np.abs(array).max(initial=0.0))
@@ -316,10 +316,14 @@ def test_oversized_windows_exit_1(built, tmp_path, capsys):
     assert "more than the limit of 127872000 bytes" in capsys.readouterr().err
 
 
-def test_degeneracy_exits_2(tmp_path):
+def test_degeneracy_exits_2(tmp_path, capsys):
     cfg = tmp_path / "resonant.cfg"
     cfg.write_text(RESONANT)
     assert cli.main(["build", "--config", str(cfg), "--out", str(tmp_path / "op")]) == 2
+    # the resonant site on shell, its stage and rcond; a singular build writes nothing
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 59 at site (0, 0, 0, 2): reciprocal condition ")
+    assert not (tmp_path / "op").exists()
 
 
 def test_non_finite_gram_exits_2(tmp_path, config_path, monkeypatch, capsys):
@@ -341,8 +345,8 @@ def test_non_finite_gram_exits_2(tmp_path, config_path, monkeypatch, capsys):
 def test_corrupted_coupling_fails_the_build(tmp_path, monkeypatch):
     real = engine.ProjectorAccumulator.run
 
-    def corrupted(self, stages=None):
-        real(self, stages)
+    def corrupted(self):
+        real(self)
         # a relative error of 1e-6 in the largest stored band entry
         bands = [band for _, band in self.slice_factors()]  # views of the factor store
         band = max(bands, key=lambda band: np.abs(band).max(initial=0.0))

@@ -37,6 +37,7 @@ from helpers import (
     dense_rows,
     factored_projector,
     oracle_overlap,
+    prefix_projector,
     random_field,
     random_params,
     svd_projector,
@@ -94,8 +95,9 @@ def test_bare_block_structure():
 
 
 def test_first_stage_is_the_bare_block():
-    acc = fresh_accumulator()
-    acc.run(stages=1)
+    # the window of radius 1 schedules one site
+    acc = fresh_accumulator(radius=1).run()
+    assert len(acc.schedule) == 1
     m0 = acc.schedule[0]
     # the first pivot R_00 R_00^dag is the row Gram matrix L(m0), its core a(m0)
     r = dense_factor(acc)
@@ -118,7 +120,7 @@ def test_first_coupling_matches_its_closed_form():
         for k, m in enumerate(acc.schedule)
         if np.abs(oracle_overlap(m, m0, FIELD, PARAMS)).max() > 1e-3
     )
-    acc.run(stages=k + 1)
+    acc.run()
     expected = oracle_overlap(acc.schedule[k], m0, FIELD, PARAMS) @ matrix_from_dset(
         a_matrix(m0, FIELD, PARAMS)
     )
@@ -128,15 +130,22 @@ def test_first_coupling_matches_its_closed_form():
     assert np.abs(coupling - expected).max() < 1e-12
 
 
+@pytest.fixture(scope="module")
+def radius_2_run():
+    return fresh_accumulator().run()
+
+
 @pytest.mark.parametrize("k", range(1, 13))
-def test_each_stage_matches_the_pair_combination(k):
-    # the paper's pair formula: P_{<=k} combines P_{<k} with the bare block of m_k
-    before, after = fresh_accumulator().run(stages=k), fresh_accumulator().run(stages=k + 1)
-    assert len(after.schedule) == 13
-    sites = after.window.points()
-    alpha = applied_matrix(before, sites)
-    beta = bare_projector(after.schedule[k], FIELD, PARAMS, sites)
-    assert np.abs(applied_matrix(after, sites) - combine_pair(alpha, beta)).max() < 1e-9
+def test_each_stage_matches_the_pair_combination(k, radius_2_run):
+    # the paper's pair formula: P_{<=k} combines P_{<k} with the bare block of m_k;
+    # the projector of the first k stages comes from the leading block of the factor
+    acc = radius_2_run
+    assert len(acc.schedule) == 13
+    sites = acc.window.points()
+    alpha = prefix_projector(acc, k, sites)
+    beta = bare_projector(acc.schedule[k], FIELD, PARAMS, sites)
+    after = prefix_projector(acc, k + 1, sites) if k < 12 else applied_matrix(acc, sites)
+    assert np.abs(after - combine_pair(alpha, beta)).max() < 1e-9
 
 
 def test_accumulated_projector_matches_the_dense_span_oracle():
@@ -193,7 +202,7 @@ def test_fundamental_map_solves_processed_rows_and_is_complementary():
 
 
 def test_block_apply_matches_its_dense_matrix():
-    acc = fresh_accumulator().run(stages=5)
+    acc = fresh_accumulator().run()
     sites = acc.window.points()
     c = random_multispinor(sites, 13)
     dense = factored_projector(acc, dense_rows(FIELD, PARAMS, acc.processed_sites(), sites))
@@ -294,7 +303,7 @@ def test_oversized_window_is_refused_before_enumeration(tmp_path, monkeypatch, c
         assert refusal in capsys.readouterr().err
 
 
-def test_resonant_site_trips_the_stage_guard():
+def test_resonant_site_trips_the_stage_guard(tmp_path):
     # nearly zero field with one site exactly on shell: w4(0,0,0,2) = 1,
     # spatial w = 0, so the row Gram matrix has an eigenvalue of order I_A
     faint = FieldConfig.from_amplitudes({"a_12": 1e-13, "b_31": 1e-13})
@@ -307,12 +316,13 @@ def test_resonant_site_trips_the_stage_guard():
     assert err.value.site == target
     assert err.value.stage == acc.schedule.index(target)
     assert err.value.rcond < 1e-10
-    # every earlier stage went through
-    assert acc.stages_done == acc.schedule.index(target)
+    check_holds_no_factors(acc, tmp_path)
+    with pytest.raises(ValueError, match="runs once"):
+        acc.run()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_gram_trips_the_stage_guard(bad, monkeypatch):
+def test_non_finite_gram_trips_the_stage_guard(bad, monkeypatch, tmp_path):
     target = lattice.make_schedule(Window(2))[3]
     real = engine.FieldTables.zero_shift
 
@@ -327,11 +337,12 @@ def test_non_finite_gram_trips_the_stage_guard(bad, monkeypatch):
         acc.run()
     assert (err.value.stage, err.value.site) == (3, target)
     assert not err.value.rcond >= acc.rcond_min
-    assert acc.stages_done == 3
-    assert np.isfinite(acc.factors).all()
+    check_holds_no_factors(acc, tmp_path)
+    with pytest.raises(ValueError, match="runs once"):
+        acc.run()
 
 
-def test_dependent_mid_slice_row_trips_the_stage_guard(monkeypatch):
+def test_dependent_mid_slice_row_trips_the_stage_guard(monkeypatch, tmp_path):
     # scalar row 3 of one site becomes the sum of its rows 0 and 1, so the
     # row block adds rank 3, not 4: its pivot is singular.  The row
     # transform T enters the Gram blocks as G -> T G T^dag: block (k, i)
@@ -367,17 +378,39 @@ def test_dependent_mid_slice_row_trips_the_stage_guard(monkeypatch):
     assert len(leading_calls) == 1
     assert (err.value.stage, err.value.site) == (stage, schedule[stage])
     assert not err.value.rcond >= acc.rcond_min
-    assert acc.stages_done == stage
-    # the stages before it are recorded, it and the stages after it are not
-    assert (acc.rconds[:stage] > 0).all()
-    assert (acc.rconds[stage:] == 0).all()
-    assert np.isfinite(acc.asymmetry[:stage]).all()
-    assert np.isnan(acc.asymmetry[stage:]).all()
-    # the stages before it still give the projector onto their rows
+    check_holds_no_factors(acc, tmp_path)
+    with pytest.raises(ValueError, match="runs once"):
+        acc.run()
+
+
+def check_holds_no_factors(acc, tmp_path):
+    """An accumulator without a completed run holds no factors: every use of them raises."""
+    cfg = parse_config(SAMPLE_CONFIG.read_text())
     c = random_multispinor(acc.window.points(), 8)
-    solution = acc.apply_fundamental(c)
-    worst = max(v for _, v in residual_table(solution, acc.tables, acc.processed_sites()))
-    assert worst < 1e-13 * c.norm()
+    y = np.ones(4 * len(acc.schedule), dtype=complex)
+    uses = (
+        lambda: acc.apply_projector(c),
+        lambda: acc.apply_fundamental(c),
+        lambda: acc.solve_lower(y),
+        lambda: acc.solve_upper(y),
+        acc.slice_factors,
+    )
+    for use in uses:
+        with pytest.raises(ValueError, match="has not completed a run"):
+            use()
+    path = tmp_path / "operator.json"
+    with pytest.raises(ValueError, match="has not completed a run"):
+        write_operator(path, acc, cfg)
+    assert not path.exists() and not path.with_suffix(".c16").exists()
+    assert acc.stages_done == 0 and acc.processed_sites() == [] and acc.factors is None
+
+
+def test_an_accumulator_that_has_not_run_fails_loudly(tmp_path):
+    acc = fresh_accumulator()
+    assert not acc.rconds.any() and np.isnan(acc.asymmetry).all()
+    check_holds_no_factors(acc, tmp_path)
+    # it can still run, once
+    assert acc.run().stages_done == 13
 
 
 def test_slice_cholesky_reads_only_the_lower_triangle(monkeypatch):
@@ -428,20 +461,12 @@ def test_apply_fundamental_on_the_window_sites_shares_no_buffer():
     check_apply_fundamental_keeps_its_input(acc, random_multispinor(acc.window.points(), 17))
 
 
-def test_apply_fundamental_of_a_partial_run_shares_no_buffer():
-    # 30 stages stop inside slice 2, so the stencils cover fewer sites than the window holds
-    acc = fresh_accumulator(radius=3).run(stages=30)
-    points = acc.window.points()
-    assert len(acc.apply_projector(Multispinor()).coords) == 144 < len(points) == 233
-    c = random_multispinor(points[::3], 17) + Multispinor({(9, 9, 0, 0): [1, 2, 3, 4]})
-    check_apply_fundamental_keeps_its_input(acc, c)
-
-
 def check_apply_fundamental_keeps_its_input(acc, c):
     before = {site: c[site].copy() for site in c}
     solution = acc.apply_fundamental(c)
-    # site by site: the sites of c in order, then the covered sites c lacks in P c's order
+    # site by site: the sites of c in order, then the window sites c lacks in P c's order
     pc = acc.apply_projector(c)
+    assert pc.coords.tobytes() == lattice.window_table(acc.window).coords.tobytes()
     reference = [(site, c[site] - pc[site]) for site in c]
     reference += [(site, -pc[site]) for site in pc if site not in c]
     assert list(solution) == [site for site, _ in reference]
@@ -538,16 +563,15 @@ def test_library_point_makes_no_per_site_calls(monkeypatch):
 
 
 def test_stage_diagnostics_are_recorded():
-    acc = fresh_accumulator().run(stages=3)
+    acc = fresh_accumulator().run()
     support = lattice.window_table(acc.window).support
-    for k in range(3):
+    for k in range(len(acc.schedule)):
         assert 0.0 < acc.rconds[k] <= 1.0
         reached = {site_add(m, s) for m in acc.schedule[: k + 1] for s in SHIFTS_S13}
         assert support[k] == len(reached)
         assert acc.asymmetry[k] < 1e-10
-    # the stages past the run have no record
-    assert not acc.rconds[3:].any()
-    assert np.isnan(acc.asymmetry[3:]).all()
+    # the last stage's stencils reach the whole window
+    assert support[-1] == len(acc.window.points())
 
 
 def test_stages_csv_is_the_arrays_row_for_row():
@@ -568,34 +592,18 @@ def test_stages_csv_is_the_arrays_row_for_row():
 def test_a_run_happens_once(tmp_path):
     cfg = parse_config(SAMPLE_CONFIG.read_text())
     window = Window(2, cfg.n_ref)
-    empty = ProjectorAccumulator(cfg.field, cfg.params, window).run(stages=0)
-    with pytest.raises(ValueError, match="runs once"):
-        empty.run()
-    assert empty.stages_done == 0 and empty.factors.size == 0
     acc = ProjectorAccumulator(cfg.field, cfg.params, window).run()
     path = tmp_path / "operator.json"
     write_operator(path, acc, cfg)
     store = acc.factors.tobytes()
     for built in (acc, read_operator(path, cfg)):
         rconds = built.rconds.copy()
-        for stages in (None, 5):
-            with pytest.raises(ValueError, match="runs once"):
-                built.run(stages)
-            # every (packed W_t, band panel), in memory or read back, holds the writer's bits
-            parts = [part.tobytes() for pair in built.slice_factors() for part in pair]
-            assert b"".join(parts) == store
-            assert np.array_equal(built.rconds, rconds)
-
-
-def test_run_takes_a_stage_count_within_the_schedule():
-    cfg = parse_config(SAMPLE_CONFIG.read_text())
-    window = Window(2, cfg.n_ref)
-    stages = len(lattice.make_schedule(window))
-    for bad in (-1, stages + 1, 20, 2.0):
-        with pytest.raises(ValueError, match="stages must be an integer"):
-            ProjectorAccumulator(cfg.field, cfg.params, window).run(bad)
-    assert ProjectorAccumulator(cfg.field, cfg.params, window).run(0).stages_done == 0
-    assert ProjectorAccumulator(cfg.field, cfg.params, window).run(stages).stages_done == stages
+        with pytest.raises(ValueError, match="runs once"):
+            built.run()
+        # every (packed W_t, band panel), in memory or read back, holds the writer's bits
+        parts = [part.tobytes() for pair in built.slice_factors() for part in pair]
+        assert b"".join(parts) == store
+        assert np.array_equal(built.rconds, rconds)
 
 
 def test_random_configurations_keep_the_invariants():

@@ -270,10 +270,18 @@ def test_layout_is_cached_and_read_only():
     table = lattice.window_table(Window(3, (1, 0, -1, 2)))
     assert lattice.window_table(Window(3, (1, 0, -1, 2))) is table
     arrays = [value for value in vars(table).values() if isinstance(value, np.ndarray)]
-    assert len(arrays) == 9
+    assert len(arrays) == 7
     for array in (*arrays, lattice.SHIFT_ARRAY):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+@pytest.mark.parametrize("radius", range(1, 7))
+def test_the_stencils_reach_every_window_site(radius):
+    # the projection's sorted reduction has one run per window site, in window order
+    table = lattice.window_table(Window(radius, (1, 0, -1, 2)))
+    assert np.array_equal(np.unique(table.stencil), np.arange(len(table.coords)))
+    assert len(table.scatter_first) == len(table.coords) == lattice.window_size(radius)
 
 
 def test_locate_matches_a_dict_lookup():

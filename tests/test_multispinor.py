@@ -83,10 +83,14 @@ def test_random_multispinor_is_the_sequential_per_site_draw():
     expected = {}
     for site in sites:  # a repeated site keeps its place and takes the later draw
         expected[site] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    c = random_multispinor(iter(sites), 31)
+    c = random_multispinor(sites, 31)
     assert list(c) == list(expected)
     for site, value in expected.items():
         assert c[site].tobytes() == value.tobytes()
+    # the sites as an (N, 4) array draw the same bits
+    same = random_multispinor(np.array(sites, dtype=np.int64), 31)
+    assert same.coords.tobytes() == c.coords.tobytes()
+    assert same.amplitudes.tobytes() == c.amplitudes.tobytes()
     assert random_multispinor([], 31).norm() == 0.0
 
 
