@@ -18,9 +18,12 @@ one dense Cholesky of the slice's Schur complement, and keeps only the
 band.  Stage k, one scheduled site, has the pivot D_k = R_kk R_kk^dag, the
 deflated Gram matrix of its row; a numerically singular pivot means the
 row is linearly dependent on the rows before it, and the run raises
-StageSingular there.  A run is one-shot and all or nothing: it sizes the
-store once and factors every slice in order, and an accumulator whose run
-did not complete holds no factors; one restored from a dump only applies.
+StageSingular there.  The slice step only factors: the pivot rconds and
+their floor are computed once per run, over every stage, after the last
+slice, or as soon as a slice's Cholesky fails or yields a non-finite
+pivot.  A run is one-shot and all or nothing: it sizes the store once and
+factors every slice in order, and an accumulator whose run did not
+complete holds no factors; one restored from a dump only applies.
 
 The projector is kept and applied in factored form only, as
 P = (R^-1 V)^dag (R^-1 V): a block forward and back substitution over the
@@ -29,11 +32,12 @@ slice, the lower triangle of W_t = R_tt^-1 packed in np.tril_indices
 order, then the band panel row-major.  A built accumulator holds it as
 one complex128 array; a restored one reads each slice from the factor
 file when a step indexes it, so an apply holds one slice at a time.
-FactorSlices holds the slice offsets for both.  A step that needs W_t
-unpacks it into a dense temporary.  The complement U - P maps any seed
-multispinor onto the solution subspace of the window's interior rows;
-residuals of the rows outside the interior measure the truncation error
-of the window.
+FactorSlices holds the slice offsets for both.  The run keeps each W_t
+dense from its inversion through slice t + 2, the last whose band it
+multiplies; the solves unpack it into a dense temporary.  The complement
+U - P maps any seed multispinor onto the solution subspace of the
+window's interior rows; residuals of the rows outside the interior
+measure the truncation error of the window.
 
 Only the zero-shift block V(n, 0) depends on q, through w = q + Omega n,
 so a point at new q pays only for it.  Per window (radius, center), built
@@ -193,7 +197,9 @@ def tril_inverse(r: np.ndarray) -> np.ndarray:
     """
     size = r.shape[0]
     if size <= TRIL_BLOCK:
-        return np.tril(np.linalg.inv(r))
+        out = np.linalg.inv(r)
+        out.reshape(-1)[_triu_flat(size)] = 0
+        return out
     half = 4 * (size // 8)
     out = np.zeros_like(r)
     out[:half, :half] = first = tril_inverse(r[:half, :half])
@@ -206,6 +212,15 @@ def tril_inverse(r: np.ndarray) -> np.ndarray:
 def _tril_flat(size: int) -> np.ndarray:
     """Flat indices of the lower triangle of a (size, size) matrix, in np.tril_indices order."""
     rows, cols = np.tril_indices(size)
+    flat = rows * size + cols
+    flat.setflags(write=False)
+    return flat
+
+
+@lru_cache(maxsize=16)
+def _triu_flat(size: int) -> np.ndarray:
+    """Flat indices of the strictly upper triangle of a (size, size) matrix."""
+    rows, cols = np.triu_indices(size, 1)
     flat = rows * size + cols
     flat.setflags(write=False)
     return flat
@@ -275,9 +290,9 @@ class FactorSlices:
 
 
 def _blocks(a: np.ndarray) -> np.ndarray:
-    """(n, 4, 4) diagonal 4x4 blocks of a (4n, 4n) matrix."""
+    """(n, 4, 4) diagonal 4x4 blocks of a (4n, 4n) matrix, as a read-only view."""
     n = a.shape[0] // 4
-    return a.reshape(n, 4, n, 4)[np.arange(n), :, np.arange(n)]
+    return np.diagonal(a.reshape(n, 4, n, 4), axis1=0, axis2=2).transpose(2, 0, 1)
 
 
 class ProjectorAccumulator:
@@ -298,14 +313,21 @@ class ProjectorAccumulator:
     row-major: the layout of the operator dump's factor file.
     slice_factors() gives each slice by index, as views of the store, or,
     for an accumulator restored by from_factors, which holds no store, as
-    a read of the factor file; W_t is unpacked into a dense temporary by
-    the step that multiplies by it.
+    a read of the factor file.  The run keeps W_t dense, as tril_inverse
+    returns it, for the band products of slices t + 1 and t + 2; the
+    solves unpack it into a dense temporary.
 
     The build record is two arrays over the schedule: rconds[k], the
     eigenvalue ratio of the pivot of stage k, and asymmetry[k], the
     largest imaginary part of the real-basis coefficients of its diagonal
     block of the Schur complement, which rounding alone makes nonzero
-    (NaN unless this accumulator factored it).
+    (NaN unless this accumulator factored it).  asymmetry is filled slice
+    by slice; rconds once per run, from the pivots R_kk the slices
+    collect, by the same step that checks them against rcond_min.  After
+    a StageSingular, rconds holds the rcond of every stage whose pivot
+    the run factored and 0 for the rest: every stage when the floor
+    failed after the last slice, the stages before the one named when a
+    slice's Cholesky failed.
 
     In terms of the block LDL^dag factorization G = U D U^dag with U block
     unit-lower, U = R blockdiag(R_kk)^-1 and D_k = R_kk R_kk^dag, so the
@@ -423,11 +445,19 @@ class ProjectorAccumulator:
         panel[rows, :, cols] = self.gram[span]
         return panel.reshape(4 * (stop - start), 4 * (stop - low))
 
-    def _factor_slice(self, t: int, slices: FactorSlices) -> None:
-        """Factor slice t into its place in slices, after the slices before it.
+    def _factor_slice(
+        self, t: int, slices: FactorSlices, pivots: np.ndarray, inverses: list[np.ndarray]
+    ) -> np.ndarray:
+        """Factor slice t into its place in slices, after the slices before it; returns W_t.
 
-        Raises StageSingular at the first stage of the slice whose pivot is
-        not positive definite or has rcond below rcond_min.
+        inverses holds the dense W_j of the slices its band reaches, t - 2
+        and t - 1 (fewer at the first two); the step drops W_t-2, whose
+        last use it is.  The slice's R_kk go into pivots, whose rconds the
+        run checks once, after the last slice.  When the slice's Cholesky
+        fails, or its pivots are not finite, the pivots of the slices
+        before it are checked first, since a stage below the floor there
+        may be what broke this one; raises StageSingular at the first bad
+        stage.
         """
         ptr = self.slice_ptr
         start, stop, low = ptr[t], ptr[t + 1], ptr[max(t - 2, 0)]
@@ -436,41 +466,49 @@ class ProjectorAccumulator:
         band = panel[:, :width]  # a view: the panel's band columns are not read again
         second = 4 * (ptr[t - 1] - low) if t else 0  # columns of slice t - 2
         if t >= 2:
-            inverse = unpack_lower(slices[t - 2][0], second)
-            band[:, :second] = band[:, :second] @ inverse.conj().T
+            band[:, :second] = band[:, :second] @ inverses.pop(0).conj().T
             band[:, second:] -= band[:, :second] @ slices[t - 1][1][:, -second:].conj().T
         if t >= 1:
-            inverse = unpack_lower(slices[t - 1][0], width - second)
-            band[:, second:] = band[:, second:] @ inverse.conj().T
+            band[:, second:] = band[:, second:] @ inverses[-1].conj().T
         schur = panel[:, width:] - band @ band.conj().T
-        asymmetry = np.abs(dset_from_matrix(_blocks(schur)).imag).max(axis=1)
 
         try:
-            factor = np.linalg.cholesky(schur)
-            failed = None
+            factor, failed = np.linalg.cholesky(schur), None
         except np.linalg.LinAlgError:
             factor, failed = self._leading_factor(schur)
-        # a stage of the leading factor may already fall below the rcond floor
-        rconds = _pivot_rconds(_blocks(factor))
-        bad = np.flatnonzero(~(rconds >= self.rcond_min))
-        if bad.size:
-            failed = (int(bad[0]), float(rconds[bad[0]]))
-        if failed is not None:
+        done = start + factor.shape[0] // 4
+        pivots[start:done] = _blocks(factor)
+        if failed is not None or not np.isfinite(pivots[start:done]).all():
+            # a non-finite pivot fails the check, so past it the Cholesky failed
+            self._check_pivots(pivots[:done])
             k = start + failed[0]
             raise StageSingular(k, self.schedule[k], failed[1])
 
+        inverse = tril_inverse(factor)
         packed, coupling = slices[t]
-        packed[...] = pack_lower(tril_inverse(factor))
+        packed[...] = pack_lower(inverse)
         coupling[...] = band
-        self.rconds[start:stop] = rconds
-        self.asymmetry[start:stop] = asymmetry
+        self.asymmetry[start:stop] = np.abs(dset_from_matrix(_blocks(schur)).imag).max(axis=1)
+        return inverse
+
+    def _check_pivots(self, pivots: np.ndarray) -> None:
+        """Record the rconds of the leading stages' pivots R_kk; raise at the first below the floor.
+
+        Raises StageSingular at the first stage whose rcond is below
+        rcond_min or NaN (a pivot that is not finite).
+        """
+        rconds = self.rconds[: len(pivots)] = _pivot_rconds(pivots)
+        bad = np.flatnonzero(~(rconds >= self.rcond_min))
+        if bad.size:
+            k = int(bad[0])
+            raise StageSingular(k, self.schedule[k], float(rconds[k]))
 
     @staticmethod
     def _leading_factor(schur: np.ndarray) -> tuple[np.ndarray, tuple[int, float]]:
         """The stage of schur whose pivot is not positive definite, for the error message.
 
         Bisects over the leading stage blocks for the longest one that has
-        a Cholesky factor; returns that factor, whose stages the caller
+        a Cholesky factor; returns that factor, whose pivots the caller
         checks against the rcond floor, and (stage, rcond) of the first
         stage past it, whose pivot, the Schur complement of the leading
         block, is not positive definite.
@@ -507,8 +545,11 @@ class ProjectorAccumulator:
         self._ran = True
         store = np.empty(factor_count(self.slice_ptr), dtype=complex)
         slices = FactorSlices(self.slice_ptr, lambda start, stop: store[start:stop])
+        pivots = np.empty((len(self.schedule), 4, 4), dtype=complex)
+        inverses: list[np.ndarray] = []  # dense W of the slices the next band reaches
         for t in range(len(slices)):
-            self._factor_slice(t, slices)
+            inverses.append(self._factor_slice(t, slices, pivots, inverses))
+        self._check_pivots(pivots)
         self.factors, self._slices = store, slices
         return self
 

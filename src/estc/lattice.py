@@ -78,15 +78,6 @@ def site_add(a: Site, b: Site) -> Site:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
 
-def couples(m: Site, n: Site) -> bool:
-    """True when the rows at m and n can share a column.
-
-    That happens exactly when n - m is a difference of two stencil shifts,
-    a row of COUPLING_DIFFS; every such difference has g4d at most 2.
-    """
-    return bool((COUPLING_DIFFS == site_sub(n, m)).all(axis=1).any())
-
-
 def _integer(x) -> bool:
     """x is a Python or numpy integer, not a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)

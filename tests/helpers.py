@@ -6,7 +6,9 @@ characteristic coefficients come from numpy's polynomial routine, the
 pair-combination reference sums the alternating series directly, and the
 row coefficients, the overlap of two rows, their Gram matrix and the
 Gram-Cholesky projector are assembled from the coupling coefficients
-without the engine's cached tables.  gram_blocks and dense_factor read
+without the engine's cached tables.  couples reads the coupling rule off
+lattice.COUPLING_DIFFS alone, for the tests of that table and of the
+Gram pattern built from it.  gram_blocks and dense_factor read
 the engine's own output into the form these oracles compare against.
 """
 
@@ -15,7 +17,7 @@ import numpy as np
 from estc import DimensionlessParams, FieldConfig
 from estc.engine import FieldTables, build_row_gram
 from estc.field import FREE_COMPONENTS, v_coupling
-from estc.lattice import SHIFTS_S13, gram_pattern
+from estc.lattice import COUPLING_DIFFS, SHIFTS_S13, gram_pattern, site_sub
 from estc.multispinor import Multispinor
 
 # frozen 4x4 basis, index nu = 8M + 4N + 2m + n
@@ -167,6 +169,11 @@ def oracle_overlap(m, n, f, p):
                 vn = dense_from_dset(v_coupling(n, s2, f, p))
                 out += vm @ vn.conj().T
     return out
+
+
+def couples(m, n):
+    """True when the rows at m and n can share a column: n - m is a row of COUPLING_DIFFS."""
+    return bool((COUPLING_DIFFS == site_sub(n, m)).all(axis=1).any())
 
 
 def gram_blocks(f, p, schedule):

@@ -24,9 +24,9 @@ from estc import ProjectorAccumulator, Window, lattice
 from estc.engine import FieldTables, build_row_gram
 from estc.errors import ShiftNotInS13, TransversalityViolation, ZeroField
 from estc.field import CONSTRAINED_COMPONENTS, FREE_COMPONENTS, validate, zero_shift_dsets
-from estc.lattice import couples, gram_pattern, make_schedule
+from estc.lattice import gram_pattern, make_schedule
 
-from helpers import gram_blocks, oracle_overlap, random_field, random_params
+from helpers import couples, gram_blocks, oracle_overlap, random_field, random_params
 
 PARAMS = DimensionlessParams(0.1, 0.2, 0.3, 0.15, omega=0.5)
 FIELD = FieldConfig.from_amplitudes(

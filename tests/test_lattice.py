@@ -14,7 +14,9 @@ from estc import (
     site_add,
     site_sub,
 )
-from estc.lattice import couples, in_lattice, make_schedule, window_size
+from estc.lattice import in_lattice, make_schedule, window_size
+
+from helpers import couples
 
 FROZEN_SHIFTS = (
     (0, 0, 0, 0),
