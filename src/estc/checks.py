@@ -149,8 +149,7 @@ def check_projector(cfg: RunConfig, report: RunReport) -> None:
     # the engine's row Gram blocks against G = V V^dag of the dense rows: equal on
     # the pattern, and every lower block off it zero
     gram = (v @ v.conj().T).reshape(stages, 4, stages, 4).transpose(0, 2, 1, 3)
-    owner = np.repeat(np.arange(stages), np.diff(table.pattern.stage_ptr))
-    partner = table.pattern.partner
+    owner, partner = table.pattern.stage, table.pattern.partner
     worst = np.abs(acc.gram - gram[owner, partner]).max(initial=0.0)
     outside = np.tri(stages, dtype=bool)
     outside[owner, partner] = False

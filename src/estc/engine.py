@@ -15,15 +15,16 @@ makes G block pentadiagonal over the time slices of fixed n4, and its
 Cholesky factor G = R R^dag keeps that band: slice t couples only to
 slices t - 1 and t - 2.  The accumulator factors one slice at a time, with
 one dense Cholesky of the slice's Schur complement, and keeps only the
-band.  Stage k, one scheduled site, has the pivot D_k = R_kk R_kk^dag, the
-deflated Gram matrix of its row; a numerically singular pivot means the
-row is linearly dependent on the rows before it, and the run raises
-StageSingular there.  The slice step only factors: the pivot rconds and
-their floor are computed once per run, over every stage, after the last
-slice, or as soon as a slice's Cholesky fails or yields a non-finite
-pivot.  A run is one-shot and all or nothing: it sizes the store once and
-factors every slice in order, and an accumulator whose run did not
-complete holds no factors; one restored from a dump only applies.
+band, which it builds in place in the factor store.  Stage k, one
+scheduled site, has the pivot D_k = R_kk R_kk^dag, the deflated Gram
+matrix of its row; a numerically singular pivot means the row is linearly
+dependent on the rows before it, and the run raises StageSingular there.
+The slice step only factors: the pivot rconds and their floor are computed
+once per run, over every stage, after the last slice, or as soon as a
+slice's Cholesky fails or yields a non-finite pivot.  A run is one-shot
+and all or nothing: it sizes the store once and factors every slice in
+order, and an accumulator whose run did not complete holds no factors; one
+restored from a dump only applies.
 
 The projector is kept and applied in factored form only, as
 P = (R^-1 V)^dag (R^-1 V): a block forward and back substitution over the
@@ -33,31 +34,34 @@ order, then the band panel row-major.  A built accumulator holds it as
 one complex128 array; a restored one reads each slice from the factor
 file when a step indexes it, so an apply holds one slice at a time.
 FactorSlices holds the slice offsets for both.  The run keeps each W_t
-dense from its inversion through slice t + 2, the last whose band it
-multiplies; the solves unpack it into a dense temporary.  The complement
-U - P maps any seed multispinor onto the solution subspace of the
-window's interior rows; residuals of the rows outside the interior
+dense and conjugated from its inversion through slice t + 2, the last
+whose band it multiplies; the solves unpack it into a dense temporary.
+The complement U - P maps any seed multispinor onto the solution subspace
+of the window's interior rows; residuals of the rows outside the interior
 measure the truncation error of the window.
 
 Only the zero-shift block V(n, 0) depends on q, through w = q + Omega n,
 so a point at new q pays only for it.  Per window (radius, center), built
 once per process and shared read-only, lattice.window_table holds the
 sites, the schedule and the stencil of each scheduled site, the slice
-bounds, the coverage of the stencils, the projection's scatter order and,
-built on first use, the Gram pattern: the coupled pairs of stages and the
-site difference of each.  Per field, likewise: the twelve field-shift
-matrices F_s and, per site difference d, their overlap C_d, the sum of
-F_s F_t^dag over the pairs with s - t = d.  The row overlap of two stages
-is C_d plus the few products that involve their zero-shift matrices, so a
-point forms those matrices, those products and the factor; the seed, the
-projection and the residuals work on the (N, 4) site and amplitude arrays
-of a Multispinor and on schedule indices, never on site tuples.
+bounds and factor store offsets, the coverage of the stencils, the
+projection's scatter order and, built on first use, the Gram pattern, the
+coupled pairs of stages with the site difference and row stage of each,
+and the slice plans, where each Gram block of a slice goes in its step.
+Per field, likewise: the twelve field-shift matrices F_s and, per site
+difference d, their overlap C_d, the sum of F_s F_t^dag over the pairs
+with s - t = d.  The row overlap of two stages is C_d plus the few
+products that involve their zero-shift matrices, so a point forms those
+matrices, those products and the factor, and scatters the products by
+index arrays it does not build; the seed, the projection and the residuals
+work on the (N, 4) site and amplitude arrays of a Multispinor and on
+schedule indices, never on site tuples, and a seed on the window sites is
+read, and its projection subtracted, row by row, with no site lookup.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -71,8 +75,10 @@ from .lattice import (
     GramPattern,
     Site,
     Window,
+    WindowTable,
     locate,
     make_schedule,
+    site_array,
     window_table,
 )
 from .multispinor import Multispinor
@@ -156,15 +162,15 @@ def build_row_gram(tables: FieldTables, zero: np.ndarray, pattern: GramPattern) 
 
     With d = m_i - m_k, COUPLING_DIFFS row pattern.diff[b], the block is
     the field overlap C_d, plus Z_k F_-d^dag + F_d Z_i^dag when d is a
-    field shift, plus Z_k Z_k^dag on the diagonal.
+    field shift, plus Z_k Z_k^dag on the diagonal.  The pattern holds
+    every index of that sum, each block's row stage k and the field-shift
+    blocks with their shifts, so a call only gathers and multiplies.
     """
     gram = tables.field_overlap[pattern.diff]
-    stage = np.repeat(np.arange(len(zero)), np.diff(pattern.stage_ptr))
-    # d is field shift j, so F_d is field_v[j - 1] and F_-d, shift 13 - j, field_v[12 - j]
-    near = np.flatnonzero((pattern.diff >= 1) & (pattern.diff <= 12))
-    j = pattern.diff[near]
-    left = _products(zero[stage[near]], tables.field_v[12 - j])
-    right = _products(tables.field_v[j - 1], zero[pattern.partner[near]])
+    near, shift = pattern.near, pattern.shift
+    # d is field shift j = shift + 1, so F_d is field_v[shift] and F_-d, shift 13 - j, field_v[11 - shift]
+    left = _products(zero[pattern.stage[near]], tables.field_v[11 - shift])
+    right = _products(tables.field_v[shift], zero[pattern.partner[near]])
     gram[near] += left + right
     gram[pattern.stage_ptr[1:] - 1] += _products(zero, zero)
     return gram
@@ -238,41 +244,26 @@ def unpack_lower(packed: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _factor_shapes(slice_ptr: np.ndarray) -> list[tuple[int, int, int]]:
-    """(stages n, band stages m, numbers) of each slice of a schedule.
-
-    A slice of n stages whose band reaches m stages back takes
-    2n(4n + 1) + 16nm numbers of the factor store: the lower triangle of
-    W_t, then the band panel.
-    """
+def _slice_shapes(slice_ptr: np.ndarray) -> list[tuple[int, int]]:
+    """(stages n, band stages m) of each slice of a schedule: its band reaches back to slice t - 2."""
     ptr = slice_ptr.tolist()
-    shapes = []
-    for t in range(len(ptr) - 1):
-        n, m = ptr[t + 1] - ptr[t], ptr[t] - ptr[max(t - 2, 0)]
-        shapes.append((n, m, 2 * n * (4 * n + 1) + 16 * n * m))
-    return shapes
-
-
-def factor_count(slice_ptr: np.ndarray) -> int:
-    """Complex numbers in the factor store of a schedule."""
-    return sum(size for _, _, size in _factor_shapes(slice_ptr))
+    return [(ptr[t + 1] - ptr[t], ptr[t] - ptr[max(t - 2, 0)]) for t in range(len(ptr) - 1)]
 
 
 class FactorSlices:
-    """(packed W_t, band panel) of each slice of a factor store, read when indexed.
+    """(packed W_t, band panel) of each slice of a window's factor store, read when indexed.
 
-    The store holds every slice of a schedule in the layout of the factor
-    file; slice t is numbers bounds[t]:bounds[t + 1] of it.  read(start,
-    stop) returns numbers start:stop of the store as a complex array, a
-    view of a store in memory or a read of the factor file; indexing
-    slice t reads that slice alone, and the panel is a (4n, 4m) view of
-    the numbers read.
+    The store holds every slice of the window's schedule in the layout of
+    the factor file; slice t is numbers bounds[t]:bounds[t + 1] of it, the
+    window table's factor_bounds.  read(start, stop) returns numbers
+    start:stop of the store as a complex array, a view of a store in
+    memory or a read of the factor file; indexing slice t reads that slice
+    alone, and the panel is a (4n, 4m) view of the numbers read.
     """
 
-    def __init__(self, slice_ptr: np.ndarray, read):
-        shapes = _factor_shapes(slice_ptr)
-        self._shapes = [(n, m) for n, m, _ in shapes]
-        self.bounds = list(accumulate((size for _, _, size in shapes), initial=0))
+    def __init__(self, table: WindowTable, read):
+        self._shapes = _slice_shapes(table.slice_ptr)
+        self.bounds = table.factor_bounds.tolist()
         self._read = read
 
     def __len__(self) -> int:
@@ -300,22 +291,25 @@ class ProjectorAccumulator:
 
     The slices are the runs of equal n4 in the time-major schedule, slice t
     holding stages slice_ptr[t]:slice_ptr[t + 1].  Slice t is factored in
-    one step: its row Gram blocks are scattered into the block-lower part
-    of dense G_tt and the band G_t,t-1, G_t,t-2 (each step reads only lower
-    and diagonal blocks, so the upper half of G_tt is never filled); the
-    band blocks of the factor are
-    R_tj = (G_tj - sum_{i<j} R_ti R_ji^dag) W_j^dag with W_j = R_jj^-1;
-    the Schur complement S_t = G_tt - sum_j R_tj R_tj^dag is factored by one
-    Cholesky, S_t = R_tt R_tt^dag.  Blocks further than two slices away
-    stay zero, so the band never fills.  Per slice, the store factors holds
-    the lower triangle of W_t packed in np.tril_indices order, then the
-    band blocks [R_t,t-2 | R_t,t-1] as one (4n_t, 4(n_t-2 + n_t-1)) panel,
-    row-major: the layout of the operator dump's factor file.
-    slice_factors() gives each slice by index, as views of the store, or,
-    for an accumulator restored by from_factors, which holds no store, as
-    a read of the factor file.  The run keeps W_t dense, as tril_inverse
-    returns it, for the band products of slices t + 1 and t + 2; the
-    solves unpack it into a dense temporary.
+    one step, by the window's SlicePlan of it, built once per window: its
+    band row Gram blocks G_t,t-2, G_t,t-1 are scattered straight into the
+    slice's band panel in the store, and its diagonal blocks into the
+    block-lower part of one dense buffer G_tt (each step reads only lower
+    and diagonal blocks, so the upper half of G_tt is never filled).  The
+    band blocks of the factor are formed in place in the store,
+    R_tj = (G_tj - sum_{i<j} R_ti R_ji^dag) W_j^dag with W_j = R_jj^-1,
+    and the Schur complement S_t = G_tt - sum_j R_tj R_tj^dag in place in
+    that buffer, then factored by one Cholesky, S_t = R_tt R_tt^dag.
+    Blocks further than two slices away stay zero, so the band never
+    fills.  Per slice, the store factors holds the lower triangle of W_t
+    packed in np.tril_indices order, then the band blocks
+    [R_t,t-2 | R_t,t-1] as one (4n_t, 4(n_t-2 + n_t-1)) panel, row-major:
+    the layout of the operator dump's factor file.  slice_factors() gives
+    each slice by index, as views of the store, or, for an accumulator
+    restored by from_factors, which holds no store, as a read of the
+    factor file.  The run keeps W_t dense and conjugated, as its two band
+    products with slices t + 1 and t + 2 read it; the solves unpack it
+    into a dense temporary.
 
     The build record is two arrays over the schedule: rconds[k], the
     eigenvalue ratio of the pivot of stage k, and asymmetry[k], the
@@ -388,7 +382,7 @@ class ProjectorAccumulator:
         the store's size.
         """
         acc = cls(f, p, window)
-        stages, count = len(acc.schedule), factor_count(acc.slice_ptr)
+        stages, count = len(acc.schedule), int(acc._table.factor_bounds[-1])
         if len(rconds) != stages or factors.bounds[-1] != count:
             raise ValueError(
                 f"a factor store of {stages} stages has {stages} rconds and {count} complex "
@@ -415,7 +409,7 @@ class ProjectorAccumulator:
     @property
     def coupling_count(self) -> int:
         """Stored off-diagonal 4x4 blocks: the strictly lower W_t blocks and the band blocks."""
-        return sum(n * (n - 1) // 2 + n * m for n, m, _ in _factor_shapes(self.slice_ptr))
+        return sum(n * (n - 1) // 2 + n * m for n, m in _slice_shapes(self.slice_ptr))
 
     @property
     def gram(self) -> np.ndarray:
@@ -427,50 +421,37 @@ class ProjectorAccumulator:
     def processed_sites(self) -> list[Site]:
         return self.schedule[: self.stages_done]
 
-    def _gram_panel(self, low: int, start: int, stop: int) -> np.ndarray:
-        """Rows start:stop of G over columns low:stop, dense, as (4(stop - start), 4(stop - low)).
-
-        Only the blocks on and below the block diagonal are filled; the
-        strictly upper blocks of the diagonal part G[start:stop, start:stop]
-        stay zero.  Nothing reads them: the Cholesky reads the lower
-        triangle, and the pivot checks and the asymmetry read lower and
-        diagonal blocks.
-        """
-        pattern = self._table.pattern
-        span = slice(pattern.stage_ptr[start], pattern.stage_ptr[stop])
-        rows = np.repeat(np.arange(stop - start), np.diff(pattern.stage_ptr[start : stop + 1]))
-        cols = pattern.partner[span] - low
-        # laid out as (row stage, 4, column stage, 4), so the dense panel is a view
-        panel = np.zeros((stop - start, 4, stop - low, 4), dtype=complex)
-        panel[rows, :, cols] = self.gram[span]
-        return panel.reshape(4 * (stop - start), 4 * (stop - low))
-
     def _factor_slice(
         self, t: int, slices: FactorSlices, pivots: np.ndarray, inverses: list[np.ndarray]
     ) -> np.ndarray:
-        """Factor slice t into its place in slices, after the slices before it; returns W_t.
+        """Factor slice t into its place in slices, after the slices before it; returns conj(W_t).
 
-        inverses holds the dense W_j of the slices its band reaches, t - 2
-        and t - 1 (fewer at the first two); the step drops W_t-2, whose
-        last use it is.  The slice's R_kk go into pivots, whose rconds the
-        run checks once, after the last slice.  When the slice's Cholesky
-        fails, or its pivots are not finite, the pivots of the slices
-        before it are checked first, since a stage below the floor there
-        may be what broke this one; raises StageSingular at the first bad
-        stage.
+        inverses holds the dense, conjugated W_j of the slices its band
+        reaches, t - 2 and t - 1 (fewer at the first two); the step drops
+        W_t-2, whose last use it is.  The band is built in the store's band
+        panel of the slice, the Schur complement in one fresh buffer.  The
+        slice's R_kk go into pivots, whose rconds the run checks once,
+        after the last slice.  When the slice's Cholesky fails, or its
+        pivots are not finite, the pivots of the slices before it are
+        checked first, since a stage below the floor there may be what
+        broke this one; raises StageSingular at the first bad stage.
         """
-        ptr = self.slice_ptr
-        start, stop, low = ptr[t], ptr[t + 1], ptr[max(t - 2, 0)]
-        panel = self._gram_panel(low, start, stop)
-        width = 4 * (start - low)
-        band = panel[:, :width]  # a view: the panel's band columns are not read again
-        second = 4 * (ptr[t - 1] - low) if t else 0  # columns of slice t - 2
+        plan, gram = self._table.plans[t], self.gram
+        start, stop, low = plan.start, plan.stop, plan.low
+        n, m = stop - start, start - low
+        packed, band = slices[t]
+        band[...] = 0
+        # laid out as (row stage, 4, column stage, 4), so the block grids are views
+        band.reshape(n, 4, m, 4)[plan.band_rows, :, plan.band_cols] = gram[plan.band]
+        schur = np.zeros((4 * n, 4 * n), dtype=complex)
+        schur.reshape(n, 4, n, 4)[plan.diag_rows, :, plan.diag_cols] = gram[plan.diag]
+        second = 4 * (self.slice_ptr[t - 1] - low) if t else 0  # columns of slice t - 2
         if t >= 2:
-            band[:, :second] = band[:, :second] @ inverses.pop(0).conj().T
+            band[:, :second] = band[:, :second] @ inverses.pop(0).T
             band[:, second:] -= band[:, :second] @ slices[t - 1][1][:, -second:].conj().T
         if t >= 1:
-            band[:, second:] = band[:, second:] @ inverses[-1].conj().T
-        schur = panel[:, width:] - band @ band.conj().T
+            band[:, second:] = band[:, second:] @ inverses[-1].T
+        schur -= band @ band.conj().T
 
         try:
             factor, failed = np.linalg.cholesky(schur), None
@@ -485,11 +466,9 @@ class ProjectorAccumulator:
             raise StageSingular(k, self.schedule[k], failed[1])
 
         inverse = tril_inverse(factor)
-        packed, coupling = slices[t]
         packed[...] = pack_lower(inverse)
-        coupling[...] = band
         self.asymmetry[start:stop] = np.abs(dset_from_matrix(_blocks(schur)).imag).max(axis=1)
-        return inverse
+        return np.conjugate(inverse, out=inverse)
 
     def _check_pivots(self, pivots: np.ndarray) -> None:
         """Record the rconds of the leading stages' pivots R_kk; raise at the first below the floor.
@@ -543,10 +522,10 @@ class ProjectorAccumulator:
         if self._ran:
             raise ValueError("an accumulator runs once; its stages are already factored")
         self._ran = True
-        store = np.empty(factor_count(self.slice_ptr), dtype=complex)
-        slices = FactorSlices(self.slice_ptr, lambda start, stop: store[start:stop])
+        store = np.empty(self._table.factor_bounds[-1], dtype=complex)
+        slices = FactorSlices(self._table, lambda start, stop: store[start:stop])
         pivots = np.empty((len(self.schedule), 4, 4), dtype=complex)
-        inverses: list[np.ndarray] = []  # dense W of the slices the next band reaches
+        inverses: list[np.ndarray] = []  # dense conj(W) of the slices the next band reaches
         for t in range(len(slices)):
             inverses.append(self._factor_slice(t, slices, pivots, inverses))
         self._check_pivots(pivots)
@@ -610,6 +589,6 @@ def residual_table(
     c: Multispinor, tables: FieldTables, sites: list[Site]
 ) -> list[tuple[Site, float]]:
     """Row residuals over the given sites, with c extended by zero."""
-    coords = np.array(sites, dtype=np.int64).reshape(-1, 4)
+    coords = site_array(sites)
     rows = tables.row_sums(tables.zero_shift(coords), c.at(coords[:, None, :] + SHIFT_ARRAY))
     return list(zip(sites, np.linalg.norm(rows, axis=1).tolist()))

@@ -185,7 +185,7 @@ def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
     source = factor_path(path)
     with open(source, "rb") as f:
         identity = _identity(f)
-        factors = FactorSlices(window_table(window).slice_ptr, _FactorFile(source, identity).read)
+        factors = FactorSlices(window_table(window), _FactorFile(source, identity).read)
         count, size = factors.bounds[-1], identity[2]
         if size != 16 * count:
             raise ConfigError(

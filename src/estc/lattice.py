@@ -9,15 +9,17 @@ twelve unit shifts mixing one spatial axis with the time axis.
 Inside the library a set of sites is one (N, 4) int64 array, and locate
 is the one way to match sites.  Everything that depends on a window
 alone, its sites, time-major schedule, the stencil of each scheduled
-site, slices, coverage, scatter order and Gram pattern, is one read-only
-WindowTable, built from arrays once per (radius, center); site tuples are
-handed out only at the edges (Window.points, make_schedule).
+site, slices, factor layout, coverage, scatter order, Gram pattern and
+slice plans, is one read-only WindowTable, built from arrays once per
+(radius, center); site tuples are handed out only at the edges
+(Window.points, make_schedule), and site_array turns them back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -137,6 +139,18 @@ def window_size(r: int) -> int:
     return ((((4 * r + 8) * r + 14) * r + 10) * r + 3) // 3 if r >= 0 else 0
 
 
+def site_array(sites) -> np.ndarray:
+    """The (N, 4) int64 array of a list of site 4-tuples, or of an int64 site array.
+
+    A list is read in one pass over its coordinates, without the
+    per-tuple dispatch of np.asarray.
+    """
+    if isinstance(sites, np.ndarray):
+        return sites.astype(np.int64, copy=False).reshape(-1, 4)
+    count = 4 * len(sites)
+    return np.fromiter(chain.from_iterable(sites), np.int64, count).reshape(-1, 4)
+
+
 def locate(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Row of each query site in the (M, 4) site array points, -1 where it is absent.
 
@@ -163,12 +177,18 @@ class GramPattern:
     COUPLING_DIFFS.  Each such pair with i <= k is one block: the blocks of
     stage k are stage_ptr[k]:stage_ptr[k + 1], with partner[b] = i
     ascending, so the last one is the diagonal block, and diff[b] is the
-    index of m_i - m_k in COUPLING_DIFFS.
+    index of m_i - m_k in COUPLING_DIFFS.  stage[b] is the row stage k of
+    block b; near lists the blocks whose m_i - m_k is a field shift, and
+    shift[j] the index of that shift of block near[j] among the twelve,
+    diff[near[j]] - 1.
     """
 
     stage_ptr: np.ndarray
     partner: np.ndarray
     diff: np.ndarray
+    stage: np.ndarray
+    near: np.ndarray
+    shift: np.ndarray
 
 
 def gram_pattern(sites: np.ndarray) -> GramPattern:
@@ -183,14 +203,74 @@ def gram_pattern(sites: np.ndarray) -> GramPattern:
     k, d = np.nonzero((found >= 0) & (found <= np.arange(stages)[:, None]))
     i = found[k, d]
     order = np.argsort(k * stages + i, kind="stable")
+    diff = d[order]
+    near = np.flatnonzero((diff >= 1) & (diff <= 12))
     pattern = GramPattern(
         stage_ptr=np.searchsorted(k, np.arange(stages + 1)),
         partner=i[order],
-        diff=d[order],
+        diff=diff,
+        stage=k[order],
+        near=near,
+        shift=diff[near] - 1,
     )
-    for array in vars(pattern).values():
-        array.setflags(write=False)
-    return pattern
+    return _read_only(pattern)
+
+
+def _read_only(table):
+    """table, a dataclass that every caller shares, with each of its arrays made read-only."""
+    for array in vars(table).values():
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
+    return table
+
+
+@dataclass(frozen=True)
+class SlicePlan:
+    """Where the row Gram blocks of one time slice go in its slice step.
+
+    The slice holds stages start:stop, n of them, and its band reaches
+    back m stages, to stage low = start - m.  Its Gram blocks, those of
+    rows start:stop, split by column: the band blocks band[j], whose
+    partner lies before start, sit at row stage band_rows[j] and column
+    stage band_cols[j] of the (n, m) block grid of the band panel
+    [G_t,t-2 | G_t,t-1]; the diagonal blocks diag[j], at diag_rows[j] and
+    diag_cols[j] of the (n, n) block grid of G_tt, on and below its block
+    diagonal.  The block indices are into the pattern's block order.
+    """
+
+    start: int
+    stop: int
+    low: int
+    band: np.ndarray
+    band_rows: np.ndarray
+    band_cols: np.ndarray
+    diag: np.ndarray
+    diag_rows: np.ndarray
+    diag_cols: np.ndarray
+
+
+def slice_plans(pattern: GramPattern, slice_ptr: np.ndarray) -> tuple[SlicePlan, ...]:
+    """The SlicePlan of each time slice of a schedule, from its Gram pattern and slices."""
+    ptr = slice_ptr.tolist()
+    plans = []
+    for t in range(len(ptr) - 1):
+        start, stop, low = ptr[t], ptr[t + 1], ptr[max(t - 2, 0)]
+        blocks = np.arange(pattern.stage_ptr[start], pattern.stage_ptr[stop])
+        rows, cols = pattern.stage[blocks] - start, pattern.partner[blocks]
+        band = cols < start
+        plan = SlicePlan(
+            start=start,
+            stop=stop,
+            low=low,
+            band=blocks[band],
+            band_rows=rows[band],
+            band_cols=cols[band] - low,
+            diag=blocks[~band],
+            diag_rows=rows[~band],
+            diag_cols=cols[~band] - start,
+        )
+        plans.append(_read_only(plan))
+    return tuple(plans)
 
 
 @dataclass(frozen=True)
@@ -204,16 +284,20 @@ class WindowTable:
     coords[schedule[k]] + SHIFTS_S13[s], the columns of stage k; every
     scheduled site is interior, so its stencil lies in the window.
     The schedule is time-major: slice t of equal n4 is stages
-    slice_ptr[t]:slice_ptr[t + 1].  support[k] counts the sites that the
-    stencils of stages 0..k reach.  At radius >= 1 every window site is
-    reached by some stencil: a site on the rim, at g4d = radius, is one
-    field shift from an interior site.  The projection sums its K * 13
+    slice_ptr[t]:slice_ptr[t + 1], and numbers
+    factor_bounds[t]:factor_bounds[t + 1] of the factor store: a slice of
+    n stages whose band reaches m stages back takes 2n(4n + 1) + 16nm
+    complex numbers, the lower triangle of W_t and then the band panel.
+    support[k] counts the sites that the stencils of stages 0..k reach.
+    At radius >= 1 every window site is reached by some stencil: a site
+    on the rim, at g4d = radius, is one field shift from an interior site.  The projection sums its K * 13
     stencil terms into the window sites in one sorted reduction:
     scatter_order sorts the flat stencil, stably, and the run starting at
-    scatter_first[j] holds the terms of window site j.  pattern is the
-    block pattern of the row Gram, built on first use: an accumulator that
-    only applies restored factors never needs it.  The arrays are
-    read-only: every caller shares them.
+    scatter_first[j] holds the terms of window site j.  pattern, the
+    block pattern of the row Gram, and plans, the SlicePlan of each slice,
+    are built on first use: an accumulator that only applies restored
+    factors never needs them.  The arrays are read-only: every caller
+    shares them.
     """
 
     sites: tuple[Site, ...]
@@ -221,6 +305,7 @@ class WindowTable:
     schedule: np.ndarray
     stencil: np.ndarray
     slice_ptr: np.ndarray
+    factor_bounds: np.ndarray
     support: np.ndarray
     scatter_order: np.ndarray
     scatter_first: np.ndarray
@@ -228,6 +313,10 @@ class WindowTable:
     @cached_property
     def pattern(self) -> GramPattern:
         return gram_pattern(self.coords[self.schedule])
+
+    @cached_property
+    def plans(self) -> tuple[SlicePlan, ...]:
+        return slice_plans(self.pattern, self.slice_ptr)
 
 
 def window_table(window: Window) -> WindowTable:
@@ -255,20 +344,22 @@ def _window_table(radius: int, center: Site) -> WindowTable:
     flat = stencil.ravel()
     order = np.argsort(flat, kind="stable")
     first = np.flatnonzero(np.diff(flat[order], prepend=-1))
+    slice_ptr = np.flatnonzero(np.diff(n4, prepend=n4[:1] - 1, append=n4[-1:] + 1))
+    # stages n of each slice and m of its band, back to the start of slice t - 2
+    n = np.diff(slice_ptr)
+    m = slice_ptr[:-1] - slice_ptr[np.maximum(np.arange(len(n)) - 2, 0)]
     table = WindowTable(
         sites=tuple(map(tuple, coords.tolist())),
         coords=coords,
         schedule=schedule,
         stencil=stencil,
-        slice_ptr=np.flatnonzero(np.diff(n4, prepend=n4[:1] - 1, append=n4[-1:] + 1)),
+        slice_ptr=slice_ptr,
+        factor_bounds=np.concatenate([[0], np.cumsum(2 * n * (4 * n + 1) + 16 * n * m)]),
         support=np.cumsum(np.bincount(first_cover, minlength=stages + 1))[:stages],
         scatter_order=order,
         scatter_first=first,
     )
-    for array in vars(table).values():
-        if isinstance(array, np.ndarray):
-            array.setflags(write=False)
-    return table
+    return _read_only(table)
 
 
 def slice_sizes(radius: int) -> tuple[int, int]:

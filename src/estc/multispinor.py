@@ -12,7 +12,7 @@ from collections.abc import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import Site, locate
+from .lattice import Site, locate, site_array
 
 _ZERO = np.zeros(4, dtype=complex)
 _ZERO.setflags(write=False)
@@ -87,7 +87,13 @@ class Multispinor:
         return sorted(self.support)
 
     def at(self, sites: np.ndarray) -> np.ndarray:
-        """(..., 4) amplitudes at an (..., 4) int64 site array, zero at the sites c lacks."""
+        """(..., 4) amplitudes at an (..., 4) int64 site array, zero at the sites c lacks.
+
+        Sites equal to coords, row for row, read a copy of the amplitudes
+        without a lookup.
+        """
+        if _same_sites(self.coords, sites):
+            return self.amplitudes.copy()
         # the row past the last amplitude is the zero that absent sites read
         padded = np.concatenate([self.amplitudes, np.zeros((1, 4), dtype=complex)])
         return padded[locate(self.coords, sites)]
@@ -96,7 +102,14 @@ class Multispinor:
         return Multispinor.from_rows(self.coords, self.amplitudes.copy())
 
     def __add__(self, other: "Multispinor") -> "Multispinor":
-        """Sum on the sites of self, in their order, then the sites of other that self lacks."""
+        """Sum on the sites of self, in their order, then the sites of other that self lacks.
+
+        When other has the sites of self, row for row, the sum is row by
+        row: the sites of a multispinor are distinct, so each row of self
+        meets the same row of other.
+        """
+        if _same_sites(self.coords, other.coords):
+            return Multispinor.from_rows(self.coords, self.amplitudes + other.amplitudes)
         n = len(self.coords)
         rows = locate(self.coords, other.coords)
         extra = np.flatnonzero(rows < 0)
@@ -115,6 +128,11 @@ class Multispinor:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
 
+def _same_sites(coords: np.ndarray, sites: np.ndarray) -> bool:
+    """sites is the (N, 4) array coords, row for row."""
+    return np.array_equal(coords, sites)
+
+
 def random_multispinor(sites: Sequence[Site] | np.ndarray, seed: int) -> Multispinor:
     """Standard normal complex amplitudes on the given sites, in their order.
 
@@ -123,7 +141,7 @@ def random_multispinor(sites: Sequence[Site] | np.ndarray, seed: int) -> Multisp
     imaginary parts.  A repeated site keeps its first place and takes its
     last draw.
     """
-    coords = np.asarray(sites, dtype=np.int64).reshape(-1, 4)
+    coords = site_array(sites)
     draws = np.random.default_rng(seed).standard_normal((len(coords), 2, 4))
     amplitudes = draws[:, 0] + 1j * draws[:, 1]
     first = locate(coords, coords)

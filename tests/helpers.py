@@ -181,8 +181,7 @@ def gram_blocks(f, p, schedule):
     tables = FieldTables(f, p)
     pattern = gram_pattern(np.array(schedule))
     blocks = build_row_gram(tables, tables.zero_shift(schedule), pattern)
-    owner = np.repeat(np.arange(len(schedule)), np.diff(pattern.stage_ptr))
-    return {(int(k), int(i)): block for k, i, block in zip(owner, pattern.partner, blocks)}
+    return {(int(k), int(i)): block for k, i, block in zip(pattern.stage, pattern.partner, blocks)}
 
 
 def dense_row_gram(f, p, schedule):

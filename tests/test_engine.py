@@ -770,6 +770,57 @@ def test_a_run_checks_the_pivots_once_and_keeps_each_w_dense(monkeypatch):
     assert calls == {"_pivot_rconds": 1, "unpack_lower": 0, "tril": 0}
 
 
+def test_a_window_plans_each_slice_once_and_read_only():
+    table = lattice.window_table(Window(3))
+    assert lattice.window_table(Window(3, (0, 0, 0, 0))).plans is table.plans
+    pattern, ptr = table.pattern, table.slice_ptr
+    assert len(table.plans) == len(ptr) - 1
+    for t, plan in enumerate(table.plans):
+        assert (plan.start, plan.stop, plan.low) == (ptr[t], ptr[t + 1], ptr[max(t - 2, 0)])
+        # every block of the slice's rows, once: the band ones before start, the rest on or
+        # below the diagonal of G_tt
+        blocks = np.sort(np.concatenate([plan.band, plan.diag]))
+        assert np.array_equal(blocks, np.arange(pattern.stage_ptr[plan.start], pattern.stage_ptr[plan.stop]))
+        assert np.array_equal(plan.band_rows, pattern.stage[plan.band] - plan.start)
+        assert np.array_equal(plan.band_cols, pattern.partner[plan.band] - plan.low)
+        assert np.array_equal(plan.diag_rows, pattern.stage[plan.diag] - plan.start)
+        assert np.array_equal(plan.diag_cols, pattern.partner[plan.diag] - plan.start)
+        assert (plan.band_cols >= 0).all() and (plan.band_cols < plan.start - plan.low).all()
+        assert (plan.diag_cols >= 0).all() and (plan.diag_cols <= plan.diag_rows).all()
+        for array in (value for value in vars(plan).values() if isinstance(value, np.ndarray)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
+def test_a_second_run_on_a_window_plans_nothing_and_allocates_no_slice_panel(monkeypatch):
+    window = Window(3)
+    ProjectorAccumulator(FIELD, PARAMS, window).run()
+    calls = {"gram_pattern": 0, "slice_plans": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(lattice, name, counted(name, getattr(lattice, name)))
+    acc = ProjectorAccumulator(FIELD, PARAMS, window)
+    shapes = []
+    zeros = np.zeros
+
+    def recorded(shape, *args, **kwargs):
+        shapes.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", recorded)
+    acc.run()
+    assert calls == {"gram_pattern": 0, "slice_plans": 0}
+    # one dense buffer per slice, its (4n, 4n) Schur complement: the band is built in the store
+    assert shapes == [(4 * n, 4 * n) for n in np.diff(acc.slice_ptr).tolist()]
+
+
 def test_factor_diagonalizes_the_dense_row_gram_on_the_sample_field():
     cfg = parse_config(SAMPLE_CONFIG.read_text())
     acc = ProjectorAccumulator(cfg.field, cfg.params, Window(3, cfg.n_ref)).run()

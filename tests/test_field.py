@@ -217,6 +217,12 @@ def test_table_overlaps_match_the_brute_column_scan(seed):
         partners = pattern.partner[span].tolist()
         # one block per coupled partner b <= a, ascending, none for the others
         assert partners == [b for b in range(a + 1) if couples(x, schedule[b])]
+        assert (pattern.stage[span] == a).all()
+        # the field-shift blocks, each with the index of its shift among the twelve
+        diffs = {block: site_sub(schedule[b], x) for block, b in zip(range(span.start, span.stop), partners)}
+        shifts = {block: SHIFTS_S13.index(d) - 1 for block, d in diffs.items() if d in SHIFTS_S13[1:]}
+        mine = (pattern.near >= span.start) & (pattern.near < span.stop)
+        assert dict(zip(pattern.near[mine].tolist(), pattern.shift[mine].tolist())) == shifts
         for b, block in zip(partners, blocks[span]):
             assert np.abs(block - oracle_overlap(x, schedule[b], f, p)).max() < 1e-13
         for b in range(a + 1):

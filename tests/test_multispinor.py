@@ -1,10 +1,16 @@
 """Sparse amplitude container semantics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from estc import Window, random_multispinor
+from estc import Window, multispinor, random_multispinor
 from estc.multispinor import Multispinor
+
+SITE_SETS = st.lists(st.tuples(*[st.integers(-2, 2)] * 4), max_size=20, unique=True)
 
 
 def test_missing_sites_read_as_zero():
@@ -121,3 +127,42 @@ def test_sites_are_one_read_only_array_and_rows_are_views():
     copy = c.copy()
     copy[sites[1]][:] = 0.0
     assert np.array_equal(c[sites[1]], np.ones(4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(SITE_SETS, SITE_SETS, st.sampled_from(["equal", "permuted", "subset", "superset"]), st.integers(0, 2**32 - 1))
+def test_equal_sites_read_and_add_the_bits_of_the_locate_path(sites, extra, relation, seed):
+    rng = np.random.default_rng(seed)
+    coords = np.array(sites, dtype=np.int64).reshape(-1, 4)
+    new = np.array([site for site in extra if site not in set(sites)], dtype=np.int64).reshape(-1, 4)
+    other = {
+        "equal": coords.copy(),
+        "permuted": coords[rng.permutation(len(coords))],
+        "subset": coords[np.sort(rng.permutation(len(coords))[: len(coords) // 2])],
+        "superset": np.concatenate([coords, new])[rng.permutation(len(coords) + len(new))],
+    }[relation]
+
+    def draw(n):
+        return rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+
+    a = Multispinor.from_rows(coords, draw(len(coords)))
+    b = Multispinor.from_rows(other, draw(len(other)))
+
+    def results():
+        return a.at(other), a + b, a - b, b + a
+
+    if relation == "equal":
+        # the equal-sites paths match no site
+        with mock.patch.object(multispinor, "locate", side_effect=AssertionError("locate called")):
+            fast = results()
+    else:
+        fast = results()
+    with mock.patch.object(multispinor, "_same_sites", return_value=False):
+        reference = results()
+    assert fast[0].tobytes() == reference[0].tobytes()
+    assert not np.shares_memory(fast[0], a.amplitudes)
+    for got, want in zip(fast[1:], reference[1:]):
+        assert got.coords.tobytes() == want.coords.tobytes()
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert not np.shares_memory(got.amplitudes, a.amplitudes)
+        assert not np.shares_memory(got.amplitudes, b.amplitudes)
