@@ -31,7 +31,7 @@ print("window radius:", cfg.radius)
 # factored by one Cholesky of the slice's Schur complement; each site is
 # one stage, and the conditioning of its 4x4 pivot is recorded.
 acc = ProjectorAccumulator(cfg.field, cfg.params, Window(cfg.radius, cfg.n_ref)).run()
-print("stages processed:", acc.stages_done)
+print("stages processed:", len(acc.schedule))
 worst = int(np.argmin(acc.rconds))
 print(f"worst stage rcond {acc.rconds[worst]:.3e} at site {acc.schedule[worst]}")
 

@@ -99,7 +99,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     report.notes.append(
         f"window radius {cfg.radius} around {cfg.n_ref}: "
         f"{window_size(cfg.radius)} sites, {len(acc.schedule)} stages, "
-        f"{acc.coupling_count} stored couplings"
+        f"{window_table(window).coupling_count} stored couplings"
     )
     if not report.ok:
         report.notes.append(

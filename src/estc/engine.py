@@ -33,7 +33,9 @@ slice, the lower triangle of W_t = R_tt^-1 packed in np.tril_indices
 order, then the band panel row-major.  A built accumulator holds it as
 one complex128 array; a restored one reads each slice from the factor
 file when a step indexes it, so an apply holds one slice at a time.
-FactorSlices holds the slice offsets for both.  The run keeps each W_t
+FactorSlices serves both, with the shapes and offsets of the window
+table; the solves read each slice's rows from its span there, so the
+band's reach is derived only in lattice.  The run keeps each W_t
 dense and conjugated from its inversion through slice t + 2, the last
 whose band it multiplies; the solves unpack it into a dense temporary.
 The complement U - P maps any seed multispinor onto the solution subspace
@@ -44,10 +46,11 @@ Only the zero-shift block V(n, 0) depends on q, through w = q + Omega n,
 so a point at new q pays only for it.  Per window (radius, center), built
 once per process and shared read-only, lattice.window_table holds the
 sites, the schedule and the stencil of each scheduled site, the slice
-bounds and factor store offsets, the coverage of the stencils, the
-projection's scatter order and, built on first use, the Gram pattern, the
-coupled pairs of stages with the site difference and row stage of each,
-and the slice plans, where each Gram block of a slice goes in its step.
+bounds, the span of each slice and the factor store offsets, the
+coverage of the stencils, the projection's scatter order and, built on
+first use, the Gram pattern, the coupled pairs of stages with the site
+difference and row stage of each, and the slice plans, where each Gram
+block of a slice goes in its step.
 Per field, likewise: the twelve field-shift matrices F_s and, per site
 difference d, their overlap C_d, the sum of F_s F_t^dag over the pairs
 with s - t = d.  The row overlap of two stages is C_d plus the few
@@ -244,12 +247,6 @@ def unpack_lower(packed: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _slice_shapes(slice_ptr: np.ndarray) -> list[tuple[int, int]]:
-    """(stages n, band stages m) of each slice of a schedule: its band reaches back to slice t - 2."""
-    ptr = slice_ptr.tolist()
-    return [(ptr[t + 1] - ptr[t], ptr[t] - ptr[max(t - 2, 0)]) for t in range(len(ptr) - 1)]
-
-
 class FactorSlices:
     """(packed W_t, band panel) of each slice of a window's factor store, read when indexed.
 
@@ -258,20 +255,22 @@ class FactorSlices:
     window table's factor_bounds.  read(start, stop) returns numbers
     start:stop of the store as a complex array, a view of a store in
     memory or a read of the factor file; indexing slice t reads that slice
-    alone, and the panel is a (4n, 4m) view of the numbers read.
+    alone, and the panel is a (4n, 4m) view of the numbers read, n and m
+    the stages of the slice and of its band, from its span.
     """
 
     def __init__(self, table: WindowTable, read):
-        self._shapes = _slice_shapes(table.slice_ptr)
+        self._spans = table.spans.tolist()
         self.bounds = table.factor_bounds.tolist()
         self._read = read
 
     def __len__(self) -> int:
-        return len(self._shapes)
+        return len(self._spans)
 
     def __getitem__(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         t = range(len(self))[t]
-        n, m = self._shapes[t]
+        start, stop, low = self._spans[t]
+        n, m = stop - start, start - low
         data = self._read(self.bounds[t], self.bounds[t + 1])
         middle = 2 * n * (4 * n + 1)
         return data[:middle], data[middle:].reshape(4 * n, 4 * m)
@@ -290,7 +289,7 @@ class ProjectorAccumulator:
     """Slice-by-slice builder of the projector onto the processed rows.
 
     The slices are the runs of equal n4 in the time-major schedule, slice t
-    holding stages slice_ptr[t]:slice_ptr[t + 1].  Slice t is factored in
+    holding the stages start:stop of its span.  Slice t is factored in
     one step, by the window's SlicePlan of it, built once per window: its
     band row Gram blocks G_t,t-2, G_t,t-1 are scattered straight into the
     slice's band panel in the store, and its diagonal blocks into the
@@ -353,7 +352,6 @@ class ProjectorAccumulator:
         self.rcond_min = rcond_min
 
         self._table = window_table(window)
-        self.slice_ptr = self._table.slice_ptr
         # the store of a built accumulator, None until a run completes; its slices, or
         # those read from a dump by from_factors, in _slices
         self._ran = False
@@ -392,11 +390,6 @@ class ProjectorAccumulator:
         acc.rconds[:] = rconds
         return acc
 
-    @property
-    def stages_done(self) -> int:
-        """Stages this accumulator holds factors of: the whole schedule, or 0 before a run."""
-        return len(self.schedule) if self._slices is not None else 0
-
     def slice_factors(self) -> FactorSlices:
         """(packed W_t, band panel) of each slice: views of a built store, or reads.
 
@@ -407,11 +400,6 @@ class ProjectorAccumulator:
         return self._slices
 
     @property
-    def coupling_count(self) -> int:
-        """Stored off-diagonal 4x4 blocks: the strictly lower W_t blocks and the band blocks."""
-        return sum(n * (n - 1) // 2 + n * m for n, m in _slice_shapes(self.slice_ptr))
-
-    @property
     def gram(self) -> np.ndarray:
         """Row Gram blocks of the whole schedule, built on first use, in the pattern's order."""
         if self._gram is None:
@@ -419,7 +407,13 @@ class ProjectorAccumulator:
         return self._gram
 
     def processed_sites(self) -> list[Site]:
-        return self.schedule[: self.stages_done]
+        """The sites whose rows this accumulator holds factors of, as a new list.
+
+        The schedule after a completed run or a restore, [] before a run
+        or after one that raised.  Kept as a name for callers outside the
+        package, the benchmark's sweep among them.
+        """
+        return list(self.schedule) if self._slices is not None else []
 
     def _factor_slice(
         self, t: int, slices: FactorSlices, pivots: np.ndarray, inverses: list[np.ndarray]
@@ -437,7 +431,7 @@ class ProjectorAccumulator:
         broke this one; raises StageSingular at the first bad stage.
         """
         plan, gram = self._table.plans[t], self.gram
-        start, stop, low = plan.start, plan.stop, plan.low
+        start, stop, low = self._table.spans[t].tolist()
         n, m = stop - start, start - low
         packed, band = slices[t]
         band[...] = 0
@@ -445,7 +439,8 @@ class ProjectorAccumulator:
         band.reshape(n, 4, m, 4)[plan.band_rows, :, plan.band_cols] = gram[plan.band]
         schur = np.zeros((4 * n, 4 * n), dtype=complex)
         schur.reshape(n, 4, n, 4)[plan.diag_rows, :, plan.diag_cols] = gram[plan.diag]
-        second = 4 * (self.slice_ptr[t - 1] - low) if t else 0  # columns of slice t - 2
+        # the band's columns are slice t - 2's, then those of slice t - 1, whose W is inverses[-1]
+        second = band.shape[1] - len(inverses[-1]) if t else 0
         if t >= 2:
             band[:, :second] = band[:, :second] @ inverses.pop(0).T
             band[:, second:] -= band[:, :second] @ slices[t - 1][1][:, -second:].conj().T
@@ -535,9 +530,8 @@ class ProjectorAccumulator:
     def solve_lower(self, y: np.ndarray) -> np.ndarray:
         """R^-1 y for y over the rows of the schedule: forward substitution by slices."""
         z = np.empty_like(y, dtype=complex)
-        for t, (packed, band) in enumerate(self.slice_factors()):
-            start, low = 4 * self.slice_ptr[t], 4 * self.slice_ptr[max(t - 2, 0)]
-            stop = start + band.shape[0]
+        rows = (4 * self._table.spans).tolist()
+        for (start, stop, low), (packed, band) in zip(rows, self.slice_factors()):
             inverse = unpack_lower(packed, stop - start)
             z[start:stop] = inverse @ (y[start:stop] - band @ z[low:start])
             del packed, band, inverse  # a restored slice is freed before the next is read
@@ -548,10 +542,9 @@ class ProjectorAccumulator:
         rhs = np.array(z, dtype=complex)
         u = np.empty_like(rhs)
         slices = self.slice_factors()
+        rows = (4 * self._table.spans).tolist()
         for t in reversed(range(len(slices))):
-            packed, band = slices[t]
-            start, low = 4 * self.slice_ptr[t], 4 * self.slice_ptr[max(t - 2, 0)]
-            stop = start + band.shape[0]
+            (start, stop, low), (packed, band) = rows[t], slices[t]
             inverse = unpack_lower(packed, stop - start)
             u[start:stop] = _adjoint_times(inverse, rhs[start:stop])
             rhs[low:start] -= _adjoint_times(band, u[start:stop])
@@ -574,7 +567,7 @@ class ProjectorAccumulator:
         window order; entries of c outside the window do not enter.
         """
         coords = self._table.coords
-        return Multispinor.from_rows(coords, self._project(c.at(coords)))
+        return Multispinor(coords, self._project(c.at(coords)))
 
     def apply_fundamental(self, c: Multispinor) -> Multispinor:
         """(U - P) c: c minus its projected component, a solution of the interior rows.

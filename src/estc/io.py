@@ -8,9 +8,10 @@ the number of stages, which is the length of the window's schedule, per
 stage its rcond, and the sha256 of the factor file.  The factor file
 holds, slice by slice, the lower triangle of W_t = R_tt^-1 in
 np.tril_indices order and then the band panel [R_t,t-2 | R_t,t-1]
-row-major.  Every slice shape follows from make_schedule(window), so the
-reader refuses any other stage count and a factor file of any other size
-or digest.  lattice.Window checks the header's
+row-major.  Every slice shape and offset follows from the window, through
+the spans and factor_bounds of lattice.window_table, so the reader
+refuses any other stage count and a factor file of any other size or
+digest.  lattice.Window checks the header's
 radius and center, as it checks every window.  The factor file is a
 built accumulator's factor store byte for byte, and the writer writes
 the store with one call.  The reader hashes the file one slice at a
@@ -204,10 +205,10 @@ def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
 
 def _slice_dsets(factors: _Factors) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """(first stage, first band stage, W_t dsets, band dsets) of each stored slice, in turn."""
-    ptr = window_table(factors.window).slice_ptr
-    for t, (packed, band) in enumerate(factors.factors):
+    spans = window_table(factors.window).spans.tolist()
+    for (start, _, low), (packed, band) in zip(spans, factors.factors):
         inverse = unpack_lower(packed, band.shape[0])
-        yield ptr[t], ptr[max(t - 2, 0)], _block_dsets(inverse), _block_dsets(band)
+        yield start, low, _block_dsets(inverse), _block_dsets(band)
 
 
 def _block_dsets(a: np.ndarray) -> np.ndarray:
@@ -273,7 +274,7 @@ def read_solution(path: str | Path, cfg: RunConfig | None = None) -> Multispinor
     if repeated.size:
         raise ConfigError(f"solution site {sites[repeated[0]]} is listed twice")
     values = np.array(amplitudes, dtype=float).reshape(-1, 8).view(complex)
-    return Multispinor.from_rows(coords, values)
+    return Multispinor(coords, values)
 
 
 def residual_csv(rows: list[tuple[Site, float]], center: Site) -> str:

@@ -9,9 +9,10 @@ twelve unit shifts mixing one spatial axis with the time axis.
 Inside the library a set of sites is one (N, 4) int64 array, and locate
 is the one way to match sites.  Everything that depends on a window
 alone, its sites, time-major schedule, the stencil of each scheduled
-site, slices, factor layout, coverage, scatter order, Gram pattern and
-slice plans, is one read-only WindowTable, built from arrays once per
-(radius, center); site tuples are handed out only at the edges
+site, slices and their spans, factor layout, coverage, scatter order,
+Gram pattern and slice plans, is one read-only WindowTable, built from
+arrays once per (radius, center); the band's reach and the slice sizes
+are derived there alone.  Site tuples are handed out only at the edges
 (Window.points, make_schedule), and site_array turns them back.
 """
 
@@ -228,19 +229,17 @@ def _read_only(table):
 class SlicePlan:
     """Where the row Gram blocks of one time slice go in its slice step.
 
-    The slice holds stages start:stop, n of them, and its band reaches
-    back m stages, to stage low = start - m.  Its Gram blocks, those of
-    rows start:stop, split by column: the band blocks band[j], whose
-    partner lies before start, sit at row stage band_rows[j] and column
-    stage band_cols[j] of the (n, m) block grid of the band panel
-    [G_t,t-2 | G_t,t-1]; the diagonal blocks diag[j], at diag_rows[j] and
-    diag_cols[j] of the (n, n) block grid of G_tt, on and below its block
-    diagonal.  The block indices are into the pattern's block order.
+    The slice is stages start:stop of the schedule, n of them, and its
+    band reaches back m stages, to stage low = start - m: its span in the
+    window table.  Its Gram blocks, those of rows start:stop, split by
+    column: the band blocks band[j], whose partner lies before start, sit
+    at row stage band_rows[j] and column stage band_cols[j] of the (n, m)
+    block grid of the band panel [G_t,t-2 | G_t,t-1]; the diagonal blocks
+    diag[j], at diag_rows[j] and diag_cols[j] of the (n, n) block grid of
+    G_tt, on and below its block diagonal.  The block indices are into the
+    pattern's block order.
     """
 
-    start: int
-    stop: int
-    low: int
     band: np.ndarray
     band_rows: np.ndarray
     band_cols: np.ndarray
@@ -249,19 +248,14 @@ class SlicePlan:
     diag_cols: np.ndarray
 
 
-def slice_plans(pattern: GramPattern, slice_ptr: np.ndarray) -> tuple[SlicePlan, ...]:
-    """The SlicePlan of each time slice of a schedule, from its Gram pattern and slices."""
-    ptr = slice_ptr.tolist()
+def slice_plans(pattern: GramPattern, spans: np.ndarray) -> tuple[SlicePlan, ...]:
+    """The SlicePlan of each time slice of a schedule, from its Gram pattern and slice spans."""
     plans = []
-    for t in range(len(ptr) - 1):
-        start, stop, low = ptr[t], ptr[t + 1], ptr[max(t - 2, 0)]
+    for start, stop, low in spans.tolist():
         blocks = np.arange(pattern.stage_ptr[start], pattern.stage_ptr[stop])
         rows, cols = pattern.stage[blocks] - start, pattern.partner[blocks]
         band = cols < start
         plan = SlicePlan(
-            start=start,
-            stop=stop,
-            low=low,
             band=blocks[band],
             band_rows=rows[band],
             band_cols=cols[band] - low,
@@ -284,10 +278,14 @@ class WindowTable:
     coords[schedule[k]] + SHIFTS_S13[s], the columns of stage k; every
     scheduled site is interior, so its stencil lies in the window.
     The schedule is time-major: slice t of equal n4 is stages
-    slice_ptr[t]:slice_ptr[t + 1], and numbers
-    factor_bounds[t]:factor_bounds[t + 1] of the factor store: a slice of
-    n stages whose band reaches m stages back takes 2n(4n + 1) + 16nm
-    complex numbers, the lower triangle of W_t and then the band panel.
+    slice_ptr[t]:slice_ptr[t + 1].  spans[t] = (start, stop, low) is its
+    span, in stages: its own stages start:stop, n of them, and low, the
+    start of slice t - 2 (0 for the first two slices), where its band
+    reaches back to, m = start - low stages.  Slice t is numbers
+    factor_bounds[t]:factor_bounds[t + 1] of the factor store: it takes
+    2n(4n + 1) + 16nm complex numbers, the lower triangle of W_t and then
+    the (4n, 4m) band panel.  coupling_count counts the off-diagonal 4x4
+    blocks the store holds, n(n - 1)/2 in each W_t and nm in each band.
     support[k] counts the sites that the stencils of stages 0..k reach.
     At radius >= 1 every window site is reached by some stencil: a site
     on the rim, at g4d = radius, is one field shift from an interior site.  The projection sums its K * 13
@@ -305,7 +303,9 @@ class WindowTable:
     schedule: np.ndarray
     stencil: np.ndarray
     slice_ptr: np.ndarray
+    spans: np.ndarray
     factor_bounds: np.ndarray
+    coupling_count: int
     support: np.ndarray
     scatter_order: np.ndarray
     scatter_first: np.ndarray
@@ -316,7 +316,7 @@ class WindowTable:
 
     @cached_property
     def plans(self) -> tuple[SlicePlan, ...]:
-        return slice_plans(self.pattern, self.slice_ptr)
+        return slice_plans(self.pattern, self.spans)
 
 
 def window_table(window: Window) -> WindowTable:
@@ -345,16 +345,20 @@ def _window_table(radius: int, center: Site) -> WindowTable:
     order = np.argsort(flat, kind="stable")
     first = np.flatnonzero(np.diff(flat[order], prepend=-1))
     slice_ptr = np.flatnonzero(np.diff(n4, prepend=n4[:1] - 1, append=n4[-1:] + 1))
-    # stages n of each slice and m of its band, back to the start of slice t - 2
-    n = np.diff(slice_ptr)
-    m = slice_ptr[:-1] - slice_ptr[np.maximum(np.arange(len(n)) - 2, 0)]
+    # the span of each slice: its stages start:stop, n of them, and low, the start of
+    # slice t - 2, where its band of m stages begins
+    start, stop = slice_ptr[:-1], slice_ptr[1:]
+    low = slice_ptr[np.maximum(np.arange(len(start)) - 2, 0)]
+    n, m = stop - start, start - low
     table = WindowTable(
         sites=tuple(map(tuple, coords.tolist())),
         coords=coords,
         schedule=schedule,
         stencil=stencil,
         slice_ptr=slice_ptr,
+        spans=np.stack([start, stop, low], axis=1),
         factor_bounds=np.concatenate([[0], np.cumsum(2 * n * (4 * n + 1) + 16 * n * m)]),
+        coupling_count=int((n * (n - 1) // 2 + n * m).sum()),
         support=np.cumsum(np.bincount(first_cover, minlength=stages + 1))[:stages],
         scatter_order=order,
         scatter_first=first,

@@ -8,7 +8,7 @@ as 4-tuples are built only when code at the edges asks for single sites.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -30,24 +30,14 @@ class Multispinor:
     read-only zero.
     """
 
-    def __init__(self, data: Mapping[Site, np.ndarray] | None = None):
-        data = data or {}
-        rows = [np.asarray(value, dtype=complex).reshape(4) for value in data.values()]
-        self._assign(list(data), np.array(rows, dtype=complex).reshape(-1, 4))
-
-    @classmethod
-    def from_rows(cls, coords, amplitudes: np.ndarray) -> "Multispinor":
+    def __init__(self, coords, amplitudes: np.ndarray):
         """amplitudes[i] at site coords[i]: distinct sites as an (N, 4) int64 array, or a list of them.
 
         The sites are copied into the read-only coords; amplitudes, an
         (N, 4) complex array, is taken as it is, not copied: writes through
-        either show in both.
+        either show in both.  Raises ValueError when amplitudes is not
+        complex or not one row per site.
         """
-        out = cls.__new__(cls)
-        out._assign(coords, amplitudes)
-        return out
-
-    def _assign(self, coords, amplitudes: np.ndarray) -> None:
         coords = np.array(coords, dtype=np.int64).reshape(-1, 4)
         if amplitudes.shape != (len(coords), 4) or amplitudes.dtype != complex:
             raise ValueError(
@@ -83,9 +73,6 @@ class Multispinor:
     def __iter__(self) -> Iterator[Site]:
         return iter(self.support)
 
-    def sites(self) -> list[Site]:
-        return sorted(self.support)
-
     def at(self, sites: np.ndarray) -> np.ndarray:
         """(..., 4) amplitudes at an (..., 4) int64 site array, zero at the sites c lacks.
 
@@ -98,9 +85,6 @@ class Multispinor:
         padded = np.concatenate([self.amplitudes, np.zeros((1, 4), dtype=complex)])
         return padded[locate(self.coords, sites)]
 
-    def copy(self) -> "Multispinor":
-        return Multispinor.from_rows(self.coords, self.amplitudes.copy())
-
     def __add__(self, other: "Multispinor") -> "Multispinor":
         """Sum on the sites of self, in their order, then the sites of other that self lacks.
 
@@ -109,20 +93,20 @@ class Multispinor:
         meets the same row of other.
         """
         if _same_sites(self.coords, other.coords):
-            return Multispinor.from_rows(self.coords, self.amplitudes + other.amplitudes)
+            return Multispinor(self.coords, self.amplitudes + other.amplitudes)
         n = len(self.coords)
         rows = locate(self.coords, other.coords)
         extra = np.flatnonzero(rows < 0)
         rows[extra] = n + np.arange(len(extra))
         out = np.concatenate([self.amplitudes, np.zeros((len(extra), 4), dtype=complex)])
         out[rows] += other.amplitudes
-        return Multispinor.from_rows(np.concatenate([self.coords, other.coords[extra]]), out)
+        return Multispinor(np.concatenate([self.coords, other.coords[extra]]), out)
 
     def __sub__(self, other: "Multispinor") -> "Multispinor":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "Multispinor":
-        return Multispinor.from_rows(self.coords, scalar * self.amplitudes)
+        return Multispinor(self.coords, scalar * self.amplitudes)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
@@ -150,4 +134,4 @@ def random_multispinor(sites: Sequence[Site] | np.ndarray, seed: int) -> Multisp
         last = np.zeros(len(coords), dtype=np.intp)
         np.maximum.at(last, first, np.arange(len(coords)))
         coords, amplitudes = coords[keep], amplitudes[last[keep]]
-    return Multispinor.from_rows(coords, amplitudes)
+    return Multispinor(coords, amplitudes)

@@ -6,7 +6,8 @@ characteristic coefficients come from numpy's polynomial routine, the
 pair-combination reference sums the alternating series directly, and the
 row coefficients, the overlap of two rows, their Gram matrix and the
 Gram-Cholesky projector are assembled from the coupling coefficients
-without the engine's cached tables.  couples reads the coupling rule off
+without the engine's cached tables.  from_dict builds a multispinor
+from a {site: amplitudes} dict.  couples reads the coupling rule off
 lattice.COUPLING_DIFFS alone, for the tests of that table and of the
 Gram pattern built from it.  gram_blocks and dense_factor read
 the engine's own output into the form these oracles compare against.
@@ -17,7 +18,7 @@ import numpy as np
 from estc import DimensionlessParams, FieldConfig
 from estc.engine import FieldTables, build_row_gram
 from estc.field import FREE_COMPONENTS, v_coupling
-from estc.lattice import COUPLING_DIFFS, SHIFTS_S13, gram_pattern, site_sub
+from estc.lattice import COUPLING_DIFFS, SHIFTS_S13, gram_pattern, site_sub, window_table
 from estc.multispinor import Multispinor
 
 # frozen 4x4 basis, index nu = 8M + 4N + 2m + n
@@ -144,6 +145,8 @@ def random_dsets(rng, count, scale=1.0):
     )
 
 
+# kept beside checks._dense_rows on purpose: this one builds from the frozen literals, that one
+# from gamma_matrix, so each is an independent reference for the other
 def dense_rows(f, p, schedule, sites):
     """V: row block k holds the coupling matrices of row schedule[k] at its 13 stencil columns.
 
@@ -200,15 +203,15 @@ def svd_projector(v):
 def dense_factor(acc):
     """Dense Cholesky factor R of the processed rows' Gram matrix, from the stored slice blocks.
 
-    Slice t contributes its diagonal block R_tt = W_t^-1, with W_t
-    unpacked from its lower triangle in np.tril_indices order, and its
-    band panel [R_t,t-2 | R_t,t-1]; every other block is zero.
+    Slice t, over the rows of its span in the window table, contributes
+    its diagonal block R_tt = W_t^-1, with W_t unpacked from its lower
+    triangle in np.tril_indices order, and its band panel
+    [R_t,t-2 | R_t,t-1]; every other block is zero.
     """
-    k = acc.stages_done
+    k = len(acc.schedule)
     r = np.zeros((4 * k, 4 * k), dtype=complex)
-    for t, (packed, band) in enumerate(acc.slice_factors()):
-        start, low = 4 * acc.slice_ptr[t], 4 * acc.slice_ptr[max(t - 2, 0)]
-        stop = start + band.shape[0]
+    rows = (4 * window_table(acc.window).spans).tolist()
+    for (start, stop, low), (packed, band) in zip(rows, acc.slice_factors()):
         inverse = np.zeros((stop - start, stop - start), dtype=complex)
         inverse[np.tril_indices(stop - start)] = packed
         r[start:stop, start:stop] = np.tril(np.linalg.inv(inverse))
@@ -239,5 +242,11 @@ def to_vector(c, sites):
     return np.concatenate([c[site] for site in sites])
 
 
+def from_dict(data):
+    """The multispinor with amplitudes data[site], each four numbers, at the sites of a dict, in its order."""
+    rows = [np.asarray(value, dtype=complex).reshape(4) for value in data.values()]
+    return Multispinor(list(data), np.array(rows, dtype=complex).reshape(-1, 4))
+
+
 def to_multispinor(x, sites):
-    return Multispinor({site: x[4 * j : 4 * j + 4] for j, site in enumerate(sites)})
+    return from_dict({site: x[4 * j : 4 * j + 4] for j, site in enumerate(sites)})

@@ -329,7 +329,7 @@ def _row_stack(acc):
     """
     sites = acc.window.points()
     index = {site: i for i, site in enumerate(sites)}
-    k = acc.stages_done
+    k = len(acc.schedule)
     rows = dense_rows(acc.tables.field, acc.tables.params, acc.processed_sites(), sites)
     r = dense_factor(acc)
     pivots = r.reshape(k, 4, k, 4)[np.arange(k), :, np.arange(k)]
@@ -343,7 +343,7 @@ def test_criterion_6_engine_invariants_at_desk_scale():
     f = random_field(rng, intensity=float(rng.uniform(0.01, 0.5)))
     p = random_params(rng, omega_range=(0.1, 1.0))
     acc = ProjectorAccumulator(f, p, Window(3)).run()
-    stages = acc.stages_done
+    stages = len(acc.schedule)
 
     sites, index, phi, cores = _row_stack(acc)
     gram = np.einsum("kap,kbp->kab", phi, phi.conj())
@@ -485,7 +485,7 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
     solution = acc.apply_fundamental(c0)
     drift = solution - restored.apply_fundamental(c0)
     round_trip_err = max(
-        (float(np.abs(drift[site]).max()) for site in drift.sites()), default=0.0
+        (float(np.abs(drift[site]).max()) for site in drift), default=0.0
     )
     ok = identical and round_trip_err <= TOL_ROUND_TRIP
     assert _line(

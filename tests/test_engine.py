@@ -37,6 +37,7 @@ from helpers import (
     dense_row_gram,
     dense_rows,
     factored_projector,
+    from_dict,
     oracle_overlap,
     prefix_projector,
     random_field,
@@ -109,7 +110,7 @@ def test_first_stage_is_the_bare_block():
     expected = bare_projector(m0, FIELD, PARAMS, sites)
     assert np.abs(applied_matrix(acc, sites) - expected).max() < 1e-12
     support = {site_add(m0, s) for s in SHIFTS_S13}
-    assert set(acc.apply_projector(random_multispinor(sites, 1)).sites()) == support
+    assert set(acc.apply_projector(random_multispinor(sites, 1))) == support
 
 
 def test_first_coupling_matches_its_closed_form():
@@ -159,9 +160,9 @@ def test_accumulated_projector_matches_the_dense_span_oracle():
 
 def test_stage_blocks_satisfy_the_projector_identities():
     acc = fresh_accumulator().run()
-    assert acc.stages_done == 13
+    assert len(acc.schedule) == 13
     sites = acc.window.points()
-    k = acc.stages_done
+    k = len(acc.schedule)
     v = dense_rows(FIELD, PARAMS, acc.schedule, sites)
     phi = np.linalg.solve(dense_factor(acc), v).reshape(k, 4, -1)
     total = 0.0
@@ -267,7 +268,7 @@ def test_residual_table_reads_sites_outside_the_window_and_missing_sites():
     tables = FieldTables(FIELD, PARAMS)
     rows = Window(2).points()
     # every other site of a wider window, and one far from every row
-    c = random_multispinor(Window(3).points()[::2], 16) + Multispinor({(40, 0, 0, 0): [1, 1, 1, 1]})
+    c = random_multispinor(Window(3).points()[::2], 16) + from_dict({(40, 0, 0, 0): [1, 1, 1, 1]})
     assert any(site_add(n, s) not in c for n in rows for s in SHIFTS_S13)
     # the per-site gather, then the same row sums: equal to the last bit
     x = np.array([[c[site_add(n, s)] for s in SHIFTS_S13] for n in rows])
@@ -275,7 +276,7 @@ def test_residual_table_reads_sites_outside_the_window_and_missing_sites():
     got = residual_table(c, tables, rows)
     assert [n for n, _ in got] == rows
     assert [value for _, value in got] == expected.tolist()
-    empty = residual_table(Multispinor(), tables, rows)
+    empty = residual_table(from_dict({}), tables, rows)
     assert [value for _, value in empty] == [0.0] * len(rows)
 
 
@@ -444,7 +445,7 @@ def check_holds_no_factors(acc, tmp_path):
     with pytest.raises(ValueError, match="has not completed a run"):
         write_operator(path, acc, cfg)
     assert not path.exists() and not path.with_suffix(".c16").exists()
-    assert acc.stages_done == 0 and acc.processed_sites() == [] and acc.factors is None
+    assert acc.processed_sites() == [] and acc.factors is None
 
 
 def test_an_accumulator_that_has_not_run_fails_loudly(tmp_path):
@@ -452,7 +453,7 @@ def test_an_accumulator_that_has_not_run_fails_loudly(tmp_path):
     assert not acc.rconds.any() and np.isnan(acc.asymmetry).all()
     check_holds_no_factors(acc, tmp_path)
     # it can still run, once
-    assert acc.run().stages_done == 13
+    assert acc.run().processed_sites() == acc.schedule and len(acc.schedule) == 13
 
 
 def test_slice_cholesky_reads_only_the_lower_triangle(monkeypatch):
@@ -493,7 +494,7 @@ def test_apply_fundamental_shares_no_buffer_with_its_input():
     acc = fresh_accumulator().run()
     points = acc.window.points()
     # a seed missing some window sites and holding one outside the window
-    c = random_multispinor(points[::3], 17) + Multispinor({(9, 9, 0, 0): [1, 2, 3, 4]})
+    c = random_multispinor(points[::3], 17) + from_dict({(9, 9, 0, 0): [1, 2, 3, 4]})
     check_apply_fundamental_keeps_its_input(acc, c)
 
 
@@ -656,7 +657,7 @@ def test_random_configurations_keep_the_invariants():
         acc = ProjectorAccumulator(f, p, Window(2)).run()
         sites = acc.window.points()
         dense = factored_projector(acc, dense_rows(f, p, acc.schedule, sites))
-        assert np.trace(dense).real == pytest.approx(4.0 * acc.stages_done, abs=1e-8)
+        assert np.trace(dense).real == pytest.approx(4.0 * len(acc.schedule), abs=1e-8)
         c = random_multispinor(sites, int(rng.integers(0, 1000)))
         solution = acc.apply_fundamental(c)
         worst = max(v for _, v in residual_table(solution, acc.tables, acc.processed_sites()))
@@ -726,7 +727,7 @@ def factor_identity_error(acc, gram):
     """
     r = dense_factor(acc)
     reference = np.linalg.cholesky(gram)
-    worst_rcond = acc.rconds[: acc.stages_done].min()
+    worst_rcond = acc.rconds.min()
     return float(np.abs(r - reference).max() / np.sqrt(np.abs(gram).max())) * worst_rcond
 
 
@@ -738,7 +739,7 @@ def rcond_error(acc, gram):
     random fields at R = 2 and the sample field at R = 2 and 3 the error
     stayed below 4e-15.
     """
-    k = acc.stages_done
+    k = len(acc.schedule)
     r = np.linalg.cholesky(gram)
     s = np.linalg.svd(r.reshape(k, 4, k, 4)[np.arange(k), :, np.arange(k)], compute_uv=False)
     return float(np.abs(acc.rconds - (s[:, -1] / s[:, 0]) ** 2).max())
@@ -771,21 +772,48 @@ def test_a_run_checks_the_pivots_once_and_keeps_each_w_dense(monkeypatch):
 
 
 def test_a_window_plans_each_slice_once_and_read_only():
-    table = lattice.window_table(Window(3))
-    assert lattice.window_table(Window(3, (0, 0, 0, 0))).plans is table.plans
-    pattern, ptr = table.pattern, table.slice_ptr
-    assert len(table.plans) == len(ptr) - 1
-    for t, plan in enumerate(table.plans):
-        assert (plan.start, plan.stop, plan.low) == (ptr[t], ptr[t + 1], ptr[max(t - 2, 0)])
+    for radius in range(1, 7):
+        check_slice_layout(radius)
+
+
+def check_slice_layout(radius):
+    """The spans, factor slices and plans of the window of a radius agree with the schedule."""
+    table = lattice.window_table(Window(radius))
+    assert lattice.window_table(Window(radius, (0, 0, 0, 0))).plans is table.plans
+    # the spans tile the time-major schedule, one per run of equal n4, and each band
+    # reaches back to the start of slice t - 2
+    n4 = table.coords[table.schedule, 3].tolist()
+    starts = [k for k in range(len(n4)) if k == 0 or n4[k] != n4[k - 1]]
+    ends = starts[1:] + [len(n4)]
+    spans = table.spans.tolist()
+    assert spans == [[starts[t], ends[t], starts[max(t - 2, 0)]] for t in range(len(starts))]
+    even, odd = lattice.slice_sizes(radius)
+    assert [stop - start for start, stop, _ in spans] == [
+        even if t % 2 == 0 else odd for t in range(1 - radius, radius)
+    ]
+    assert table.factor_bounds[-1] * 16 == lattice.factor_bytes(radius)
+    # each slice of the store has the shapes of its span: W_t packed, then the (4n, 4m) band
+    slices = engine.FactorSlices(table, lambda start, stop: np.zeros(stop - start, dtype=complex))
+    assert len(slices) == len(spans)
+    couplings = 0
+    for (start, stop, low), (packed, band) in zip(spans, slices):
+        n, m = stop - start, start - low
+        assert packed.shape == (2 * n * (4 * n + 1),) and band.shape == (4 * n, 4 * m)
+        couplings += n * (n - 1) // 2 + n * m
+    assert table.coupling_count == couplings
+
+    pattern = table.pattern
+    assert len(table.plans) == len(spans)
+    for (start, stop, low), plan in zip(spans, table.plans):
         # every block of the slice's rows, once: the band ones before start, the rest on or
         # below the diagonal of G_tt
         blocks = np.sort(np.concatenate([plan.band, plan.diag]))
-        assert np.array_equal(blocks, np.arange(pattern.stage_ptr[plan.start], pattern.stage_ptr[plan.stop]))
-        assert np.array_equal(plan.band_rows, pattern.stage[plan.band] - plan.start)
-        assert np.array_equal(plan.band_cols, pattern.partner[plan.band] - plan.low)
-        assert np.array_equal(plan.diag_rows, pattern.stage[plan.diag] - plan.start)
-        assert np.array_equal(plan.diag_cols, pattern.partner[plan.diag] - plan.start)
-        assert (plan.band_cols >= 0).all() and (plan.band_cols < plan.start - plan.low).all()
+        assert np.array_equal(blocks, np.arange(pattern.stage_ptr[start], pattern.stage_ptr[stop]))
+        assert np.array_equal(plan.band_rows, pattern.stage[plan.band] - start)
+        assert np.array_equal(plan.band_cols, pattern.partner[plan.band] - low)
+        assert np.array_equal(plan.diag_rows, pattern.stage[plan.diag] - start)
+        assert np.array_equal(plan.diag_cols, pattern.partner[plan.diag] - start)
+        assert (plan.band_cols >= 0).all() and (plan.band_cols < start - low).all()
         assert (plan.diag_cols >= 0).all() and (plan.diag_cols <= plan.diag_rows).all()
         for array in (value for value in vars(plan).values() if isinstance(value, np.ndarray)):
             with pytest.raises(ValueError, match="read-only"):
@@ -818,13 +846,13 @@ def test_a_second_run_on_a_window_plans_nothing_and_allocates_no_slice_panel(mon
     acc.run()
     assert calls == {"gram_pattern": 0, "slice_plans": 0}
     # one dense buffer per slice, its (4n, 4n) Schur complement: the band is built in the store
-    assert shapes == [(4 * n, 4 * n) for n in np.diff(acc.slice_ptr).tolist()]
+    assert shapes == [(4 * n, 4 * n) for n in np.diff(lattice.window_table(window).slice_ptr).tolist()]
 
 
 def test_factor_diagonalizes_the_dense_row_gram_on_the_sample_field():
     cfg = parse_config(SAMPLE_CONFIG.read_text())
     acc = ProjectorAccumulator(cfg.field, cfg.params, Window(3, cfg.n_ref)).run()
-    assert acc.stages_done == 69
+    assert len(acc.schedule) == 69
     for packed, band in acc.slice_factors():
         inverse = engine.unpack_lower(packed, band.shape[0])
         assert np.array_equal(inverse, np.tril(inverse))
@@ -888,7 +916,7 @@ def test_processed_rows_are_solved_to_rounding_on_random_fields(seed):
 def test_processed_rows_are_solved_to_rounding_at_radius_4():
     cfg = parse_config(SAMPLE_CONFIG.read_text())
     acc = ProjectorAccumulator(cfg.field, cfg.params, Window(4, cfg.n_ref)).run()
-    assert acc.stages_done == 233
+    assert len(acc.schedule) == 233
     sites = acc.window.points()
     v = dense_rows(cfg.field, cfg.params, acc.schedule, sites)
     c = random_multispinor(sites, cfg.seed)
