@@ -18,9 +18,9 @@ from estc import (
     Window,
     parse_config,
     random_multispinor,
-    residual_table,
     site_sub,
     g4d,
+    window_table,
 )
 
 config_text = (Path(__file__).parent / "sample_config.txt").read_text()
@@ -37,23 +37,24 @@ print(f"worst stage rcond {acc.rconds[worst]:.3e} at site {acc.schedule[worst]}"
 
 # The complement of the accumulated projector maps a random seed onto the
 # solution subspace: every processed row evaluates to (numerical) zero.
-c0 = random_multispinor(acc.window.points(), cfg.seed)
-solution = acc.apply_fundamental(c0)
-processed = residual_table(solution, acc.tables, acc.processed_sites())
-print("worst processed-row residual:", max(value for _, value in processed))
+# acc.rows(x) is V x, the rows of the schedule, for x the amplitudes on the
+# window sites.
+coords = window_table(acc.window).coords
+solution = acc.apply_fundamental(random_multispinor(coords, cfg.seed))
+processed = np.linalg.norm(acc.rows(solution.at(coords)), axis=1)
+print("worst processed-row residual:", float(processed.max()))
 
 # Rows the run did not process measure the truncation error.  Applying
 # operators built on growing windows to one seed shows the solved region
-# pushing outward ring by ring.
-wide = Window(cfg.radius + 1, cfg.n_ref)
-seed = random_multispinor(wide.points(), cfg.seed)
-eval_sites = wide.interior_points()
-for radius in (cfg.radius, cfg.radius + 1):
-    run = ProjectorAccumulator(cfg.field, cfg.params, Window(radius, cfg.n_ref)).run()
-    sol = run.apply_fundamental(seed)
-    by_ring: dict[int, list[float]] = {}
-    for site, value in residual_table(sol, run.tables, eval_sites):
-        by_ring.setdefault(g4d(site_sub(site, cfg.n_ref)), []).append(value)
-    print(f"operator built at R = {radius}: median row residual by ring:")
-    for ring in sorted(by_ring):
-        print(f"  g4d = {ring}: {np.median(by_ring[ring]):.3e}  ({len(by_ring[ring])} sites)")
+# pushing outward ring by ring: both are read through the rows of the
+# wider window, whose schedule is every site with g4d <= R.
+wide = ProjectorAccumulator(cfg.field, cfg.params, Window(cfg.radius + 1, cfg.n_ref)).run()
+table = window_table(wide.window)
+seed = random_multispinor(table.coords, cfg.seed)
+rings = np.array([g4d(site_sub(table.sites[k], cfg.n_ref)) for k in table.schedule])
+for run in (acc, wide):
+    residuals = np.linalg.norm(wide.rows(run.apply_fundamental(seed).at(table.coords)), axis=1)
+    print(f"operator built at R = {run.window.radius}: median row residual by ring:")
+    for ring in np.unique(rings).tolist():
+        values = residuals[rings == ring]
+        print(f"  g4d = {ring}: {np.median(values):.3e}  ({len(values)} sites)")

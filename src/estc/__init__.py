@@ -23,7 +23,7 @@ from .dirac_basis import (
     matrix_from_dset,
     structure_constant,
 )
-from .engine import ProjectorAccumulator, residual_table
+from .engine import ProjectorAccumulator
 from .errors import EstcError, StageSingular
 from .field import (
     DimensionlessParams,
@@ -35,7 +35,7 @@ from .field import (
     v_coupling,
     w_vector,
 )
-from .lattice import SHIFTS_S13, Window, g4d, site_add, site_sub
+from .lattice import SHIFTS_S13, Window, g4d, site_add, site_sub, window_table
 from .multispinor import random_multispinor
 
 __all__ = [
@@ -61,12 +61,12 @@ __all__ = [
     "matrix_from_dset",
     "parse_config",
     "random_multispinor",
-    "residual_table",
     "site_add",
     "site_sub",
     "structure_constant",
     "v_coupling",
     "w_vector",
+    "window_table",
 ]
 
 __version__ = "0.1.0"

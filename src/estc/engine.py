@@ -27,39 +27,35 @@ order, and an accumulator whose run did not complete holds no factors; one
 restored from a dump only applies.
 
 The projector is kept and applied in factored form only, as
-P = (R^-1 V)^dag (R^-1 V): a block forward and back substitution over the
-slices.  The factor is laid out as the operator dump's factor file: per
-slice, the lower triangle of W_t = R_tt^-1 packed in np.tril_indices
-order, then the band panel row-major.  A built accumulator holds it as
-one complex128 array; a restored one reads each slice from the factor
-file when a step indexes it, so an apply holds one slice at a time.
+P = V^dag R^-dag R^-1 V: a block forward and back substitution over the
+slices between rows, V, and adjoint, V^dag, the accumulator's one row
+operator on the (N, 4) amplitudes of the window sites.  The CLI's gate
+and verify read the processed rows through rows; G u = rows(adjoint(u)).
+The factor is laid out as the operator dump's factor file: per slice,
+the lower triangle of W_t = R_tt^-1 packed in np.tril_indices order,
+then the band panel row-major.  A built accumulator holds it as one
+complex128 array; a restored one reads each slice from the factor file
+when a step indexes it, so an apply holds one slice at a time.
 FactorSlices serves both, with the shapes and offsets of the window
 table; the solves read each slice's rows from its span there, so the
-band's reach is derived only in lattice.  The run keeps each W_t
-dense and conjugated from its inversion through slice t + 2, the last
-whose band it multiplies; the solves unpack it into a dense temporary.
-The complement U - P maps any seed multispinor onto the solution subspace
-of the window's interior rows; residuals of the rows outside the interior
-measure the truncation error of the window.
+band's reach is derived only in lattice.  The run keeps each W_t dense
+and conjugated from its inversion through slice t + 2, the last whose
+band it multiplies; the solves unpack it into a dense temporary.  The
+complement U - P maps any seed multispinor onto the solution subspace of
+the window's interior rows.
 
 Only the zero-shift block V(n, 0) depends on q, through w = q + Omega n,
 so a point at new q pays only for it.  Per window (radius, center), built
 once per process and shared read-only, lattice.window_table holds the
-sites, the schedule and the stencil of each scheduled site, the slice
-bounds, the span of each slice and the factor store offsets, the
-coverage of the stencils, the projection's scatter order and, built on
-first use, the Gram pattern, the coupled pairs of stages with the site
-difference and row stage of each, and the slice plans, where each Gram
-block of a slice goes in its step.
-Per field, likewise: the twelve field-shift matrices F_s and, per site
-difference d, their overlap C_d, the sum of F_s F_t^dag over the pairs
-with s - t = d.  The row overlap of two stages is C_d plus the few
-products that involve their zero-shift matrices, so a point forms those
-matrices, those products and the factor, and scatters the products by
-index arrays it does not build; the seed, the projection and the residuals
-work on the (N, 4) site and amplitude arrays of a Multispinor and on
-schedule indices, never on site tuples, and a seed on the window sites is
-read, and its projection subtracted, row by row, with no site lookup.
+sites, the schedule, the stencil and scatter order, the slice spans and
+factor store offsets, the coverage of the stencils and, built on first
+use, the Gram pattern and the slice plans.  Per field, likewise: the
+twelve field-shift matrices F_s and, per site difference d, their
+overlap C_d, the sum of F_s F_t^dag over the pairs with s - t = d.  The
+row overlap of two stages is C_d plus the few products that involve
+their zero-shift matrices, so a point forms those matrices, those
+products and the factor, scatters by index arrays it does not build, and
+reads no site tuple and looks up no site.
 """
 
 from __future__ import annotations
@@ -118,13 +114,6 @@ class FieldTables:
         """
         field = values[:, 1:].reshape(-1, 48) @ self.field_row.T
         return np.einsum("nab,nb->na", zero, values[:, 0]) + field
-
-    def adjoint_terms(self, zero: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """(n, 13, 4) terms V(n, s)^dag u[n] of each row n, given its V(n, 0) as zero[n]."""
-        out = np.empty((len(u), 13, 4), dtype=complex)
-        out[:, 0] = np.einsum("nba,nb->na", zero.conj(), u)
-        out[:, 1:] = (u @ self.field_row.conj()).reshape(-1, 12, 4)
-        return out
 
 
 @lru_cache(maxsize=8)
@@ -331,7 +320,7 @@ class ProjectorAccumulator:
     holds no factors, and applying, solving with or writing it raises
     ValueError.
     The zero-shift matrices V(m_k, 0) of the whole schedule are formed
-    once; neither the Gram nor the projection needs any other per-site
+    once; neither the Gram nor rows and adjoint need any other per-site
     coefficient.  The overlaps come from the blocks of the row Gram
     (gram), built on first use from those matrices and the window's Gram
     pattern, which also holds the blocks' structure, so a restored
@@ -551,14 +540,22 @@ class ProjectorAccumulator:
             del packed, band, inverse
         return u
 
-    def _project(self, x: np.ndarray) -> np.ndarray:
-        """P x for x the (N, 4) amplitudes on the window sites, as the same array form."""
-        zero, table = self._zero, self._table
-        y = self.tables.row_sums(zero, x[table.stencil])
-        u = self.solve_upper(self.solve_lower(y.ravel())).reshape(-1, 4)
-        terms = self.tables.adjoint_terms(zero, u).reshape(-1, 4)
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """V x: the (K, 4) rows of the schedule, in its order, for x (N, 4) on the window sites."""
+        return self.tables.row_sums(self._zero, x[self._table.stencil])
+
+    def adjoint(self, u: np.ndarray) -> np.ndarray:
+        """V^dag u: (N, 4) amplitudes on the window sites, for u (K, 4) over the schedule."""
+        terms = np.empty((len(u), 13, 4), dtype=complex)
+        terms[:, 0] = np.einsum("nba,nb->na", self._zero.conj(), u)
+        terms[:, 1:] = (u @ self.tables.field_row.conj()).reshape(-1, 12, 4)
+        table = self._table
         # every window site is reached by some stencil, so the runs are the window sites
-        return np.add.reduceat(terms[table.scatter_order], table.scatter_first)
+        return np.add.reduceat(terms.reshape(-1, 4)[table.scatter_order], table.scatter_first)
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        """P x = V^dag G^-1 V x for x the (N, 4) amplitudes on the window sites, in that form."""
+        return self.adjoint(self.solve_upper(self.solve_lower(self.rows(x).ravel())).reshape(-1, 4))
 
     def apply_projector(self, c: Multispinor) -> Multispinor:
         """Projector applied to c: the component in the span of the window's interior rows.
@@ -581,7 +578,10 @@ class ProjectorAccumulator:
 def residual_table(
     c: Multispinor, tables: FieldTables, sites: list[Site]
 ) -> list[tuple[Site, float]]:
-    """Row residuals over the given sites, with c extended by zero."""
+    """Row residuals over the given sites, with c extended by zero.
+
+    Kept for the benchmark's sweep point alone; ROADMAP item 1 deletes it.
+    """
     coords = site_array(sites)
     rows = tables.row_sums(tables.zero_shift(coords), c.at(coords[:, None, :] + SHIFT_ARRAY))
     return list(zip(sites, np.linalg.norm(rows, axis=1).tolist()))

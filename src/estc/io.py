@@ -42,7 +42,8 @@ from .config import RunConfig, config_fingerprint
 from .dirac_basis import dset_from_matrix
 from .engine import FactorSlices, ProjectorAccumulator, unpack_lower
 from .errors import ConfigError
-from .lattice import Site, Window, g4d, locate, make_schedule, site_in_range, site_sub, window_table
+from .lattice import Site, Window, g4d, in_lattice, locate, make_schedule, site_in_range, site_sub
+from .lattice import window_table
 from .multispinor import Multispinor
 
 OPERATOR_FORMAT = "estc-operator-v4"
@@ -267,6 +268,8 @@ def read_solution(path: str | Path, cfg: RunConfig | None = None) -> Multispinor
     for site, flat in zip(sites, amplitudes):
         if not site_in_range(site):
             raise ConfigError(f"solution site {site!r} is not four integers within +-2**62")
+        if not in_lattice(site):
+            raise ConfigError(f"solution site {site!r} has an odd coordinate sum")
         if not _numbers(flat, 8, (int, float)):
             raise ConfigError(f"amplitudes at solution site {site} are not eight finite numbers")
     coords = np.array(sites, dtype=np.int64).reshape(-1, 4)

@@ -12,8 +12,9 @@ alone, its sites, time-major schedule, the stencil of each scheduled
 site, slices and their spans, factor layout, coverage, scatter order,
 Gram pattern and slice plans, is one read-only WindowTable, built from
 arrays once per (radius, center); the band's reach and the slice sizes
-are derived there alone.  Site tuples are handed out only at the edges
-(Window.points, make_schedule), and site_array turns them back.
+are derived there alone, and its stencil and scatter order are the
+gathers of the engine's one V and V^dag.  Site tuples are handed out only
+at the edges (Window.points, make_schedule), and site_array turns them back.
 """
 
 from __future__ import annotations
@@ -276,33 +277,31 @@ class WindowTable:
     int64 array.  schedule lists the window indices of make_schedule's
     sites in its order, and stencil[k, s], the window index of
     coords[schedule[k]] + SHIFTS_S13[s], the columns of stage k; every
-    scheduled site is interior, so its stencil lies in the window.
-    The schedule is time-major: slice t of equal n4 is stages
-    slice_ptr[t]:slice_ptr[t + 1].  spans[t] = (start, stop, low) is its
-    span, in stages: its own stages start:stop, n of them, and low, the
-    start of slice t - 2 (0 for the first two slices), where its band
-    reaches back to, m = start - low stages.  Slice t is numbers
+    scheduled site is interior, so its stencil lies in the window.  The
+    schedule is time-major, and slice t of equal n4 has the span spans[t]
+    = (start, stop, low), in stages: its own stages start:stop, n of them,
+    and low, the start of slice t - 2 (0 for the first two slices), where
+    its band reaches back to, m = start - low stages.  Slice t is numbers
     factor_bounds[t]:factor_bounds[t + 1] of the factor store: it takes
     2n(4n + 1) + 16nm complex numbers, the lower triangle of W_t and then
     the (4n, 4m) band panel.  coupling_count counts the off-diagonal 4x4
     blocks the store holds, n(n - 1)/2 in each W_t and nm in each band.
     support[k] counts the sites that the stencils of stages 0..k reach.
     At radius >= 1 every window site is reached by some stencil: a site
-    on the rim, at g4d = radius, is one field shift from an interior site.  The projection sums its K * 13
-    stencil terms into the window sites in one sorted reduction:
-    scatter_order sorts the flat stencil, stably, and the run starting at
-    scatter_first[j] holds the terms of window site j.  pattern, the
-    block pattern of the row Gram, and plans, the SlicePlan of each slice,
-    are built on first use: an accumulator that only applies restored
-    factors never needs them.  The arrays are read-only: every caller
-    shares them.
+    on the rim, at g4d = radius, is one field shift from an interior site.
+    Only the accumulator's rows, V, gathers by the stencil, and only its
+    adjoint, V^dag, sums its K * 13 stencil terms into the window sites,
+    in one sorted reduction: scatter_order sorts the flat stencil, stably,
+    and the run at scatter_first[j] holds the terms of window site j.
+    pattern, the block pattern of the row Gram, and plans, the SlicePlan
+    of each slice, are built on first use: an accumulator that only
+    applies restored factors never needs them.  The arrays are read-only.
     """
 
     sites: tuple[Site, ...]
     coords: np.ndarray
     schedule: np.ndarray
     stencil: np.ndarray
-    slice_ptr: np.ndarray
     spans: np.ndarray
     factor_bounds: np.ndarray
     coupling_count: int
@@ -355,7 +354,6 @@ def _window_table(radius: int, center: Site) -> WindowTable:
         coords=coords,
         schedule=schedule,
         stencil=stencil,
-        slice_ptr=slice_ptr,
         spans=np.stack([start, stop, low], axis=1),
         factor_bounds=np.concatenate([[0], np.cumsum(2 * n * (4 * n + 1) + 16 * n * m)]),
         coupling_count=int((n * (n - 1) // 2 + n * m).sum()),

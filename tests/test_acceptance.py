@@ -26,13 +26,13 @@ from estc import (
     matrix_from_dset,
     parse_config,
     random_multispinor,
-    residual_table,
     site_add,
     structure_constant,
     v_coupling,
 )
 from estc.combiner import combine_pair, range_restricted_pseudoinverse
 from estc.dirac_basis import UNIT_DSET
+from estc.engine import residual_table
 from estc.errors import DegenerateOverlap
 from estc.io import factor_path, read_operator, write_operator
 

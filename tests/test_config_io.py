@@ -297,7 +297,7 @@ def test_an_apply_holds_one_slice_of_the_factor(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    largest = 4 * int(np.diff(lattice.window_table(window).slice_ptr).max())
+    largest = 4 * int(np.diff(lattice.window_table(window).spans[:, :2]).max())
     assert largest == 176
     sizes = np.diff(acc.slice_factors().bounds)
     bound = 16 * int(sizes.max()) + 16 * largest**2 + 2**20
@@ -515,8 +515,7 @@ MALFORMED_FACTORS = {
 
 def _partial_slices(acc):
     """The leading two slices of a factor file: the store of the stages they hold."""
-    ptr = lattice.window_table(acc.window).slice_ptr
-    return int(ptr[2]), b"".join(_slice_bytes(acc)[:2])
+    return int(lattice.window_table(acc.window).spans[2, 0]), b"".join(_slice_bytes(acc)[:2])
 
 
 def _partial_header(header, acc):
@@ -777,6 +776,7 @@ MALFORMED_SOLUTIONS = {
     "site listed twice": _solution_row("sites", [0, 0, 0, 0]),
     "site past the int64 range": _solution_row("sites", [2**63, 0, 0, 0]),
     "site past 2**62": _solution_row("sites", [2**62 + 2, 0, 0, 0]),
+    "site with an odd coordinate sum": _solution_row("sites", [1, 0, 0, 0]),
 }
 
 
@@ -909,10 +909,9 @@ def test_export_csv_shape(built):
     assert sum(entry == "core" and k == j for k, j, entry in pairs) == len(acc.schedule)
     # the core blocks are the lower triangle of W_t in each slice, the couplings reach back
     # to the two slices before
-    ptr = table.slice_ptr
     for k, j, entry in pairs:
-        t = int(np.searchsorted(ptr, k, side="right")) - 1
-        assert (ptr[t] <= j <= k) if entry == "core" else (ptr[max(t - 2, 0)] <= j < ptr[t])
+        start, _, low = table.spans[np.searchsorted(table.spans[:, 0], k, side="right") - 1]
+        assert (start <= j <= k) if entry == "core" else (low <= j < start)
     r = dense_factor(acc)
     for row, (k, j, entry) in zip(rows, pairs):
         values = np.array([float(x) for x in row[10:]])

@@ -19,16 +19,17 @@ from estc import (
     matrix_from_dset,
     parse_config,
     random_multispinor,
-    residual_table,
     site_add,
     site_sub,
     v_coupling,
 )
+import estc.io
+import estc.multispinor
 from estc import cli, engine, lattice
 from estc.combiner import combine_pair
-from estc.engine import FieldTables
+from estc.engine import FieldTables, residual_table
 from estc.field import a_matrix
-from estc.io import read_operator, stages_csv, write_operator
+from estc.io import RunReport, read_operator, stages_csv, write_operator
 from estc.multispinor import Multispinor
 
 from helpers import (
@@ -224,6 +225,32 @@ def test_factored_apply_matches_the_svd_projector(radius):
     assert np.linalg.norm(got - svd_projector(v) @ x) <= 1e-9 * np.linalg.norm(x)
 
 
+@pytest.mark.parametrize("radius", [2, 3, 4])
+def test_the_rows_of_the_adjoint_are_the_row_gram_and_the_residual_table(radius):
+    cfg = parse_config(SAMPLE_CONFIG.read_text())
+    acc = ProjectorAccumulator(cfg.field, cfg.params, Window(radius, cfg.n_ref)).run()
+    table = lattice.window_table(acc.window)
+    rng = np.random.default_rng(radius)
+    u = rng.standard_normal((len(acc.schedule), 4)) + 1j * rng.standard_normal((len(acc.schedule), 4))
+    # G u from the lower Gram blocks G_ki and their mirrored upper blocks G_ki^dag
+    stage, partner, gram = table.pattern.stage, table.pattern.partner, acc.gram
+    expected = np.zeros_like(u)
+    np.add.at(expected, stage, np.einsum("bij,bj->bi", gram, u[partner]))
+    upper = stage != partner
+    mirrored = np.einsum("bji,bj->bi", gram[upper].conj(), u[stage[upper]])
+    np.add.at(expected, partner[upper], mirrored)
+    image = acc.adjoint(u)
+    assert image.shape == table.coords.shape
+    got = acc.rows(image)
+    assert got.shape == u.shape
+    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+    # on a solution, the row norms are the residual table over the schedule, bit for bit
+    solution = acc.apply_fundamental(random_multispinor(table.coords, cfg.seed))
+    norms = np.linalg.norm(acc.rows(solution.at(table.coords)), axis=1)
+    table_norms = [value for _, value in residual_table(solution, acc.tables, acc.schedule)]
+    assert np.array_equal(norms, table_norms)
+
+
 def test_residual_table_is_the_row_norm():
     tables = FieldTables(FIELD, PARAMS)
     c = random_multispinor(Window(2).points(), 14)
@@ -370,7 +397,7 @@ def transform_rows(monkeypatch, schedule, transforms):
 
 def test_dependent_mid_slice_row_trips_the_stage_guard(monkeypatch, tmp_path):
     schedule = lattice.make_schedule(Window(3))
-    start = lattice.window_table(Window(3)).slice_ptr[2]
+    start = lattice.window_table(Window(3)).spans[2, 0]
     stage = start + 9
     assert schedule[stage][3] == schedule[start][3] == schedule[stage + 1][3]
     real_leading = engine.ProjectorAccumulator._leading_factor
@@ -403,9 +430,9 @@ def test_a_stage_below_the_floor_is_named_past_later_slices(scale, later, monkey
     # slice 3's Cholesky fail: the slice-1 stage is still the one named.
     window = Window(3)
     schedule = lattice.make_schedule(window)
-    ptr = lattice.window_table(window).slice_ptr
-    stage = ptr[1] + 2
-    dependent = ptr[3] + 3
+    starts = lattice.window_table(window).spans[:, 0]
+    stage = starts[1] + 2
+    dependent = starts[3] + 3
     transforms = {stage: np.diag([1.0, 1.0, 1.0, scale])}
     if later:
         transforms[dependent] = DEPENDENT
@@ -846,7 +873,32 @@ def test_a_second_run_on_a_window_plans_nothing_and_allocates_no_slice_panel(mon
     acc.run()
     assert calls == {"gram_pattern": 0, "slice_plans": 0}
     # one dense buffer per slice, its (4n, 4n) Schur complement: the band is built in the store
-    assert shapes == [(4 * n, 4 * n) for n in np.diff(lattice.window_table(window).slice_ptr).tolist()]
+    spans = lattice.window_table(window).spans.tolist()
+    assert shapes == [(4 * (stop - start),) * 2 for start, stop, _ in spans]
+
+
+def test_the_cli_gate_looks_up_no_site_and_forms_no_zero_shift_matrix(monkeypatch):
+    cfg = parse_config(SAMPLE_CONFIG.read_text())
+    window = Window(3, cfg.n_ref)
+    acc = ProjectorAccumulator(cfg.field, cfg.params, window).run()
+    seed = random_multispinor(lattice.window_table(window).coords, cfg.seed)
+    calls = {"locate": 0, "zero_shift": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module in (engine, estc.io, lattice, estc.multispinor):
+        monkeypatch.setattr(module, "locate", counted("locate", lattice.locate))
+    monkeypatch.setattr(FieldTables, "zero_shift", counted("zero_shift", FieldTables.zero_shift))
+    report = RunReport("gate")
+    solution, rows = cli._gate_processed_rows(report, acc, seed, cfg.residual_tol)
+    assert calls == {"locate": 0, "zero_shift": 0}
+    # the residual of each interior site, in window order, to the last bit
+    assert report.ok and rows == residual_table(solution, acc.tables, window.interior_points())
 
 
 def test_factor_diagonalizes_the_dense_row_gram_on_the_sample_field():

@@ -1,11 +1,13 @@
-"""Every name a library module imports is used in that module, and the slice layout stays in lattice.
+"""Every name a library module imports is used there, and the window's layouts stay in their homes.
 
 The package's __init__ imports to re-export, so it is left out.  Imports
 inside functions count, and so does a use anywhere in the module, an
-annotation included.  No module but lattice reads the attribute
-slice_ptr: the others read each slice's span and factor offsets from the
-window table, so the band's reach is derived in one place.  Only the
-standard library's ast is used.
+annotation included.  No module but lattice reads an attribute named
+slice_ptr: the slice bounds are each slice's span in the window table,
+so the band's reach is derived in one place.  No module but lattice,
+which builds them, and engine reads the window's V gathers, stencil,
+scatter_order and scatter_first: the accumulator's rows and adjoint are
+the one V and V^dag.  Only the standard library's ast is used.
 """
 
 import ast
@@ -43,24 +45,42 @@ def test_every_imported_name_is_used(module):
     assert unused == [], f"{module} imports {', '.join(unused)} and never uses it"
 
 
-def slice_ptr_reads(tree: ast.Module) -> list[int]:
-    """The lines that read an attribute named slice_ptr."""
-    return [
+V_GATHERS = {"stencil", "scatter_order", "scatter_first"}
+
+
+def attribute_reads(tree: ast.Module, names: set[str]) -> list[int]:
+    """The lines that read an attribute with one of the given names."""
+    return sorted(
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "slice_ptr"
-    ]
+        if isinstance(node, ast.Attribute) and node.attr in names
+    )
 
 
 @pytest.mark.parametrize("module", [module for module in MODULES if module != "lattice.py"])
 def test_only_lattice_reads_slice_ptr(module):
     tree = ast.parse((SOURCE / module).read_text(), filename=module)
-    assert slice_ptr_reads(tree) == [], f"{module} reads slice_ptr; read the window table's spans"
+    assert attribute_reads(tree, {"slice_ptr"}) == [], f"{module} reads slice_ptr; read the spans"
 
 
 def test_a_slice_ptr_read_is_found():
     tree = ast.parse("ptr = table.slice_ptr\nlow = ptr[0]\nself.slice_ptr[t - 2]\n")
-    assert slice_ptr_reads(tree) == [1, 3]
+    assert attribute_reads(tree, {"slice_ptr"}) == [1, 3]
+
+
+@pytest.mark.parametrize(
+    "module", [module for module in MODULES if module not in ("lattice.py", "engine.py")]
+)
+def test_only_lattice_and_engine_read_the_v_gathers(module):
+    tree = ast.parse((SOURCE / module).read_text(), filename=module)
+    assert attribute_reads(tree, V_GATHERS) == [], f"{module} gathers V itself; call acc.rows"
+
+
+def test_a_v_gather_read_is_found():
+    tree = ast.parse(
+        "x[table.stencil]\nfirst = 0\nterms[self._table.scatter_order]\nt.scatter_first\nt.stencils\n"
+    )
+    assert attribute_reads(tree, V_GATHERS) == [1, 3, 4]
 
 
 def test_an_unused_import_is_found():

@@ -272,7 +272,7 @@ def test_layout_is_cached_and_read_only():
     table = lattice.window_table(Window(3, (1, 0, -1, 2)))
     assert lattice.window_table(Window(3, (1, 0, -1, 2))) is table
     arrays = [value for value in vars(table).values() if isinstance(value, np.ndarray)]
-    assert len(arrays) == 9
+    assert len(arrays) == 8
     for array in (*arrays, lattice.SHIFT_ARRAY):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
