@@ -18,8 +18,6 @@ from estc import (
     Window,
     parse_config,
     random_multispinor,
-    site_sub,
-    g4d,
     window_table,
 )
 
@@ -47,11 +45,12 @@ print("worst processed-row residual:", float(processed.max()))
 # Rows the run did not process measure the truncation error.  Applying
 # operators built on growing windows to one seed shows the solved region
 # pushing outward ring by ring: both are read through the rows of the
-# wider window, whose schedule is every site with g4d <= R.
+# wider window, whose schedule is every site with g4d <= R; the window
+# table holds the ring g4d(n - n_ref) of each of its sites.
 wide = ProjectorAccumulator(cfg.field, cfg.params, Window(cfg.radius + 1, cfg.n_ref)).run()
 table = window_table(wide.window)
 seed = random_multispinor(table.coords, cfg.seed)
-rings = np.array([g4d(site_sub(table.sites[k], cfg.n_ref)) for k in table.schedule])
+rings = table.rings[table.schedule]
 for run in (acc, wide):
     residuals = np.linalg.norm(wide.rows(run.apply_fundamental(seed).at(table.coords)), axis=1)
     print(f"operator built at R = {run.window.radius}: median row residual by ring:")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_fingerprint, parse_config
+from .config import RunConfig, check_seed, config_fingerprint, parse_config
 from .engine import ProjectorAccumulator
 from .errors import (
     ConfigError,
@@ -35,7 +35,7 @@ from .io import (
     write_operator,
     write_solution,
 )
-from .lattice import Site, Window, window_size, window_table
+from .lattice import Window, window_size, window_table
 from .multispinor import Multispinor, random_multispinor
 
 _VALIDATION_ERRORS = (
@@ -59,11 +59,12 @@ def _load_config(path: str) -> RunConfig:
 
 def _gate_processed_rows(
     report: RunReport, acc: ProjectorAccumulator, seed_c: Multispinor, tol: float
-) -> tuple[Multispinor, list[tuple[Site, float]]]:
+) -> tuple[Multispinor, np.ndarray]:
     """Apply the fundamental solution to seed_c and gate the rows it solves.
 
     Returns the solution and its row residuals over the window interior,
-    the leading window sites, whose rows are the processed rows, all gated.
+    the leading window sites, whose rows are the processed rows, all
+    gated: norms[j] is the residual of window site j.
     """
     solution = acc.apply_fundamental(seed_c)
     table = window_table(acc.window)
@@ -71,7 +72,7 @@ def _gate_processed_rows(
     norms[table.schedule] = np.linalg.norm(acc.rows(solution.at(table.coords)), axis=1)
     scale = max(seed_c.norm(), 1e-300)
     report.add("processed rows are solved relative to the seed norm", norms.max() / scale, tol)
-    return solution, list(zip(table.sites, norms.tolist()))
+    return solution, norms
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -121,16 +122,16 @@ def cmd_apply(args: argparse.Namespace) -> int:
         seed_c = read_solution(args.input, cfg)
         source = {"input": Path(args.input).name}
     else:
-        seed = cfg.seed if args.seed is None else args.seed
+        seed = cfg.seed if args.seed is None else check_seed(args.seed)
         seed_c = random_multispinor(window_table(window).coords, seed)
         source = {"seed": seed}
 
     report = RunReport(f"apply {config_fingerprint(cfg)[:12]}")
-    solution, rows = _gate_processed_rows(report, acc, seed_c, cfg.residual_tol)
+    solution, norms = _gate_processed_rows(report, acc, seed_c, cfg.residual_tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_solution(out / "solution.json", solution, cfg, source)
-    (out / "residual.csv").write_text(residual_csv(rows, cfg.n_ref))
+    (out / "residual.csv").write_text(residual_csv(window_table(window), norms))
     (out / "report.txt").write_text(report.to_text())
     sys.stdout.write(report.to_text())
     return 0 if report.ok else 1

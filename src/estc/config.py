@@ -5,17 +5,19 @@ Keys are the dimensionless parameters (q1..q4, Omega), the window (R,
 n_ref), the seed, tolerances, and the free wave amplitudes a_jk / b_jk.
 Unknown and duplicate keys and non-finite numbers are rejected with their
 line number, and q_j or Omega that overflow the row Gram matrix in the
-window by name.  The rules of the values themselves live with their
-types: field.amplitude_slot reads the amplitude keys, field.validate
-checks transversality, and lattice.Window checks R and n_ref as it does
-for a library window or a dump header.
+window by name.  An omitted key keeps the default of its field in
+RunConfig or DimensionlessParams, the only home of the defaults.  The
+rules of the values themselves live with their types:
+field.amplitude_slot reads the amplitude keys, field.validate checks
+transversality, and lattice.Window checks R and n_ref as it does for a
+library window or a dump header.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 
 from .errors import ConfigError
 from .field import DimensionlessParams, FieldConfig, amplitude_slot, field_intensity, validate
@@ -23,6 +25,8 @@ from .lattice import Site, Window
 
 _FLOAT_KEYS = ("q1", "q2", "q3", "q4", "Omega", "residual_tol", "rcond_min")
 _INT_KEYS = ("R", "seed")
+# the keys named otherwise than the dataclass field they set; every other key is its field's name
+_FIELD_NAMES = {"Omega": "omega", "R": "radius"}
 
 
 @dataclass(frozen=True)
@@ -36,13 +40,16 @@ class RunConfig:
     rcond_min: float = 1e-10
 
 
+def check_seed(seed: int) -> int:
+    """The seed of the random draws, refused with ConfigError when negative."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}", key="seed")
+    return seed
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a configuration."""
-    scalars: dict[str, float | int] = {
-        "q1": 0.0, "q2": 0.0, "q3": 0.0, "q4": 0.0, "Omega": 0.5,
-        "residual_tol": 1e-11, "rcond_min": 1e-10, "R": 2, "seed": 1,
-    }
-    n_ref: Site = (0, 0, 0, 0)
+    """Parse and fully validate a configuration; the keys it omits keep their dataclass defaults."""
+    values: dict[str, float | int | Site] = {}
     amplitudes: dict[str, float] = {}
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -57,14 +64,14 @@ def parse_config(text: str) -> RunConfig:
         seen.add(key)
         try:
             if key in _FLOAT_KEYS:
-                scalars[key] = _finite(value)
+                values[_FIELD_NAMES.get(key, key)] = _finite(value)
             elif key in _INT_KEYS:
-                scalars[key] = int(value)
+                values[_FIELD_NAMES.get(key, key)] = int(value)
             elif key == "n_ref":
                 parts = value.split()
                 if len(parts) != 4:
                     raise ValueError("need 4 integers")
-                n_ref = tuple(int(part) for part in parts)  # type: ignore[assignment]
+                values[key] = tuple(int(part) for part in parts)
             else:
                 amplitude_slot(key)
                 amplitudes[key] = _finite(value)
@@ -73,32 +80,21 @@ def parse_config(text: str) -> RunConfig:
         except (ValueError, OverflowError) as err:
             raise ConfigError(f"bad value for {key!r}: {err}", line=lineno, key=key) from None
     field = FieldConfig.from_amplitudes(amplitudes)
-    params = DimensionlessParams(
-        q1=scalars["q1"], q2=scalars["q2"], q3=scalars["q3"], q4=scalars["q4"],
-        omega=scalars["Omega"],
-    )
+    names = {f.name for f in fields(DimensionlessParams)}
+    params = DimensionlessParams(**{k: v for k, v in values.items() if k in names})
     validate(field, params)
-    radius = int(scalars["R"])
-    if radius < 1:
-        raise ConfigError(f"window radius R must be >= 1, got {radius}", key="R")
-    _check_gram_range(field, params, radius, n_ref)
+    cfg = RunConfig(field, params, **{k: v for k, v in values.items() if k not in names})
+    if cfg.radius < 1:
+        raise ConfigError(f"window radius R must be >= 1, got {cfg.radius}", key="R")
+    _check_gram_range(field, params, cfg.radius, cfg.n_ref)
     try:
-        Window(radius, n_ref)
+        Window(cfg.radius, cfg.n_ref)
     except ValueError as err:
         raise ConfigError(f"bad value for 'n_ref': {err}", key="n_ref") from None
-    if not scalars["residual_tol"] > 0 or not scalars["rcond_min"] > 0:
+    if not cfg.residual_tol > 0 or not cfg.rcond_min > 0:
         raise ConfigError("tolerances must be positive")
-    if scalars["seed"] < 0:
-        raise ConfigError(f"seed must be non-negative, got {scalars['seed']}", key="seed")
-    return RunConfig(
-        field=field,
-        params=params,
-        radius=radius,
-        n_ref=n_ref,
-        seed=int(scalars["seed"]),
-        residual_tol=float(scalars["residual_tol"]),
-        rcond_min=float(scalars["rcond_min"]),
-    )
+    check_seed(cfg.seed)
+    return cfg
 
 
 def _finite(value: str) -> float:

@@ -11,18 +11,19 @@ np.tril_indices order and then the band panel [R_t,t-2 | R_t,t-1]
 row-major.  Every slice shape and offset follows from the window, through
 the spans and factor_bounds of lattice.window_table, so the reader
 refuses any other stage count and a factor file of any other size or
-digest.  lattice.Window checks the header's
-radius and center, as it checks every window.  The factor file is a
-built accumulator's factor store byte for byte, and the writer writes
-the store with one call.  The reader hashes the file one slice at a
-time, and a restored accumulator reads each slice from the file again
-when it is indexed, so an apply holds one slice, never the whole file;
-each such read refuses, with ConfigError, a file whose identity (device,
-inode, size, modification and change times) is not the one that was
-checked.  The dump is the only form an operator is read back from.  The
-JSON (estc-operator-dsets-v3) and CSV exports are write-only views of a
-dump that restate its factors as basis coefficients, reading and
-unpacking one slice at a time.  Timings never enter written artifacts so
+digest.  lattice.Window checks the header's radius and center, as it
+checks every window.  The factor file is a built accumulator's factor
+store byte for byte, and the writer writes the store with one call.  The
+reader hashes the file through the same slice reads that the
+substitutions of a restored accumulator make, one slice at a time, so an
+apply holds one slice, never the whole file; each read refuses, with
+ConfigError, a file whose identity (device, inode, size, modification
+and change times) is not the one the reader took with the file's size.
+The dump is the only form an operator is read back from.  The JSON
+(estc-operator-dsets-v3) and CSV exports are write-only views of a dump
+that restate its factors as basis coefficients, reading and unpacking
+one slice at a time.  stages.csv and residual.csv read each site's g4d
+ring from the window table.  Timings never enter written artifacts so
 identical runs produce identical bytes.
 """
 
@@ -42,7 +43,7 @@ from .config import RunConfig, config_fingerprint
 from .dirac_basis import dset_from_matrix
 from .engine import FactorSlices, ProjectorAccumulator, unpack_lower
 from .errors import ConfigError
-from .lattice import Site, Window, g4d, in_lattice, locate, make_schedule, site_in_range, site_sub
+from .lattice import Window, WindowTable, in_lattice, make_schedule, refuse_repeats, site_in_range
 from .lattice import window_table
 from .multispinor import Multispinor
 
@@ -119,23 +120,14 @@ def _identity(f) -> tuple[int, int, int, int, int]:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
-def _read_numbers(f, start: int, stop: int, source: Path) -> np.ndarray:
-    """Complex numbers start:stop of an open factor file; ConfigError when it ends first."""
-    f.seek(16 * start)
-    data = np.fromfile(f, dtype="<c16", count=stop - start)
-    if data.size != stop - start:
-        raise ConfigError(f"factor file {source} ended before number {stop} of its factors")
-    return data
-
-
 @dataclass(frozen=True)
 class _FactorFile:
     """A factor file whose size and sha256 were checked, read a range of numbers at a time.
 
     Each read opens the file anew and refuses, with ConfigError, a file
     whose identity (device, inode, size, modification and change times)
-    is not the one it had when it was checked, before and after reading,
-    so every slice applied comes from the checked bytes.
+    is not the one taken with its size, before and after reading, so every
+    slice hashed or applied comes from the checked bytes, and none is short.
     """
 
     source: Path
@@ -144,7 +136,8 @@ class _FactorFile:
     def read(self, start: int, stop: int) -> np.ndarray:
         with open(self.source, "rb") as f:
             self._check(f)
-            data = _read_numbers(f, start, stop, self.source)
+            f.seek(16 * start)
+            data = np.fromfile(f, dtype="<c16", count=stop - start)
             self._check(f)
         return data
 
@@ -158,9 +151,9 @@ def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
 
     Every shape is derived from the header before the factor file is
     opened, and the file must have exactly their total size and the
-    header's sha256, hashed one slice at a time.  The factors returned read
-    each slice from the file again when indexed, refusing a file that
-    changed after this check.
+    header's sha256, hashed through the factors returned, one slice read
+    at a time.  Those factors read each slice from the file again when
+    indexed, refusing a file that changed after its identity was taken.
     """
     header = _read_json(path, cfg, OPERATOR_FORMAT)
     if cfg is not None and (
@@ -187,18 +180,17 @@ def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
     source = factor_path(path)
     with open(source, "rb") as f:
         identity = _identity(f)
-        factors = FactorSlices(window_table(window), _FactorFile(source, identity).read)
-        count, size = factors.bounds[-1], identity[2]
-        if size != 16 * count:
-            raise ConfigError(
-                f"factor file {source} has {size} bytes, expected {16 * count} "
-                f"({count} complex numbers for {stages} stages)"
-            )
-        sha256 = hashlib.sha256()
-        for start, stop in zip(factors.bounds, factors.bounds[1:]):
-            sha256.update(_read_numbers(f, start, stop, source))
-        if _identity(f) != identity:
-            raise ConfigError(f"factor file {source} changed while it was checked")
+    factors = FactorSlices(window_table(window), _FactorFile(source, identity).read)
+    count, size = factors.bounds[-1], identity[2]
+    if size != 16 * count:
+        raise ConfigError(
+            f"factor file {source} has {size} bytes, expected {16 * count} "
+            f"({count} complex numbers for {stages} stages)"
+        )
+    sha256 = hashlib.sha256()
+    for packed, band in factors:
+        sha256.update(packed)
+        sha256.update(band)
     if sha256.hexdigest() != digest:
         raise ConfigError(f"factor file {source} does not match the sha256 of its header")
     return _Factors(fingerprint, window, np.array(rconds, dtype=float), factors)
@@ -273,36 +265,37 @@ def read_solution(path: str | Path, cfg: RunConfig | None = None) -> Multispinor
         if not _numbers(flat, 8, (int, float)):
             raise ConfigError(f"amplitudes at solution site {site} are not eight finite numbers")
     coords = np.array(sites, dtype=np.int64).reshape(-1, 4)
-    repeated = np.flatnonzero(locate(coords, coords) != np.arange(len(coords)))
-    if repeated.size:
-        raise ConfigError(f"solution site {sites[repeated[0]]} is listed twice")
+    try:
+        refuse_repeats(coords)
+    except ValueError as err:
+        raise ConfigError(f"solution {err}") from None
     values = np.array(amplitudes, dtype=float).reshape(-1, 8).view(complex)
     return Multispinor(coords, values)
 
 
-def residual_csv(rows: list[tuple[Site, float]], center: Site) -> str:
+def residual_csv(table: WindowTable, norms: np.ndarray) -> str:
+    """residual.csv: the site, ring and residual of the leading len(norms) window sites."""
     lines = ["n1,n2,n3,n4,g4d,residual"]
-    for site, value in rows:
-        lines.append(
-            f"{site[0]},{site[1]},{site[2]},{site[3]},{g4d(site_sub(site, center))},{value!r}"
-        )
+    for site, ring, value in zip(table.sites, table.rings.tolist(), norms.tolist()):
+        lines.append(f"{site[0]},{site[1]},{site[2]},{site[3]},{ring},{value!r}")
     return "\n".join(lines) + "\n"
 
 
 def stages_csv(acc: ProjectorAccumulator) -> str:
     """stages.csv: per stage, its site, g4d, rcond, support and asymmetry."""
-    center = acc.window.center
+    table = window_table(acc.window)
     lines = ["stage,n1,n2,n3,n4,g4d,rcond,support,gram_asymmetry"]
-    for stage, site, rcond, support, asymmetry in zip(
+    for stage, site, ring, rcond, support, asymmetry in zip(
         range(len(acc.schedule)),
         acc.schedule,
+        table.rings[table.schedule].tolist(),
         acc.rconds.tolist(),
-        window_table(acc.window).support.tolist(),
+        table.support.tolist(),
         acc.asymmetry.tolist(),
     ):
         lines.append(
             f"{stage},{site[0]},{site[1]},{site[2]},{site[3]},"
-            f"{g4d(site_sub(site, center))},{rcond!r},{support},{asymmetry!r}"
+            f"{ring},{rcond!r},{support},{asymmetry!r}"
         )
     return "\n".join(lines) + "\n"
 

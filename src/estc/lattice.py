@@ -6,15 +6,17 @@ coupling range of a site is measured by g4d, the larger of the spatial
 involves only the 13 sites n + s with s in the stencil: the zero shift and
 twelve unit shifts mixing one spatial axis with the time axis.
 
-Inside the library a set of sites is one (N, 4) int64 array, and locate
-is the one way to match sites.  Everything that depends on a window
-alone, its sites, time-major schedule, the stencil of each scheduled
-site, slices and their spans, factor layout, coverage, scatter order,
-Gram pattern and slice plans, is one read-only WindowTable, built from
-arrays once per (radius, center); the band's reach and the slice sizes
-are derived there alone, and its stencil and scatter order are the
-gathers of the engine's one V and V^dag.  Site tuples are handed out only
-at the edges (Window.points, make_schedule), and site_array turns them back.
+Inside the library a set of sites is one (N, 4) int64 array, locate is
+the one way to match sites, and refuse_repeats the one rule for sites
+that must be distinct.  Everything that depends on a window alone, its
+sites and their g4d rings, time-major schedule, the stencil of each
+scheduled site, slices and their spans, factor layout, coverage, scatter
+order, Gram pattern and slice plans, is one read-only WindowTable, built
+from arrays once per (radius, center); the rings, the band's reach and
+the slice sizes are derived there alone, and its stencil and scatter
+order are the gathers of the engine's one V and V^dag.  Site tuples are
+handed out only at the edges (Window.points, make_schedule), and
+site_array turns them back.
 """
 
 from __future__ import annotations
@@ -171,6 +173,13 @@ def locate(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return out.reshape(queries.shape[:-1])
 
 
+def refuse_repeats(points: np.ndarray) -> None:
+    """Raise ValueError naming the first site that the (N, 4) site array points lists twice."""
+    repeated = np.flatnonzero(locate(points, points) != np.arange(len(points)))
+    if repeated.size:
+        raise ValueError(f"site {points[repeated[0]].tolist()} is listed twice")
+
+
 @dataclass(frozen=True)
 class GramPattern:
     """Where the row Gram blocks of a schedule sit: everything but their values.
@@ -273,11 +282,12 @@ class WindowTable:
     """Everything that depends on a window alone, built once per (radius, center).
 
     sites are the window points in window order, as 4-tuples for the
-    edges that name single sites, and coords the same points as an (N, 4)
-    int64 array.  schedule lists the window indices of make_schedule's
-    sites in its order, and stencil[k, s], the window index of
-    coords[schedule[k]] + SHIFTS_S13[s], the columns of stage k; every
-    scheduled site is interior, so its stencil lies in the window.  The
+    edges that name single sites, coords the same points as an (N, 4)
+    int64 array, and rings[j] = g4d(sites[j] - center), the ring of site
+    j.  schedule lists the window indices of make_schedule's sites in its
+    order, and stencil[k, s], the window index of coords[schedule[k]] +
+    SHIFTS_S13[s], the columns of stage k; every scheduled site is
+    interior, so its stencil lies in the window.  The
     schedule is time-major, and slice t of equal n4 has the span spans[t]
     = (start, stop, low), in stages: its own stages start:stop, n of them,
     and low, the start of slice t - 2 (0 for the first two slices), where
@@ -300,6 +310,7 @@ class WindowTable:
 
     sites: tuple[Site, ...]
     coords: np.ndarray
+    rings: np.ndarray
     schedule: np.ndarray
     stencil: np.ndarray
     spans: np.ndarray
@@ -352,6 +363,7 @@ def _window_table(radius: int, center: Site) -> WindowTable:
     table = WindowTable(
         sites=tuple(map(tuple, coords.tolist())),
         coords=coords,
+        rings=g[keep],
         schedule=schedule,
         stencil=stencil,
         spans=np.stack([start, stop, low], axis=1),

@@ -4,6 +4,9 @@ A multispinor is zero off its finite support, so operators truncated to a
 window act on it exactly.  Its sites are one (N, 4) int64 array, fixed
 when it is made, and its amplitudes one (N, 4) complex array; the sites
 as 4-tuples are built only when code at the edges asks for single sites.
+The sites of a multispinor are distinct; the constructor takes that on
+trust, and the two edges that read sites from outside, random_multispinor
+and io.read_solution, refuse a repeat by lattice.refuse_repeats.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from .lattice import Site, locate, site_array
+from .lattice import Site, locate, refuse_repeats, site_array
 
 _ZERO = np.zeros(4, dtype=complex)
 _ZERO.setflags(write=False)
@@ -120,18 +123,11 @@ def _same_sites(coords: np.ndarray, sites: np.ndarray) -> bool:
 def random_multispinor(sites: Sequence[Site] | np.ndarray, seed: int) -> Multispinor:
     """Standard normal complex amplitudes on the given sites, in their order.
 
-    The sites are a list of 4-tuples or an (N, 4) int64 array.  One draw
-    of shape (N, 2, 4): per site the four real parts, then the four
-    imaginary parts.  A repeated site keeps its first place and takes its
-    last draw.
+    The sites are distinct, a list of 4-tuples or an (N, 4) int64 array;
+    a site listed twice raises ValueError.  One draw of shape (N, 2, 4):
+    per site the four real parts, then the four imaginary parts.
     """
     coords = site_array(sites)
+    refuse_repeats(coords)
     draws = np.random.default_rng(seed).standard_normal((len(coords), 2, 4))
-    amplitudes = draws[:, 0] + 1j * draws[:, 1]
-    first = locate(coords, coords)
-    keep = np.flatnonzero(first == np.arange(len(coords)))
-    if len(keep) < len(coords):
-        last = np.zeros(len(coords), dtype=np.intp)
-        np.maximum.at(last, first, np.arange(len(coords)))
-        coords, amplitudes = coords[keep], amplitudes[last[keep]]
-    return Multispinor(coords, amplitudes)
+    return Multispinor(coords, draws[:, 0] + 1j * draws[:, 1])

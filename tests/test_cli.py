@@ -137,6 +137,23 @@ def test_apply_writes_solution_and_residuals(built, tmp_path):
     assert (sol3 / "solution.json").read_bytes() != (sol / "solution.json").read_bytes()
 
 
+def test_a_negative_seed_exits_1_with_the_config_message(built, tmp_path, capsys):
+    config_path, out = built
+    # the config rule and the --seed override are the one check, with one message
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(GOOD.replace("seed = 3", "seed = -5"))
+    assert cli.main(["build", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+    config_error = capsys.readouterr().err
+    sol = tmp_path / "sol"
+    code = cli.main(
+        ["apply", "--config", str(config_path), "--operator", str(out / "operator.json"),
+         "--seed", "-5", "--out", str(sol)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == config_error == "error: seed must be non-negative, got -5\n"
+    assert not sol.exists() and not (tmp_path / "x").exists()
+
+
 def test_apply_reprocesses_a_solution_input(built, tmp_path):
     config_path, out = built
     first = tmp_path / "first"

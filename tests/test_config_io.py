@@ -840,12 +840,15 @@ def test_restored_operator_applies_without_the_row_gram(built, tmp_path, monkeyp
 
 def test_residual_and_stage_csv_formats(built):
     cfg, acc, _ = built
-    rows = [((0, 0, 0, 0), 1.5e-12), ((0, 0, -1, -1), 2.5e-9)]
-    text = residual_csv(rows, cfg.n_ref)
+    # the norms of the leading window sites, the center and then the first site of ring 1
+    table = lattice.window_table(acc.window)
+    assert table.sites[0] == cfg.n_ref == (0, 0, 0, 0) and table.sites[1] == (-1, 0, 0, -1)
+    text = residual_csv(table, np.array([1.5e-12, 2.5e-9]))
     lines = text.strip().split("\n")
+    assert len(lines) == 3
     assert lines[0] == "n1,n2,n3,n4,g4d,residual"
     assert lines[1] == "0,0,0,0,0,1.5e-12"
-    assert lines[2].startswith("0,0,-1,-1,1,")
+    assert lines[2].startswith("-1,0,0,-1,1,")
     assert float(lines[2].rsplit(",", 1)[1]) == 2.5e-9
 
     text = stages_csv(acc)

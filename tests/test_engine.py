@@ -23,7 +23,6 @@ from estc import (
     site_sub,
     v_coupling,
 )
-import estc.io
 import estc.multispinor
 from estc import cli, engine, lattice
 from estc.combiner import combine_pair
@@ -891,14 +890,32 @@ def test_the_cli_gate_looks_up_no_site_and_forms_no_zero_shift_matrix(monkeypatc
 
         return wrapper
 
-    for module in (engine, estc.io, lattice, estc.multispinor):
+    for module in (engine, lattice, estc.multispinor):
         monkeypatch.setattr(module, "locate", counted("locate", lattice.locate))
     monkeypatch.setattr(FieldTables, "zero_shift", counted("zero_shift", FieldTables.zero_shift))
     report = RunReport("gate")
-    solution, rows = cli._gate_processed_rows(report, acc, seed, cfg.residual_tol)
+    solution, norms = cli._gate_processed_rows(report, acc, seed, cfg.residual_tol)
     assert calls == {"locate": 0, "zero_shift": 0}
-    # the residual of each interior site, in window order, to the last bit
+    # norms[j] is the residual of interior site j, in window order, to the last bit
+    rows = list(zip(lattice.window_table(window).sites, norms.tolist()))
+    assert len(norms) == len(acc.schedule)
     assert report.ok and rows == residual_table(solution, acc.tables, window.interior_points())
+
+
+def test_from_factors_refuses_rconds_or_a_store_that_do_not_fit_the_window():
+    acc = fresh_accumulator(2).run()
+    factors, rconds = acc.slice_factors(), acc.rconds
+    restored = ProjectorAccumulator.from_factors(FIELD, PARAMS, acc.window, factors, rconds)
+    assert np.array_equal(restored.rconds, rconds)
+    with pytest.raises(ValueError, match="has 13 rconds and .*, not 12 and"):
+        ProjectorAccumulator.from_factors(FIELD, PARAMS, acc.window, factors, rconds[:-1])
+    # the slices of the radius 3 window against the 13 stages of radius 2
+    other = engine.FactorSlices(
+        lattice.window_table(Window(3)), lambda start, stop: np.zeros(stop - start, dtype=complex)
+    )
+    count = int(lattice.window_table(acc.window).factor_bounds[-1])
+    with pytest.raises(ValueError, match=f"{count} complex numbers, not 13 and {other.bounds[-1]}"):
+        ProjectorAccumulator.from_factors(FIELD, PARAMS, acc.window, other, rconds)
 
 
 def test_factor_diagonalizes_the_dense_row_gram_on_the_sample_field():

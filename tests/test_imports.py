@@ -4,7 +4,9 @@ The package's __init__ imports to re-export, so it is left out.  Imports
 inside functions count, and so does a use anywhere in the module, an
 annotation included.  No module but lattice reads an attribute named
 slice_ptr: the slice bounds are each slice's span in the window table,
-so the band's reach is derived in one place.  No module but lattice,
+so the band's reach is derived in one place.  No module but lattice
+uses g4d or site_sub: the ring of a window site is the window table's
+rings, so it is derived in one place too.  No module but lattice,
 which builds them, and engine reads the window's V gathers, stencil,
 scatter_order and scatter_first: the accumulator's rows and adjoint are
 the one V and V^dag.  Only the standard library's ast is used.
@@ -66,6 +68,30 @@ def test_only_lattice_reads_slice_ptr(module):
 def test_a_slice_ptr_read_is_found():
     tree = ast.parse("ptr = table.slice_ptr\nlow = ptr[0]\nself.slice_ptr[t - 2]\n")
     assert attribute_reads(tree, {"slice_ptr"}) == [1, 3]
+
+
+RING_NAMES = {"g4d", "site_sub"}
+
+
+def name_uses(tree: ast.Module, names: set[str]) -> list[int]:
+    """The lines that use one of the given names, bare or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+    )
+
+
+@pytest.mark.parametrize("module", [module for module in MODULES if module != "lattice.py"])
+def test_only_lattice_derives_the_ring_of_a_site(module):
+    tree = ast.parse((SOURCE / module).read_text(), filename=module)
+    assert name_uses(tree, RING_NAMES) == [], f"{module} uses g4d or site_sub; read table.rings"
+
+
+def test_a_ring_name_use_is_found():
+    tree = ast.parse("r = g4d(site_sub(n, c))\nring = rings[j]\nlattice.g4d(d)\nsite_subs = 1\n")
+    assert name_uses(tree, RING_NAMES) == [1, 1, 3]
 
 
 @pytest.mark.parametrize(

@@ -272,10 +272,27 @@ def test_layout_is_cached_and_read_only():
     table = lattice.window_table(Window(3, (1, 0, -1, 2)))
     assert lattice.window_table(Window(3, (1, 0, -1, 2))) is table
     arrays = [value for value in vars(table).values() if isinstance(value, np.ndarray)]
-    assert len(arrays) == 8
+    assert len(arrays) == 9 and any(array is table.rings for array in arrays)
     for array in (*arrays, lattice.SHIFT_ARRAY):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+@pytest.mark.parametrize("center", [(0, 0, 0, 0), (1, 0, -1, 2)])
+@pytest.mark.parametrize("radius", range(1, 5))
+def test_rings_are_the_g4d_of_each_site_from_the_center(radius, center):
+    table = lattice.window_table(Window(radius, center))
+    assert table.rings.dtype == np.int64 and len(table.rings) == len(table.sites)
+    for j, site in enumerate(table.sites):
+        assert table.rings[j] == g4d(site_sub(site, center))
+
+
+def test_refuse_repeats_names_the_first_site_listed_again():
+    sites = np.array([(0, 0, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0), (0, 0, 0, 0)])
+    with pytest.raises(ValueError, match=re.escape("site [1, 1, 0, 0] is listed twice")):
+        lattice.refuse_repeats(sites)
+    lattice.refuse_repeats(sites[:3])
+    lattice.refuse_repeats(np.zeros((0, 4), dtype=np.int64))
 
 
 @pytest.mark.parametrize("radius", range(1, 7))

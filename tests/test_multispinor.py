@@ -1,5 +1,6 @@
 """Sparse amplitude container semantics."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -85,20 +86,24 @@ def test_random_multispinor_is_seed_deterministic():
 
 
 def test_random_multispinor_is_the_sequential_per_site_draw():
-    sites = [(0, 0, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 0, 0, 0), (2, 0, 0, 0)]
+    sites = [(0, 0, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (2, 0, 0, 0)]
     rng = np.random.default_rng(31)
-    expected = {}
-    for site in sites:  # a repeated site keeps its place and takes the later draw
-        expected[site] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    expected = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in sites]
     c = random_multispinor(sites, 31)
-    assert list(c) == list(expected)
-    for site, value in expected.items():
+    assert list(c) == sites
+    for site, value in zip(sites, expected):
         assert c[site].tobytes() == value.tobytes()
     # the sites as an (N, 4) array draw the same bits
     same = random_multispinor(np.array(sites, dtype=np.int64), 31)
     assert same.coords.tobytes() == c.coords.tobytes()
     assert same.amplitudes.tobytes() == c.amplitudes.tobytes()
     assert random_multispinor([], 31).norm() == 0.0
+
+
+def test_random_multispinor_refuses_a_repeated_site():
+    sites = [(0, 0, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 0, 0, 0), (2, 0, 0, 0)]
+    with pytest.raises(ValueError, match=re.escape("site [0, 0, 0, 0] is listed twice")):
+        random_multispinor(sites, 31)
 
 
 def test_norm_sums_every_amplitude():
