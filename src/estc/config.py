@@ -8,7 +8,7 @@ line number, and q_j or Omega that overflow the row Gram matrix in the
 window by name.  An omitted key keeps the default of its field in
 RunConfig or DimensionlessParams, the only home of the defaults.  The
 rules of the values themselves live with their types:
-field.amplitude_slot reads the amplitude keys, field.validate checks
+field.amplitude_slot reads the amplitude keys, field.validate_field checks
 transversality, and lattice.Window checks R and n_ref as it does for a
 library window or a dump header.
 """
@@ -20,7 +20,14 @@ import math
 from dataclasses import dataclass, field as dataclass_field, fields
 
 from .errors import ConfigError
-from .field import DimensionlessParams, FieldConfig, amplitude_slot, field_intensity, validate
+from .field import (
+    DimensionlessParams,
+    FieldConfig,
+    amplitude_slot,
+    field_intensity,
+    validate_field,
+    validate_params,
+)
 from .lattice import Site, Window
 
 _FLOAT_KEYS = ("q1", "q2", "q3", "q4", "Omega", "residual_tol", "rcond_min")
@@ -82,7 +89,8 @@ def parse_config(text: str) -> RunConfig:
     field = FieldConfig.from_amplitudes(amplitudes)
     names = {f.name for f in fields(DimensionlessParams)}
     params = DimensionlessParams(**{k: v for k, v in values.items() if k in names})
-    validate(field, params)
+    validate_field(field)
+    validate_params(params)
     cfg = RunConfig(field, params, **{k: v for k, v in values.items() if k not in names})
     if cfg.radius < 1:
         raise ConfigError(f"window radius R must be >= 1, got {cfg.radius}", key="R")

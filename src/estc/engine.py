@@ -19,12 +19,16 @@ band, which it builds in place in the factor store.  Stage k, one
 scheduled site, has the pivot D_k = R_kk R_kk^dag, the deflated Gram
 matrix of its row; a numerically singular pivot means the row is linearly
 dependent on the rows before it, and the run raises StageSingular there.
-The slice step only factors: the pivot rconds and their floor are computed
-once per run, over every stage, after the last slice, or as soon as a
-slice's Cholesky fails or yields a non-finite pivot.  A run is one-shot
-and all or nothing: it sizes the store once and factors every slice in
-order, and an accumulator whose run did not complete holds no factors; one
-restored from a dump only applies.
+The slice step only factors, and a completed run computes no build
+record: one gate after the last slice accepts the pivots by the norm
+bound rcond >= 1 / (||R_kk||_F^2 ||R_kk^-1||_F^2), whose inverse blocks
+the slice step already has, and checks every rcond against the floor
+only when some bound falls short, or as soon as a slice's Cholesky fails
+or yields a non-finite pivot.  The rconds and the Gram asymmetry are
+computed on first read.  A run is one-shot and all or nothing: it sizes
+the store once and factors every slice in order, and an accumulator
+whose run did not complete holds no factors; one restored from a dump
+only applies.
 
 The projector is kept and applied in factored form only, as
 P = V^dag R^-dag R^-1 V: a block forward and back substitution over the
@@ -66,7 +70,14 @@ import numpy as np
 
 from .dirac_basis import dset_from_matrix, matrix_from_dset
 from .errors import StageSingular
-from .field import DimensionlessParams, FieldConfig, v_coupling, validate, zero_shift_dsets
+from .field import (
+    DimensionlessParams,
+    FieldConfig,
+    v_coupling,
+    validate_field,
+    validate_params,
+    zero_shift_dsets,
+)
 from .lattice import (
     COUPLING_DIFFS,
     SHIFT_ARRAY,
@@ -87,8 +98,10 @@ class FieldTables:
     """Row coefficients V(n, s) of a field, for any sites.
 
     The twelve field-shift coupling matrices F_s are site-independent, so
-    only the zero-shift matrix depends on the site (and on q).  Formed
-    once per field and shared read-only by every FieldTables of it:
+    only the zero-shift matrix depends on the site (and on q).  The field
+    is validated once, with its tables, and each FieldTables checks only
+    its parameters.  Formed once per field and shared read-only by every
+    FieldTables of it:
     field_v, the F_s in stencil shift order; field_overlap[d], the sum
     C_d of F_s F_t^dag over the pairs of field shifts with s - t equal to
     row d of lattice.COUPLING_DIFFS, which is zero for the twelve field
@@ -98,10 +111,10 @@ class FieldTables:
     """
 
     def __init__(self, f: FieldConfig, p: DimensionlessParams):
-        validate(f, p)
+        self.field_v, self.field_overlap, self.field_row = _field_tables(f)
+        validate_params(p)
         self.field = f
         self.params = p
-        self.field_v, self.field_overlap, self.field_row = _field_tables(f)
 
     def zero_shift(self, sites: list[Site] | np.ndarray) -> np.ndarray:
         """(len(sites), 4, 4) zero-shift matrices V(n, 0) of a list or (N, 4) array of sites."""
@@ -118,11 +131,13 @@ class FieldTables:
 
 @lru_cache(maxsize=8)
 def _field_tables(f: FieldConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The field-shift matrices F_s of a field, their overlaps C_d and F_s side by side.
+    """The field-shift matrices F_s of a valid field, their overlaps C_d and F_s side by side.
 
     C_d = sum F_s F_t^dag over the pairs of field shifts with s - t = d,
-    one per row d of COUPLING_DIFFS.
+    one per row d of COUPLING_DIFFS.  The field is validated first, by
+    field.validate_field, so only a valid field is cached.
     """
+    validate_field(f)
     # a field shift's coefficient reads neither the site nor the parameters
     p = DimensionlessParams()
     dsets = np.stack([v_coupling((0, 0, 0, 0), s, f, p) for s in SHIFTS_S13[1:]])
@@ -179,6 +194,20 @@ def _pivot_rconds(diagonal: np.ndarray) -> np.ndarray:
     blocks = np.where(finite[:, None, None], diagonal, np.eye(4))
     values = np.linalg.eigvalsh(blocks @ blocks.conj().transpose(0, 2, 1))
     return np.where(finite, values[:, 0] / values[:, -1], np.nan)
+
+
+def _pivot_bounds(diagonal: np.ndarray, inverses: np.ndarray) -> np.ndarray:
+    """1 / (||R_kk||_F^2 ||W_kk||_F^2) of each pivot R_kk and its inverse W_kk, a bound on its rcond.
+
+    A lower bound: the rcond of D = R R^dag is (s_min / s_max)^2 over the
+    singular values of R, and s_max <= ||R||_F, s_min = 1 / s_max(R^-1) >=
+    1 / ||R^-1||_F (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 2002, ch. 15).  It is at most 1/16, and NaN or 0 where a
+    norm overflows, as it does where the other one underflows.
+    """
+    with np.errstate(all="ignore"):
+        r, w = ((np.abs(blocks) ** 2).sum(axis=(1, 2)) for blocks in (diagonal, inverses))
+        return 1.0 / (r * w)
 
 
 # diagonal blocks of at most this many rows are inverted directly by tril_inverse
@@ -242,22 +271,34 @@ class FactorSlices:
     The store holds every slice of the window's schedule in the layout of
     the factor file; slice t is numbers bounds[t]:bounds[t + 1] of it, the
     window table's factor_bounds.  read(start, stop) returns numbers
-    start:stop of the store as a complex array, a view of a store in
-    memory or a read of the factor file; indexing slice t reads that slice
-    alone, and the panel is a (4n, 4m) view of the numbers read, n and m
-    the stages of the slice and of its band, from its span.
+    start:stop of the store as a complex array, a read of the factor
+    file; indexing slice t reads that slice alone, and the panel is a
+    (4n, 4m) view of the numbers read, n and m the stages of the slice and
+    of its band, from its span.  The slices of a store in memory, of_store,
+    are views made once and handed out by every index.
     """
 
     def __init__(self, table: WindowTable, read):
         self._spans = table.spans.tolist()
         self.bounds = table.factor_bounds.tolist()
         self._read = read
+        self._views: list[tuple[np.ndarray, np.ndarray]] | None = None
+
+    @classmethod
+    def of_store(cls, table: WindowTable, store: np.ndarray) -> "FactorSlices":
+        """The slices of a store in memory: views of it, made once and handed out by every index."""
+        slices = cls(table, lambda start, stop: store[start:stop])
+        slices._views = [slices._part(t) for t in range(len(slices))]
+        return slices
 
     def __len__(self) -> int:
         return len(self._spans)
 
     def __getitem__(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         t = range(len(self))[t]
+        return self._part(t) if self._views is None else self._views[t]
+
+    def _part(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         start, stop, low = self._spans[t]
         n, m = stop - start, start - low
         data = self._read(self.bounds[t], self.bounds[t + 1])
@@ -299,17 +340,16 @@ class ProjectorAccumulator:
     products with slices t + 1 and t + 2 read it; the solves unpack it
     into a dense temporary.
 
-    The build record is two arrays over the schedule: rconds[k], the
-    eigenvalue ratio of the pivot of stage k, and asymmetry[k], the
-    largest imaginary part of the real-basis coefficients of its diagonal
-    block of the Schur complement, which rounding alone makes nonzero
-    (NaN unless this accumulator factored it).  asymmetry is filled slice
-    by slice; rconds once per run, from the pivots R_kk the slices
-    collect, by the same step that checks them against rcond_min.  After
-    a StageSingular, rconds holds the rcond of every stage whose pivot
-    the run factored and 0 for the rest: every stage when the floor
-    failed after the last slice, the stages before the one named when a
-    slice's Cholesky failed.
+    The build record is two arrays over the schedule, computed on first
+    read from what the slices kept: rconds[k], the eigenvalue ratio of the
+    pivot of stage k, unless the run's gate (_gate) has computed it
+    already, and asymmetry[k], the largest imaginary part of the
+    real-basis coefficients of its diagonal block of the Schur
+    complement, which rounding alone makes nonzero (NaN unless this
+    accumulator factored it).  After a StageSingular, rconds holds the
+    rcond of every stage whose pivot the run factored and 0 for the rest:
+    every stage when the floor failed after the last slice, the stages
+    before the one named when a slice's Cholesky failed.
 
     In terms of the block LDL^dag factorization G = U D U^dag with U block
     unit-lower, U = R blockdiag(R_kk)^-1 and D_k = R_kk R_kk^dag, so the
@@ -346,8 +386,12 @@ class ProjectorAccumulator:
         self._ran = False
         self.factors: np.ndarray | None = None
         self._slices: FactorSlices | None = None
-        self.rconds = np.zeros(len(self.schedule))
-        self.asymmetry = np.full(len(self.schedule), np.nan)
+        # the build record, and what it is computed from on first read: the pivots R_kk of
+        # a run the bounds accepted, the Schur diagonal blocks of each slice factored
+        self._rconds = np.zeros(len(self.schedule))
+        self._asymmetry = np.full(len(self.schedule), np.nan)
+        self._pivots: np.ndarray | None = None
+        self._schur_blocks: list[np.ndarray] = []
         self._gram: np.ndarray | None = None
         self._zero = self.tables.zero_shift(self._table.coords[self._table.schedule])
 
@@ -376,8 +420,28 @@ class ProjectorAccumulator:
                 f"numbers, not {len(rconds)} and {factors.bounds[-1]}"
             )
         acc._ran, acc._slices = True, factors
-        acc.rconds[:] = rconds
+        acc._rconds[:] = rconds
         return acc
+
+    @property
+    def rconds(self) -> np.ndarray:
+        """rconds[k], the eigenvalue ratio of the pivot of stage k, computed on first read."""
+        if self._pivots is not None:
+            self._rconds[:], self._pivots = _pivot_rconds(self._pivots), None
+        return self._rconds
+
+    @property
+    def asymmetry(self) -> np.ndarray:
+        """asymmetry[k], the Gram asymmetry of stage k, computed on first read, NaN if not factored.
+
+        One slice span at a time, as the slices were factored: the rounding
+        of a product over the blocks depends on how many it takes.
+        """
+        if self._schur_blocks:
+            for (start, stop, _), blocks in zip(self._table.spans.tolist(), self._schur_blocks):
+                self._asymmetry[start:stop] = np.abs(dset_from_matrix(blocks).imag).max(axis=1)
+            self._schur_blocks = []
+        return self._asymmetry
 
     def slice_factors(self) -> FactorSlices:
         """(packed W_t, band panel) of each slice: views of a built store, or reads.
@@ -405,7 +469,12 @@ class ProjectorAccumulator:
         return list(self.schedule) if self._slices is not None else []
 
     def _factor_slice(
-        self, t: int, slices: FactorSlices, pivots: np.ndarray, inverses: list[np.ndarray]
+        self,
+        t: int,
+        slices: FactorSlices,
+        pivots: np.ndarray,
+        pivot_inverses: np.ndarray,
+        inverses: list[np.ndarray],
     ) -> np.ndarray:
         """Factor slice t into its place in slices, after the slices before it; returns conj(W_t).
 
@@ -413,11 +482,13 @@ class ProjectorAccumulator:
         reaches, t - 2 and t - 1 (fewer at the first two); the step drops
         W_t-2, whose last use it is.  The band is built in the store's band
         panel of the slice, the Schur complement in one fresh buffer.  The
-        slice's R_kk go into pivots, whose rconds the run checks once,
-        after the last slice.  When the slice's Cholesky fails, or its
-        pivots are not finite, the pivots of the slices before it are
-        checked first, since a stage below the floor there may be what
-        broke this one; raises StageSingular at the first bad stage.
+        slice's R_kk go into pivots and the diagonal blocks W_kk of W_t
+        into pivot_inverses, which the run's gate reads once, after the
+        last slice; a copy of the Schur complement's diagonal blocks is
+        kept for the asymmetry record.  When the slice's Cholesky fails,
+        or its pivots are not finite, the pivots of the slices before it
+        are checked first, since a stage below the floor there may be
+        what broke this one; raises StageSingular at the first bad stage.
         """
         plan, gram = self._table.plans[t], self.gram
         start, stop, low = self._table.spans[t].tolist()
@@ -451,8 +522,25 @@ class ProjectorAccumulator:
 
         inverse = tril_inverse(factor)
         packed[...] = pack_lower(inverse)
-        self.asymmetry[start:stop] = np.abs(dset_from_matrix(_blocks(schur)).imag).max(axis=1)
+        pivot_inverses[start:stop] = _blocks(inverse)
+        self._schur_blocks.append(_blocks(schur).copy())
         return np.conjugate(inverse, out=inverse)
+
+    def _gate(self, pivots: np.ndarray, pivot_inverses: np.ndarray) -> None:
+        """Accept a completed run's pivots by their rcond bounds, or check each one exactly.
+
+        The bounds accept when each clears max(2 rcond_min, 1e-12), and
+        rconds waits for its first read; otherwise _check_pivots computes
+        every rcond now and raises at the first below the floor.  Both
+        take the same decision: the margin absorbs the rounding of
+        eigvalsh, which places the smallest eigenvalue of D within a few
+        u of its largest, and of the bound through W_kk, so a pivot whose
+        bound clears it has a computed rcond at or above rcond_min.
+        """
+        if (_pivot_bounds(pivots, pivot_inverses) >= max(2 * self.rcond_min, 1e-12)).all():
+            self._pivots = pivots
+        else:
+            self._check_pivots(pivots)
 
     def _check_pivots(self, pivots: np.ndarray) -> None:
         """Record the rconds of the leading stages' pivots R_kk; raise at the first below the floor.
@@ -460,7 +548,7 @@ class ProjectorAccumulator:
         Raises StageSingular at the first stage whose rcond is below
         rcond_min or NaN (a pivot that is not finite).
         """
-        rconds = self.rconds[: len(pivots)] = _pivot_rconds(pivots)
+        rconds = self._rconds[: len(pivots)] = _pivot_rconds(pivots)
         bad = np.flatnonzero(~(rconds >= self.rcond_min))
         if bad.size:
             k = int(bad[0])
@@ -507,12 +595,13 @@ class ProjectorAccumulator:
             raise ValueError("an accumulator runs once; its stages are already factored")
         self._ran = True
         store = np.empty(self._table.factor_bounds[-1], dtype=complex)
-        slices = FactorSlices(self._table, lambda start, stop: store[start:stop])
+        slices = FactorSlices.of_store(self._table, store)
         pivots = np.empty((len(self.schedule), 4, 4), dtype=complex)
+        pivot_inverses = np.empty_like(pivots)
         inverses: list[np.ndarray] = []  # dense conj(W) of the slices the next band reaches
         for t in range(len(slices)):
-            inverses.append(self._factor_slice(t, slices, pivots, inverses))
-        self._check_pivots(pivots)
+            inverses.append(self._factor_slice(t, slices, pivots, pivot_inverses, inverses))
+        self._gate(pivots, pivot_inverses)
         self.factors, self._slices = store, slices
         return self
 

@@ -121,12 +121,11 @@ class DimensionlessParams:
     omega: float = 0.5
 
 
-def validate(f: FieldConfig, p: DimensionlessParams | None = None) -> None:
-    """Reject configurations the construction cannot handle.
+def validate_field(f: FieldConfig) -> None:
+    """Reject a field the construction cannot handle.
 
-    Every number must be finite, components along propagation axes must
-    vanish, the field must carry nonzero, finite intensity, and the crystal
-    frequency must be positive.
+    Every amplitude must be finite, components along propagation axes
+    must vanish, and the field must carry nonzero, finite intensity.
     """
     for grid_name, grid in (("a", f.a), ("b", f.b)):
         if grid.shape != (6, 3):
@@ -143,12 +142,15 @@ def validate(f: FieldConfig, p: DimensionlessParams | None = None) -> None:
         raise ZeroField("all wave amplitudes are zero")
     if not np.isfinite(squared):
         raise ValueError("field intensity overflows")
-    if p is not None:
-        values = (p.q1, p.q2, p.q3, p.q4, p.omega)
-        if not np.isfinite(values).all():
-            raise ValueError(f"quasimomenta and Omega must be finite, got {values}")
-        if not p.omega > 0.0:
-            raise ValueError(f"crystal frequency Omega must be positive, got {p.omega}")
+
+
+def validate_params(p: DimensionlessParams) -> None:
+    """Reject quasimomenta or a crystal frequency that are not finite, or Omega <= 0."""
+    values = (p.q1, p.q2, p.q3, p.q4, p.omega)
+    if not np.isfinite(values).all():
+        raise ValueError(f"quasimomenta and Omega must be finite, got {values}")
+    if not p.omega > 0.0:
+        raise ValueError(f"crystal frequency Omega must be positive, got {p.omega}")
 
 
 def field_intensity(f: FieldConfig) -> float:

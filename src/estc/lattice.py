@@ -161,8 +161,7 @@ def locate(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     Sites are compared as 32-byte keys, the raw bytes of their int64 rows,
     so any two int64 sites compare, however far apart.
     """
-    keys = np.ascontiguousarray(points, dtype=np.int64).view("V32").ravel()
-    wanted = np.ascontiguousarray(queries, dtype=np.int64).reshape(-1, 4).view("V32").ravel()
+    keys, wanted = _site_keys(points), _site_keys(queries)
     out = np.full(len(wanted), -1, dtype=np.intp)
     if len(wanted) and len(keys):
         # stable, so a site listed twice in points resolves to its first row
@@ -173,11 +172,22 @@ def locate(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return out.reshape(queries.shape[:-1])
 
 
+def _site_keys(sites: np.ndarray) -> np.ndarray:
+    """The 32-byte key of each site of an (..., 4) int64 site array, flat."""
+    return np.ascontiguousarray(sites, dtype=np.int64).reshape(-1, 4).view("V32").ravel()
+
+
 def refuse_repeats(points: np.ndarray) -> None:
-    """Raise ValueError naming the first site that the (N, 4) site array points lists twice."""
+    """Raise ValueError naming the first site that the (N, 4) site array points lists twice.
+
+    One sort of the site keys finds whether any repeats; only then does
+    locate name the first site listed again.
+    """
+    keys = np.sort(_site_keys(points))
+    if not (keys[1:] == keys[:-1]).any():
+        return
     repeated = np.flatnonzero(locate(points, points) != np.arange(len(points)))
-    if repeated.size:
-        raise ValueError(f"site {points[repeated[0]].tolist()} is listed twice")
+    raise ValueError(f"site {points[repeated[0]].tolist()} is listed twice")
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,14 @@ class Multispinor:
         return Multispinor(np.concatenate([self.coords, other.coords[extra]]), out)
 
     def __sub__(self, other: "Multispinor") -> "Multispinor":
-        return self + (-1.0) * other
+        """self + (-other), on the sites of a sum; row by row when other has the sites of self.
+
+        -other negates each amplitude, so both paths round and sign every
+        zero as amplitudes - other.amplitudes does.
+        """
+        if _same_sites(self.coords, other.coords):
+            return Multispinor(self.coords, self.amplitudes - other.amplitudes)
+        return self + Multispinor(other.coords, -other.amplitudes)
 
     def __rmul__(self, scalar: complex) -> "Multispinor":
         return Multispinor(self.coords, scalar * self.amplitudes)

@@ -15,6 +15,7 @@ from estc import (
     SHIFTS_S13,
     StageSingular,
     Window,
+    dset_from_matrix,
     g4d,
     matrix_from_dset,
     parse_config,
@@ -779,10 +780,12 @@ def test_rconds_are_the_dense_factor_pivot_ratios_on_the_sample_field(radius):
 
 
 def test_a_run_checks_the_pivots_once_and_keeps_each_w_dense(monkeypatch):
-    # the slice step only factors: one rcond pass over the whole schedule,
-    # no unpack of a W_t the run has just inverted, no masked copy of the
-    # inversion's leaves
-    calls = {"_pivot_rconds": 0, "unpack_lower": 0, "tril": 0}
+    # the slice step only factors and a completed run computes no build record: the bounds
+    # accept its pivots without an rcond pass, the asymmetry waits for its first read, a
+    # second accumulator on the field does not validate the field again, no W_t the run
+    # has just inverted is unpacked and the inversion's leaves get no masked copy
+    names = ("_pivot_rconds", "dset_from_matrix", "validate_field", "unpack_lower", "tril")
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -791,10 +794,109 @@ def test_a_run_checks_the_pivots_once_and_keeps_each_w_dense(monkeypatch):
 
         return wrapper
 
-    for module, name in ((engine, "_pivot_rconds"), (engine, "unpack_lower"), (np, "tril")):
+    ProjectorAccumulator(FIELD, PARAMS, Window(3))
+    for name in names:
+        module = np if name == "tril" else engine
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    ProjectorAccumulator(FIELD, PARAMS, Window(3)).run()
-    assert calls == {"_pivot_rconds": 1, "unpack_lower": 0, "tril": 0}
+    acc = ProjectorAccumulator(FIELD, PARAMS, Window(3)).run()
+    assert calls == dict.fromkeys(calls, 0)
+    # the first rconds read makes the one rcond pass; a second makes none
+    first = acc.rconds
+    assert calls["_pivot_rconds"] == 1
+    assert acc.rconds is first and calls["_pivot_rconds"] == 1
+    assert calls["unpack_lower"] == 0 and calls["tril"] == 0
+
+
+@st.composite
+def lower_pivots(draw):
+    """A 4x4 lower-triangular pivot with a positive diagonal, as a Cholesky gives it.
+
+    Its scale runs over 300 decades and its diagonal spreads over up to
+    20, which makes it near singular; one entry may be made non-finite.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = np.tril(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    np.fill_diagonal(r, 10.0 ** -rng.uniform(0, draw(st.floats(0, 20)), 4))
+    r *= 10.0 ** draw(st.floats(-150, 150))
+    poison = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    if poison is not None:
+        row = int(rng.integers(0, 4))
+        r[row, int(rng.integers(0, row + 1))] = poison
+    return r
+
+
+@settings(max_examples=200, deadline=None)
+@given(lower_pivots(), st.integers(0, 12), st.floats(-300, np.log10(0.5)))
+def test_the_pivot_bounds_gate_decides_where_the_exact_check_does(r, stage, log_rcond_min):
+    try:
+        inverse = engine.tril_inverse(r)
+    except np.linalg.LinAlgError:  # a non-finite pivot may not invert
+        inverse = np.full((4, 4), np.nan)
+    bound = engine._pivot_bounds(r[None], inverse[None])[0]
+    rcond = engine._pivot_rconds(r[None])[0]
+    # the bound never exceeds the rcond, but for the rounding of eigvalsh, which places the
+    # smallest eigenvalue within a few u of the largest (1.3 u over 100,000 such pivots)
+    assert not bound > rcond + 8 * np.finfo(float).eps
+    # the pivot among twelve sound ones of a 13-stage run: the gate that may accept by the
+    # bounds takes the decision, and leaves the record, of the check of every rcond
+    pivots, inverses = np.tile(np.eye(4, dtype=complex), (2, 13, 1, 1))
+    pivots[stage], inverses[stage] = r, inverse
+    outcomes = []
+    for check, args in (("_gate", (pivots, inverses)), ("_check_pivots", (pivots,))):
+        acc = fresh_accumulator(2, rcond_min=10.0**log_rcond_min)
+        try:
+            getattr(acc, check)(*args)
+            outcome = None
+        except StageSingular as err:
+            outcome = (err.stage, err.site, repr(err.rcond))
+        outcomes.append((outcome, acc.rconds.tobytes()))
+    assert outcomes[0] == outcomes[1]
+    if not np.isfinite(r).all():
+        assert outcomes[1][0] == (stage, fresh_accumulator().schedule[stage], "nan")
+
+
+def test_the_gate_checks_every_rcond_where_the_bounds_fall_short(monkeypatch):
+    # on the sample field at R = 2 the smallest bound is 1.14e-2 and the worst rcond 4.99e-2
+    # (stage 9), so a floor of 0.04 passes, and one of 0.06 fails, by the exact check
+    cfg = parse_config(SAMPLE_CONFIG.read_text())
+    window = Window(2, cfg.n_ref)
+    calls = []
+    real = engine._pivot_rconds
+    monkeypatch.setattr(engine, "_pivot_rconds", lambda diagonal: calls.append(1) or real(diagonal))
+    bounded = ProjectorAccumulator(cfg.field, cfg.params, window).run()
+    assert calls == []
+    exact = ProjectorAccumulator(cfg.field, cfg.params, window, rcond_min=0.04).run()
+    assert calls == [1]
+    # the bounds, from each W_kk and its inverse R_kk
+    slices = exact.slice_factors()
+    inverses = np.concatenate([engine._blocks(engine.unpack_lower(w, b.shape[0])) for w, b in slices])
+    bounds = engine._pivot_bounds(np.linalg.inv(inverses), inverses)
+    assert 1.1e-2 < bounds.min() < 1.2e-2 and 4.9e-2 < exact.rconds.min() < 5e-2
+    assert int(np.argmin(exact.rconds)) == 9
+    assert np.array_equal(bounded.rconds, exact.rconds)
+    with pytest.raises(StageSingular) as err:
+        ProjectorAccumulator(cfg.field, cfg.params, window, rcond_min=0.06).run()
+    assert (err.value.stage, err.value.site) == (9, bounded.schedule[9])
+    assert err.value.rcond == bounded.rconds[9]
+
+
+def test_asymmetry_is_computed_one_slice_span_at_a_time(monkeypatch):
+    # the record the slice step used to fill: each slice's Schur diagonal blocks, through
+    # dset_from_matrix in a call of their own; a call over the whole schedule rounds
+    # differently (stage 6 of R = 2 then reads 1.7e-18, not 0.0)
+    cfg = parse_config(SAMPLE_CONFIG.read_text())
+    complements = []
+    real = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: complements.append(a.copy()) or real(a))
+    acc = ProjectorAccumulator(cfg.field, cfg.params, Window(2, cfg.n_ref)).run()
+    monkeypatch.undo()
+    assert len(complements) == len(lattice.window_table(acc.window).spans)
+    reference = np.concatenate([
+        np.abs(dset_from_matrix(engine._blocks(schur)).imag).max(axis=1) for schur in complements
+    ])
+    assert np.array_equal(acc.asymmetry, reference)
+    assert acc.asymmetry[6] == 0.0
+    assert acc.asymmetry is acc.asymmetry
 
 
 def test_a_window_plans_each_slice_once_and_read_only():
@@ -900,6 +1002,20 @@ def test_the_cli_gate_looks_up_no_site_and_forms_no_zero_shift_matrix(monkeypatc
     rows = list(zip(lattice.window_table(window).sites, norms.tolist()))
     assert len(norms) == len(acc.schedule)
     assert report.ok and rows == residual_table(solution, acc.tables, window.interior_points())
+
+
+def test_a_built_store_hands_out_its_views_and_a_restored_one_reads_each_index(tmp_path):
+    cfg = parse_config(SAMPLE_CONFIG.read_text())
+    acc = ProjectorAccumulator(cfg.field, cfg.params, Window(cfg.radius, cfg.n_ref)).run()
+    path = tmp_path / "operator.json"
+    write_operator(path, acc, cfg)
+    built, restored = acc.slice_factors(), read_operator(path, cfg).slice_factors()
+    for t in range(len(built)):
+        assert all(a is b for a, b in zip(built[t], built[t]))
+        assert all(np.shares_memory(part, acc.factors) for part in built[t] if part.size)
+        first, again = restored[t], restored[t]
+        assert all(a is not b and a.tobytes() == b.tobytes() for a, b in zip(first, again))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, built[t]))
 
 
 def test_from_factors_refuses_rconds_or_a_store_that_do_not_fit_the_window():

@@ -23,7 +23,13 @@ from estc import (
 from estc import ProjectorAccumulator, Window, lattice
 from estc.engine import FieldTables, build_row_gram
 from estc.errors import ShiftNotInS13, TransversalityViolation, ZeroField
-from estc.field import CONSTRAINED_COMPONENTS, FREE_COMPONENTS, validate, zero_shift_dsets
+from estc.field import (
+    CONSTRAINED_COMPONENTS,
+    FREE_COMPONENTS,
+    validate_field,
+    validate_params,
+    zero_shift_dsets,
+)
 from estc.lattice import gram_pattern, make_schedule
 
 from helpers import couples, gram_blocks, oracle_overlap, random_field, random_params
@@ -96,25 +102,45 @@ def test_validation_rejects_longitudinal_components():
     for j, k in CONSTRAINED_COMPONENTS:
         f = FieldConfig.from_amplitudes({f"a_{j}{k}": 0.1})
         with pytest.raises(TransversalityViolation):
-            validate(f)
+            validate_field(f)
     with pytest.raises(ZeroField):
-        validate(FieldConfig.from_amplitudes({}))
+        validate_field(FieldConfig.from_amplitudes({}))
     with pytest.raises(ValueError):
-        validate(FIELD, DimensionlessParams(omega=0.0))
+        validate_params(DimensionlessParams(omega=0.0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_validation_rejects_non_finite_numbers(bad):
     with pytest.raises(ValueError):
-        validate(FieldConfig.from_amplitudes({"a_12": 0.1, "b_43": bad}))
+        validate_field(FieldConfig.from_amplitudes({"a_12": 0.1, "b_43": bad}))
     for name in ("q1", "q2", "q3", "q4", "omega"):
         with pytest.raises(ValueError):
-            validate(FIELD, DimensionlessParams(**{name: bad}))
+            validate_params(DimensionlessParams(**{name: bad}))
 
 
 def test_validation_rejects_an_overflowing_intensity():
     with pytest.raises(ValueError):
-        validate(FieldConfig.from_amplitudes({"a_12": 1e308}))
+        validate_field(FieldConfig.from_amplitudes({"a_12": 1e308}))
+
+
+def test_field_tables_validate_the_field_once_and_the_parameters_each_time(monkeypatch):
+    from estc import engine
+
+    FieldTables(FIELD, PARAMS)
+    calls = []
+    monkeypatch.setattr(engine, "validate_field", lambda f: calls.append(f))
+    moved = DimensionlessParams(0.3, -0.1, 0.0, 0.2, omega=PARAMS.omega)
+    assert FieldTables(FIELD, moved).params is moved and calls == []
+    for bad in (DimensionlessParams(omega=0.0), DimensionlessParams(q2=np.inf)):
+        with pytest.raises(ValueError):
+            FieldTables(FIELD, bad)
+    monkeypatch.undo()
+    # a field that fails is refused at every point, before its parameters
+    for _ in range(2):
+        with pytest.raises(ZeroField):
+            FieldTables(FieldConfig.from_amplitudes({}), DimensionlessParams(omega=0.0))
+        with pytest.raises(TransversalityViolation):
+            FieldTables(FieldConfig.from_amplitudes({"a_11": 0.1}), PARAMS)
 
 
 def test_intensity_counts_every_free_amplitude_twice():

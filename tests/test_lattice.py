@@ -295,6 +295,19 @@ def test_refuse_repeats_names_the_first_site_listed_again():
     lattice.refuse_repeats(np.zeros((0, 4), dtype=np.int64))
 
 
+def test_refuse_repeats_locates_only_to_name_a_repeat(monkeypatch):
+    coords = lattice.window_table(Window(3)).coords
+    calls = []
+    real = lattice.locate
+    monkeypatch.setattr(lattice, "locate", lambda points, wanted: calls.append(1) or real(points, wanted))
+    lattice.refuse_repeats(coords)
+    assert calls == []
+    repeated = np.concatenate([coords, coords[[7, 3]]])
+    with pytest.raises(ValueError, match=re.escape(f"site {coords[7].tolist()} is listed twice")):
+        lattice.refuse_repeats(repeated)
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("radius", range(1, 7))
 def test_the_stencils_reach_every_window_site(radius):
     # the projection's sorted reduction has one run per window site, in window order

@@ -50,6 +50,17 @@ def test_arithmetic_and_norm():
     assert scaled.norm() == pytest.approx(2 * np.sqrt(5))
 
 
+def test_a_difference_signs_its_zeros_alike_on_equal_and_other_sites():
+    # (-1.0) * b, a complex product, turns the -0.0 of -(0 - 3j) into +0.0
+    a = Multispinor([(0, 0, 0, 0)], np.array([[complex(-0.0, 1.0), -0.0, 0.0, 1.0]]))
+    b = Multispinor([(0, 0, 0, 0)], np.array([[complex(0.0, -3.0), 0.0, -0.0, 1.0]]))
+    wider = Multispinor([(0, 0, 0, 0), (1, 1, 0, 0)], np.concatenate([b.amplitudes, np.ones((1, 4))]))
+    want = a.amplitudes - b.amplitudes
+    assert (a - b).amplitudes.tobytes() == want.tobytes()
+    assert (a - wider).amplitudes[:1].tobytes() == want.tobytes()
+    assert np.signbit(want[0, 0].real)
+
+
 def test_sum_keeps_the_sites_of_the_left_then_the_new_ones_of_the_right():
     a = random_multispinor([(0, 0, 0, 0), (2**62, 0, 0, 0), (1, 1, 0, 0)], 1)
     b = random_multispinor([(3, 1, 0, 0), (1, 1, 0, 0), (-(2**62), 0, 0, 0)], 2)
