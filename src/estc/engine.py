@@ -28,7 +28,7 @@ or yields a non-finite pivot.  The rconds and the Gram asymmetry are
 computed on first read.  A run is one-shot and all or nothing: it sizes
 the store once and factors every slice in order, and an accumulator
 whose run did not complete holds no factors; one restored from a dump
-only applies.
+never runs, but applies and is written like a built one.
 
 The projector is kept and applied in factored form only, as
 P = V^dag R^-dag R^-1 V: a block forward and back substitution over the
@@ -37,16 +37,17 @@ operator on the (N, 4) amplitudes of the window sites.  The CLI's gate
 and verify read the processed rows through rows; G u = rows(adjoint(u)).
 The factor is laid out as the operator dump's factor file: per slice,
 the lower triangle of W_t = R_tt^-1 packed in np.tril_indices order,
-then the band panel row-major.  A built accumulator holds it as one
-complex128 array; a restored one reads each slice from the factor file
-when a step indexes it, so an apply holds one slice at a time.
-FactorSlices serves both, with the shapes and offsets of the window
-table; the solves read each slice's rows from its span there, so the
-band's reach is derived only in lattice.  The run keeps each W_t dense
-and conjugated from its inversion through slice t + 2, the last whose
-band it multiplies; the solves unpack it into a dense temporary.  The
-complement U - P maps any seed multispinor onto the solution subspace of
-the window's interior rows.
+then the band panel row-major.  slice_factors() is the one handle on
+it, a FactorSlices with the shapes and offsets of the window table: for
+a built accumulator, views of the run's store in memory; for a restored
+one, reads of the factor file, one slice each time a step indexes it, so
+an apply holds one slice at a time.  The solves and the dump writer read
+the slices through it alike; the solves read each slice's rows from its
+span in the window table, so the band's reach is derived only in
+lattice.  The run keeps each W_t dense and conjugated from its inversion
+through slice t + 2, the last whose band it multiplies; the solves
+unpack it into a dense temporary.  The complement U - P maps any seed
+multispinor onto the solution subspace of the window's interior rows.
 
 Only the zero-shift block V(n, 0) depends on q, through w = q + Omega n,
 so a point at new q pays only for it.  Per window (radius, center), built
@@ -333,12 +334,13 @@ class ProjectorAccumulator:
     fills.  Per slice, the store factors holds the lower triangle of W_t
     packed in np.tril_indices order, then the band blocks
     [R_t,t-2 | R_t,t-1] as one (4n_t, 4(n_t-2 + n_t-1)) panel, row-major:
-    the layout of the operator dump's factor file.  slice_factors() gives
+    the layout of the operator dump's factor file.  The store is held only
+    behind slice_factors(), the one handle on the factors, which gives
     each slice by index, as views of the store, or, for an accumulator
-    restored by from_factors, which holds no store, as a read of the
-    factor file.  The run keeps W_t dense and conjugated, as its two band
-    products with slices t + 1 and t + 2 read it; the solves unpack it
-    into a dense temporary.
+    restored by from_factors, as a read of the factor file; the solves
+    and the dump writer read both alike.  The run keeps W_t dense and
+    conjugated, as its two band products with slices t + 1 and t + 2
+    read it; the solves unpack it into a dense temporary.
 
     The build record is two arrays over the schedule, computed on first
     read from what the slices kept: rconds[k], the eigenvalue ratio of the
@@ -358,7 +360,9 @@ class ProjectorAccumulator:
     ValueError; build a new one to factor again.  Until a run completes,
     and for good after one that raised StageSingular, the accumulator
     holds no factors, and applying, solving with or writing it raises
-    ValueError.
+    ValueError.  rcond_min, the floor of every stage's rcond, must be a
+    positive finite number; any other value raises ValueError before any
+    work.
     The zero-shift matrices V(m_k, 0) of the whole schedule are formed
     once; neither the Gram nor rows and adjoint need any other per-site
     coefficient.  The overlaps come from the blocks of the row Gram
@@ -375,16 +379,17 @@ class ProjectorAccumulator:
         *,
         rcond_min: float = 1e-10,
     ):
+        if not 0.0 < rcond_min < np.inf:  # NaN fails too
+            raise ValueError(f"rcond_min must be a positive finite number, not {rcond_min!r}")
         self.tables = FieldTables(f, p)
         self.window = window
         self.schedule = make_schedule(window)
         self.rcond_min = rcond_min
 
         self._table = window_table(window)
-        # the store of a built accumulator, None until a run completes; its slices, or
-        # those read from a dump by from_factors, in _slices
+        # the slices of a completed run's store, or those read from a dump by from_factors;
+        # None until a run completes
         self._ran = False
-        self.factors: np.ndarray | None = None
         self._slices: FactorSlices | None = None
         # the build record, and what it is computed from on first read: the pivots R_kk of
         # a run the bounds accepted, the Schur diagonal blocks of each slice factored
@@ -444,9 +449,11 @@ class ProjectorAccumulator:
         return self._asymmetry
 
     def slice_factors(self) -> FactorSlices:
-        """(packed W_t, band panel) of each slice: views of a built store, or reads.
+        """(packed W_t, band panel) of each slice: views of a built store, or reads of a dump.
 
-        Raises ValueError when no run has completed: there are no factors.
+        The one handle on the factors, of a built and of a restored
+        accumulator alike, and the one place that raises ValueError when
+        no run has completed: there are no factors.
         """
         if self._slices is None:
             raise ValueError("an accumulator that has not completed a run has no factors")
@@ -602,7 +609,7 @@ class ProjectorAccumulator:
         for t in range(len(slices)):
             inverses.append(self._factor_slice(t, slices, pivots, pivot_inverses, inverses))
         self._gate(pivots, pivot_inverses)
-        self.factors, self._slices = store, slices
+        self._slices = slices
         return self
 
     def solve_lower(self, y: np.ndarray) -> np.ndarray:

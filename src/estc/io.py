@@ -12,13 +12,15 @@ row-major.  Every slice shape and offset follows from the window, through
 the spans and factor_bounds of lattice.window_table, so the reader
 refuses any other stage count and a factor file of any other size or
 digest.  lattice.Window checks the header's radius and center, as it
-checks every window.  The factor file is a built accumulator's factor
-store byte for byte, and the writer writes the store with one call.  The
-reader hashes the file through the same slice reads that the
-substitutions of a restored accumulator make, one slice at a time, so an
-apply holds one slice, never the whole file; each read refuses, with
-ConfigError, a file whose identity (device, inode, size, modification
-and change times) is not the one the reader took with the file's size.
+checks every window.  The factor file is the accumulator's factor
+slices byte for byte, a built one's store or a restored one's file, and
+one walk over the slices, _walk_slices, hashes them part by part: the
+writer writes each part as it hashes it, and the reader hashes the file
+through the same slice reads that the substitutions of a restored
+accumulator make, so an apply holds one slice, never the whole file;
+each read refuses, with ConfigError, a file whose identity (device,
+inode, size, modification and change times) is not the one the reader
+took with the file's size.
 The dump is the only form an operator is read back from.  The JSON
 (estc-operator-dsets-v3) and CSV exports are write-only views of a dump
 that restate its factors as basis coefficients, reading and unpacking
@@ -61,20 +63,34 @@ def factor_path(path: str | Path) -> Path:
     return Path(path).with_suffix(".c16")
 
 
-def write_operator(path: str | Path, acc: ProjectorAccumulator, cfg: RunConfig) -> None:
-    """Write the factor store as the factor file, then the header with its sha256.
+def _walk_slices(slices: FactorSlices, out=None) -> str:
+    """sha256 of the factor file of slices, hashed part by part, each part written to out if given.
 
-    Raises ValueError, writing nothing, for an accumulator that has not
-    completed a run or was restored from a dump: neither holds a factor
-    store.
+    The parts are the packed W_t and the band panel of each slice, in
+    turn, as little-endian complex128; out is a file open for binary
+    writing.
     """
-    if acc.factors is None:
-        raise ValueError(
-            "an accumulator that has not completed a run, or was restored from a dump, "
-            "has no factors to write"
-        )
-    raw = np.ascontiguousarray(acc.factors, dtype="<c16")
-    factor_path(path).write_bytes(raw)
+    sha256 = hashlib.sha256()
+    for pair in slices:
+        for part in pair:
+            data = np.ascontiguousarray(part, dtype="<c16")
+            sha256.update(data)
+            if out is not None:
+                out.write(data)
+    return sha256.hexdigest()
+
+
+def write_operator(path: str | Path, acc: ProjectorAccumulator, cfg: RunConfig) -> None:
+    """Write the factor slices as the factor file, then the header with their sha256.
+
+    A built and a restored accumulator alike; raises ValueError, writing
+    nothing, for one that has not completed a run.  A restored one must
+    not be written onto the dump it reads: opening the factor file for
+    writing cuts it before the walk reads it.
+    """
+    slices = acc.slice_factors()
+    with open(factor_path(path), "wb") as f:
+        digest = _walk_slices(slices, f)
     header = {
         "format": OPERATOR_FORMAT,
         "fingerprint": config_fingerprint(cfg),
@@ -82,7 +98,7 @@ def write_operator(path: str | Path, acc: ProjectorAccumulator, cfg: RunConfig) 
         "center": list(cfg.n_ref),
         "stages": len(acc.schedule),
         "rconds": acc.rconds.tolist(),
-        "sha256": hashlib.sha256(raw).hexdigest(),
+        "sha256": digest,
     }
     Path(path).write_text(json.dumps(header, separators=(",", ":")) + "\n")
 
@@ -187,11 +203,7 @@ def _read_factors(path: str | Path, cfg: RunConfig | None = None) -> _Factors:
             f"factor file {source} has {size} bytes, expected {16 * count} "
             f"({count} complex numbers for {stages} stages)"
         )
-    sha256 = hashlib.sha256()
-    for packed, band in factors:
-        sha256.update(packed)
-        sha256.update(band)
-    if sha256.hexdigest() != digest:
+    if _walk_slices(factors) != digest:
         raise ConfigError(f"factor file {source} does not match the sha256 of its header")
     return _Factors(fingerprint, window, np.array(rconds, dtype=float), factors)
 

@@ -28,6 +28,7 @@ import estc.multispinor
 from estc import cli, engine, lattice
 from estc.combiner import combine_pair
 from estc.engine import FieldTables, residual_table
+from estc.errors import ConfigError
 from estc.field import a_matrix
 from estc.io import RunReport, read_operator, stages_csv, write_operator
 from estc.multispinor import Multispinor
@@ -472,7 +473,25 @@ def check_holds_no_factors(acc, tmp_path):
     with pytest.raises(ValueError, match="has not completed a run"):
         write_operator(path, acc, cfg)
     assert not path.exists() and not path.with_suffix(".c16").exists()
-    assert acc.processed_sites() == [] and acc.factors is None
+    # the slices are the one handle on the factors: no store is held beside them
+    assert acc.processed_sites() == [] and not hasattr(acc, "factors")
+
+
+@pytest.mark.parametrize("rcond_min", [np.nan, np.inf, 0.0, -1.0])
+def test_a_floor_that_is_not_a_positive_finite_number_is_refused_before_any_work(
+    rcond_min, monkeypatch
+):
+    # nan and inf would fail every stage, 0 and -1 would switch the floor off
+    def no_work(*args):
+        raise AssertionError("the field tables were built")
+
+    monkeypatch.setattr(engine, "FieldTables", no_work)
+    refusal = f"rcond_min must be a positive finite number, not {rcond_min!r}"
+    with pytest.raises(ValueError, match=refusal):
+        fresh_accumulator(rcond_min=rcond_min)
+    # parse_config refuses each of them as a configuration error
+    with pytest.raises(ConfigError):
+        parse_config(SAMPLE_CONFIG.read_text() + f"rcond_min = {rcond_min!r}\n")
 
 
 def test_an_accumulator_that_has_not_run_fails_loudly(tmp_path):
@@ -665,7 +684,7 @@ def test_a_run_happens_once(tmp_path):
     acc = ProjectorAccumulator(cfg.field, cfg.params, window).run()
     path = tmp_path / "operator.json"
     write_operator(path, acc, cfg)
-    store = acc.factors.tobytes()
+    store = path.with_suffix(".c16").read_bytes()
     for built in (acc, read_operator(path, cfg)):
         rconds = built.rconds.copy()
         with pytest.raises(ValueError, match="runs once"):
@@ -1010,9 +1029,12 @@ def test_a_built_store_hands_out_its_views_and_a_restored_one_reads_each_index(t
     path = tmp_path / "operator.json"
     write_operator(path, acc, cfg)
     built, restored = acc.slice_factors(), read_operator(path, cfg).slice_factors()
+    # the views of one store of the factor file's size
+    store = built[0][0].base
+    assert store.size == lattice.factor_bytes(cfg.radius) // 16
     for t in range(len(built)):
         assert all(a is b for a, b in zip(built[t], built[t]))
-        assert all(np.shares_memory(part, acc.factors) for part in built[t] if part.size)
+        assert all(part.base is store for part in built[t])
         first, again = restored[t], restored[t]
         assert all(a is not b and a.tobytes() == b.tobytes() for a, b in zip(first, again))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(first, built[t]))
